@@ -5,7 +5,8 @@ dimension.
 Three independent routes to the same moment fields cross-validate each
 other: a space-time Petrov-Galerkin solver for the tensorized moment
 problems, a matrix differential equation integrated by Runge-Kutta, and
-Monte Carlo simulation of the mild solution.
+Monte Carlo simulation of the mild solution. The routes share the model
+definitions (spectral, levy, noise_map) and never import one another.
 """
 
 __version__ = "0.1.0"
@@ -15,26 +16,28 @@ from .levy import (
     covariance_kernel,
     hs_norm_on_cameron_martin,
     q_sqrt_apply,
-    sample_increment,
     sample_increments,
 )
 from .montecarlo import (
-    AffineNoiseMap,
     Ensemble,
     MomentEstimate,
     estimate_moments,
-    g1_v_to_hs_norm,
-    g_apply,
     ito_isometry_check,
     simulate_ensemble,
     simulate_path,
     weak_identity_residual,
 )
+from .noise_map import (
+    AffineNoiseMap,
+    g1_v_to_hs_norm,
+    g_apply,
+    noise_quadratic_form,
+    scaled_random_coupling,
+)
 from .oracle import (
     MomentField,
     lyapunov_solve,
     mean_exact,
-    noise_quadratic_form,
     two_time_extend,
 )
 from .petrov_galerkin import (
@@ -55,7 +58,6 @@ from .petrov_galerkin import (
     solve_mean,
     tdelta_assemble,
 )
-from .presets import diagonal_noise_map, scalar_noise_map, scaled_random_coupling
 from .spectral import (
     SpectralModel,
     dirichlet_laplacian,

@@ -30,7 +30,8 @@ from .config import (
     initial_law,
     load_config,
 )
-from .montecarlo import estimate_moments, g1_v_to_hs_norm, simulate_ensemble
+from .montecarlo import estimate_moments, simulate_ensemble
+from .noise_map import g1_v_to_hs_norm
 from .oracle import lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
     PicardNonConvergence,

@@ -31,8 +31,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .levy import NoiseModel
-from .montecarlo import AffineNoiseMap
-from .presets import scaled_random_coupling
+from .noise_map import AffineNoiseMap, scaled_random_coupling
 from .spectral import SpectralModel, dirichlet_laplacian
 
 __all__ = [
@@ -293,7 +292,6 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
             q_eigenvalues=np.asarray(cfg.noise_q_eigenvalues, dtype=float),
             wiener_fraction=cfg.noise_wiener_fraction,
             jump_rate=cfg.noise_jump_rate,
-            seed=cfg.mc_seed,
         )
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
@@ -306,73 +304,59 @@ def _dense_array(spec: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
     return arr
 
 
+def _mode_diagonal(spec: dict, preset: Any, n: int, m: int, path: str) -> list[float]:
+    """Per-mode values of a "scalar" or "diagonal" preset at key path `path`.
+
+    Both presets drive state mode i by noise mode i only, so they need
+    as many noise modes as state modes; "scalar" is the one-mode case.
+    """
+    if preset == "scalar":
+        if n != 1 or m != 1:
+            raise ConfigError(
+                f"{path}: scalar preset needs model.dimension = 1 and a single "
+                f"noise mode, got dimensions ({n}, {m})"
+            )
+    elif preset == "diagonal":
+        if n != m:
+            raise ConfigError(
+                f"{path}: diagonal preset needs model.dimension = noise modes, "
+                f"got {n} vs {m}"
+            )
+        if "values" in spec:
+            vals = _number_list(spec["values"], f"{path}.values")
+            if len(vals) != n:
+                raise ConfigError(
+                    f"{path}.values: has {len(vals)} entries but model.dimension is {n}"
+                )
+            return vals
+    else:
+        raise ConfigError(f"{path}.preset: unknown preset {preset!r}")
+    return [_number(_require(spec, "value", path), f"{path}.value")] * n
+
+
 def _build_g1(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
     spec = cfg.g1_spec
     n, m = model.dim, noise.dim
-    if isinstance(spec, dict):
-        preset = _require(spec, "preset", "g.g1")
-        if preset == "scalar":
-            if n != 1 or m != 1:
-                raise ConfigError(
-                    f"g.g1: scalar preset needs model.dimension = 1 and a single "
-                    f"noise mode, got dimensions ({n}, {m})"
-                )
-            return np.full((1, 1, 1), _number(_require(spec, "value", "g.g1"), "g.g1.value"))
-        if preset == "diagonal":
-            if n != m:
-                raise ConfigError(
-                    f"g.g1: diagonal preset needs model.dimension = noise modes, "
-                    f"got {n} vs {m}"
-                )
-            if "values" in spec:
-                vals = _number_list(spec["values"], "g.g1.values")
-                if len(vals) != n:
-                    raise ConfigError(
-                        f"g.g1.values: has {len(vals)} entries but model.dimension is {n}"
-                    )
-            else:
-                vals = [_number(_require(spec, "value", "g.g1"), "g.g1.value")] * n
-            g1 = np.zeros((n, n, n))
-            idx = np.arange(n)
-            g1[idx, idx, idx] = vals
-            return g1
-        if preset == "scaled_random":
-            seed = _integer(_require(spec, "seed", "g.g1"), "g.g1.seed")
-            target = _number(_require(spec, "target_norm", "g.g1"), "g.g1.target_norm")
-            return scaled_random_coupling(model, noise, target, seed)
-        raise ConfigError(f"g.g1.preset: unknown preset {preset!r}")
-    return _dense_array(spec, (n, n, m), "g.g1")
+    if not isinstance(spec, dict):
+        return _dense_array(spec, (n, n, m), "g.g1")
+    preset = _require(spec, "preset", "g.g1")
+    if preset == "scaled_random":
+        seed = _integer(_require(spec, "seed", "g.g1"), "g.g1.seed")
+        target = _number(_require(spec, "target_norm", "g.g1"), "g.g1.target_norm")
+        return scaled_random_coupling(model, noise, target, seed)
+    g1 = np.zeros((n, n, n))
+    idx = np.arange(n)
+    g1[idx, idx, idx] = _mode_diagonal(spec, preset, n, m, "g.g1")
+    return g1
 
 
 def _build_g2(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
     spec = cfg.g2_spec
     n, m = model.dim, noise.dim
-    if isinstance(spec, dict):
-        preset = _require(spec, "preset", "g.g2")
-        if preset == "scalar":
-            if n != 1 or m != 1:
-                raise ConfigError(
-                    f"g.g2: scalar preset needs model.dimension = 1 and a single "
-                    f"noise mode, got dimensions ({n}, {m})"
-                )
-            return np.full((1, 1), _number(_require(spec, "value", "g.g2"), "g.g2.value"))
-        if preset == "diagonal":
-            if n != m:
-                raise ConfigError(
-                    f"g.g2: diagonal preset needs model.dimension = noise modes, "
-                    f"got {n} vs {m}"
-                )
-            if "values" in spec:
-                vals = _number_list(spec["values"], "g.g2.values")
-                if len(vals) != n:
-                    raise ConfigError(
-                        f"g.g2.values: has {len(vals)} entries but model.dimension is {n}"
-                    )
-            else:
-                vals = [_number(_require(spec, "value", "g.g2"), "g.g2.value")] * n
-            return np.diag(np.asarray(vals, dtype=float))
-        raise ConfigError(f"g.g2.preset: unknown preset {preset!r}")
-    return _dense_array(spec, (n, m), "g.g2")
+    if not isinstance(spec, dict):
+        return _dense_array(spec, (n, m), "g.g2")
+    preset = _require(spec, "preset", "g.g2")
+    return np.diag(np.asarray(_mode_diagonal(spec, preset, n, m, "g.g2"), dtype=float))
 
 
 def build_gmap(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> AffineNoiseMap:

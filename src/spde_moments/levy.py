@@ -15,7 +15,6 @@ makes the jump part carry its covariance share exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .tensors import Tensor2
 __all__ = [
     "NoiseModel",
     "covariance_kernel",
-    "sample_increment",
     "sample_increments",
     "q_sqrt_apply",
     "hs_norm_on_cameron_martin",
@@ -41,13 +39,11 @@ class NoiseModel:
         Wiener part.
     jump_rate: expected jumps per unit time; must be positive whenever
         rho < 1 so the jump part can carry its covariance share.
-    seed: base seed of the model's random streams, see make_rng.
     """
 
     q_eigenvalues: np.ndarray
     wiener_fraction: float = 1.0
     jump_rate: float = 0.0
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         gamma = np.atleast_1d(np.asarray(self.q_eigenvalues, dtype=float))
@@ -75,12 +71,6 @@ class NoiseModel:
     @property
     def trace(self) -> float:
         return float(np.sum(self.q_eigenvalues))
-
-    def make_rng(self, stream: int = 0) -> np.random.Generator:
-        """Independent generator for a worker stream of this model."""
-        if self.seed is None:
-            return np.random.default_rng()
-        return np.random.default_rng([self.seed, stream])
 
 
 def covariance_kernel(noise: NoiseModel) -> Tensor2:
@@ -117,11 +107,6 @@ def sample_increments(
             signs = rng.integers(0, 2, size=total) * 2 - 1
             np.add.at(out, (rows, modes), size * signs)
     return out
-
-
-def sample_increment(noise: NoiseModel, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Single increment over a step of length dt, as a length-M array."""
-    return sample_increments(noise, dt, 1, rng)[0]
 
 
 def q_sqrt_apply(noise: NoiseModel, x: np.ndarray) -> np.ndarray:

@@ -21,102 +21,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .levy import NoiseModel, sample_increments
+from .noise_map import AffineNoiseMap, check_compatible, g_apply
 from .spectral import SpectralModel
 
 __all__ = [
-    "AffineNoiseMap",
     "Ensemble",
     "MomentEstimate",
-    "g_apply",
-    "g1_v_to_hs_norm",
     "simulate_path",
     "simulate_ensemble",
     "estimate_moments",
     "weak_identity_residual",
     "ito_isometry_check",
 ]
-
-
-@dataclass(frozen=True)
-class AffineNoiseMap:
-    """Coefficients of the affine noise operator G(x) = G1(x) + G2.
-
-    g1: (N, N, M) array; (G1(x) w)_i = sum_{j,m} g1[i, j, m] x_j w_m.
-    g2: (N, M) matrix;   (G2 w)_i    = sum_m g2[i, m] w_m.
-    """
-
-    g1: np.ndarray
-    g2: np.ndarray
-
-    def __post_init__(self) -> None:
-        g1 = np.asarray(self.g1, dtype=float)
-        g2 = np.asarray(self.g2, dtype=float)
-        if g1.ndim != 3 or g1.shape[0] != g1.shape[1]:
-            raise ValueError(f"g1 must have shape (N, N, M), got {g1.shape}")
-        if g2.shape != (g1.shape[0], g1.shape[2]):
-            raise ValueError(f"g2 must have shape {(g1.shape[0], g1.shape[2])}, got {g2.shape}")
-        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
-            raise ValueError("noise map entries must be finite")
-        g1.setflags(write=False)
-        g2.setflags(write=False)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-
-    @property
-    def state_dim(self) -> int:
-        return self.g1.shape[0]
-
-    @property
-    def noise_dim(self) -> int:
-        return self.g1.shape[2]
-
-
-def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> np.ndarray:
-    """Evaluate G(state) applied to a noise increment.
-
-    Accepts a single state (N,) with increment (M,), or batches with a
-    common leading shape.
-    """
-    state = np.asarray(state, dtype=float)
-    increment = np.asarray(increment, dtype=float)
-    if state.shape[-1] != gmap.state_dim:
-        raise ValueError(f"state dimension {state.shape[-1]} != {gmap.state_dim}")
-    if increment.shape[-1] != gmap.noise_dim:
-        raise ValueError(f"increment dimension {increment.shape[-1]} != {gmap.noise_dim}")
-    mult = np.einsum("ijm,...j,...m->...i", gmap.g1, state, increment)
-    return mult + increment @ gmap.g2.T
-
-
-def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseModel) -> float:
-    """Operator norm of G1 from the energy space into the noise-weighted
-    Hilbert-Schmidt space.
-
-    Equals the spectral norm of the (N*M, N) matrix with entries
-    sqrt(gamma_m) g1[i, j, m] / sqrt(lambda_j); the Picard iteration for
-    the second moment contracts when this value is below one.
-    """
-    if gmap.state_dim != model.dim:
-        raise ValueError(f"state dimension {gmap.state_dim} != model dimension {model.dim}")
-    if gmap.noise_dim != noise.dim:
-        raise ValueError(f"noise dimension {gmap.noise_dim} != noise model dimension {noise.dim}")
-    weighted = (
-        np.sqrt(noise.q_eigenvalues)[None, None, :]
-        * gmap.g1
-        / np.sqrt(model.eigenvalues)[None, :, None]
-    )
-    flat = np.transpose(weighted, (0, 2, 1)).reshape(-1, model.dim)
-    s = svdvals(flat)
-    return float(s[0]) if s.size else 0.0
-
-
-def _check_compatible(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) -> None:
-    if gmap.state_dim != model.dim:
-        raise ValueError(f"noise map state dimension {gmap.state_dim} != model dimension {model.dim}")
-    if gmap.noise_dim != noise.dim:
-        raise ValueError(f"noise map noise dimension {gmap.noise_dim} != noise dimension {noise.dim}")
 
 
 def simulate_path(
@@ -135,7 +53,7 @@ def simulate_path(
     """
     if K < 1:
         raise ValueError(f"step count must be positive, got {K}")
-    _check_compatible(model, noise, gmap)
+    check_compatible(gmap, noise, model.dim)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"initial value must be a finite length-{model.dim} array")
@@ -253,7 +171,7 @@ def simulate_ensemble(
         raise ValueError("steps and substeps must be positive")
     if paths < 1:
         raise ValueError("path count must be positive")
-    _check_compatible(model, noise, gmap)
+    check_compatible(gmap, noise, model.dim)
     x0_mean = np.asarray(x0_mean, dtype=float)
     if x0_mean.shape != (model.dim,):
         raise ValueError(f"initial mean must have length {model.dim}")

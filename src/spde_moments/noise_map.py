@@ -1,0 +1,180 @@
+"""The affine noise operator G(x) = G1(x) + G2 and its quadratic forms.
+
+This is the one definition of the noise map that the three routes
+share. Monte Carlo applies it to states and increments; the matrix-ODE
+oracle and the space-time solver integrate its quadratic action against
+the covariance eigenvalues gamma_m. With G1_m = g1[:, :, m], the
+multiplicative part of that action on a second moment M is
+
+    sum_m gamma_m G1_m M G1_m^T,
+
+written here once, as a matmul batched over any leading axes of M.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import svdvals
+
+from .levy import NoiseModel
+from .spectral import SpectralModel
+
+__all__ = [
+    "AffineNoiseMap",
+    "check_compatible",
+    "g_apply",
+    "g1_v_to_hs_norm",
+    "multiplicative_form",
+    "noise_quadratic_form",
+    "scaled_random_coupling",
+]
+
+
+@dataclass(frozen=True)
+class AffineNoiseMap:
+    """Coefficients of the affine noise operator G(x) = G1(x) + G2.
+
+    g1: (N, N, M) array; (G1(x) w)_i = sum_{j,m} g1[i, j, m] x_j w_m.
+    g2: (N, M) matrix;   (G2 w)_i    = sum_m g2[i, m] w_m.
+    """
+
+    g1: np.ndarray
+    g2: np.ndarray
+
+    def __post_init__(self) -> None:
+        g1 = np.asarray(self.g1, dtype=float)
+        g2 = np.asarray(self.g2, dtype=float)
+        if g1.ndim != 3 or g1.shape[0] != g1.shape[1]:
+            raise ValueError(f"g1 must have shape (N, N, M), got {g1.shape}")
+        if g2.shape != (g1.shape[0], g1.shape[2]):
+            raise ValueError(f"g2 must have shape {(g1.shape[0], g1.shape[2])}, got {g2.shape}")
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+            raise ValueError("noise map entries must be finite")
+        g1.setflags(write=False)
+        g2.setflags(write=False)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+
+    @property
+    def state_dim(self) -> int:
+        return self.g1.shape[0]
+
+    @property
+    def noise_dim(self) -> int:
+        return self.g1.shape[2]
+
+
+def check_compatible(gmap: AffineNoiseMap, noise: NoiseModel, state_dim: int) -> None:
+    """Raise ValueError unless gmap acts on state_dim modes and noise's modes."""
+    if gmap.state_dim != state_dim:
+        raise ValueError(f"noise map state dimension {gmap.state_dim} != state dimension {state_dim}")
+    if gmap.noise_dim != noise.dim:
+        raise ValueError(f"noise map noise dimension {gmap.noise_dim} != noise dimension {noise.dim}")
+
+
+def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> np.ndarray:
+    """Evaluate G(state) applied to a noise increment.
+
+    Accepts a single state (N,) with increment (M,), or batches with a
+    common leading shape.
+    """
+    state = np.asarray(state, dtype=float)
+    increment = np.asarray(increment, dtype=float)
+    if state.shape[-1] != gmap.state_dim:
+        raise ValueError(f"state dimension {state.shape[-1]} != {gmap.state_dim}")
+    if increment.shape[-1] != gmap.noise_dim:
+        raise ValueError(f"increment dimension {increment.shape[-1]} != {gmap.noise_dim}")
+    mult = np.einsum("ijm,...j,...m->...i", gmap.g1, state, increment)
+    return mult + increment @ gmap.g2.T
+
+
+def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseModel) -> float:
+    """Operator norm of G1 from the energy space into the noise-weighted
+    Hilbert-Schmidt space.
+
+    Equals the spectral norm of the (N*M, N) matrix with entries
+    sqrt(gamma_m) g1[i, j, m] / sqrt(lambda_j); the Picard iteration for
+    the second moment contracts when this value is below one.
+    """
+    check_compatible(gmap, noise, model.dim)
+    weighted = (
+        np.sqrt(noise.q_eigenvalues)[None, None, :]
+        * gmap.g1
+        / np.sqrt(model.eigenvalues)[None, :, None]
+    )
+    flat = np.transpose(weighted, (0, 2, 1)).reshape(-1, model.dim)
+    s = svdvals(flat)
+    return float(s[0]) if s.size else 0.0
+
+
+def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarray) -> np.ndarray:
+    """sum_m gamma_m G1_m M G1_m^T for a second moment M of shape (..., N, N).
+
+    The leading axes of M are batch axes; the largest temporaries have
+    shape (..., M, N, N).
+    """
+    Mmat = np.asarray(Mmat, dtype=float)
+    if Mmat.ndim < 2 or Mmat.shape[-2] != Mmat.shape[-1]:
+        raise ValueError(f"second-moment matrices must be square, got shape {Mmat.shape}")
+    check_compatible(gmap, noise, Mmat.shape[-1])
+    n, modes = gmap.state_dim, gmap.noise_dim
+    left = gmap.g1.transpose(2, 0, 1) @ Mmat[..., None, :, :]          # G1_m M, (..., M, N, N)
+    # one matmul contracts the pair (m, j): rows[a, (m, j)] = (G1_m M)[a, j]
+    # against right[b, (m, j)] = gamma_m g1[b, j, m]
+    rows = np.swapaxes(left, -3, -2).reshape(Mmat.shape[:-2] + (n, modes * n))
+    right = (gmap.g1.transpose(0, 2, 1) * noise.q_eigenvalues[:, None]).reshape(n, modes * n)
+    return rows @ right.T
+
+
+def noise_quadratic_form(
+    gmap: AffineNoiseMap,
+    noise: NoiseModel,
+    Mmat: np.ndarray,
+    mvec: np.ndarray,
+) -> np.ndarray:
+    """Spatial matrix of the quadratic noise action against the covariance.
+
+    Entry (a, b) is
+
+        sum_m gamma_m [ (G1 M G1)_{ab,m} + (G1 m)_a g2_{bm}
+                        + g2_{am} (G1 m)_b + g2_{am} g2_{bm} ],
+
+    the four terms produced by expanding G(m + fluctuation) twice, with
+    the fluctuation second moment M and mean m. Accepts stacks M of
+    shape (..., N, N) and m of shape (..., N); their leading axes
+    broadcast against each other.
+    """
+    mvec = np.atleast_1d(np.asarray(mvec, dtype=float))
+    check_compatible(gmap, noise, mvec.shape[-1])
+    n, modes = gmap.state_dim, gmap.noise_dim
+    t_mult = multiplicative_form(gmap, noise, Mmat)
+    g1_flat = gmap.g1.transpose(1, 0, 2).reshape(n, n * modes)
+    g1_mean = (mvec @ g1_flat).reshape(mvec.shape[:-1] + (n, modes))   # (G1 m)[a, m]
+    g2_weighted = gmap.g2 * noise.q_eigenvalues
+    t_cross = g1_mean @ g2_weighted.T
+    return t_mult + t_cross + np.swapaxes(t_cross, -1, -2) + gmap.g2 @ g2_weighted.T
+
+
+def scaled_random_coupling(
+    model: SpectralModel,
+    noise: NoiseModel,
+    target_norm: float,
+    seed: int,
+) -> np.ndarray:
+    """Dense non-diagonal multiplicative coefficients with a prescribed norm.
+
+    Draws a standard normal (N, N, M) array from the given seed and
+    rescales it so the energy-to-Hilbert-Schmidt operator norm equals
+    target_norm. Deterministic in the seed.
+    """
+    if target_norm < 0.0:
+        raise ValueError("target norm must be nonnegative")
+    rng = np.random.default_rng(seed)
+    g1 = rng.standard_normal((model.dim, model.dim, noise.dim))
+    probe = AffineNoiseMap(g1=g1, g2=np.zeros((model.dim, noise.dim)))
+    current = g1_v_to_hs_norm(probe, model, noise)
+    if current == 0.0:
+        raise ValueError("drawn coupling has zero norm; cannot rescale")
+    return g1 * (target_norm / current)

@@ -27,13 +27,12 @@ from typing import Optional
 import numpy as np
 
 from .levy import NoiseModel
-from .montecarlo import AffineNoiseMap, _check_compatible
+from .noise_map import AffineNoiseMap, check_compatible, noise_quadratic_form
 from .spectral import SpectralModel
 
 __all__ = [
     "MomentField",
     "mean_exact",
-    "noise_quadratic_form",
     "lyapunov_solve",
     "two_time_extend",
 ]
@@ -64,37 +63,6 @@ def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndar
     return np.exp(-np.outer(t, model.eigenvalues)) * x0_mean
 
 
-def noise_quadratic_form(
-    gmap: AffineNoiseMap,
-    noise: NoiseModel,
-    Mmat: np.ndarray,
-    mvec: np.ndarray,
-) -> np.ndarray:
-    """Spatial matrix of the quadratic noise action against the covariance.
-
-    Entry (a, b) is
-
-        sum_m gamma_m [ (G1 M G1)_{ab,m} + (G1 m)_a g2_{bm}
-                        + g2_{am} (G1 m)_b + g2_{am} g2_{bm} ],
-
-    the four terms produced by expanding G(m + fluctuation) twice, with
-    the fluctuation second moment M and mean m.
-    """
-    Mmat = np.asarray(Mmat, dtype=float)
-    mvec = np.asarray(mvec, dtype=float)
-    n = gmap.state_dim
-    if Mmat.shape != (n, n):
-        raise ValueError(f"second-moment matrix must be {n}x{n}, got {Mmat.shape}")
-    if mvec.shape != (n,):
-        raise ValueError(f"mean vector must have length {n}")
-    gamma = noise.q_eigenvalues
-    g1, g2 = gmap.g1, gmap.g2
-    t_mult = np.einsum("aim,bjm,ij,m->ab", g1, g1, Mmat, gamma)
-    t_cross = np.einsum("aim,i,bm,m->ab", g1, mvec, g2, gamma)
-    t_add = np.einsum("am,bm,m->ab", g2, g2, gamma)
-    return t_mult + t_cross + t_cross.T + t_add
-
-
 def lyapunov_solve(
     model: SpectralModel,
     noise: NoiseModel,
@@ -113,7 +81,7 @@ def lyapunov_solve(
     if steps < 1:
         raise ValueError(f"step count must be positive, got {steps}")
     substeps = max(int(substeps), 4)
-    _check_compatible(model, noise, gmap)
+    check_compatible(gmap, noise, model.dim)
     m0 = np.asarray(m0, dtype=float)
     M0 = np.asarray(M0, dtype=float)
     n = model.dim

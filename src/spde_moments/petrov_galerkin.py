@@ -38,8 +38,13 @@ import numpy as np
 from scipy.linalg import solve_triangular, svdvals
 
 from .levy import NoiseModel
-from .montecarlo import AffineNoiseMap, g1_v_to_hs_norm
-from .oracle import noise_quadratic_form
+from .noise_map import (
+    AffineNoiseMap,
+    check_compatible,
+    g1_v_to_hs_norm,
+    multiplicative_form,
+    noise_quadratic_form,
+)
 from .spectral import SpectralModel
 
 __all__ = [
@@ -231,13 +236,6 @@ def _tdelta_apply(grid: TimeGrid, spatial: np.ndarray) -> np.ndarray:
     return load
 
 
-def _check_noise_map(system: PerModeSystem, noise: NoiseModel, gmap: AffineNoiseMap) -> None:
-    if gmap.state_dim != system.n_modes:
-        raise ValueError(f"noise map state dimension {gmap.state_dim} != {system.n_modes}")
-    if gmap.noise_dim != noise.dim:
-        raise ValueError(f"noise map noise dimension {gmap.noise_dim} != {noise.dim}")
-
-
 def _initial_and_mean_load(
     system: PerModeSystem,
     noise: NoiseModel,
@@ -246,7 +244,7 @@ def _initial_and_mean_load(
     initial_matrix: np.ndarray,
     include_mean_product: bool,
 ) -> np.ndarray:
-    _check_noise_map(system, noise, gmap)
+    check_compatible(gmap, noise, system.n_modes)
     K, n = system.grid.steps, system.n_modes
     if mean_coeffs is None:
         raise ValueError("mean coefficients are required; solve the mean problem first")
@@ -257,14 +255,11 @@ def _initial_and_mean_load(
     if initial_matrix.shape != (n, n):
         raise ValueError(f"initial matrix must be {n}x{n}, got {initial_matrix.shape}")
 
-    zero = np.zeros((n, n))
-    spatial = np.empty((K, n, n))
-    for k in range(K):
-        m_k = mean_coeffs[k]
-        if include_mean_product:
-            spatial[k] = noise_quadratic_form(gmap, noise, np.outer(m_k, m_k), m_k)
-        else:
-            spatial[k] = noise_quadratic_form(gmap, noise, zero, m_k)
+    if include_mean_product:
+        quadratic = mean_coeffs[:, :, None] * mean_coeffs[:, None, :]
+    else:
+        quadratic = np.zeros((n, n))
+    spatial = noise_quadratic_form(gmap, noise, quadratic, mean_coeffs)  # (K, N, N)
     load = _tdelta_apply(system.grid, spatial)
     load[0, :, 0, :] += initial_matrix  # only the first hat is nonzero at t = 0
     return load
@@ -365,10 +360,7 @@ def _coupling_load(
 ) -> np.ndarray:
     """Quadratic noise action of the diagonal-in-time blocks of an iterate."""
     diag_blocks = np.einsum("knkm->knm", coeffs)
-    spatial = np.einsum(
-        "aim,bjm,kij,m->kab", gmap.g1, gmap.g1, diag_blocks, noise.q_eigenvalues
-    )
-    return _tdelta_apply(system.grid, spatial)
+    return _tdelta_apply(system.grid, multiplicative_form(gmap, noise, diag_blocks))
 
 
 def _contraction_report(trace: list[float], bound: float, tol_floor: float) -> None:
@@ -401,7 +393,7 @@ def picard_solve_second_moment(
     a purely additive noise operator the map is constant and a single
     iteration confirms convergence.
     """
-    _check_noise_map(system, noise, gmap)
+    check_compatible(gmap, noise, system.n_modes)
     K, n = system.grid.steps, system.n_modes
     load = np.asarray(load, dtype=float)
     if load.shape != (K, n, K, n):

@@ -96,6 +96,30 @@ class TestParsing:
         assert cov[0, 0] == pytest.approx(0.25)
         assert m2[0, 0] == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("key", ["g1", "g2"])
+    @pytest.mark.parametrize(
+        "noise_modes, values, prefix",
+        [(1, None, ""), (2, [0.5], ".values")],
+        ids=["dimension", "length"],
+    )
+    def test_diagonal_preset_errors_name_their_key(self, key, noise_modes, values, prefix):
+        dense = {"g1": np.zeros((2, 2, noise_modes)).tolist(),
+                 "g2": np.zeros((2, noise_modes)).tolist()}
+        spec = {"preset": "diagonal", "value": 0.5}
+        if values is not None:
+            spec["values"] = values
+        raw = minimal_config(
+            model={"dimension": 2, "horizon": 1.0, "eigenvalues": [1.0, 4.0]},
+            noise={"q_eigenvalues": [1.0] * noise_modes},
+            g={**dense, key: spec},
+            initial={"mean": [1.0, 0.5], "deterministic": True},
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(raw)
+        message = str(excinfo.value)
+        assert message.startswith(f"g.{key}{prefix}: ")
+        assert ("g.g2" if key == "g1" else "g.g1") not in message
+
     def test_indefinite_initial_covariance_rejected(self):
         raw = minimal_config()
         raw["initial"] = {"mean": [0.0], "covariance": [[-0.5]]}

@@ -7,7 +7,6 @@ from spde_moments import (
     hs_norm_on_cameron_martin,
     projective_norm,
     q_sqrt_apply,
-    sample_increment,
     sample_increments,
 )
 
@@ -86,7 +85,7 @@ class TestSampling:
     def test_rejects_nonpositive_dt(self):
         noise = NoiseModel(q_eigenvalues=[1.0])
         with pytest.raises(ValueError):
-            sample_increment(noise, 0.0, np.random.default_rng(0))
+            sample_increments(noise, 0.0, 1, np.random.default_rng(0))
 
     def test_deterministic_under_fixed_seed(self):
         noise = NoiseModel(q_eigenvalues=[0.5, 0.25], wiener_fraction=0.5, jump_rate=4.0)

@@ -1,0 +1,96 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spde_moments
+from spde_moments import (
+    AffineNoiseMap,
+    NoiseModel,
+    SpectralModel,
+    TimeGrid,
+    assemble_per_mode,
+    g1_v_to_hs_norm,
+    lyapunov_solve,
+    noise_quadratic_form,
+    picard_solve_second_moment,
+    rhs_covariance,
+    rhs_second_moment,
+    simulate_ensemble,
+    simulate_path,
+)
+
+PACKAGE = Path(spde_moments.__file__).resolve().parent
+ROUTES = ("montecarlo", "oracle", "petrov_galerkin")
+
+
+def imported_modules(path):
+    """Modules of the package that a source file imports, by short name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("spde_moments."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "spde_moments":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                names.add(module.split(".")[0])
+            else:  # "from . import x" names the modules themselves
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+class TestImportGraph:
+    def test_routes_do_not_import_one_another(self):
+        for route in ROUTES:
+            others = set(ROUTES) - {route}
+            assert imported_modules(PACKAGE / f"{route}.py") & others == set(), route
+
+    def test_noise_map_names_have_one_home(self):
+        homes = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    homes.setdefault(node.name, []).append(path.stem)
+        for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "noise_quadratic_form"):
+            assert homes.get(name) == ["noise_map"], name
+
+
+# A two-mode model with a one-mode noise, and a noise map that is wrong in
+# exactly one of its two dimensions.
+MODEL = SpectralModel(eigenvalues=[1.0, 4.0], horizon=1.0)
+NOISE = NoiseModel(q_eigenvalues=[1.0])
+SYSTEM = assemble_per_mode(MODEL, TimeGrid(steps=4, horizon=1.0))
+MISMATCHED = {
+    "state": AffineNoiseMap(g1=np.full((3, 3, 1), 0.1), g2=np.ones((3, 1))),
+    "noise": AffineNoiseMap(g1=np.full((2, 2, 3), 0.1), g2=np.ones((2, 3))),
+}
+ENTRY_POINTS = {
+    "noise_quadratic_form":
+        lambda g: noise_quadratic_form(g, NOISE, np.eye(2), np.ones(2)),
+    "g1_v_to_hs_norm": lambda g: g1_v_to_hs_norm(g, MODEL, NOISE),
+    "lyapunov_solve":
+        lambda g: lyapunov_solve(MODEL, NOISE, g, np.ones(2), np.eye(2), 4),
+    "simulate_ensemble":
+        lambda g: simulate_ensemble(MODEL, NOISE, g, np.ones(2), 4, 8, seed=0),
+    "simulate_path":
+        lambda g: simulate_path(MODEL, NOISE, g, np.ones(2), 4, np.random.default_rng(0)),
+    "rhs_second_moment":
+        lambda g: rhs_second_moment(SYSTEM, NOISE, g, np.ones((4, 2)), np.eye(2)),
+    "rhs_covariance":
+        lambda g: rhs_covariance(SYSTEM, NOISE, g, np.ones((4, 2)), np.eye(2)),
+    "picard_solve_second_moment":
+        lambda g: picard_solve_second_moment(SYSTEM, NOISE, g, np.zeros((4, 2, 4, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISMATCHED))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_dimension_mismatch_raises(entry, kind):
+    with pytest.raises(ValueError, match=f"noise map {kind} dimension"):
+        ENTRY_POINTS[entry](MISMATCHED[kind])

@@ -59,34 +59,37 @@ class TestNoiseQuadraticForm:
         out = noise_quadratic_form(gmap, noise, np.array([[M]]), np.array([m]))
         assert out[0, 0] == pytest.approx(a * a * M + 2 * a * b * m + b * b)
 
-    def test_matches_brute_force_indices(self):
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stack"])
+    def test_matches_brute_force_indices(self, lead):
         rng = np.random.default_rng(2)
         n, mdim = 3, 2
         g1 = rng.standard_normal((n, n, mdim))
         g2 = rng.standard_normal((n, mdim))
         gamma = rng.random(mdim)
-        Mmat = rng.standard_normal((n, n))
-        Mmat = Mmat + Mmat.T
-        mvec = rng.standard_normal(n)
+        Mmats = rng.standard_normal(lead + (n, n))
+        Mmats = Mmats + np.swapaxes(Mmats, -1, -2)
+        mvecs = rng.standard_normal(lead + (n,))
         gmap = AffineNoiseMap(g1=g1, g2=g2)
         noise = NoiseModel(q_eigenvalues=gamma)
-        expected = np.zeros((n, n))
-        for i1 in range(n):
-            for i2 in range(n):
-                for m in range(mdim):
-                    row = sum(g1[i1, j, m] * mvec[j] for j in range(n))
-                    col = sum(g1[i2, j, m] * mvec[j] for j in range(n))
-                    quad = sum(
-                        g1[i1, j1, m] * g1[i2, j2, m] * Mmat[j1, j2]
-                        for j1 in range(n)
-                        for j2 in range(n)
-                    )
-                    expected[i1, i2] += gamma[m] * (
-                        quad + row * g2[i2, m] + g2[i1, m] * col + g2[i1, m] * g2[i2, m]
-                    )
-        np.testing.assert_allclose(
-            noise_quadratic_form(gmap, noise, Mmat, mvec), expected, rtol=1e-12
-        )
+        out = noise_quadratic_form(gmap, noise, Mmats, mvecs)
+        assert out.shape == Mmats.shape
+        for idx in np.ndindex(lead):
+            Mmat, mvec = Mmats[idx], mvecs[idx]
+            expected = np.zeros((n, n))
+            for i1 in range(n):
+                for i2 in range(n):
+                    for m in range(mdim):
+                        row = sum(g1[i1, j, m] * mvec[j] for j in range(n))
+                        col = sum(g1[i2, j, m] * mvec[j] for j in range(n))
+                        quad = sum(
+                            g1[i1, j1, m] * g1[i2, j2, m] * Mmat[j1, j2]
+                            for j1 in range(n)
+                            for j2 in range(n)
+                        )
+                        expected[i1, i2] += gamma[m] * (
+                            quad + row * g2[i2, m] + g2[i1, m] * col + g2[i1, m] * g2[i2, m]
+                        )
+            np.testing.assert_allclose(out[idx], expected, rtol=1e-12)
 
 
 class TestLyapunovSolve:
