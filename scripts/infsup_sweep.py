@@ -12,11 +12,12 @@ from pathlib import Path
 
 from spde_moments import SpectralModel, TimeGrid, assemble_per_mode, per_mode_inf_sup
 
+ROOT = Path(__file__).resolve().parent.parent
 EIGENVALUES = (1.0, 10.0, 100.0)
 STEP_COUNTS = (16, 32, 64)
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out") / "infsup_sweep.csv"
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "out" / "infsup_sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     print(f"{'eigenvalue':>12} {'steps':>6} {'inf_sup':>12}")

@@ -42,6 +42,7 @@ from .oracle import (
 )
 from .petrov_galerkin import (
     AssemblyError,
+    MomentLoad,
     PerModeSystem,
     PicardNonConvergence,
     SpaceTimeMoment,

@@ -308,13 +308,13 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
         "picard_iterations_covariance": cov_sol.iterations,
         "mc_sup_grid_h0_moment_norm": sup_h0,
         "mc_sup_grid_h1_moment_norm": sup_h1,
-        "elapsed_seconds": time.perf_counter() - started,
     }
     _write_table(out / "diagnostics.csv", ["name", "value"],
                  ((k, float(v)) for k, v in diagnostics.items()))
     all_pass = all(ok for _, _, _, ok in checks)
     _report(out, cfg, "validate", {
-        "diagnostics": diagnostics,
+        # the clock reading goes to the report only, so the tables stay byte-identical
+        "diagnostics": {**diagnostics, "elapsed_seconds": time.perf_counter() - started},
         "picard_trace_second_moment": [float(d) for d in m2_sol.trace],
         "picard_trace_covariance": [float(d) for d in cov_sol.trace],
         "checks": [

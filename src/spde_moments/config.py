@@ -57,15 +57,21 @@ def _require(section: dict, key: str, path: str) -> Any:
     return section[key]
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not np.isfinite(number) or (positive and number <= 0.0):
+        kind = "finite positive" if positive else "finite"
+        raise ConfigError(f"{path}: expected a {kind} number, got {value!r}")
+    return number
 
 
-def _integer(value: Any, path: str) -> int:
+def _integer(value: Any, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path}: must be at least {minimum}, got {value}")
     return value
 
 
@@ -156,16 +162,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     solver = raw.get("solver", {})
     validate = raw.get("validate", {})
 
-    dimension = _integer(_require(model, "dimension", "model"), "model.dimension")
-    if dimension < 1:
-        raise ConfigError("model.dimension: must be positive")
-    horizon = _number(_require(model, "horizon", "model"), "model.horizon")
+    dimension = _integer(_require(model, "dimension", "model"), "model.dimension", 1)
+    horizon = _number(_require(model, "horizon", "model"), "model.horizon", positive=True)
     eigenvalues = _require(model, "eigenvalues", "model")
     if isinstance(eigenvalues, dict):
         gen = _require(eigenvalues, "generator", "model.eigenvalues")
         if gen != "dirichlet_laplacian":
             raise ConfigError(f"model.eigenvalues.generator: unknown generator {gen!r}")
-        _number(_require(eigenvalues, "length", "model.eigenvalues"), "model.eigenvalues.length")
+        length = _require(eigenvalues, "length", "model.eigenvalues")
+        _number(length, "model.eigenvalues.length", positive=True)
     else:
         values = _number_list(eigenvalues, "model.eigenvalues")
         if len(values) != dimension:
@@ -174,9 +179,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"but model.dimension is {dimension}"
             )
 
-    steps = _integer(_require(time_sec, "steps", "time"), "time.steps")
-    if steps < 2:
-        raise ConfigError("time.steps: must be at least 2")
+    steps = _integer(_require(time_sec, "steps", "time"), "time.steps", 2)
 
     q_eigenvalues = _number_list(_require(noise, "q_eigenvalues", "noise"), "noise.q_eigenvalues")
     wiener_fraction = _number(noise.get("wiener_fraction", 1.0), "noise.wiener_fraction")
@@ -199,20 +202,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "initial: exactly one of deterministic / second_moment / covariance is required"
         )
 
-    paths = _integer(_require(mc, "paths", "mc"), "mc.paths")
-    if paths < 1:
-        raise ConfigError("mc.paths: must be positive")
-    seed = _integer(_require(mc, "seed", "mc"), "mc.seed")
+    paths = _integer(_require(mc, "paths", "mc"), "mc.paths", 2)  # standard errors need two paths
+    seed = _integer(_require(mc, "seed", "mc"), "mc.seed", 0)
     grid_steps = mc.get("grid_steps")
     if grid_steps is not None:
-        grid_steps = _integer(grid_steps, "mc.grid_steps")
-        if grid_steps < 1 or steps % grid_steps != 0:
+        grid_steps = _integer(grid_steps, "mc.grid_steps", 1)
+        if steps % grid_steps != 0:
             raise ConfigError(
                 f"mc.grid_steps: {grid_steps} must divide time.steps = {steps}"
             )
-    substeps = _integer(mc.get("substeps", 1), "mc.substeps")
-    if substeps < 1:
-        raise ConfigError("mc.substeps: must be positive")
+    substeps = _integer(mc.get("substeps", 1), "mc.substeps", 1)
 
     cfg = ExperimentConfig(
         model_dimension=dimension,
@@ -232,9 +231,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         mc_seed=seed,
         mc_grid_steps=grid_steps,
         mc_substeps=substeps,
-        solver_picard_tol=_number(solver.get("picard_tol", 1e-10), "solver.picard_tol"),
+        solver_picard_tol=_number(
+            solver.get("picard_tol", 1e-10), "solver.picard_tol", positive=True
+        ),
         solver_picard_max_iter=_integer(
-            solver.get("picard_max_iter", 100), "solver.picard_max_iter"
+            solver.get("picard_max_iter", 100), "solver.picard_max_iter", 1
         ),
         validate_z_threshold=_number(validate.get("z_threshold", 3.0), "validate.z_threshold"),
         validate_min_within_fraction=_number(
@@ -301,6 +302,8 @@ def _dense_array(spec: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
     arr = np.asarray(spec, dtype=float)
     if arr.shape != shape:
         raise ConfigError(f"{path}: has shape {arr.shape} but dimensions require {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}: entries must be finite")
     return arr
 
 
@@ -341,9 +344,14 @@ def _build_g1(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) ->
         return _dense_array(spec, (n, n, m), "g.g1")
     preset = _require(spec, "preset", "g.g1")
     if preset == "scaled_random":
-        seed = _integer(_require(spec, "seed", "g.g1"), "g.g1.seed")
+        seed = _integer(_require(spec, "seed", "g.g1"), "g.g1.seed", 0)
         target = _number(_require(spec, "target_norm", "g.g1"), "g.g1.target_norm")
-        return scaled_random_coupling(model, noise, target, seed)
+        if target < 0.0:
+            raise ConfigError("g.g1.target_norm: must be nonnegative")
+        try:
+            return scaled_random_coupling(model, noise, target, seed)
+        except ValueError as exc:  # a coupling of zero norm cannot be rescaled
+            raise ConfigError(f"g.g1: {exc}") from exc
     g1 = np.zeros((n, n, n))
     idx = np.arange(n)
     g1[idx, idx, idx] = _mode_diagonal(spec, preset, n, m, "g.g1")

@@ -10,9 +10,10 @@ matrix
 
     B_n[k, l] = [hat_l(t_{k-1}) - hat_l(t_k)] + lambda_n int_{I_k} hat_l,
 
-an invertible bidiagonal matrix. The pairing couples no distinct
-spatial modes, so every tensorized solve factors into mode pairs and
-two sequential triangular solves.
+an invertible upper bidiagonal matrix with diagonal a_n = 1 + lambda_n dt/2
+and superdiagonal c_n = -1 + lambda_n dt/2. The pairing couples no
+distinct spatial modes, and each mode's mean solve is the Crank-Nicolson
+recursion with factor r_n = -c_n / a_n, |r_n| < 1.
 
 Moment problems. The second moment (and the covariance) in the trial
 tensor basis solves a fixed-point equation: the tensorized parabolic
@@ -26,16 +27,23 @@ the zero-coupling solve.
 Because test hats overlap single intervals where the trial functions
 are constant, reading diagonal-in-time blocks is exact for this pair,
 not an approximation.
+
+Structure. A load is one spatial matrix per interval plus the initial
+term (MomentLoad), so its dense form is block-tridiagonal in time. The
+field that solves it is semi-separable: every block beyond the first
+off-diagonals is a power of r times a first off-diagonal block. The
+field is therefore stored by its three block diagonals
+(SpaceTimeMoment) and computed by one forward sweep over the intervals;
+the dense two-time field exists only when a caller asks for it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular, svdvals
+from scipy.linalg import svdvals
 
 from .levy import NoiseModel
 from .noise_map import (
@@ -50,6 +58,7 @@ from .spectral import SpectralModel
 __all__ = [
     "TimeGrid",
     "PerModeSystem",
+    "MomentLoad",
     "SpaceTimeMoment",
     "AssemblyError",
     "PicardNonConvergence",
@@ -181,23 +190,24 @@ def assemble_per_mode(model: SpectralModel, grid: TimeGrid) -> PerModeSystem:
     )
 
 
+def _pairing_diagonals(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal a_n and superdiagonal c_n of every mode's pairing B_n."""
+    return system.operator[:, 0, 0], system.operator[:, 0, 1]
+
+
 def solve_mean(system: PerModeSystem, x0_mean: np.ndarray) -> np.ndarray:
     """Trial coefficients of the mean problem, one decoupled solve per mode.
 
     The load pairs the initial mean against the test hats at time zero,
-    which places it in the first test row only. Returns (K, N).
+    which places it in the first test row only, so the transposed
+    bidiagonal solve is the recursion x_k = x0 / a * r**k. Returns (K, N).
     """
     x0_mean = np.asarray(x0_mean, dtype=float)
     n = system.n_modes
     if x0_mean.shape != (n,):
         raise ValueError(f"initial mean must have length {n}")
-    K = system.grid.steps
-    coeffs = np.empty((K, n))
-    rhs = np.zeros(K)
-    for i in range(n):
-        rhs[0] = x0_mean[i]
-        coeffs[:, i] = solve_triangular(system.operator[i].T, rhs, lower=True)
-    return coeffs
+    a, c = _pairing_diagonals(system)
+    return x0_mean / a * (-c / a) ** np.arange(system.grid.steps)[:, None]
 
 
 def tdelta_assemble(grid: TimeGrid) -> np.ndarray:
@@ -206,6 +216,7 @@ def tdelta_assemble(grid: TimeGrid) -> np.ndarray:
     Exact quadrature of the degree-two products. W is symmetric in the
     hat indices and sparse: on interval I_k only the hats at its two
     endpoints are nonzero, and the final interval supports one hat.
+    O(K^3) memory; the exact-quadrature reference for MomentLoad.
     """
     K, dt = grid.steps, grid.dt
     w = np.zeros((K, K, K))
@@ -217,23 +228,17 @@ def tdelta_assemble(grid: TimeGrid) -> np.ndarray:
     return w
 
 
-def _tdelta_apply(grid: TimeGrid, spatial: np.ndarray) -> np.ndarray:
-    """Contract per-interval spatial matrices with the temporal weights.
+@dataclass(frozen=True)
+class MomentLoad:
+    """Test-side load of a moment problem, by its per-interval parts.
 
-    spatial: (K, N, N) matrices, constant per interval. Returns the
-    test-side load (K, N, K, N); equivalent to contracting against the
-    dense tdelta_assemble output, but uses its block-tridiagonal
-    structure directly.
+    With W = tdelta_assemble(grid), the dense (K, N, K, N) load this
+    stands for is sum_k W[k] (x) spatial[k], plus `initial` in the time
+    block (0, 0), the only hat that is nonzero at t = 0.
     """
-    K, dt = grid.steps, grid.dt
-    n1, n2 = spatial.shape[1], spatial.shape[2]
-    load = np.zeros((K, n1, K, n2))
-    idx = np.arange(K)
-    load[idx, :, idx, :] += dt / 3.0 * spatial
-    load[idx[1:], :, idx[1:], :] += dt / 3.0 * spatial[:-1]
-    load[idx[:-1], :, idx[:-1] + 1, :] += dt / 6.0 * spatial[:-1]
-    load[idx[:-1] + 1, :, idx[:-1], :] += dt / 6.0 * spatial[:-1]
-    return load
+
+    initial: np.ndarray   # (N, N)
+    spatial: np.ndarray   # (K, N, N), the noise intensity on each interval
 
 
 def _initial_and_mean_load(
@@ -243,7 +248,7 @@ def _initial_and_mean_load(
     mean_coeffs: np.ndarray,
     initial_matrix: np.ndarray,
     include_mean_product: bool,
-) -> np.ndarray:
+) -> MomentLoad:
     check_compatible(gmap, noise, system.n_modes)
     K, n = system.grid.steps, system.n_modes
     if mean_coeffs is None:
@@ -260,9 +265,7 @@ def _initial_and_mean_load(
     else:
         quadratic = np.zeros((n, n))
     spatial = noise_quadratic_form(gmap, noise, quadratic, mean_coeffs)  # (K, N, N)
-    load = _tdelta_apply(system.grid, spatial)
-    load[0, :, 0, :] += initial_matrix  # only the first hat is nonzero at t = 0
-    return load
+    return MomentLoad(initial=initial_matrix, spatial=spatial)
 
 
 def rhs_second_moment(
@@ -271,7 +274,7 @@ def rhs_second_moment(
     gmap: AffineNoiseMap,
     mean_coeffs: np.ndarray,
     m2_initial: np.ndarray,
-) -> np.ndarray:
+) -> MomentLoad:
     """Test-side load of the second-moment problem.
 
     Carries the initial second moment at time zero plus the three noise
@@ -290,7 +293,7 @@ def rhs_covariance(
     gmap: AffineNoiseMap,
     mean_coeffs: np.ndarray,
     cov_initial: np.ndarray,
-) -> np.ndarray:
+) -> MomentLoad:
     """Test-side load of the covariance problem.
 
     Same structure as the second-moment load, but the initial term is
@@ -305,44 +308,86 @@ def rhs_covariance(
 
 @dataclass(frozen=True)
 class SpaceTimeMoment:
-    """Trial coefficients U[k, n, l, m] of a two-time moment field,
-    with the fixed-point trace and the load the returned iterate solves."""
+    """Two-time moment field by its three block diagonals, with the
+    fixed-point trace and the load the returned iterate solves.
+
+    The trial coefficients U[k, n, l, m] are semi-separable: for
+    l >= k + 2, U[k, :, l, :] = upper[k] * ratio**(l - k - 1) along the
+    second mode index, and U[l, :, k, :] = ratio**(l - k - 1) * lower[k]
+    along the first, where ratio[n] = r_n is the Crank-Nicolson factor.
+    """
 
     grid: TimeGrid
-    coeffs: np.ndarray        # (K, N, K, N)
+    diagonal: np.ndarray      # (K, N, N), U[k, :, k, :]
+    upper: np.ndarray         # (K-1, N, N), U[k, :, k+1, :]
+    lower: np.ndarray         # (K-1, N, N), U[k+1, :, k, :]
+    ratio: np.ndarray         # (N,)
     trace: np.ndarray         # update max-norms per iteration
     iterations: int
-    final_load: np.ndarray    # (K, N, K, N)
+    final_load: MomentLoad
 
     def time_diagonal(self) -> np.ndarray:
         """Diagonal-in-time blocks D_k = U[k, :, k, :], shape (K, N, N)."""
-        return np.einsum("knkm->knm", self.coeffs)
+        return self.diagonal
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Dense trial coefficients U[k, n, l, m], shape (K, N, K, N).
+
+        Materialized anew on every access, in O((K N)^2) memory, and not
+        kept: a caller that reads it twice pays twice.
+        """
+        K, n = self.diagonal.shape[:2]
+        dense = np.zeros((K, n, K, n))
+        idx = np.arange(K)
+        dense[idx, :, idx, :] = self.diagonal
+        for d in range(1, K):  # time offset l - k
+            dense[idx[:-d], :, idx[d:], :] = self.upper[:K - d] * self.ratio ** (d - 1)
+            dense[idx[d:], :, idx[:-d], :] = self.ratio[:, None] ** (d - 1) * self.lower[:K - d]
+        return dense
 
 
-def _kron_solve(system: PerModeSystem, load: np.ndarray) -> np.ndarray:
-    """Solve the tensorized pairing against a test-side load.
+def _causal_solve(
+    system: PerModeSystem, load: MomentLoad
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the tensorized pairing against a load by one forward sweep.
 
-    Factorizes over mode pairs: each (m1, m2) block takes two sequential
-    triangular solves with the transposed per-mode matrices.
+    Returns the block diagonals D_k = U[k, :, k, :], E_k = U[k, :, k+1, :]
+    and F_k = U[k+1, :, k, :] of the field U with B_n^T U B_m = load. The
+    dense load is zero beyond its first block off-diagonals, so there
+    U[k, :, l, :] = U[k, :, l-1, :] r and U[l, :, k, :] = r U[l-1, :, k, :]
+    for l >= k + 2. What is left of the load's blocks (k, k), (k, k+1) and
+    (k+1, k), with ac[n, m] = a_n c_m and so on, is
+
+        aa D_k = on_k - ac F_{k-1} - ca E_{k-1} - cc D_{k-1}
+        aa E_k = off_k - ac D_k
+        aa F_k = off_k - ca D_k
+
+    where on_k = dt/3 (S_k + S_{k-1}) plus the initial term at k = 0, and
+    off_k = dt/6 S_k, for the load's spatial matrices S_k. Substituting
+    the last two into the first (ac ca = aa cc) leaves the recursion
+
+        D_k = (on_k - (ac + ca) / aa off_{k-1}) / aa + r_n r_m D_{k-1}.
     """
-    K, n = system.grid.steps, system.n_modes
-    out = np.empty_like(load)
-    for m1 in range(n):
-        # first solve acts on the l1 axis for all (l2, m2) right-hand sides
-        y = solve_triangular(
-            system.operator[m1].T, load[:, m1].reshape(K, K * n), lower=True
-        ).reshape(K, K, n)
-        for m2 in range(n):
-            out[:, m1, :, m2] = solve_triangular(
-                system.operator[m2].T, y[:, :, m2].T, lower=True
-            ).T
-    return out
+    a, c = _pairing_diagonals(system)
+    aa, ac, ca = np.outer(a, a), np.outer(a, c), np.outer(c, a)
+    dt, spatial = system.grid.dt, load.spatial
+    off = dt / 6.0 * spatial[:-1]
+    diagonal = dt / 3.0 * spatial
+    diagonal[1:] += dt / 3.0 * spatial[:-1] - (ac + ca) / aa * off
+    diagonal[0] += load.initial
+    diagonal /= aa
+    rr = np.outer(c, c) / aa
+    for k in range(1, len(diagonal)):
+        diagonal[k] += rr * diagonal[k - 1]
+    return diagonal, (off - ac * diagonal[:-1]) / aa, (off - ca * diagonal[:-1]) / aa
 
 
 def apply_tensor_operator(system: PerModeSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Forward application of the tensorized pairing to trial coefficients.
+    """Forward application of the tensorized pairing to dense trial coefficients.
 
-    Inverse of _kron_solve; used to verify solves reproduce their loads.
+    Maps U to the dense load B_n^T U B_m it solves, the inverse of the
+    causal sweep; used to verify that solves reproduce their loads.
     """
     K, n = system.grid.steps, system.n_modes
     out = np.empty_like(coeffs)
@@ -350,17 +395,6 @@ def apply_tensor_operator(system: PerModeSystem, coeffs: np.ndarray) -> np.ndarr
         for m2 in range(n):
             out[:, m1, :, m2] = system.operator[m1].T @ coeffs[:, m1, :, m2] @ system.operator[m2]
     return out
-
-
-def _coupling_load(
-    system: PerModeSystem,
-    noise: NoiseModel,
-    gmap: AffineNoiseMap,
-    coeffs: np.ndarray,
-) -> np.ndarray:
-    """Quadratic noise action of the diagonal-in-time blocks of an iterate."""
-    diag_blocks = np.einsum("knkm->knm", coeffs)
-    return _tdelta_apply(system.grid, multiplicative_form(gmap, noise, diag_blocks))
 
 
 def _contraction_report(trace: list[float], bound: float, tol_floor: float) -> None:
@@ -381,7 +415,7 @@ def picard_solve_second_moment(
     system: PerModeSystem,
     noise: NoiseModel,
     gmap: AffineNoiseMap,
-    load: np.ndarray,
+    load: MomentLoad,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> SpaceTimeMoment:
@@ -389,15 +423,19 @@ def picard_solve_second_moment(
 
     Starts from the zero-coupling solve, then repeatedly re-solves with
     the coupling term evaluated at the previous iterate. Stops when the
-    max-norm update drops below tol relative to the iterate scale. With
+    max-norm update drops below tol relative to the iterate scale. The
+    iterates are semi-separable with |r| < 1, so these max-norms over
+    the three block diagonals equal those over the dense fields. With
     a purely additive noise operator the map is constant and a single
     iteration confirms convergence.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     check_compatible(gmap, noise, system.n_modes)
     K, n = system.grid.steps, system.n_modes
-    load = np.asarray(load, dtype=float)
-    if load.shape != (K, n, K, n):
-        raise ValueError(f"load must have shape {(K, n, K, n)}, got {load.shape}")
+    shapes = np.shape(load.initial), np.shape(load.spatial)
+    if shapes != ((n, n), (K, n, n)):
+        raise ValueError(f"load parts must have shapes {(n, n)} and {(K, n, n)}, got {shapes}")
     model = SpectralModel(eigenvalues=system.eigenvalues, horizon=system.grid.horizon)
     g1_norm = g1_v_to_hs_norm(gmap, model, noise)
     if g1_norm >= 1.0:
@@ -408,27 +446,21 @@ def picard_solve_second_moment(
             stacklevel=2,
         )
 
-    coeffs = _kron_solve(system, load)
+    blocks = _causal_solve(system, load)
     trace: list[float] = []
-    final_load = load
     for iteration in range(1, max_iter + 1):
-        current = load + _coupling_load(system, noise, gmap, coeffs)
-        new_coeffs = _kron_solve(system, current)
-        delta = float(np.max(np.abs(new_coeffs - coeffs)))
+        current = MomentLoad(load.initial, load.spatial + multiplicative_form(gmap, noise, blocks[0]))
+        new_blocks = _causal_solve(system, current)
+        delta = max(float(np.max(np.abs(new - old))) for new, old in zip(new_blocks, blocks))
         trace.append(delta)
-        coeffs = new_coeffs
-        final_load = current
-        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        blocks = new_blocks
+        scale = max(1.0, *(float(np.max(np.abs(b))) for b in blocks))
         if delta <= tol * scale:
             if g1_norm < 1.0:
                 _contraction_report(trace, g1_norm ** 2 + 0.15, 1e3 * np.finfo(float).eps * scale)
-            return SpaceTimeMoment(
-                grid=system.grid,
-                coeffs=coeffs,
-                trace=np.asarray(trace),
-                iterations=iteration,
-                final_load=final_load,
-            )
+            a, c = _pairing_diagonals(system)
+            # fields in order: grid, diagonal, upper, lower, ratio, trace, iterations, final_load
+            return SpaceTimeMoment(system.grid, *blocks, -c / a, np.asarray(trace), iteration, current)
     raise PicardNonConvergence(trace, max_iter)
 
 
@@ -436,7 +468,7 @@ def solve_covariance(
     system: PerModeSystem,
     noise: NoiseModel,
     gmap: AffineNoiseMap,
-    load: np.ndarray,
+    load: MomentLoad,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> SpaceTimeMoment:
@@ -446,7 +478,6 @@ def solve_covariance(
 
 def _inf_sup_singular_values(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
     """Extreme singular values of the Gram-normalized pairing, per mode."""
-    K = system.grid.steps
     smallest = np.empty(system.n_modes)
     largest = np.empty(system.n_modes)
     for i in range(system.n_modes):

@@ -120,6 +120,34 @@ class TestParsing:
         assert message.startswith(f"g.{key}{prefix}: ")
         assert ("g.g2" if key == "g1" else "g.g1") not in message
 
+    @pytest.mark.parametrize("key, edit", [
+        ("solver.picard_max_iter", lambda raw: raw["solver"].update(picard_max_iter=0)),
+        ("solver.picard_tol", lambda raw: raw["solver"].update(picard_tol=0.0)),
+        ("mc.paths", lambda raw: raw["mc"].update(paths=1)),
+        ("mc.seed", lambda raw: raw["mc"].update(seed=-1)),
+        ("g.g1.seed", lambda raw: raw["g"].update(
+            g1={"preset": "scaled_random", "seed": -1, "target_norm": 0.5})),
+        ("g.g1.target_norm", lambda raw: raw["g"].update(
+            g1={"preset": "scaled_random", "seed": 1, "target_norm": -0.5})),
+        ("g.g1", lambda raw: raw.update(
+            noise={"q_eigenvalues": [0.0]},
+            g={"g1": {"preset": "scaled_random", "seed": 1, "target_norm": 0.5},
+               "g2": [[0.5]]})),
+        ("model.horizon", lambda raw: raw["model"].update(
+            horizon=0.0, eigenvalues={"generator": "dirichlet_laplacian", "length": 1.0})),
+        ("model.eigenvalues.length", lambda raw: raw["model"].update(
+            eigenvalues={"generator": "dirichlet_laplacian", "length": 0.0})),
+        ("model.horizon", lambda raw: raw["model"].update(horizon=0.0)),
+        ("g.g2", lambda raw: raw["g"].update(g2=[[float("nan")]])),
+    ], ids=["max_iter", "tol", "paths", "mc_seed", "g1_seed", "target_norm", "zero_norm",
+            "generator_horizon", "length", "list_horizon", "g2_nan"])
+    def test_out_of_range_values_name_their_key(self, key, edit):
+        raw = minimal_config()
+        edit(raw)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(raw)
+        assert str(excinfo.value).startswith(f"{key}: ")
+
     def test_indefinite_initial_covariance_rejected(self):
         raw = minimal_config()
         raw["initial"] = {"mean": [0.0], "covariance": [[-0.5]]}
@@ -231,7 +259,7 @@ class TestCli:
             "identity_tol": 1e-8,
         }
         cfg = self.write_config(tmp_path, raw)
-        out = tmp_path / "out"
+        out, again = tmp_path / "out", tmp_path / "again"
         rc = main(["validate", "--config", cfg, "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
@@ -239,6 +267,12 @@ class TestCli:
         assert (out / "checks.csv").exists()
         captured = capsys.readouterr().out
         assert "PASS" in captured
+        assert main(["validate", "--config", cfg, "--out", str(again)]) == 0
+        tables = sorted(path.name for path in out.glob("*.csv"))
+        assert "diagnostics.csv" in tables
+        assert tables == sorted(path.name for path in again.glob("*.csv"))
+        for name in tables:
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_validate_with_gaussian_initial_law(self, tmp_path):
         raw = minimal_config()

@@ -7,6 +7,7 @@ import pytest
 import spde_moments
 from spde_moments import (
     AffineNoiseMap,
+    MomentLoad,
     NoiseModel,
     SpectralModel,
     TimeGrid,
@@ -85,7 +86,9 @@ ENTRY_POINTS = {
     "rhs_covariance":
         lambda g: rhs_covariance(SYSTEM, NOISE, g, np.ones((4, 2)), np.eye(2)),
     "picard_solve_second_moment":
-        lambda g: picard_solve_second_moment(SYSTEM, NOISE, g, np.zeros((4, 2, 4, 2))),
+        lambda g: picard_solve_second_moment(
+            SYSTEM, NOISE, g, MomentLoad(initial=np.eye(2), spatial=np.zeros((4, 2, 2)))
+        ),
 }
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     AffineNoiseMap,
+    MomentLoad,
     NoiseModel,
     PicardNonConvergence,
     SpectralModel,
@@ -24,6 +26,7 @@ from spde_moments import (
     solve_mean,
     tdelta_assemble,
 )
+from spde_moments.noise_map import multiplicative_form
 
 from conftest import multimode_setup
 
@@ -31,6 +34,23 @@ from conftest import multimode_setup
 def scalar_system(steps, lam=1.0, horizon=1.0):
     model = SpectralModel(eigenvalues=[lam], horizon=horizon)
     return assemble_per_mode(model, TimeGrid(steps=steps, horizon=horizon))
+
+
+def dense_load(grid, load):
+    """The dense (K, N, K, N) load a MomentLoad stands for, by exact quadrature."""
+    dense = np.einsum("kab,kij->aibj", tdelta_assemble(grid), load.spatial)
+    dense[0, :, 0, :] += load.initial
+    return dense
+
+
+def swept_field(system, load):
+    """The structured field of one causal sweep against a load."""
+    a, c = system.operator[:, 0, 0], system.operator[:, 0, 1]
+    diagonal, upper, lower = pg._causal_solve(system, load)
+    return pg.SpaceTimeMoment(
+        grid=system.grid, diagonal=diagonal, upper=upper, lower=lower, ratio=-c / a,
+        trace=np.empty(0), iterations=0, final_load=load,
+    )
 
 
 def hat(nodes, l, t):
@@ -161,11 +181,17 @@ class TestTemporalWeights:
                         assert w[i, l1, l2] == 0.0
 
     def test_structured_apply_equals_dense_contraction(self):
-        grid = TimeGrid(steps=7, horizon=1.3)
+        # the swept field, materialized, solves the dense contraction of a
+        # random non-symmetric load against the temporal weights; the third
+        # mode has lambda * dt > 2, so its ratio r is negative
+        model = SpectralModel(eigenvalues=[1.0, 4.0, 30.0], horizon=1.3)
+        system = assemble_per_mode(model, TimeGrid(steps=7, horizon=1.3))
         rng = np.random.default_rng(23)
-        spatial = rng.standard_normal((7, 3, 3))
-        dense = np.einsum("kab,kij->aibj", tdelta_assemble(grid), spatial)
-        np.testing.assert_allclose(pg._tdelta_apply(grid, spatial), dense, atol=1e-14)
+        load = MomentLoad(
+            initial=rng.standard_normal((3, 3)), spatial=rng.standard_normal((7, 3, 3))
+        )
+        reproduced = apply_tensor_operator(system, swept_field(system, load).coeffs)
+        np.testing.assert_allclose(reproduced, dense_load(system.grid, load), atol=1e-14)
 
 
 class TestLoads:
@@ -177,7 +203,7 @@ class TestLoads:
         load = rhs_second_moment(system, noise, gmap, mean, np.array([[2.5]]))
         expected = np.zeros((4, 1, 4, 1))
         expected[0, 0, 0, 0] = 2.5
-        np.testing.assert_array_equal(load, expected)
+        np.testing.assert_array_equal(dense_load(system.grid, load), expected)
 
     def test_additive_noise_load_is_time_homogeneous(self):
         system = scalar_system(5)
@@ -187,7 +213,7 @@ class TestLoads:
         load = rhs_second_moment(system, noise, gmap, mean, np.zeros((1, 1)))
         w = tdelta_assemble(system.grid)
         expected = np.einsum("kab->ab", w) * (2.0 ** 2 * 0.8)
-        np.testing.assert_allclose(load[:, 0, :, 0], expected, atol=1e-14)
+        np.testing.assert_allclose(dense_load(system.grid, load)[:, 0, :, 0], expected, atol=1e-14)
 
     def test_missing_mean_rejected(self):
         system = scalar_system(4)
@@ -218,7 +244,7 @@ class TestLoads:
                         nodes[k], nodes[k + 1],
                     )
                     expected[l1, l2] += intensity * block
-        np.testing.assert_allclose(load[:, 0, :, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(dense_load(system.grid, load)[:, 0, :, 0], expected, atol=1e-12)
 
     def test_covariance_load_additive_case_drops_initial_and_keeps_integral(self):
         system = scalar_system(5)
@@ -227,7 +253,9 @@ class TestLoads:
         mean = solve_mean(system, np.ones(1))
         m2_load = rhs_second_moment(system, noise, gmap, mean, np.zeros((1, 1)))
         cov_load = rhs_covariance(system, noise, gmap, mean, np.zeros((1, 1)))
-        np.testing.assert_allclose(cov_load, m2_load, atol=1e-15)
+        np.testing.assert_allclose(
+            dense_load(system.grid, cov_load), dense_load(system.grid, m2_load), atol=1e-15
+        )
 
 
 class TestPicard:
@@ -246,21 +274,26 @@ class TestPicard:
         load = rhs_second_moment(system, unit_noise, multiplicative_map, mean, np.ones((1, 1)))
         solution = picard_solve_second_moment(system, unit_noise, multiplicative_map, load)
         reproduced = apply_tensor_operator(system, solution.coeffs)
-        scale = np.max(np.abs(solution.final_load))
-        assert np.max(np.abs(reproduced - solution.final_load)) <= 10 * np.finfo(float).eps * scale
+        final_load = dense_load(system.grid, solution.final_load)
+        scale = np.max(np.abs(final_load))
+        assert np.max(np.abs(reproduced - final_load)) <= 10 * np.finfo(float).eps * scale
 
     def test_iterates_stay_symmetric_for_symmetric_loads(self):
         model, noise, gmap, x0 = multimode_setup()
         system = assemble_per_mode(model, TimeGrid(steps=8, horizon=1.0))
         mean = solve_mean(system, x0)
         load = rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
-        coeffs = pg._kron_solve(system, load)
+        blocks = pg._causal_solve(system, load)
         for _ in range(3):
-            sym_err = np.max(np.abs(coeffs - np.transpose(coeffs, (2, 3, 0, 1))))
-            assert sym_err <= 1e-12 * max(1.0, np.max(np.abs(coeffs)))
-            coeffs = pg._kron_solve(
-                system, load + pg._coupling_load(system, noise, gmap, coeffs)
+            diagonal, upper, lower = blocks
+            tol = 1e-12 * max(1.0, *(np.max(np.abs(b)) for b in blocks))
+            assert np.max(np.abs(diagonal - diagonal.transpose(0, 2, 1))) <= tol
+            assert np.max(np.abs(lower - upper.transpose(0, 2, 1))) <= tol
+            coupled = MomentLoad(
+                initial=load.initial,
+                spatial=load.spatial + multiplicative_form(gmap, noise, diagonal),
             )
+            blocks = pg._causal_solve(system, coupled)
 
     def test_mode_pairs_do_not_couple(self):
         model = SpectralModel(eigenvalues=[1.0, 4.0])
@@ -281,6 +314,22 @@ class TestPicard:
         with pytest.raises(PicardNonConvergence) as excinfo:
             picard_solve_second_moment(system, unit_noise, gmap, load, max_iter=1)
         assert len(excinfo.value.trace) == 1
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve_second_moment(system, unit_noise, gmap, load, max_iter=0)
+
+    def test_moment_solve_memory_stays_structured(self):
+        # one dense (K, N, K, N) field at K = 512, N = 4 is 32 MiB
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=512, horizon=1.0))
+        mean = solve_mean(system, x0)
+        tracemalloc.start()
+        try:
+            load = rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
+            picard_solve_second_moment(system, noise, gmap, load)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_supercritical_norm_warns_but_proceeds(self, unit_noise):
         system = scalar_system(4)
