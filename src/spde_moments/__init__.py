@@ -52,6 +52,7 @@ from .petrov_galerkin import (
     discrete_inf_sup,
     per_mode_inf_sup,
     per_mode_operator_bound,
+    per_mode_singular_range,
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,

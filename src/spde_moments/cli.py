@@ -38,8 +38,7 @@ from .petrov_galerkin import (
     TimeGrid,
     assemble_per_mode,
     discrete_inf_sup,
-    per_mode_inf_sup,
-    per_mode_operator_bound,
+    per_mode_singular_range,
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
@@ -153,32 +152,35 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _solve_moment_problem(cfg: ExperimentConfig, covariance: bool):
+def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...]):
+    """Set a config's problem up once, then solve one moment problem per
+    entry of `covariances`: the covariance for True, the second moment
+    for False. Returns the set-up objects and the solutions in order."""
     model, noise = build_model(cfg), build_noise(cfg)
     gmap = build_gmap(cfg, model, noise)
     grid = TimeGrid(steps=cfg.time_steps, horizon=cfg.model_horizon)
     system = assemble_per_mode(model, grid)
     mean0, m2_0, cov_0 = initial_law(cfg)
     mean_coeffs = solve_mean(system, mean0)
-    if covariance:
-        load = rhs_covariance(system, noise, gmap, mean_coeffs, cov_0)
-        solution = solve_covariance(
+    solutions = []
+    for covariance in covariances:
+        if covariance:
+            load = rhs_covariance(system, noise, gmap, mean_coeffs, cov_0)
+            solve = solve_covariance
+        else:
+            load = rhs_second_moment(system, noise, gmap, mean_coeffs, m2_0)
+            solve = picard_solve_second_moment
+        solutions.append(solve(
             system, noise, gmap, load,
             tol=cfg.solver_picard_tol, max_iter=cfg.solver_picard_max_iter,
-        )
-    else:
-        load = rhs_second_moment(system, noise, gmap, mean_coeffs, m2_0)
-        solution = picard_solve_second_moment(
-            system, noise, gmap, load,
-            tol=cfg.solver_picard_tol, max_iter=cfg.solver_picard_max_iter,
-        )
-    return model, noise, gmap, system, mean_coeffs, solution
+        ))
+    return model, noise, gmap, system, mean_coeffs, solutions
 
 
 def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
     try:
-        model, noise, gmap, system, _, solution = _solve_moment_problem(cfg, covariance)
+        model, noise, gmap, system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
     except PicardNonConvergence as exc:
         _write_table(out / "picard_trace.csv", ["iteration", "update_norm"],
                      ((i + 1, float(d)) for i, d in enumerate(exc.trace)))
@@ -210,8 +212,7 @@ def cmd_inf_sup(cfg: ExperimentConfig, out: Path) -> int:
     for factor in (1, 2, 4):
         steps = cfg.time_steps * factor
         system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=cfg.model_horizon))
-        per_mode = per_mode_inf_sup(system)
-        bounds = per_mode_operator_bound(system)
+        per_mode, bounds = per_mode_singular_range(system)
         for n in range(model.dim):
             rows.append((steps, n, float(model.eigenvalues[n]),
                          float(per_mode[n]), float(bounds[n])))
@@ -226,8 +227,8 @@ def cmd_inf_sup(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     started = time.perf_counter()
     try:
-        model, noise, gmap, system, mean_coeffs, m2_sol = _solve_moment_problem(cfg, False)
-        _, _, _, _, _, cov_sol = _solve_moment_problem(cfg, True)
+        model, noise, gmap, system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(
+            cfg, (False, True))
     except PicardNonConvergence as exc:
         _write_table(out / "picard_trace.csv", ["iteration", "update_norm"],
                      ((i + 1, float(d)) for i, d in enumerate(exc.trace)))

@@ -299,7 +299,13 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
 
 
 def _dense_array(spec: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
-    arr = np.asarray(spec, dtype=float)
+    try:
+        arr = np.asarray(spec)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{path}: expected a nested list of numbers ({exc})") from exc
+    if arr.dtype.kind not in "iuf":  # text, booleans, null or objects
+        raise ConfigError(f"{path}: expected a nested list of numbers, got {spec!r}")
+    arr = arr.astype(float)
     if arr.shape != shape:
         raise ConfigError(f"{path}: has shape {arr.shape} but dimensions require {shape}")
     if not np.all(np.isfinite(arr)):

@@ -13,7 +13,9 @@ matrix
 an invertible upper bidiagonal matrix with diagonal a_n = 1 + lambda_n dt/2
 and superdiagonal c_n = -1 + lambda_n dt/2. The pairing couples no
 distinct spatial modes, and each mode's mean solve is the Crank-Nicolson
-recursion with factor r_n = -c_n / a_n, |r_n| < 1.
+recursion with factor r_n = -c_n / a_n, |r_n| < 1. The system holds each
+B_n by a_n and c_n alone; only the inf-sup diagnostic forms dense K x K
+matrices, one mode at a time.
 
 Moment problems. The second moment (and the covariance) in the trial
 tensor basis solves a fixed-point equation: the tensorized parabolic
@@ -70,6 +72,7 @@ __all__ = [
     "picard_solve_second_moment",
     "solve_covariance",
     "apply_tensor_operator",
+    "per_mode_singular_range",
     "per_mode_inf_sup",
     "per_mode_operator_bound",
     "discrete_inf_sup",
@@ -115,84 +118,48 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PerModeSystem:
-    """Assembled per-mode matrices of the space-time pairing.
+    """The space-time pairing of every spatial mode, by its two diagonals.
 
-    operator[n] is the trial-test matrix B_n above (rows: trial
-    intervals, columns: test hats). trial_gram_diag[n] holds the
-    diagonal lambda_n * dt of the trial Gram in the energy norm;
-    test_gram[n] is the tridiagonal test Gram in the graph norm
-    lambda_n * mass + stiffness / lambda_n.
+    B_n (rows: trial intervals, columns: test hats) is upper bidiagonal
+    with diagonal a[n] = 1 + lambda_n dt/2 and superdiagonal
+    c[n] = -1 + lambda_n dt/2, so the grid and the eigenvalues determine
+    it, and a and c are derived from them on access. No K x K matrix is
+    held; only the inf-sup diagnostic forms one, one mode at a time.
     """
 
     grid: TimeGrid
     eigenvalues: np.ndarray       # (N,)
-    operator: np.ndarray          # (N, K, K)
-    trial_gram_diag: np.ndarray   # (N, K)
-    test_gram: np.ndarray         # (N, K, K)
 
     @property
     def n_modes(self) -> int:
         return int(self.eigenvalues.size)
 
+    @property
+    def a(self) -> np.ndarray:
+        """Diagonal a_n of every mode's pairing B_n, shape (N,)."""
+        return 1.0 + self.eigenvalues * self.grid.dt / 2.0
 
-def _hat_mass(grid: TimeGrid) -> np.ndarray:
-    """Mass matrix of the hats at nodes t_0 .. t_{K-1}; exact integrals."""
-    K, dt = grid.steps, grid.dt
-    m = np.zeros((K, K))
-    for l in range(K):
-        support_intervals = 2 if l >= 1 else 1
-        m[l, l] = support_intervals * dt / 3.0
-        if l + 1 <= K - 1:
-            m[l, l + 1] = m[l + 1, l] = dt / 6.0
-    return m
-
-
-def _hat_stiffness(grid: TimeGrid) -> np.ndarray:
-    """Stiffness matrix of the hat derivatives; exact integrals."""
-    K, dt = grid.steps, grid.dt
-    s = np.zeros((K, K))
-    for l in range(K):
-        support_intervals = 2 if l >= 1 else 1
-        s[l, l] = support_intervals / dt
-        if l + 1 <= K - 1:
-            s[l, l + 1] = s[l + 1, l] = -1.0 / dt
-    return s
+    @property
+    def c(self) -> np.ndarray:
+        """Superdiagonal c_n of every mode's pairing B_n, shape (N,)."""
+        return -1.0 + self.eigenvalues * self.grid.dt / 2.0
 
 
 def assemble_per_mode(model: SpectralModel, grid: TimeGrid) -> PerModeSystem:
-    """Assemble the pairing matrices and Grams for every spatial mode."""
+    """The per-mode pairing of a model on a grid, in O(N) memory.
+
+    Raises ValueError when the two horizons differ and AssemblyError
+    when a mode's pairing is singular (a_n <= 0).
+    """
     if not np.isclose(grid.horizon, model.horizon):
         raise ValueError(
             f"grid horizon {grid.horizon} differs from model horizon {model.horizon}"
         )
-    K, dt = grid.steps, grid.dt
-    lam = model.eigenvalues
-    n = model.dim
-
-    operator = np.zeros((n, K, K))
-    diag_idx = np.arange(K)
-    for i, lam_n in enumerate(lam):
-        operator[i, diag_idx, diag_idx] = 1.0 + lam_n * dt / 2.0
-        operator[i, diag_idx[:-1], diag_idx[:-1] + 1] = -1.0 + lam_n * dt / 2.0
-        if np.any(np.diag(operator[i]) <= 0.0):
-            raise AssemblyError(f"trial-test matrix for mode {i} is singular")
-
-    mass = _hat_mass(grid)
-    stiff = _hat_stiffness(grid)
-    test_gram = np.array([lam_n * mass + stiff / lam_n for lam_n in lam])
-    trial_gram_diag = np.outer(lam, np.full(K, dt))
-    return PerModeSystem(
-        grid=grid,
-        eigenvalues=lam,
-        operator=operator,
-        trial_gram_diag=trial_gram_diag,
-        test_gram=test_gram,
-    )
-
-
-def _pairing_diagonals(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal a_n and superdiagonal c_n of every mode's pairing B_n."""
-    return system.operator[:, 0, 0], system.operator[:, 0, 1]
+    system = PerModeSystem(grid=grid, eigenvalues=model.eigenvalues)
+    singular = np.flatnonzero(system.a <= 0.0)
+    if singular.size:
+        raise AssemblyError(f"trial-test matrix for mode {singular[0]} is singular")
+    return system
 
 
 def solve_mean(system: PerModeSystem, x0_mean: np.ndarray) -> np.ndarray:
@@ -206,7 +173,7 @@ def solve_mean(system: PerModeSystem, x0_mean: np.ndarray) -> np.ndarray:
     n = system.n_modes
     if x0_mean.shape != (n,):
         raise ValueError(f"initial mean must have length {n}")
-    a, c = _pairing_diagonals(system)
+    a, c = system.a, system.c
     return x0_mean / a * (-c / a) ** np.arange(system.grid.steps)[:, None]
 
 
@@ -369,7 +336,7 @@ def _causal_solve(
 
         D_k = (on_k - (ac + ca) / aa off_{k-1}) / aa + r_n r_m D_{k-1}.
     """
-    a, c = _pairing_diagonals(system)
+    a, c = system.a, system.c
     aa, ac, ca = np.outer(a, a), np.outer(a, c), np.outer(c, a)
     dt, spatial = system.grid.dt, load.spatial
     off = dt / 6.0 * spatial[:-1]
@@ -387,13 +354,15 @@ def apply_tensor_operator(system: PerModeSystem, coeffs: np.ndarray) -> np.ndarr
     """Forward application of the tensorized pairing to dense trial coefficients.
 
     Maps U to the dense load B_n^T U B_m it solves, the inverse of the
-    causal sweep; used to verify that solves reproduce their loads.
+    causal sweep; used to verify that solves reproduce their loads. Along
+    either time index the bidiagonal B acts as x_l -> a x_l + c x_{l-1},
+    so the map is two shifted, broadcast products.
     """
-    K, n = system.grid.steps, system.n_modes
-    out = np.empty_like(coeffs)
-    for m1 in range(n):
-        for m2 in range(n):
-            out[:, m1, :, m2] = system.operator[m1].T @ coeffs[:, m1, :, m2] @ system.operator[m2]
+    a, c = system.a, system.c
+    left = a[:, None, None] * coeffs
+    left[1:] += c[:, None, None] * coeffs[:-1]
+    out = left * a
+    out[:, :, 1:] += left[:, :, :-1] * c
     return out
 
 
@@ -458,7 +427,7 @@ def picard_solve_second_moment(
         if delta <= tol * scale:
             if g1_norm < 1.0:
                 _contraction_report(trace, g1_norm ** 2 + 0.15, 1e3 * np.finfo(float).eps * scale)
-            a, c = _pairing_diagonals(system)
+            a, c = system.a, system.c
             # fields in order: grid, diagonal, upper, lower, ratio, trace, iterations, final_load
             return SpaceTimeMoment(system.grid, *blocks, -c / a, np.asarray(trace), iteration, current)
     raise PicardNonConvergence(trace, max_iter)
@@ -476,17 +445,39 @@ def solve_covariance(
     return picard_solve_second_moment(system, noise, gmap, load, tol=tol, max_iter=max_iter)
 
 
-def _inf_sup_singular_values(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme singular values of the Gram-normalized pairing, per mode."""
+def _mode_matrices(system: PerModeSystem, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode i's dense pairing B_i, trial Gram diagonal and test Gram.
+
+    The trial Gram in the energy norm is lambda dt on the diagonal; the
+    test Gram of the hats is lambda * mass + stiffness / lambda in the
+    graph norm, with the exact tridiagonal hat mass and stiffness.
+    """
+    K, dt, lam = system.grid.steps, system.grid.dt, system.eigenvalues[i]
+    pairing = np.diag(np.full(K, system.a[i])) + np.diag(np.full(K - 1, system.c[i]), 1)
+    support = np.full(K, 2.0)
+    support[0] = 1.0  # intervals under each hat; the one at t_0 has only one
+    off = np.full(K - 1, lam * (dt / 6.0) + (-1.0 / dt) / lam)
+    test_gram = np.diag(lam * (support * dt / 3.0) + support / dt / lam)
+    test_gram += np.diag(off, 1) + np.diag(off, -1)
+    return pairing, np.full(K, lam * dt), test_gram
+
+
+def per_mode_singular_range(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest singular value of each mode's Gram-normalized pairing.
+
+    The one place that forms dense K x K matrices, one mode at a time:
+    a dense eigh and SVD per mode, O(N K^3) time and O(K^2) memory.
+    """
     smallest = np.empty(system.n_modes)
     largest = np.empty(system.n_modes)
     for i in range(system.n_modes):
-        w, v = np.linalg.eigh(system.test_gram[i])
+        pairing, trial_gram_diag, test_gram = _mode_matrices(system, i)
+        w, v = np.linalg.eigh(test_gram)
         if np.any(w <= 0.0):
             raise AssemblyError(f"test Gram for mode {i} is not positive definite")
         gy_inv_half = (v / np.sqrt(w)) @ v.T
-        gx_inv_half = 1.0 / np.sqrt(system.trial_gram_diag[i])
-        pencil = gy_inv_half @ system.operator[i].T @ np.diag(gx_inv_half)
+        gx_inv_half = 1.0 / np.sqrt(trial_gram_diag)
+        pencil = gy_inv_half @ pairing.T @ np.diag(gx_inv_half)
         s = svdvals(pencil)
         smallest[i] = s[-1]
         largest[i] = s[0]
@@ -495,12 +486,12 @@ def _inf_sup_singular_values(system: PerModeSystem) -> tuple[np.ndarray, np.ndar
 
 def per_mode_inf_sup(system: PerModeSystem) -> np.ndarray:
     """Discrete inf-sup value of each mode's pairing in the trial/test norms."""
-    return _inf_sup_singular_values(system)[0]
+    return per_mode_singular_range(system)[0]
 
 
 def per_mode_operator_bound(system: PerModeSystem) -> np.ndarray:
     """Largest singular value of the same normalized pencil, per mode."""
-    return _inf_sup_singular_values(system)[1]
+    return per_mode_singular_range(system)[1]
 
 
 def discrete_inf_sup(system: PerModeSystem) -> float:

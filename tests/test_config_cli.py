@@ -139,8 +139,22 @@ class TestParsing:
             eigenvalues={"generator": "dirichlet_laplacian", "length": 0.0})),
         ("model.horizon", lambda raw: raw["model"].update(horizon=0.0)),
         ("g.g2", lambda raw: raw["g"].update(g2=[[float("nan")]])),
+        ("g.g1", lambda raw: raw["g"].update(g1=[[["a"]]])),
+        ("g.g2", lambda raw: raw["g"].update(g2=[["a"]])),
+        ("g.g2", lambda raw: raw["g"].update(g2=[["0.5"]])),
+        ("g.g2", lambda raw: raw["g"].update(g2=[[True]])),
+        ("initial.second_moment", lambda raw: raw.update(
+            initial={"mean": [1.0], "second_moment": [["a"]]})),
+        ("initial.covariance", lambda raw: raw.update(
+            initial={"mean": [1.0], "covariance": [["a"]]})),
+        ("g.g1", lambda raw: raw["g"].update(g1=[[[0.1], [0.2]], [[0.3]]])),
+        ("g.g2", lambda raw: raw["g"].update(g2=[[1.0, 2.0], [3.0]])),
+        ("initial.covariance", lambda raw: raw.update(
+            initial={"mean": [1.0], "covariance": [[1.0, 0.0], [0.0]]})),
     ], ids=["max_iter", "tol", "paths", "mc_seed", "g1_seed", "target_norm", "zero_norm",
-            "generator_horizon", "length", "list_horizon", "g2_nan"])
+            "generator_horizon", "length", "list_horizon", "g2_nan", "g1_text", "g2_text",
+            "g2_numeric_text", "g2_bool", "second_moment_text", "covariance_text",
+            "g1_ragged", "g2_ragged", "covariance_ragged"])
     def test_out_of_range_values_name_their_key(self, key, edit):
         raw = minimal_config()
         edit(raw)

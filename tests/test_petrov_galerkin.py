@@ -43,12 +43,18 @@ def dense_load(grid, load):
     return dense
 
 
+def dense_pairing(system, mode=0):
+    """Mode's dense K x K pairing B_n from its two diagonals."""
+    K = system.grid.steps
+    return np.diag(np.full(K, system.a[mode])) + np.diag(np.full(K - 1, system.c[mode]), 1)
+
+
 def swept_field(system, load):
     """The structured field of one causal sweep against a load."""
-    a, c = system.operator[:, 0, 0], system.operator[:, 0, 1]
     diagonal, upper, lower = pg._causal_solve(system, load)
     return pg.SpaceTimeMoment(
-        grid=system.grid, diagonal=diagonal, upper=upper, lower=lower, ratio=-c / a,
+        grid=system.grid, diagonal=diagonal, upper=upper, lower=lower,
+        ratio=-system.c / system.a,
         trace=np.empty(0), iterations=0, final_load=load,
     )
 
@@ -73,14 +79,14 @@ class TestAssembly:
         # indicators against the two hats gives
         #   row 1: [1 + dt/2, -1 + dt/2], row 2: [0, 1 + dt/2]
         system = scalar_system(2)
-        np.testing.assert_allclose(
-            system.operator[0], [[1.25, -0.75], [0.0, 1.25]], atol=1e-14
-        )
-        np.testing.assert_allclose(system.trial_gram_diag[0], [0.5, 0.5], atol=1e-15)
+        pairing, trial_gram_diag, test_gram = pg._mode_matrices(system, 0)
+        for dense in (dense_pairing(system), pairing):
+            np.testing.assert_allclose(dense, [[1.25, -0.75], [0.0, 1.25]], atol=1e-14)
+        np.testing.assert_allclose(trial_gram_diag, [0.5, 0.5], atol=1e-15)
         # graph-norm Gram of the hats: mass [[1/6, 1/12], [1/12, 1/3]]
         # plus stiffness [[2, -2], [-2, 4]]
         np.testing.assert_allclose(
-            system.test_gram[0],
+            test_gram,
             [[13.0 / 6.0, -23.0 / 12.0], [-23.0 / 12.0, 13.0 / 3.0]],
             atol=1e-14,
         )
@@ -95,24 +101,53 @@ class TestAssembly:
             for l in range(steps):
                 mass_part, _ = quad(lambda t: hat(nodes, l, t), nodes[i], nodes[i + 1])
                 expected[i, l] = hat(nodes, l, nodes[i]) - hat(nodes, l, nodes[i + 1]) + lam * mass_part
-        np.testing.assert_allclose(system.operator[0], expected, atol=1e-12)
+        np.testing.assert_allclose(dense_pairing(system), expected, atol=1e-12)
 
     def test_vanishing_eigenvalue_limit_is_telescoping(self):
         system = scalar_system(4, lam=1e-12)
         expected = np.eye(4) - np.diag(np.ones(3), 1)
-        np.testing.assert_allclose(system.operator[0], expected, atol=1e-10)
+        np.testing.assert_allclose(dense_pairing(system), expected, atol=1e-10)
 
     def test_mass_part_scales_with_dt_derivative_part_does_not(self):
         # the pairing is affine in lambda: operator = derivative + lambda * mass
         for horizon in (1.0, 2.0):
             sys1 = scalar_system(4, lam=1.0, horizon=horizon)
             sys3 = scalar_system(4, lam=3.0, horizon=horizon)
-            mass = (sys3.operator[0] - sys1.operator[0]) / 2.0
-            deriv = sys1.operator[0] - mass
+            mass = (dense_pairing(sys3) - dense_pairing(sys1)) / 2.0
+            deriv = dense_pairing(sys1) - mass
             np.testing.assert_allclose(deriv, np.eye(4) - np.diag(np.ones(3), 1), atol=1e-13)
             np.testing.assert_allclose(
                 mass[0, 0], horizon / 4.0 / 2.0, atol=1e-14
             )  # dt / 2 on the diagonal
+
+
+    def test_assembly_holds_no_matrix(self):
+        # one dense (N, K, K) array at K = 1024, N = 16 is 128 MiB
+        model = SpectralModel(eigenvalues=np.arange(1.0, 17.0) ** 2)
+        grid = TimeGrid(steps=1024, horizon=1.0)
+        tracemalloc.start()
+        try:
+            assemble_per_mode(model, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_banded_apply_matches_dense_pairing_products(self):
+        # reference: B_n^T U[:, n, :, m] B_m by dense matmuls, per mode pair;
+        # the third mode has lambda * dt > 2
+        model = SpectralModel(eigenvalues=[1.0, 4.0, 30.0], horizon=1.3)
+        system = assemble_per_mode(model, TimeGrid(steps=7, horizon=1.3))
+        coeffs = np.random.default_rng(31).standard_normal((7, 3, 7, 3))
+        expected = np.empty_like(coeffs)
+        for m1 in range(3):
+            for m2 in range(3):
+                expected[:, m1, :, m2] = (
+                    dense_pairing(system, m1).T @ coeffs[:, m1, :, m2] @ dense_pairing(system, m2)
+                )
+        np.testing.assert_allclose(
+            apply_tensor_operator(system, coeffs), expected, rtol=1e-14, atol=1e-14
+        )
 
 
 class TestSolveMean:
@@ -409,7 +444,8 @@ class TestInfSup:
             dual_sq = 0.0
             trial_sq = 0.0
             for n in range(2):
-                f = system.operator[n].T @ u[:, n]
-                dual_sq += f @ np.linalg.solve(system.test_gram[n], f)
-                trial_sq += np.sum(system.trial_gram_diag[n] * u[:, n] ** 2)
+                _, trial_gram_diag, test_gram = pg._mode_matrices(system, n)
+                f = dense_pairing(system, n).T @ u[:, n]
+                dual_sq += f @ np.linalg.solve(test_gram, f)
+                trial_sq += np.sum(trial_gram_diag * u[:, n] ** 2)
             assert np.sqrt(dual_sq) >= beta * np.sqrt(trial_sq) - 1e-10
