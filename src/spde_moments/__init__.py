@@ -24,7 +24,6 @@ from .montecarlo import (
     estimate_moments,
     ito_isometry_check,
     simulate_ensemble,
-    simulate_path,
     weak_identity_residual,
 )
 from .noise_map import (
@@ -47,7 +46,6 @@ from .petrov_galerkin import (
     PicardNonConvergence,
     SpaceTimeMoment,
     TimeGrid,
-    apply_tensor_operator,
     assemble_per_mode,
     discrete_inf_sup,
     per_mode_inf_sup,
@@ -58,7 +56,6 @@ from .petrov_galerkin import (
     rhs_second_moment,
     solve_covariance,
     solve_mean,
-    tdelta_assemble,
 )
 from .spectral import (
     SpectralModel,

@@ -29,48 +29,11 @@ from .spectral import SpectralModel
 __all__ = [
     "Ensemble",
     "MomentEstimate",
-    "simulate_path",
     "simulate_ensemble",
     "estimate_moments",
     "weak_identity_residual",
     "ito_isometry_check",
 ]
-
-
-def simulate_path(
-    model: SpectralModel,
-    noise: NoiseModel,
-    gmap: AffineNoiseMap,
-    x0: np.ndarray,
-    K: int,
-    rng: np.random.Generator,
-    return_increments: bool = False,
-):
-    """Simulate one path of the mild solution on the uniform K-step grid.
-
-    Returns a (K+1, N) array of mode coefficients, plus the (K, M) noise
-    increments when return_increments is set.
-    """
-    if K < 1:
-        raise ValueError(f"step count must be positive, got {K}")
-    check_compatible(gmap, noise, model.dim)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"initial value must be a finite length-{model.dim} array")
-    dt = model.horizon / K
-    decay = np.exp(-model.eigenvalues * dt)
-    path = np.empty((K + 1, model.dim))
-    increments = np.empty((K, noise.dim))
-    path[0] = x0
-    x = x0.copy()
-    for k in range(K):
-        dL = sample_increments(noise, dt, 1, rng)[0]
-        increments[k] = dL
-        x = decay * (x + g_apply(gmap, x, dL))
-        path[k + 1] = x
-    if return_increments:
-        return path, increments
-    return path
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -66,12 +67,10 @@ __all__ = [
     "PicardNonConvergence",
     "assemble_per_mode",
     "solve_mean",
-    "tdelta_assemble",
     "rhs_second_moment",
     "rhs_covariance",
     "picard_solve_second_moment",
     "solve_covariance",
-    "apply_tensor_operator",
     "per_mode_singular_range",
     "per_mode_inf_sup",
     "per_mode_operator_bound",
@@ -177,31 +176,17 @@ def solve_mean(system: PerModeSystem, x0_mean: np.ndarray) -> np.ndarray:
     return x0_mean / a * (-c / a) ** np.arange(system.grid.steps)[:, None]
 
 
-def tdelta_assemble(grid: TimeGrid) -> np.ndarray:
-    """Temporal weights W[k, l1, l2] = int_{I_k} hat_l1 hat_l2.
-
-    Exact quadrature of the degree-two products. W is symmetric in the
-    hat indices and sparse: on interval I_k only the hats at its two
-    endpoints are nonzero, and the final interval supports one hat.
-    O(K^3) memory; the exact-quadrature reference for MomentLoad.
-    """
-    K, dt = grid.steps, grid.dt
-    w = np.zeros((K, K, K))
-    for i in range(K):
-        w[i, i, i] = dt / 3.0
-        if i + 1 <= K - 1:
-            w[i, i, i + 1] = w[i, i + 1, i] = dt / 6.0
-            w[i, i + 1, i + 1] = dt / 3.0
-    return w
-
-
 @dataclass(frozen=True)
 class MomentLoad:
     """Test-side load of a moment problem, by its per-interval parts.
 
-    With W = tdelta_assemble(grid), the dense (K, N, K, N) load this
-    stands for is sum_k W[k] (x) spatial[k], plus `initial` in the time
-    block (0, 0), the only hat that is nonzero at t = 0.
+    On interval I_k only the hats at t_k and t_{k+1} are nonzero, and
+    the exact integrals of their products are dt/3 for a hat with itself
+    and dt/6 for the two together. So the dense (K, N, K, N) load this
+    stands for is block-tridiagonal in time: block (k, k) is
+    dt/3 (spatial[k] + spatial[k-1]), with spatial[-1] = 0 and `initial`
+    added in block (0, 0) (the only hat that is nonzero at t = 0), and
+    blocks (k, k+1) and (k+1, k) are dt/6 spatial[k].
     """
 
     initial: np.ndarray   # (N, N)
@@ -282,6 +267,9 @@ class SpaceTimeMoment:
     l >= k + 2, U[k, :, l, :] = upper[k] * ratio**(l - k - 1) along the
     second mode index, and U[l, :, k, :] = ratio**(l - k - 1) * lower[k]
     along the first, where ratio[n] = r_n is the Crank-Nicolson factor.
+    This expansion lives in `row` alone: callers read the field one time
+    row at a time, or on the block diagonals, and `coeffs` stacks the
+    rows into the dense field for those that need it whole.
     """
 
     grid: TimeGrid
@@ -297,21 +285,33 @@ class SpaceTimeMoment:
         """Diagonal-in-time blocks D_k = U[k, :, k, :], shape (K, N, N)."""
         return self.diagonal
 
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """ratio**d for d = 0 .. K-2, shape (K-1, N), each power taken with
+        the integer exponent d, so every row carries the same bits."""
+        return np.array([self.ratio ** d for d in range(len(self.upper))])
+
+    def row(self, k: int) -> np.ndarray:
+        """Time row U[k, :, :, :], shape (N, K, N), in O(K N^2) memory."""
+        K, n = self.diagonal.shape[:2]
+        if not 0 <= k < K:
+            raise IndexError(f"time row {k} out of range for {K} intervals")
+        row = np.empty((n, K, n))
+        row[:, k] = self.diagonal[k]
+        if k + 1 < K:
+            row[:, k + 1:] = self.upper[k][:, None, :] * self._powers[:K - 1 - k]
+        row[:, :k] = (self._powers[:k][::-1, :, None] * self.lower[:k]).transpose(1, 0, 2)
+        return row
+
     @property
     def coeffs(self) -> np.ndarray:
         """Dense trial coefficients U[k, n, l, m], shape (K, N, K, N).
 
-        Materialized anew on every access, in O((K N)^2) memory, and not
-        kept: a caller that reads it twice pays twice.
+        The time rows, stacked. Materialized anew on every access, in
+        O((K N)^2) memory, and not kept: a caller that reads it twice
+        pays twice.
         """
-        K, n = self.diagonal.shape[:2]
-        dense = np.zeros((K, n, K, n))
-        idx = np.arange(K)
-        dense[idx, :, idx, :] = self.diagonal
-        for d in range(1, K):  # time offset l - k
-            dense[idx[:-d], :, idx[d:], :] = self.upper[:K - d] * self.ratio ** (d - 1)
-            dense[idx[d:], :, idx[:-d], :] = self.ratio[:, None] ** (d - 1) * self.lower[:K - d]
-        return dense
+        return np.stack([self.row(k) for k in range(len(self.diagonal))])
 
 
 def _causal_solve(
@@ -348,22 +348,6 @@ def _causal_solve(
     for k in range(1, len(diagonal)):
         diagonal[k] += rr * diagonal[k - 1]
     return diagonal, (off - ac * diagonal[:-1]) / aa, (off - ca * diagonal[:-1]) / aa
-
-
-def apply_tensor_operator(system: PerModeSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Forward application of the tensorized pairing to dense trial coefficients.
-
-    Maps U to the dense load B_n^T U B_m it solves, the inverse of the
-    causal sweep; used to verify that solves reproduce their loads. Along
-    either time index the bidiagonal B acts as x_l -> a x_l + c x_{l-1},
-    so the map is two shifted, broadcast products.
-    """
-    a, c = system.a, system.c
-    left = a[:, None, None] * coeffs
-    left[1:] += c[:, None, None] * coeffs[:-1]
-    out = left * a
-    out[:, :, 1:] += left[:, :, :-1] * c
-    return out
 
 
 def _contraction_report(trace: list[float], bound: float, tol_floor: float) -> None:

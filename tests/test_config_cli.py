@@ -1,9 +1,21 @@
+import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spde_moments import (
+    TimeGrid,
+    assemble_per_mode,
+    picard_solve_second_moment,
+    rhs_covariance,
+    rhs_second_moment,
+    solve_covariance,
+    solve_mean,
+)
+from spde_moments import cli
 from spde_moments.cli import main
 from spde_moments.config import (
     ConfigError,
@@ -15,6 +27,8 @@ from spde_moments.config import (
     parse_config,
     save_config,
 )
+
+from conftest import multimode_setup
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -304,3 +318,82 @@ class TestCli:
         cfg = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+
+
+def multimode_variant(out):
+    """The N=8, K=64 variant of configs/multimode.json that
+    scripts/table_hashes.py hashes, written to `out`; returns its path."""
+    spec = importlib.util.spec_from_file_location(
+        "table_hashes", ROOT / "scripts" / "table_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.multimode_variant(out)
+
+
+def rows_2(values):
+    for k in range(values.shape[0]):
+        for n in range(values.shape[1]):
+            yield (k, n, float(values[k, n]))
+
+
+def rows_4(values):
+    for k in range(values.shape[0]):
+        for n in range(values.shape[1]):
+            for l in range(values.shape[2]):
+                for m in range(values.shape[3]):
+                    yield (k, n, l, m, float(values[k, n, l, m]))
+
+
+class TestFieldTables:
+    SPECIAL = [0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, np.nan, np.inf,
+               -np.inf, -2.5]
+
+    @pytest.mark.parametrize("shape, rows", [((6, 5), rows_2), ((3, 2, 4, 2), rows_4)],
+                             ids=["two_index", "four_index"])
+    def test_field_writer_matches_row_writer_bytes(self, tmp_path, shape, rows):
+        values = np.random.default_rng(3).standard_normal(shape)
+        flat = values.reshape(-1)
+        flat[:len(self.SPECIAL)] = self.SPECIAL
+        header = [f"i{j}" for j in range(len(shape))] + ["value"]
+        cli._write_table(tmp_path / "rows.csv", header, rows(values))
+        cli._write_field(tmp_path / "field.csv", header, values)
+        cli._write_field(tmp_path / "chunks.csv", header, (chunk for chunk in values))
+        expected = (tmp_path / "rows.csv").read_bytes()
+        for text in (b",-0\n", b",4.9406564584124654e-324\n", b",nan\n", b",-inf\n"):
+            assert text in expected
+        assert (tmp_path / "field.csv").read_bytes() == expected
+        assert (tmp_path / "chunks.csv").read_bytes() == expected
+
+    @staticmethod
+    def dense_identity_error(m2, cov, mean):
+        return float(np.max(np.abs(
+            cov.coeffs - (m2.coeffs - np.einsum("kn,lm->knlm", mean, mean)))))
+
+    def test_identity_error_on_block_diagonals_equals_dense_max(self, tmp_path):
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=32, horizon=1.0))
+        mean = solve_mean(system, x0)
+        m2 = picard_solve_second_moment(
+            system, noise, gmap, rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0)))
+        cov = solve_covariance(
+            system, noise, gmap, rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4))))
+        problems = [(m2, cov, mean)]
+        cfg = load_config(multimode_variant(tmp_path))
+        *_, mean, (m2, cov) = cli._solve_moment_problems(cfg, (False, True))
+        problems.append((m2, cov, mean))
+        for m2, cov, mean in problems:
+            structured = cli._covariance_identity_error(m2, cov, mean)
+            assert structured > 0.0
+            assert structured == self.dense_identity_error(m2, cov, mean)
+
+    def test_solve_moment_memory_stays_structured(self, tmp_path):
+        # one dense (K, N, K, N) field at K = 64, N = 8 is 2 MiB
+        config = str(multimode_variant(tmp_path))
+        out = str(tmp_path / "out")
+        tracemalloc.start()
+        try:
+            assert main(["solve-moment", "--config", config, "--out", out]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20

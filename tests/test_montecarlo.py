@@ -12,9 +12,9 @@ from spde_moments import (
     hs_norm_on_cameron_martin,
     ito_isometry_check,
     lyapunov_solve,
+    sample_increments,
     semigroup_apply,
     simulate_ensemble,
-    simulate_path,
     two_time_extend,
     weak_identity_residual,
 )
@@ -106,7 +106,7 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[0.0])
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         x0 = np.array([1.0, -2.0])
-        path = simulate_path(model, noise, gmap, x0, 8, np.random.default_rng(0))
+        path = simulate_ensemble(model, noise, gmap, x0, 8, 1, seed=0).paths[0]
         for k in range(9):
             np.testing.assert_allclose(
                 path[k], semigroup_apply(model, k / 8.0, x0), rtol=1e-12
@@ -117,7 +117,7 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[5.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.zeros((1, 1)))
         x0 = np.array([3.0])
-        path = simulate_path(model, noise, gmap, x0, 4, np.random.default_rng(1))
+        path = simulate_ensemble(model, noise, gmap, x0, 4, 1, seed=1).paths[0]
         np.testing.assert_allclose(path[:, 0], 3.0 * np.exp(-np.arange(5) / 4.0), rtol=1e-12)
 
     def test_step_count_validation(self):
@@ -125,7 +125,7 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
         with pytest.raises(ValueError):
-            simulate_path(model, noise, gmap, np.zeros(1), 0, np.random.default_rng(0))
+            simulate_ensemble(model, noise, gmap, np.zeros(1), 0, 1, seed=0)
 
     def test_scheme_evaluates_noise_map_at_left_endpoint(self, monkeypatch):
         model = SpectralModel(eigenvalues=[1.0])
@@ -139,8 +139,8 @@ class TestSimulatePath:
             return original(gm, state, increment)
 
         monkeypatch.setattr(mc, "g_apply", recorder)
-        path = simulate_path(model, noise, gmap, np.array([1.0]), 6, np.random.default_rng(2))
-        np.testing.assert_array_equal(np.stack(seen), path[:-1])
+        path = simulate_ensemble(model, noise, gmap, np.array([1.0]), 6, 1, seed=2).paths[0]
+        np.testing.assert_array_equal(np.concatenate(seen), path[:-1])
 
     def test_scalar_ou_variance(self, scalar_model, unit_noise, additive_map):
         # independent value: the variance of the stochastic convolution,
@@ -177,11 +177,15 @@ class TestEnsemble:
         ens = simulate_ensemble(
             scalar_model, unit_noise, additive_map, np.zeros(1), 8, 1, seed=6
         )
-        path = simulate_path(
-            scalar_model, unit_noise, additive_map, np.zeros(1), 8,
-            np.random.default_rng([6, 0]),
-        )
-        np.testing.assert_array_equal(ens.paths[0], path)
+        # the plain scheme, stepped by hand on the stream of batch 0
+        rng = np.random.default_rng([6, 0])
+        dt = scalar_model.horizon / 8
+        decay = np.exp(-scalar_model.eigenvalues * dt)
+        path = [np.zeros(1)]
+        for _ in range(8):
+            dL = sample_increments(unit_noise, dt, 1, rng)[0]
+            path.append(decay * (path[-1] + g_apply(additive_map, path[-1], dL)))
+        np.testing.assert_array_equal(ens.paths[0], np.stack(path))
 
     def test_gaussian_initial_law(self, scalar_model, unit_noise, additive_map):
         ens = simulate_ensemble(
@@ -299,12 +303,13 @@ class TestWeakIdentity:
         silent = NoiseModel(q_eigenvalues=[0.0])
         residuals = []
         for steps in (16, 32, 64):
-            path, incs = simulate_path(
-                scalar_model, silent, additive_map, np.ones(1), steps,
-                np.random.default_rng(0), return_increments=True,
+            ens, incs = simulate_ensemble(
+                scalar_model, silent, additive_map, np.ones(1), steps, 1, seed=0,
+                return_increments=True,
             )
             v = self.ramp_test_function(steps, 1)
-            residuals.append(abs(weak_identity_residual(path, v, scalar_model, additive_map, incs)))
+            residuals.append(abs(weak_identity_residual(
+                ens.paths[0], v, scalar_model, additive_map, incs[0])))
         assert residuals[0] > residuals[1] > residuals[2]
         assert residuals[1] / residuals[0] == pytest.approx(0.5, abs=0.15)
 

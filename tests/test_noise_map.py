@@ -19,7 +19,6 @@ from spde_moments import (
     rhs_covariance,
     rhs_second_moment,
     simulate_ensemble,
-    simulate_path,
 )
 
 PACKAGE = Path(spde_moments.__file__).resolve().parent
@@ -79,8 +78,6 @@ ENTRY_POINTS = {
         lambda g: lyapunov_solve(MODEL, NOISE, g, np.ones(2), np.eye(2), 4),
     "simulate_ensemble":
         lambda g: simulate_ensemble(MODEL, NOISE, g, np.ones(2), 4, 8, seed=0),
-    "simulate_path":
-        lambda g: simulate_path(MODEL, NOISE, g, np.ones(2), 4, np.random.default_rng(0)),
     "rhs_second_moment":
         lambda g: rhs_second_moment(SYSTEM, NOISE, g, np.ones((4, 2)), np.eye(2)),
     "rhs_covariance":

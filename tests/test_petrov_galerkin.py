@@ -13,7 +13,6 @@ from spde_moments import (
     PicardNonConvergence,
     SpectralModel,
     TimeGrid,
-    apply_tensor_operator,
     assemble_per_mode,
     discrete_inf_sup,
     mean_exact,
@@ -24,29 +23,22 @@ from spde_moments import (
     rhs_second_moment,
     solve_covariance,
     solve_mean,
-    tdelta_assemble,
 )
 from spde_moments.noise_map import multiplicative_form
 
 from conftest import multimode_setup
+from dense_reference import (
+    apply_tensor_operator,
+    dense_coeffs,
+    dense_load,
+    dense_pairing,
+    tdelta_assemble,
+)
 
 
 def scalar_system(steps, lam=1.0, horizon=1.0):
     model = SpectralModel(eigenvalues=[lam], horizon=horizon)
     return assemble_per_mode(model, TimeGrid(steps=steps, horizon=horizon))
-
-
-def dense_load(grid, load):
-    """The dense (K, N, K, N) load a MomentLoad stands for, by exact quadrature."""
-    dense = np.einsum("kab,kij->aibj", tdelta_assemble(grid), load.spatial)
-    dense[0, :, 0, :] += load.initial
-    return dense
-
-
-def dense_pairing(system, mode=0):
-    """Mode's dense K x K pairing B_n from its two diagonals."""
-    K = system.grid.steps
-    return np.diag(np.full(K, system.a[mode])) + np.diag(np.full(K - 1, system.c[mode]), 1)
 
 
 def swept_field(system, load):
@@ -291,6 +283,37 @@ class TestLoads:
         np.testing.assert_allclose(
             dense_load(system.grid, cov_load), dense_load(system.grid, m2_load), atol=1e-15
         )
+
+
+class TestTimeRows:
+    @pytest.mark.parametrize("eigenvalues, steps", [
+        ([5.0], 2),
+        ([1.0, 10.0], 3),
+        ([1.0, 2.0, 4.0, 9.0, 16.0, 25.0, 49.0, 200.0], 64),
+    ], ids=["K2N1", "K3N2", "K64N8"])
+    def test_stacked_rows_equal_dense_loop_bitwise(self, eigenvalues, steps):
+        # the last mode has lambda * dt > 2, so its ratio r is negative
+        model = SpectralModel(eigenvalues=eigenvalues, horizon=1.0)
+        system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
+        assert system.eigenvalues[-1] * system.grid.dt > 2.0
+        n = len(eigenvalues)
+        rng = np.random.default_rng(steps)
+        load = MomentLoad(
+            initial=rng.standard_normal((n, n)), spatial=rng.standard_normal((steps, n, n))
+        )
+        field = swept_field(system, load)
+        expected = dense_coeffs(field)
+        np.testing.assert_array_equal(field.coeffs, expected)
+        for k in range(steps):
+            np.testing.assert_array_equal(field.row(k), expected[k])
+
+    def test_row_index_out_of_range(self):
+        system = scalar_system(4)
+        load = MomentLoad(initial=np.ones((1, 1)), spatial=np.ones((4, 1, 1)))
+        field = swept_field(system, load)
+        for k in (-1, 4):
+            with pytest.raises(IndexError):
+                field.row(k)
 
 
 class TestPicard:
