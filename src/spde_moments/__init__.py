@@ -4,9 +4,10 @@ dimension.
 
 Three independent routes to the same moment fields cross-validate each
 other: a space-time Petrov-Galerkin solver for the tensorized moment
-problems, a matrix differential equation integrated by Runge-Kutta, and
-Monte Carlo simulation of the mild solution. The routes share the model
-definitions (spectral, levy, noise_map) and never import one another.
+problems, a matrix differential equation solved exactly on its grid by
+one matrix-exponential propagator, and Monte Carlo simulation of the
+mild solution. The routes share the model definitions (spectral, levy,
+noise_map) and never import one another.
 """
 
 __version__ = "0.1.0"

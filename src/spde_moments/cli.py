@@ -93,24 +93,32 @@ def _report(out: Path, cfg: ExperimentConfig, subcommand: str, payload: dict) ->
         fh.write("\n")
 
 
-def _mc_grid_steps(cfg: ExperimentConfig) -> int:
-    if cfg.mc_grid_steps is not None:
-        return cfg.mc_grid_steps
-    steps = cfg.time_steps
-    return 16 if steps % 16 == 0 else steps
+def _write_picard_trace(out: Path, trace) -> None:
+    _write_table(out / "picard_trace.csv", ["iteration", "update_norm"],
+                 ((i + 1, float(d)) for i, d in enumerate(trace)))
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
-    model, noise = build_model(cfg), build_noise(cfg)
-    gmap = build_gmap(cfg, model, noise)
+def _simulate(cfg: ExperimentConfig, model, noise, gmap, threads: int):
+    """Simulate the config's ensemble on its recording grid. Returns the
+    ensemble, the recording grid's step count and the scheme steps per
+    recording step."""
     mean0, _, cov0 = initial_law(cfg)
-    grid_steps = _mc_grid_steps(cfg)
+    grid_steps = cfg.mc_grid_steps
+    if grid_steps is None:
+        grid_steps = 16 if cfg.time_steps % 16 == 0 else cfg.time_steps
     substeps = cfg.mc_substeps * (cfg.time_steps // grid_steps)
     ensemble = simulate_ensemble(
         model, noise, gmap, mean0, grid_steps, cfg.mc_paths, cfg.mc_seed,
         x0_cov=None if cfg.initial_deterministic and not cov0.any() else cov0,
         substeps=substeps, threads=threads,
     )
+    return ensemble, grid_steps, substeps
+
+
+def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+    model, noise = build_model(cfg), build_noise(cfg)
+    gmap = build_gmap(cfg, model, noise)
+    ensemble, grid_steps, substeps = _simulate(cfg, model, noise, gmap, threads)
     est = estimate_moments(ensemble)
     two = ["time_index", "mode", "value"]
     _write_field(out / "mean.csv", two, est.mean)
@@ -182,13 +190,7 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
 
 def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
-    try:
-        model, noise, gmap, system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
-    except PicardNonConvergence as exc:
-        _write_table(out / "picard_trace.csv", ["iteration", "update_norm"],
-                     ((i + 1, float(d)) for i, d in enumerate(exc.trace)))
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    model, noise, gmap, system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
     # the dense inf-sup runs before the table, so its peak and the writer's do not add up
     diagnostics = {
         "g1_v_to_hs_norm": g1_v_to_hs_norm(gmap, model, noise),
@@ -199,8 +201,7 @@ def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     four = ["interval_1", "mode_1", "interval_2", "mode_2", "value"]
     _write_field(out / f"{name}_coefficients.csv", four,
                  (solution.row(k) for k in range(solution.grid.steps)))
-    _write_table(out / "picard_trace.csv", ["iteration", "update_norm"],
-                 ((i + 1, float(d)) for i, d in enumerate(solution.trace)))
+    _write_picard_trace(out, solution.trace)
     _write_table(out / "diagnostics.csv", ["name", "value"],
                  ((k, float(v)) for k, v in diagnostics.items()))
     _report(out, cfg, f"solve-{name}", {
@@ -249,15 +250,9 @@ def _covariance_identity_error(
 
 def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     started = time.perf_counter()
-    try:
-        model, noise, gmap, system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(
-            cfg, (False, True))
-    except PicardNonConvergence as exc:
-        _write_table(out / "picard_trace.csv", ["iteration", "update_norm"],
-                     ((i + 1, float(d)) for i, d in enumerate(exc.trace)))
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    mean0, m2_0, cov0 = initial_law(cfg)
+    model, noise, gmap, system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(
+        cfg, (False, True))
+    mean0, m2_0, _ = initial_law(cfg)
     steps = cfg.time_steps
 
     checks: list[tuple[str, float, float, bool]] = []
@@ -283,13 +278,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    grid_steps = _mc_grid_steps(cfg)
-    substeps = cfg.mc_substeps * (steps // grid_steps)
-    ensemble = simulate_ensemble(
-        model, noise, gmap, mean0, grid_steps, cfg.mc_paths, cfg.mc_seed,
-        x0_cov=None if cfg.initial_deterministic and not cov0.any() else cov0,
-        substeps=substeps, threads=threads,
-    )
+    ensemble, grid_steps, _ = _simulate(cfg, model, noise, gmap, threads)
     est = estimate_moments(ensemble)
     stride = steps // grid_steps
     idx = np.arange(1, grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
@@ -304,9 +293,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
                    frac_cov >= cfg.validate_min_within_fraction))
 
     oracle_two = two_time_extend(
-        model,
-        lyapunov_solve(model, noise, gmap, mean0, m2_0, grid_steps, substeps=4 * stride),
-    )
+        model, lyapunov_solve(model, noise, gmap, mean0, m2_0, grid_steps))
     diff_o = np.abs(oracle_two.two_time - est.second_moment)
     within_o = diff_o <= z * est.second_moment_se
     frac_oracle = float(within_o.mean())
@@ -380,17 +367,22 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     threads = 1 if args.strict_sequential else max(1, args.threads)
 
-    if args.subcommand == "simulate":
-        return cmd_simulate(cfg, out, threads)
-    if args.subcommand == "solve-mean":
-        return cmd_solve_mean(cfg, out)
-    if args.subcommand == "solve-moment":
-        return _emit_moment(cfg, out, covariance=False)
-    if args.subcommand == "solve-covariance":
-        return _emit_moment(cfg, out, covariance=True)
-    if args.subcommand == "inf-sup":
-        return cmd_inf_sup(cfg, out)
-    return cmd_validate(cfg, out, threads)
+    try:
+        if args.subcommand == "simulate":
+            return cmd_simulate(cfg, out, threads)
+        if args.subcommand == "solve-mean":
+            return cmd_solve_mean(cfg, out)
+        if args.subcommand == "solve-moment":
+            return _emit_moment(cfg, out, covariance=False)
+        if args.subcommand == "solve-covariance":
+            return _emit_moment(cfg, out, covariance=True)
+        if args.subcommand == "inf-sup":
+            return cmd_inf_sup(cfg, out)
+        return cmd_validate(cfg, out, threads)
+    except PicardNonConvergence as exc:
+        _write_picard_trace(out, exc.trace)
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

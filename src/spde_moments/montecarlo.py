@@ -138,6 +138,8 @@ def simulate_ensemble(
     x0_mean = np.asarray(x0_mean, dtype=float)
     if x0_mean.shape != (model.dim,):
         raise ValueError(f"initial mean must have length {model.dim}")
+    if not np.all(np.isfinite(x0_mean)):
+        raise ValueError("initial mean must be finite")
     factor = None
     if x0_cov is not None:
         cov = np.asarray(x0_cov, dtype=float)

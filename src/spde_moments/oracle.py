@@ -6,9 +6,14 @@ second moment matrix solves the matrix differential equation
     M'(t) = -(Lam M + M Lam) + Phi(M(t), m(t)),       M(0) = M0,
 
 where Lam = diag(lambda) and Phi collects the four quadratic noise
-terms of the affine operator against the covariance eigenvalues. The
-equation is integrated with classical Runge-Kutta on a fixed substepped
-grid so reference numbers are reproducible.
+terms of the affine operator against the covariance eigenvalues. With
+the mean m' = -Lam m, the rate is affine in (M, m), so the state
+z = (upper triangle of M, m, 1) solves a linear autonomous equation
+z' = A z. Its exact one-step propagator is expm(dt A), Van Loan's
+augmented-matrix construction (IEEE Trans. Autom. Control 23, 1978),
+computed by scaling and squaring (Al-Mohy and Higham, SIAM J. Matrix
+Anal. Appl. 31, 2009). The grid values carry no time-stepping error, and
+stiff modes need no step-size restriction.
 
 Two-time values follow from the equal-time ones because the driver is a
 martingale: conditionally on time s, the stochastic convolution
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .levy import NoiseModel
 from .noise_map import AffineNoiseMap, check_compatible, noise_quadratic_form
@@ -63,6 +69,35 @@ def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndar
     return np.exp(-np.outer(t, model.eigenvalues)) * x0_mean
 
 
+def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) -> np.ndarray:
+    """Matrix A of z' = A z for z = (M[np.triu_indices(N)], m, 1), the
+    upper triangle of the symmetric second moment M, the mean m and a
+    constant.
+
+    Input j sets entry j of z to one and every other entry, the constant
+    included, to zero; for the entry (i, k) of M that is the symmetric
+    unit matrix with ones at (i, k) and (k, i). The last input is zero.
+    The rate is affine, so column j of A is the rate at input j minus the
+    rate at zero, and the last column is the rate at zero.
+    """
+    n, lam = model.dim, model.eigenvalues
+    rows, cols = np.triu_indices(n)
+    p = rows.size
+    d = p + n + 1
+    units = np.zeros((d, n, n))
+    units[np.arange(p), rows, cols] = units[np.arange(p), cols, rows] = 1.0
+    vecs = np.zeros((d, n))
+    vecs[p:p + n] = np.eye(n)
+    gen = np.zeros((d, d))
+    for s in range(0, d, n):  # n inputs at a time keep the stacked noise forms small
+        Ms, ms = units[s:s + n], vecs[s:s + n]
+        rate = -(lam[:, None] * Ms + Ms * lam) + noise_quadratic_form(gmap, noise, Ms, ms)
+        gen[:p, s:s + n] = rate[:, rows, cols].T
+        gen[p:p + n, s:s + n] = -(ms * lam).T
+    gen[:, :-1] -= gen[:, -1:]
+    return gen
+
+
 def lyapunov_solve(
     model: SpectralModel,
     noise: NoiseModel,
@@ -70,17 +105,16 @@ def lyapunov_solve(
     m0: np.ndarray,
     M0: np.ndarray,
     steps: int,
-    substeps: int = 4,
 ) -> MomentField:
-    """Integrate the second-moment matrix equation with classical Runge-Kutta.
+    """Solve the second-moment matrix equation exactly on the grid.
 
-    Uses `substeps` internal stages per grid step (at least 4). Returns
-    the equal-time second moment on the grid; the initial law enters
-    through the mean m0 and second moment M0.
+    Forms the one-step propagator expm(dt A) of the augmented linear
+    equation once and applies it `steps` times. Returns the equal-time
+    second moment on the grid; the initial law enters through the mean
+    m0 and second moment M0.
     """
     if steps < 1:
         raise ValueError(f"step count must be positive, got {steps}")
-    substeps = max(int(substeps), 4)
     check_compatible(gmap, noise, model.dim)
     m0 = np.asarray(m0, dtype=float)
     M0 = np.asarray(M0, dtype=float)
@@ -93,30 +127,19 @@ def lyapunov_solve(
     if np.max(np.abs(M0 - M0.T)) > 1e-12 * scale:
         raise ValueError("initial second moment must be symmetric")
 
-    lam = model.eigenvalues
-    mean = mean_exact(model, m0, steps)
-
-    def rate(t: float, M: np.ndarray) -> np.ndarray:
-        m_t = np.exp(-lam * t) * m0
-        return -(lam[:, None] * M + M * lam[None, :]) + noise_quadratic_form(gmap, noise, M, m_t)
-
-    h = model.horizon / (steps * substeps)
-    diag = np.empty((steps + 1, n, n))
-    diag[0] = M0
-    M = M0.copy()
-    t = 0.0
+    rows, cols = np.triu_indices(n)
+    step = expm(model.horizon / steps * _generator(model, noise, gmap))
+    z = np.concatenate([M0[rows, cols], m0, [1.0]])
+    upper = np.empty((steps + 1, rows.size))
+    upper[0] = z[:rows.size]
     for k in range(steps):
-        for _ in range(substeps):
-            k1 = rate(t, M)
-            k2 = rate(t + 0.5 * h, M + 0.5 * h * k1)
-            k3 = rate(t + 0.5 * h, M + 0.5 * h * k2)
-            k4 = rate(t + h, M + h * k3)
-            M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        diag[k + 1] = M
+        z = step @ z
+        upper[k + 1] = z[:rows.size]
+    diag = np.empty((steps + 1, n, n))
+    diag[:, rows, cols] = diag[:, cols, rows] = upper
 
     grid = np.linspace(0.0, model.horizon, steps + 1)
-    return MomentField(grid=grid, mean=mean, diag_second_moment=diag)
+    return MomentField(grid=grid, mean=mean_exact(model, m0, steps), diag_second_moment=diag)
 
 
 def two_time_extend(model: SpectralModel, field: MomentField) -> MomentField:

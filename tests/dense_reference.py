@@ -5,9 +5,15 @@ per-interval parts and a moment field by its three block diagonals.
 These helpers build the dense arrays those structures stand for, by the
 plain loops and quadratures the structured code replaced, so tests can
 compare the two. Each needs O(K^2) or O(K^3) memory; keep K small.
+
+The oracle solves its matrix equation exactly by one matrix exponential;
+`rk4_second_moment` integrates the same equation by classical
+Runge-Kutta, the stepper that exact propagator replaced.
 """
 
 import numpy as np
+
+from spde_moments import noise_quadratic_form
 
 
 def tdelta_assemble(grid):
@@ -67,3 +73,35 @@ def dense_coeffs(field):
         dense[idx[:-d], :, idx[d:], :] = field.upper[:K - d] * field.ratio ** (d - 1)
         dense[idx[d:], :, idx[:-d], :] = field.ratio[:, None] ** (d - 1) * field.lower[:K - d]
     return dense
+
+
+def rk4_second_moment(model, noise, gmap, m0, M0, steps, substeps):
+    """Second moment M(t_k) on the uniform grid of `steps` intervals by
+    classical Runge-Kutta with `substeps` stages per interval, for
+
+        M' = -(Lam M + M Lam) + Phi(M, m),   m(t) = exp(-Lam t) m0.
+
+    Explicit: stable only while 2 lambda_max h stays inside the Runge-Kutta
+    interval, h = horizon / (steps * substeps). Returns (steps+1, N, N).
+    """
+    lam = model.eigenvalues
+    m0 = np.asarray(m0, dtype=float)
+
+    def rate(t, M):
+        m_t = np.exp(-lam * t) * m0
+        return -(lam[:, None] * M + M * lam[None, :]) + noise_quadratic_form(gmap, noise, M, m_t)
+
+    h = model.horizon / (steps * substeps)
+    diag = np.empty((steps + 1,) + np.shape(M0))
+    diag[0] = M = np.asarray(M0, dtype=float)
+    t = 0.0
+    for k in range(steps):
+        for _ in range(substeps):
+            k1 = rate(t, M)
+            k2 = rate(t + 0.5 * h, M + 0.5 * h * k1)
+            k3 = rate(t + 0.5 * h, M + 0.5 * h * k2)
+            k4 = rate(t + h, M + h * k3)
+            M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        diag[k + 1] = M
+    return diag

@@ -187,6 +187,19 @@ class TestEnsemble:
             path.append(decay * (path[-1] + g_apply(additive_map, path[-1], dL)))
         np.testing.assert_array_equal(ens.paths[0], np.stack(path))
 
+    def test_nonfinite_initial_mean_rejected_before_stepping(
+        self, scalar_model, unit_noise, additive_map, monkeypatch
+    ):
+        def no_draws(*args):
+            raise AssertionError("a path was stepped")
+
+        monkeypatch.setattr(mc, "sample_increments", no_draws)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="initial mean"):
+                simulate_ensemble(
+                    scalar_model, unit_noise, additive_map, np.array([bad]), 4, 8, seed=0
+                )
+
     def test_gaussian_initial_law(self, scalar_model, unit_noise, additive_map):
         ens = simulate_ensemble(
             scalar_model, unit_noise, additive_map, np.array([2.0]), 4, 50_000, seed=7,

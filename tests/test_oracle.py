@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spde_moments.oracle as oracle
 from spde_moments import (
     AffineNoiseMap,
     NoiseModel,
@@ -14,6 +17,10 @@ from spde_moments import (
 )
 
 from conftest import multimode_setup
+from dense_reference import rk4_second_moment
+from spde_moments.config import build_gmap, build_model, build_noise, initial_law, load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestMeanExact:
@@ -107,7 +114,7 @@ class TestLyapunovSolve:
         noise = NoiseModel(q_eigenvalues=[0.0])
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         M0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-        field = lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 8, substeps=16)
+        field = lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 8)
         lam = model.eigenvalues
         for k, t in enumerate(field.grid):
             expected = np.exp(-(lam[:, None] + lam[None, :]) * t) * M0
@@ -125,11 +132,55 @@ class TestLyapunovSolve:
         model = SpectralModel(eigenvalues=[1.0])
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.full((1, 1), 0.5))
-        coarse = lyapunov_solve(model, noise, gmap, np.ones(1), np.ones((1, 1)), 16, substeps=4)
-        fine = lyapunov_solve(model, noise, gmap, np.ones(1), np.ones((1, 1)), 16, substeps=40)
-        np.testing.assert_allclose(
-            coarse.diag_second_moment, fine.diag_second_moment, atol=1e-8
-        )
+        args = (model, noise, gmap, np.ones(1), np.ones((1, 1)), 16)
+        coarse = rk4_second_moment(*args, substeps=4)
+        fine = rk4_second_moment(*args, substeps=40)
+        np.testing.assert_allclose(coarse, fine, atol=1e-8)
+        np.testing.assert_allclose(lyapunov_solve(*args).diag_second_moment, fine, atol=1e-8)
+
+    def test_shipped_multimode_config_against_runge_kutta(self):
+        # the exact propagator against Runge-Kutta at h = dt/16, whose own
+        # error is below 1e-12 here, and at the coarser h = dt/4
+        cfg = load_config(CONFIGS / "multimode.json")
+        model, noise = build_model(cfg), build_noise(cfg)
+        gmap = build_gmap(cfg, model, noise)
+        mean0, m2_0, _ = initial_law(cfg)
+        args = (model, noise, gmap, mean0, m2_0, cfg.time_steps)
+        exact = lyapunov_solve(*args).diag_second_moment
+        scale = np.max(np.abs(exact))
+        for substeps, rtol in ((16, 1e-11), (4, 1e-9)):
+            reference = rk4_second_moment(*args, substeps=substeps)
+            assert np.max(np.abs(exact - reference)) <= rtol * scale
+
+    def test_stiff_mode_matches_closed_form(self):
+        # lambda dt = 6.25: outside the stability interval of explicit
+        # Runge-Kutta at dt/4, exact for the one-step propagator
+        lam = 100.0
+        model = SpectralModel(eigenvalues=[lam], horizon=1.0)
+        noise = NoiseModel(q_eigenvalues=[1.0])
+        gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
+        field = lyapunov_solve(model, noise, gmap, np.zeros(1), np.zeros((1, 1)), 16)
+        expected = -np.expm1(-2.0 * lam * field.grid) / (2.0 * lam)
+        np.testing.assert_allclose(field.diag_second_moment[:, 0, 0], expected, rtol=1e-12)
+
+    def test_noise_forms_do_not_grow_with_the_step_count(self, monkeypatch):
+        # the propagator is formed once: the noise quadratic form is called
+        # once per N generator columns and never per step
+        model, noise, gmap, x0 = multimode_setup()
+        calls = []
+        original = oracle.noise_quadratic_form
+
+        def counter(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "noise_quadratic_form", counter)
+        n = model.dim
+        columns = n * (n + 1) // 2 + n + 1
+        for steps in (4, 4096):
+            calls.clear()
+            lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), steps)
+            assert len(calls) == -(-columns // n)
 
     def test_additive_matches_quadrature_formula(self):
         # explicit representation: M(t) = S(t) M0 S(t)
@@ -140,7 +191,7 @@ class TestLyapunovSolve:
         g2 = rng.standard_normal((2, 2))
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 2)), g2=g2)
         M0 = np.array([[1.0, 0.2], [0.2, 0.5]])
-        field = lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 8, substeps=16)
+        field = lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 8)
         lam = model.eigenvalues
         forcing = g2 @ np.diag(noise.q_eigenvalues) @ g2.T
         rates = lam[:, None] + lam[None, :]
@@ -157,11 +208,10 @@ class TestLyapunovSolve:
             assert np.linalg.eigvalsh(M).min() >= -1e-10
 
     def test_consistent_with_monte_carlo(self):
-        # substeps on both sides sized to the fastest mode: the oracle
-        # needs rate * h small for Runge-Kutta accuracy, the simulation
-        # needs a fine scheme step for small weak bias
+        # the oracle is exact on its grid; the simulation needs a scheme
+        # step sized to the fastest mode for small weak bias
         model, noise, gmap, x0 = multimode_setup()
-        field = lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 8, substeps=16)
+        field = lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 8)
         ens = simulate_ensemble(model, noise, gmap, x0, 8, 5_000, seed=17, substeps=512)
         est = estimate_moments(ens)
         diag_mc = np.einsum("knkm->knm", est.second_moment)
@@ -190,7 +240,7 @@ class TestTwoTimeExtend:
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         M0 = np.array([[1.0, 0.3], [0.3, 2.0]])
         field = two_time_extend(
-            model, lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 5, substeps=64)
+            model, lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 5)
         )
         lam = model.eigenvalues
         t = field.grid
@@ -208,7 +258,7 @@ class TestTwoTimeExtend:
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
         field = two_time_extend(
-            model, lyapunov_solve(model, noise, gmap, np.zeros(1), np.zeros((1, 1)), 8, substeps=16)
+            model, lyapunov_solve(model, noise, gmap, np.zeros(1), np.zeros((1, 1)), 8)
         )
         t = field.grid
         for k in range(9):
