@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from .config import (
     initial_law,
     load_config,
 )
-from .montecarlo import estimate_moments, simulate_ensemble
+from .montecarlo import BATCHES, estimate_moments, simulate_ensemble
 from .noise_map import g1_v_to_hs_norm
 from .oracle import lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
@@ -98,27 +99,47 @@ def _write_picard_trace(out: Path, trace) -> None:
                  ((i + 1, float(d)) for i, d in enumerate(trace)))
 
 
-def _simulate(cfg: ExperimentConfig, model, noise, gmap, threads: int):
-    """Simulate the config's ensemble on its recording grid. Returns the
-    ensemble, the recording grid's step count and the scheme steps per
-    recording step."""
-    mean0, _, cov0 = initial_law(cfg)
+def _mc_grid_steps(cfg: ExperimentConfig) -> int:
+    """Step count of the config's Monte Carlo recording grid.
+
+    Refuses with a ConfigError naming mc.grid_steps when the buffers
+    estimate_moments fills on that grid, two nb x D x D per-batch fields
+    and three D x D fields of float64 with D = (grid_steps + 1) N, would
+    not fit in the machine's physical memory.
+    """
     grid_steps = cfg.mc_grid_steps
     if grid_steps is None:
         grid_steps = 16 if cfg.time_steps % 16 == 0 else cfg.time_steps
+    width = (grid_steps + 1) * cfg.model_dimension
+    need = (2 * min(BATCHES, cfg.mc_paths) + 3) * width * width * 8
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise ConfigError(
+            f"mc.grid_steps: {grid_steps} recording steps of {cfg.model_dimension} modes "
+            f"need {need / 2**30:.3g} GiB of moment buffers, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
+    return grid_steps
+
+
+def _simulate(cfg: ExperimentConfig, model, noise, gmap, grid_steps: int, threads: int):
+    """Simulate the config's ensemble on its recording grid of `grid_steps`
+    steps. Returns the ensemble and the scheme steps per recording step."""
+    mean0, _, cov0 = initial_law(cfg)
     substeps = cfg.mc_substeps * (cfg.time_steps // grid_steps)
     ensemble = simulate_ensemble(
         model, noise, gmap, mean0, grid_steps, cfg.mc_paths, cfg.mc_seed,
         x0_cov=None if cfg.initial_deterministic and not cov0.any() else cov0,
         substeps=substeps, threads=threads,
     )
-    return ensemble, grid_steps, substeps
+    return ensemble, substeps
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+    grid_steps = _mc_grid_steps(cfg)
     model, noise = build_model(cfg), build_noise(cfg)
     gmap = build_gmap(cfg, model, noise)
-    ensemble, grid_steps, substeps = _simulate(cfg, model, noise, gmap, threads)
+    ensemble, substeps = _simulate(cfg, model, noise, gmap, grid_steps, threads)
     est = estimate_moments(ensemble)
     two = ["time_index", "mode", "value"]
     _write_field(out / "mean.csv", two, est.mean)
@@ -250,6 +271,7 @@ def _covariance_identity_error(
 
 def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     started = time.perf_counter()
+    grid_steps = _mc_grid_steps(cfg)
     model, noise, gmap, system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(
         cfg, (False, True))
     mean0, m2_0, _ = initial_law(cfg)
@@ -278,7 +300,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    ensemble, grid_steps, _ = _simulate(cfg, model, noise, gmap, threads)
+    ensemble, _ = _simulate(cfg, model, noise, gmap, grid_steps, threads)
     est = estimate_moments(ensemble)
     stride = steps // grid_steps
     idx = np.arange(1, grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
@@ -379,6 +401,9 @@ def main(argv=None) -> int:
         if args.subcommand == "inf-sup":
             return cmd_inf_sup(cfg, out)
         return cmd_validate(cfg, out, threads)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except PicardNonConvergence as exc:
         _write_picard_trace(out, exc.trace)
         print(f"error: {exc}", file=sys.stderr)

@@ -10,11 +10,18 @@ Jumps have symmetric two-point distributed sizes, so they are mean zero
 and no compensator drift is needed. The jump mode is drawn proportional
 to gamma_m, and the common squared jump size (1 - rho) * tr(Q) / nu
 makes the jump part carry its covariance share exactly.
+
+The jump law (trace, mode cdf and jump size) is computed once per
+NoiseModel and cached on it. Modes are drawn by searching that cdf with
+uniform draws, which is what Generator.choice(p=gamma / tr(Q)) does, so
+the random stream, and every increment drawn from it, is the one
+choice would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +75,23 @@ class NoiseModel:
     def dim(self) -> int:
         return int(self.q_eigenvalues.size)
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(np.sum(self.q_eigenvalues))
+
+    @cached_property
+    def jump_cdf(self) -> np.ndarray:
+        """Cumulative law of the jump mode, built as Generator.choice
+        builds it from p = gamma / tr(Q)."""
+        cdf = (self.q_eigenvalues / self.trace).cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def jump_size(self) -> float:
+        """Common magnitude sqrt((1 - rho) tr(Q) / nu) of every jump."""
+        return np.sqrt((1.0 - self.wiener_fraction) * self.trace / self.jump_rate)
 
 
 def covariance_kernel(noise: NoiseModel) -> Tensor2:
@@ -93,19 +114,21 @@ def sample_increments(
         raise ValueError(f"dt must be positive, got {dt}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    gamma = noise.q_eigenvalues
     rho = noise.wiener_fraction
-    out = rng.standard_normal((count, noise.dim)) * np.sqrt(dt * rho * gamma)
-    tr = noise.trace
-    if rho < 1.0 and tr > 0.0:
-        size = np.sqrt((1.0 - rho) * tr / noise.jump_rate)
+    out = rng.standard_normal((count, noise.dim))
+    out *= np.sqrt(dt * rho * noise.q_eigenvalues)
+    if rho < 1.0 and noise.trace > 0.0:
         counts = rng.poisson(noise.jump_rate * dt, size=count)
-        total = int(counts.sum())
-        if total:
-            rows = np.repeat(np.arange(count), counts)
-            modes = rng.choice(noise.dim, size=total, p=gamma / tr)
-            signs = rng.integers(0, 2, size=total) * 2 - 1
-            np.add.at(out, (rows, modes), size * signs)
+        rows = counts.nonzero()[0]
+        if rows.size:
+            total = int(counts.sum())
+            if total > rows.size:  # some path jumps more than once in this step
+                rows = rows.repeat(counts[rows])
+            modes = noise.jump_cdf.searchsorted(rng.random(total), side="right")
+            size = noise.jump_size
+            jumps = np.where(rng.integers(0, 2, size=total), size, -size)
+            # a (row, mode) pair hit twice takes its jumps in sequence
+            np.add.at(out, (rows, modes), jumps)
     return out
 
 

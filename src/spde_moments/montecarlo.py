@@ -35,6 +35,8 @@ __all__ = [
     "ito_isometry_check",
 ]
 
+BATCHES = 32  # default batch count of an ensemble
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -115,7 +117,7 @@ def simulate_ensemble(
     seed: int,
     x0_cov: Optional[np.ndarray] = None,
     substeps: int = 1,
-    batches: int = 32,
+    batches: int = BATCHES,
     threads: int = 1,
     return_increments: bool = False,
 ):

@@ -9,6 +9,12 @@ multiplicative part of that action on a second moment M is
     sum_m gamma_m G1_m M G1_m^T,
 
 written here once, as a matmul batched over any leading axes of M.
+
+Applied to a state x and an increment w, G1(x) w is one matmul too: the
+outer product x (x) w, flattened to N*M entries, against g1 flattened
+to an (N, N*M) matrix. Its sums run in a different order than the
+triple contraction sum_{j,m} g1[i, j, m] x_j w_m, so the two agree to
+rounding (about 1e-15 relative), not bit for bit.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ def check_compatible(gmap: AffineNoiseMap, noise: NoiseModel, state_dim: int) ->
 def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> np.ndarray:
     """Evaluate G(state) applied to a noise increment.
 
-    Accepts a single state (N,) with increment (M,), or batches with a
-    common leading shape.
+    Accepts a single state (N,) with increment (M,), or batches whose
+    leading shapes broadcast against each other, such as one state (N,)
+    against increments (P, M).
     """
     state = np.asarray(state, dtype=float)
     increment = np.asarray(increment, dtype=float)
@@ -86,8 +93,10 @@ def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> n
         raise ValueError(f"state dimension {state.shape[-1]} != {gmap.state_dim}")
     if increment.shape[-1] != gmap.noise_dim:
         raise ValueError(f"increment dimension {increment.shape[-1]} != {gmap.noise_dim}")
-    mult = np.einsum("ijm,...j,...m->...i", gmap.g1, state, increment)
-    return mult + increment @ gmap.g2.T
+    n, modes = gmap.state_dim, gmap.noise_dim
+    # the outer product x (x) w flattened to (..., N*M): entry j*M + m is x_j w_m
+    outer = state.repeat(modes, axis=-1) * np.tile(increment, n)
+    return outer @ gmap.g1.reshape(n, n * modes).T + increment @ gmap.g2.T
 
 
 def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseModel) -> float:

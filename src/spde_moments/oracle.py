@@ -162,7 +162,6 @@ def two_time_extend(model: SpectralModel, field: MomentField) -> MomentField:
         # l >= k: propagate the second index forward from t_k to t_l
         decay = np.exp(-np.outer(nodes[k:] - nodes[k], lam))  # (kk-k, N)
         two[k, :, k:, :] = diag[k][:, None, :] * decay[None, :, :]
-    for k in range(kk):
-        for l in range(k):
-            two[k, :, l, :] = two[l, :, k, :].T
+    k, l = np.tril_indices(kk, -1)  # every block below the time diagonal
+    two[k, :, l, :] = two[l, :, k, :].swapaxes(-1, -2)
     return MomentField(grid=nodes, mean=field.mean, diag_second_moment=diag, two_time=two)

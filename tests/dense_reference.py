@@ -9,6 +9,12 @@ compare the two. Each needs O(K^2) or O(K^3) memory; keep K small.
 The oracle solves its matrix equation exactly by one matrix exponential;
 `rk4_second_moment` integrates the same equation by classical
 Runge-Kutta, the stepper that exact propagator replaced.
+`two_time_transpose_loop` fills the lower half of a two-time field by
+the block-by-block loop that one indexed assignment replaced.
+
+`choice_sample_increments` draws Levy increments with Generator.choice
+and np.add.at, the sampler whose random stream the package's cached
+jump law reproduces draw for draw.
 """
 
 import numpy as np
@@ -105,3 +111,33 @@ def rk4_second_moment(model, noise, gmap, m0, M0, steps, substeps):
             t += h
         diag[k + 1] = M
     return diag
+
+
+def two_time_transpose_loop(two):
+    """Copy of a (K+1, N, K+1, N) field whose blocks below the time
+    diagonal are the transposes of the blocks above it, one at a time."""
+    two = two.copy()
+    for k in range(two.shape[0]):
+        for l in range(k):
+            two[k, :, l, :] = two[l, :, k, :].T
+    return two
+
+
+def choice_sample_increments(noise, dt, count, rng):
+    """Levy increments drawn as the package drew them before it cached
+    the jump law: the jump modes through Generator.choice, the jump rows
+    by np.repeat, the jumps added by np.add.at."""
+    gamma = noise.q_eigenvalues
+    rho = noise.wiener_fraction
+    out = rng.standard_normal((count, noise.dim)) * np.sqrt(dt * rho * gamma)
+    tr = float(np.sum(gamma))
+    if rho < 1.0 and tr > 0.0:
+        size = np.sqrt((1.0 - rho) * tr / noise.jump_rate)
+        counts = rng.poisson(noise.jump_rate * dt, size=count)
+        total = int(counts.sum())
+        if total:
+            rows = np.repeat(np.arange(count), counts)
+            modes = rng.choice(noise.dim, size=total, p=gamma / tr)
+            signs = rng.integers(0, 2, size=total) * 2 - 1
+            np.add.at(out, (rows, modes), size * signs)
+    return out

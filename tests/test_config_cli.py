@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spde_moments.montecarlo as mc
 from spde_moments import (
     TimeGrid,
     assemble_per_mode,
@@ -275,6 +276,25 @@ class TestCli:
         assert rc == 3
         trace = (out / "picard_trace.csv").read_text().splitlines()
         assert len(trace) == 5  # header plus one row per attempted iteration
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "validate"])
+    def test_oversized_moment_buffers_refused_before_stepping(
+        self, tmp_path, capsys, monkeypatch, subcommand
+    ):
+        def no_draws(*args):
+            raise AssertionError("a path was stepped")
+
+        monkeypatch.setattr(mc, "sample_increments", no_draws)
+        raw = minimal_config()
+        # D = 2**24 + 1 nodes of one mode: a single D x D float64 field is 2 PiB
+        raw["time"] = {"steps": 2 ** 24}
+        raw["mc"] = {"paths": 64, "seed": 1, "grid_steps": 2 ** 24}
+        cfg = self.write_config(tmp_path, raw)
+        rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mc.grid_steps:")
+        assert "physical memory" in err
 
     def test_validate_passes_on_relaxed_scalar_config(self, tmp_path, capsys):
         raw = minimal_config()

@@ -10,6 +10,8 @@ from spde_moments import (
     sample_increments,
 )
 
+from dense_reference import choice_sample_increments
+
 
 class TestNoiseModelInvariants:
     def test_rejects_negative_eigenvalue(self):
@@ -148,3 +150,38 @@ class TestSampling:
         prod = a * b
         se = prod.std(ddof=1) / np.sqrt(prod.size)
         assert abs(prod.mean()) <= 3 * se
+
+
+class TestStreamPin:
+    """The cached jump law draws the stream Generator.choice drew: the same
+    increments and the same generator state afterwards, seed for seed."""
+
+    @pytest.mark.parametrize("gamma, rho, rate", [
+        ([0.5, 0.25, 0.125], 1.0, 0.0),               # pure Wiener
+        ([0.5, 0.25, 0.125], 0.0, 40.0),              # pure jump
+        ([0.5, 0.0, 0.25, 0.125], 0.5, 40.0),         # an inactive mode in the middle
+        ([0.5, 0.25, 0.125, 0.0], 0.3, 40.0),         # an inactive mode at the end
+    ])
+    @pytest.mark.parametrize("count", [1, 313])
+    def test_matches_choice_sampler(self, gamma, rho, rate, count):
+        noise = NoiseModel(q_eigenvalues=gamma, wiener_fraction=rho, jump_rate=rate)
+        for seed in range(60):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                np.testing.assert_array_equal(
+                    sample_increments(noise, 0.05, count, rng),
+                    choice_sample_increments(noise, 0.05, count, ref_rng),
+                )
+            assert rng.random() == ref_rng.random()
+
+    def test_repeated_jumps_on_one_entry_add_in_sequence(self):
+        # at rate 4000 over dt 0.01 a path takes about 40 jumps per step,
+        # so many (row, mode) pairs are hit more than once
+        noise = NoiseModel(q_eigenvalues=[0.7, 0.3], wiener_fraction=0.2, jump_rate=4000.0)
+        for seed in range(50):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                sample_increments(noise, 0.01, 5, rng),
+                choice_sample_increments(noise, 0.01, 5, ref_rng),
+            )
+            assert rng.random() == ref_rng.random()

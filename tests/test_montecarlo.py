@@ -52,6 +52,22 @@ class TestGApply:
         np.testing.assert_allclose(
             g_apply(gmap, state, inc), brute_force_g(gmap, state, inc), rtol=1e-13
         )
+        # a (P, N) batch, a two-axis leading shape (a, b, N), and one
+        # state (N,) broadcast against (P, M) increments
+        states, incs = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
+        np.testing.assert_allclose(
+            g_apply(gmap, states, incs),
+            [brute_force_g(gmap, x, w) for x, w in zip(states, incs)], rtol=1e-13,
+        )
+        grid, grid_incs = rng.standard_normal((4, 5, 3)), rng.standard_normal((4, 5, 2))
+        expected = [[brute_force_g(gmap, x, w) for x, w in zip(xs, ws)]
+                    for xs, ws in zip(grid, grid_incs)]
+        out = g_apply(gmap, grid, grid_incs)
+        assert out.shape == (4, 5, 3)
+        np.testing.assert_allclose(out, expected, rtol=1e-13)
+        np.testing.assert_allclose(
+            g_apply(gmap, state, incs), [brute_force_g(gmap, state, w) for w in incs], rtol=1e-13,
+        )
 
     def test_shape_mismatch(self):
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))

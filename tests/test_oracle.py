@@ -17,7 +17,7 @@ from spde_moments import (
 )
 
 from conftest import multimode_setup
-from dense_reference import rk4_second_moment
+from dense_reference import rk4_second_moment, two_time_transpose_loop
 from spde_moments.config import build_gmap, build_model, build_noise, initial_law, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -265,6 +265,16 @@ class TestTwoTimeExtend:
             for l in range(k, 9):
                 expected = np.exp(-(t[l] - t[k])) * 0.5 * -np.expm1(-2.0 * t[k])
                 assert field.two_time[k, 0, l, 0] == pytest.approx(expected, abs=1e-9)
+
+    def test_lower_half_matches_block_transpose_loop(self):
+        model, noise, gmap, x0 = multimode_setup()
+        field = two_time_extend(
+            model, lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 9)
+        )
+        upper = np.triu(np.ones((10, 10), dtype=bool))[:, None, :, None]
+        np.testing.assert_array_equal(
+            field.two_time, two_time_transpose_loop(np.where(upper, field.two_time, np.nan))
+        )
 
     def test_symmetry_under_index_swap(self):
         model, noise, gmap, x0 = multimode_setup()
