@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -35,6 +36,7 @@ from .montecarlo import BATCHES, estimate_moments, simulate_ensemble
 from .noise_map import g1_v_to_hs_norm
 from .oracle import lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
+    PerModeSystem,
     PicardNonConvergence,
     SpaceTimeMoment,
     TimeGrid,
@@ -122,6 +124,29 @@ def _mc_grid_steps(cfg: ExperimentConfig) -> int:
     return grid_steps
 
 
+def _check_table_space(out: Path, key: str, tables: list[tuple[int, int]]) -> None:
+    """Refuse with a ConfigError naming `key` when tables of (rows,
+    columns) could not fit in the free space under `out`, even with every
+    field one character long: each row then takes two bytes a column."""
+    rows = sum(count for count, _ in tables)
+    need = sum(2 * count * columns for count, columns in tables)
+    free = shutil.disk_usage(out).free
+    if need > free:
+        raise ConfigError(
+            f"{key}: the tables hold {rows} rows, at least {need / 2**30:.3g} GiB, "
+            f"more than the {free / 2**30:.3g} GiB free under {out}"
+        )
+
+
+def _stiff_diagnostics(system: PerModeSystem) -> dict:
+    """Largest lambda dt and smallest Crank-Nicolson ratio over the modes;
+    past lambda dt = 2 the ratio is negative."""
+    return {
+        "max_lambda_dt": float(system.lambda_dt.max()),
+        "min_ratio": float(system.ratio.min()),
+    }
+
+
 def _simulate(cfg: ExperimentConfig, model, noise, gmap, grid_steps: int, threads: int):
     """Simulate the config's ensemble on its recording grid of `grid_steps`
     steps. Returns the ensemble and the scheme steps per recording step."""
@@ -137,6 +162,8 @@ def _simulate(cfg: ExperimentConfig, model, noise, gmap, grid_steps: int, thread
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     grid_steps = _mc_grid_steps(cfg)
+    width = (grid_steps + 1) * cfg.model_dimension
+    _check_table_space(out, "mc.grid_steps", [(width, 3)] * 2 + [(width * width, 5)] * 4)
     model, noise = build_model(cfg), build_noise(cfg)
     gmap = build_gmap(cfg, model, noise)
     ensemble, substeps = _simulate(cfg, model, noise, gmap, grid_steps, threads)
@@ -211,11 +238,13 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
 
 def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
+    width = cfg.time_steps * cfg.model_dimension
+    _check_table_space(out, "time.steps", [(width * width, 5)])
     model, noise, gmap, system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
-    # the dense inf-sup runs before the table, so its peak and the writer's do not add up
     diagnostics = {
         "g1_v_to_hs_norm": g1_v_to_hs_norm(gmap, model, noise),
         "discrete_inf_sup": discrete_inf_sup(system),
+        **_stiff_diagnostics(system),
         "trace_q": noise.trace,
         "picard_iterations": solution.iterations,
     }
@@ -241,11 +270,11 @@ def cmd_inf_sup(cfg: ExperimentConfig, out: Path) -> int:
         system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=cfg.model_horizon))
         per_mode, bounds = per_mode_singular_range(system)
         for n in range(model.dim):
-            rows.append((steps, n, float(model.eigenvalues[n]),
-                         float(per_mode[n]), float(bounds[n])))
+            rows.append((steps, n, float(model.eigenvalues[n]), float(per_mode[n]),
+                         float(bounds[n]), float(system.lambda_dt[n])))
         global_rows.append((steps, float(per_mode.min())))
     _write_table(out / "inf_sup.csv",
-                 ["steps", "mode", "eigenvalue", "inf_sup", "operator_bound"], rows)
+                 ["steps", "mode", "eigenvalue", "inf_sup", "operator_bound", "lambda_dt"], rows)
     _write_table(out / "inf_sup_global.csv", ["steps", "value"], global_rows)
     _report(out, cfg, "inf-sup", {"sweep_steps": [cfg.time_steps * f for f in (1, 2, 4)]})
     return 0
@@ -334,6 +363,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     diagnostics = {
         "g1_v_to_hs_norm": g1_v_to_hs_norm(gmap, model, noise),
         "discrete_inf_sup": discrete_inf_sup(system),
+        **_stiff_diagnostics(system),
         "trace_q": noise.trace,
         "picard_iterations_second_moment": m2_sol.iterations,
         "picard_iterations_covariance": cov_sol.iterations,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .levy import NoiseModel
 from .spectral import SpectralModel
@@ -36,6 +35,8 @@ __all__ = [
     "noise_quadratic_form",
     "scaled_random_coupling",
 ]
+
+_FORM_BLOCK_BYTES = 4 * 2 ** 20   # size of the largest temporaries of multiplicative_form
 
 
 @dataclass(frozen=True)
@@ -114,27 +115,36 @@ def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseMode
         / np.sqrt(model.eigenvalues)[None, :, None]
     )
     flat = np.transpose(weighted, (0, 2, 1)).reshape(-1, model.dim)
-    s = svdvals(flat)
+    s = np.linalg.svd(flat, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
 def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarray) -> np.ndarray:
     """sum_m gamma_m G1_m M G1_m^T for a second moment M of shape (..., N, N).
 
-    The leading axes of M are batch axes; the largest temporaries have
-    shape (..., M, N, N).
+    The leading axes of M are batch axes, contracted a block at a time so
+    that the temporaries of shape (block, M, N, N) stay near
+    _FORM_BLOCK_BYTES whatever the batch. Each matrix of the batch goes
+    through the same matmuls as in one pass over the whole batch, so the
+    result does not depend on the block size.
     """
     Mmat = np.asarray(Mmat, dtype=float)
     if Mmat.ndim < 2 or Mmat.shape[-2] != Mmat.shape[-1]:
         raise ValueError(f"second-moment matrices must be square, got shape {Mmat.shape}")
     check_compatible(gmap, noise, Mmat.shape[-1])
     n, modes = gmap.state_dim, gmap.noise_dim
-    left = gmap.g1.transpose(2, 0, 1) @ Mmat[..., None, :, :]          # G1_m M, (..., M, N, N)
+    g1_m = gmap.g1.transpose(2, 0, 1)                                   # G1_m, (M, N, N)
     # one matmul contracts the pair (m, j): rows[a, (m, j)] = (G1_m M)[a, j]
     # against right[b, (m, j)] = gamma_m g1[b, j, m]
-    rows = np.swapaxes(left, -3, -2).reshape(Mmat.shape[:-2] + (n, modes * n))
     right = (gmap.g1.transpose(0, 2, 1) * noise.q_eigenvalues[:, None]).reshape(n, modes * n)
-    return rows @ right.T
+    flat = Mmat.reshape(-1, n, n)
+    out = np.empty(flat.shape)
+    block = max(1, _FORM_BLOCK_BYTES // (8 * modes * n * n))
+    for start in range(0, len(flat), block):
+        left = g1_m @ flat[start:start + block, None, :, :]              # (block, M, N, N)
+        rows = np.swapaxes(left, -3, -2).reshape(len(left), n, modes * n)
+        np.matmul(rows, right.T, out=out[start:start + block])
+    return out.reshape(Mmat.shape)
 
 
 def noise_quadratic_form(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .levy import NoiseModel
 from .noise_map import AffineNoiseMap, check_compatible, noise_quadratic_form
@@ -126,6 +125,10 @@ def lyapunov_solve(
     scale = max(1.0, float(np.abs(M0).max()))
     if np.max(np.abs(M0 - M0.T)) > 1e-12 * scale:
         raise ValueError("initial second moment must be symmetric")
+
+    # scipy.linalg is by far the heaviest import of the package, so only
+    # this solver loads it, and only when it runs
+    from scipy.linalg import expm
 
     rows, cols = np.triu_indices(n)
     step = expm(model.horizon / steps * _generator(model, noise, gmap))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 __all__ = [
     "Tensor2",
@@ -49,12 +48,12 @@ class Tensor2:
 
 def projective_norm(x: Tensor2) -> float:
     """Nuclear norm: the sum of singular values."""
-    return float(np.sum(svdvals(x.entries)))
+    return float(np.sum(np.linalg.svd(x.entries, compute_uv=False)))
 
 
 def injective_norm(x: Tensor2) -> float:
     """Spectral norm: the largest singular value."""
-    s = svdvals(x.entries)
+    s = np.linalg.svd(x.entries, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 

@@ -12,12 +12,22 @@ Runge-Kutta, the stepper that exact propagator replaced.
 `two_time_transpose_loop` fills the lower half of a two-time field by
 the block-by-block loop that one indexed assignment replaced.
 
+`mode_matrices` and `dense_singular_range` form each mode's dense
+pairing and Grams and take the inf-sup range by a dense eigh and SVD,
+O(K^3) per mode, the computation the inertia counts on the tridiagonal
+pencil replaced.
+
+`unblocked_multiplicative_form` contracts the noise map against a whole
+stack of second moments in one pass, the form whose leading axes the
+package now contracts a block at a time.
+
 `choice_sample_increments` draws Levy increments with Generator.choice
 and np.add.at, the sampler whose random stream the package's cached
 jump law reproduces draw for draw.
 """
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from spde_moments import noise_quadratic_form
 
@@ -50,6 +60,49 @@ def dense_pairing(system, mode=0):
     """Mode's dense K x K pairing B_n from its two diagonals."""
     K = system.grid.steps
     return np.diag(np.full(K, system.a[mode])) + np.diag(np.full(K - 1, system.c[mode]), 1)
+
+
+def mode_matrices(system, mode):
+    """Mode's dense pairing B_n, trial Gram diagonal and test Gram.
+
+    The trial Gram in the energy norm is lambda dt on the diagonal; the
+    test Gram of the hats is lambda * mass + stiffness / lambda in the
+    graph norm, with the exact tridiagonal hat mass and stiffness.
+    """
+    K, dt, lam = system.grid.steps, system.grid.dt, system.eigenvalues[mode]
+    support = np.full(K, 2.0)
+    support[0] = 1.0  # intervals under each hat; the one at t_0 has only one
+    off = np.full(K - 1, lam * (dt / 6.0) + (-1.0 / dt) / lam)
+    test_gram = np.diag(lam * (support * dt / 3.0) + support / dt / lam)
+    test_gram += np.diag(off, 1) + np.diag(off, -1)
+    return dense_pairing(system, mode), np.full(K, lam * dt), test_gram
+
+
+def dense_singular_range(system):
+    """Smallest and largest singular value of each mode's Gram-normalized
+    pairing G_Y^-1/2 B^T D^-1/2, by a dense eigh of G_Y and an SVD."""
+    smallest = np.empty(system.n_modes)
+    largest = np.empty(system.n_modes)
+    for i in range(system.n_modes):
+        pairing, trial_gram_diag, test_gram = mode_matrices(system, i)
+        w, v = np.linalg.eigh(test_gram)
+        assert np.all(w > 0.0), f"test Gram for mode {i} is not positive definite"
+        gy_inv_half = (v / np.sqrt(w)) @ v.T
+        pencil = gy_inv_half @ pairing.T @ np.diag(1.0 / np.sqrt(trial_gram_diag))
+        s = svdvals(pencil)
+        smallest[i] = s[-1]
+        largest[i] = s[0]
+    return smallest, largest
+
+
+def unblocked_multiplicative_form(gmap, noise, Mmat):
+    """sum_m gamma_m G1_m M G1_m^T over every leading axis of M at once,
+    with temporaries of shape (..., M, N, N)."""
+    n, modes = gmap.state_dim, gmap.noise_dim
+    left = gmap.g1.transpose(2, 0, 1) @ Mmat[..., None, :, :]
+    rows = np.swapaxes(left, -3, -2).reshape(Mmat.shape[:-2] + (n, modes * n))
+    right = (gmap.g1.transpose(0, 2, 1) * noise.q_eigenvalues[:, None]).reshape(n, modes * n)
+    return rows @ right.T
 
 
 def apply_tensor_operator(system, coeffs):

@@ -1,7 +1,11 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,10 +265,27 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["inf-sup", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "inf_sup.csv").read_text().splitlines()
-        assert lines[0] == "steps,mode,eigenvalue,inf_sup,operator_bound"
+        assert lines[0] == "steps,mode,eigenvalue,inf_sup,operator_bound,lambda_dt"
         assert len(lines) == 4  # one mode, three refinement levels
         values = [float(line.split(",")[3]) for line in lines[1:]]
         assert (max(values) - min(values)) / min(values) <= 0.10
+        lambda_dt = [float(line.split(",")[5]) for line in lines[1:]]
+        assert lambda_dt == [1.0 / 8, 1.0 / 16, 1.0 / 32]
+
+    @pytest.mark.parametrize("subcommand", ["solve-moment", "solve-covariance", "validate"])
+    def test_stiff_rows_in_diagnostics(self, tmp_path, subcommand):
+        raw = minimal_config()
+        raw["model"]["eigenvalues"] = [40.0]   # lambda dt = 5 on 8 steps
+        raw["mc"]["paths"] = 16
+        cfg = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="lambda\\*dt > 2"):
+            assert main([subcommand, "--config", cfg, "--out", str(out)]) in (0, 2)
+        rows = dict(line.split(",") for line in (out / "diagnostics.csv").read_text().splitlines())
+        assert float(rows["max_lambda_dt"]) == 5.0
+        assert float(rows["min_ratio"]) == -1.5 / 3.5   # -c / a with a = 3.5, c = 1.5
+        report = json.loads((out / "report.json").read_text())
+        assert report["diagnostics"]["max_lambda_dt"] == 5.0
 
     def test_picard_nonconvergence_exits_three_with_trace(self, tmp_path, recwarn):
         raw = minimal_config()
@@ -295,6 +316,62 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: mc.grid_steps:")
         assert "physical memory" in err
+
+    @pytest.mark.parametrize("subcommand, key, need", [
+        # the shortest row is two bytes a column: (8 steps x 1 mode)^2 rows
+        # of five columns, or four (9 nodes)^2 tables of five and two 9-row
+        # tables of three
+        ("solve-moment", "time.steps", 640),
+        ("solve-covariance", "time.steps", 640),
+        ("simulate", "mc.grid_steps", 4 * 81 * 10 + 2 * 9 * 6),
+    ])
+    def test_tables_larger_than_free_space_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, subcommand, key, need
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        free = {"bytes": need - 1}
+        monkeypatch.setattr(cli.shutil, "disk_usage",
+                            lambda path: SimpleNamespace(total=2 ** 40, used=0, free=free["bytes"]))
+        real = cli._solve_moment_problems, cli._simulate
+        monkeypatch.setattr(cli, "_solve_moment_problems", no_solve)
+        monkeypatch.setattr(cli, "_simulate", no_solve)
+        cfg = self.write_config(tmp_path, minimal_config())
+        rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}:")
+        assert "free under" in err
+        # with exactly the shortest tables' size free, the run goes ahead
+        free["bytes"] = need
+        monkeypatch.setattr(cli, "_solve_moment_problems", real[0])
+        monkeypatch.setattr(cli, "_simulate", real[1])
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+
+    def test_moment_path_never_loads_scipy_linalg(self, tmp_path):
+        cfg = self.write_config(tmp_path, minimal_config())
+        out = tmp_path / "out"
+        script = f"""
+import sys
+import numpy as np
+from spde_moments.cli import main
+for sub in ("solve-moment", "solve-covariance", "solve-mean", "inf-sup", "simulate"):
+    assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0, sub
+    assert "scipy.linalg" not in sys.modules, sub
+from spde_moments import NoiseModel, SpectralModel, AffineNoiseMap, lyapunov_solve
+field = lyapunov_solve(SpectralModel(eigenvalues=[1.0]), NoiseModel(q_eigenvalues=[1.0]),
+                       AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.full((1, 1), 0.5)),
+                       np.ones(1), np.ones((1, 1)), 4)
+assert np.all(np.isfinite(field.diag_second_moment))
+assert "scipy.linalg" in sys.modules
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_validate_passes_on_relaxed_scalar_config(self, tmp_path, capsys):
         raw = minimal_config()

@@ -1,10 +1,12 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spde_moments
+import spde_moments.noise_map as noise_map
 from spde_moments import (
     AffineNoiseMap,
     MomentLoad,
@@ -20,6 +22,8 @@ from spde_moments import (
     rhs_second_moment,
     simulate_ensemble,
 )
+
+from dense_reference import unblocked_multiplicative_form
 
 PACKAGE = Path(spde_moments.__file__).resolve().parent
 ROUTES = ("montecarlo", "oracle", "petrov_galerkin")
@@ -94,3 +98,39 @@ ENTRY_POINTS = {
 def test_dimension_mismatch_raises(entry, kind):
     with pytest.raises(ValueError, match=f"noise map {kind} dimension"):
         ENTRY_POINTS[entry](MISMATCHED[kind])
+
+
+class TestMultiplicativeForm:
+    @staticmethod
+    def coupling(n, modes, seed=5):
+        rng = np.random.default_rng(seed)
+        gmap = AffineNoiseMap(g1=rng.standard_normal((n, n, modes)), g2=np.zeros((n, modes)))
+        noise = NoiseModel(q_eigenvalues=rng.random(modes) + 0.1, wiener_fraction=0.5,
+                           jump_rate=2.0)
+        return gmap, noise, rng
+
+    @pytest.mark.parametrize("block_bytes", [None, 3 * 8 * 3 * 5 * 5])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (0,), (4, 3)])
+    def test_blocks_equal_one_pass_bitwise(self, monkeypatch, block_bytes, lead):
+        # 3 * 8 * M * N * N bytes hold three matrices of the batch, so the
+        # 7- and 12-matrix batches end in a short block
+        if block_bytes is not None:
+            monkeypatch.setattr(noise_map, "_FORM_BLOCK_BYTES", block_bytes)
+        gmap, noise, rng = self.coupling(5, 3)
+        second = rng.standard_normal(lead + (5, 5))
+        blocked = noise_map.multiplicative_form(gmap, noise, second)
+        assert blocked.shape == second.shape
+        assert np.array_equal(blocked, unblocked_multiplicative_form(gmap, noise, second))
+
+    def test_peak_memory_bounded_at_scale(self):
+        # K = 4096 intervals of N = 16 modes against M = 16 noise modes: one
+        # pass over the batch holds two (K, M, N, N) temporaries of 128 MiB
+        gmap, noise, rng = self.coupling(16, 16)
+        second = rng.standard_normal((4096, 16, 16))
+        tracemalloc.start()
+        try:
+            noise_map.multiplicative_form(gmap, noise, second)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20

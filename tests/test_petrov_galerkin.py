@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 import spde_moments.petrov_galerkin as pg
 from spde_moments import (
@@ -32,6 +33,8 @@ from dense_reference import (
     dense_coeffs,
     dense_load,
     dense_pairing,
+    dense_singular_range,
+    mode_matrices,
     tdelta_assemble,
 )
 
@@ -71,7 +74,7 @@ class TestAssembly:
         # indicators against the two hats gives
         #   row 1: [1 + dt/2, -1 + dt/2], row 2: [0, 1 + dt/2]
         system = scalar_system(2)
-        pairing, trial_gram_diag, test_gram = pg._mode_matrices(system, 0)
+        pairing, trial_gram_diag, test_gram = mode_matrices(system, 0)
         for dense in (dense_pairing(system), pairing):
             np.testing.assert_allclose(dense, [[1.25, -0.75], [0.0, 1.25]], atol=1e-14)
         np.testing.assert_allclose(trial_gram_diag, [0.5, 0.5], atol=1e-15)
@@ -467,8 +470,72 @@ class TestInfSup:
             dual_sq = 0.0
             trial_sq = 0.0
             for n in range(2):
-                _, trial_gram_diag, test_gram = pg._mode_matrices(system, n)
+                _, trial_gram_diag, test_gram = mode_matrices(system, n)
                 f = dense_pairing(system, n).T @ u[:, n]
                 dual_sq += f @ np.linalg.solve(test_gram, f)
                 trial_sq += np.sum(trial_gram_diag * u[:, n] ** 2)
             assert np.sqrt(dual_sq) >= beta * np.sqrt(trial_sq) - 1e-10
+
+    @pytest.mark.parametrize("steps", [2, 16, 64, 256])
+    def test_both_ends_match_dense_reference(self, steps):
+        # the multimode eigenvalues plus one stiff mode at lambda dt = 4
+        model = SpectralModel(eigenvalues=sorted([1.0, 4.0, 9.0, 16.0, 4.0 * steps]))
+        with pytest.warns(RuntimeWarning, match="lambda\\*dt > 2"):
+            system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
+        smallest, largest = pg.per_mode_singular_range(system)
+        dense_smallest, dense_largest = dense_singular_range(system)
+        np.testing.assert_allclose(smallest, dense_smallest, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(largest, dense_largest, rtol=1e-12, atol=0.0)
+
+    def test_inertia_count_matches_dense_pencil(self):
+        # the count of eigenvalues below mu against a dense generalized
+        # eigensolve of (A, G_Y), A = B^T D^-1 B, on a grid of mu
+        steps = 12
+        model = SpectralModel(eigenvalues=[0.3, 7.0, 60.0])
+        with pytest.warns(RuntimeWarning):
+            system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
+        mu = np.linspace(0.0, 2.1, 400)
+        counts = pg._count_below(system.lambda_dt, np.tile(mu, (3, 1)), steps)
+        for n in range(3):
+            pairing, trial_gram_diag, test_gram = mode_matrices(system, n)
+            eigs = eigh(pairing.T @ (pairing / trial_gram_diag[:, None]), test_gram,
+                        eigvals_only=True)
+            assert eigs.max() <= 2.0  # every singular value is at most sqrt(2)
+            clear = np.min(np.abs(mu[:, None] - eigs), axis=1) > 1e-9
+            expected = np.count_nonzero(eigs[None, :] < mu[:, None], axis=1)
+            np.testing.assert_array_equal(counts[n][clear], expected[clear])
+        assert np.all(np.diff(counts, axis=1) >= 0)
+
+
+class TestStiffRegime:
+    LAMBDA_DT = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0]
+    # smallest singular value per mode at K = 64 intervals (pinned values;
+    # the dense reference agrees to 1e-14)
+    INF_SUP = [0.9897436989578048, 0.9607744859342652, 0.8660903551184209,
+               0.6550960093674045, 0.3988863536796115, 0.21504581475417198,
+               0.06421983889325732]
+
+    def test_inf_sup_against_lambda_dt(self):
+        steps = 64
+        model = SpectralModel(eigenvalues=[h * steps for h in self.LAMBDA_DT])
+        with pytest.warns(RuntimeWarning, match="4 of 7 modes"):
+            system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
+        np.testing.assert_allclose(system.lambda_dt, self.LAMBDA_DT, rtol=1e-15)
+        smallest = per_mode_inf_sup(system)
+        np.testing.assert_allclose(smallest, self.INF_SUP, rtol=1e-12, atol=0.0)
+        # the value falls with lambda dt, slowly below 2 and then roughly
+        # like 1 / (lambda dt): within 30% of 3.5 / (lambda dt) past 4
+        assert np.all(np.diff(smallest) < 0.0)
+        assert smallest[:3].min() > 0.85
+        stiff = np.array(self.LAMBDA_DT) >= 4.0
+        np.testing.assert_allclose(smallest[stiff] * system.lambda_dt[stiff], 3.5, rtol=0.3)
+        # and the ratio changes sign at the boundary
+        assert np.all(system.ratio[:2] > 0.0) and np.all(system.ratio[3:] < 0.0)
+
+    def test_warns_only_past_the_boundary(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar_system(16, lam=32.0)  # lambda dt = 2 exactly
+        with pytest.warns(RuntimeWarning, match="at most 2.125"):
+            scalar_system(16, lam=34.0)
+
