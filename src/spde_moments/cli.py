@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -87,7 +86,6 @@ def _report(out: Path, cfg: ExperimentConfig, subcommand: str, payload: dict) ->
         "versions": {
             "spde_moments": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         **payload,
     }

@@ -32,13 +32,14 @@ def multiplicative_map():
     return AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.full((1, 1), 0.5))
 
 
-def multimode_setup():
-    """Shared four-mode configuration with non-diagonal coupling."""
-    model = dirichlet_laplacian(4, np.pi, horizon=1.0)
+def multimode_setup(n=4, length=np.pi):
+    """Shared configuration with non-diagonal coupling: four modes by
+    default, as in configs/multimode.json."""
+    model = dirichlet_laplacian(n, length, horizon=1.0)
     noise = NoiseModel(
-        q_eigenvalues=2.0 ** -np.arange(1, 5), wiener_fraction=0.5, jump_rate=4.0
+        q_eigenvalues=2.0 ** -np.arange(1, n + 1), wiener_fraction=0.5, jump_rate=4.0
     )
     g1 = scaled_random_coupling(model, noise, 0.5, seed=12345)
-    gmap = AffineNoiseMap(g1=g1, g2=0.5 * np.eye(4))
-    x0 = 1.0 / np.arange(1, 5)
+    gmap = AffineNoiseMap(g1=g1, g2=0.5 * np.eye(n))
+    x0 = 1.0 / np.arange(1, n + 1)
     return model, noise, gmap, x0

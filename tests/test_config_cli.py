@@ -1,6 +1,8 @@
+import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -350,21 +352,28 @@ class TestCli:
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
 
     def test_moment_path_never_loads_scipy_linalg(self, tmp_path):
+        # numpy is the only runtime dependency: no subcommand and no oracle
+        # call may import any part of scipy
         cfg = self.write_config(tmp_path, minimal_config())
         out = tmp_path / "out"
         script = f"""
 import sys
 import numpy as np
 from spde_moments.cli import main
-for sub in ("solve-moment", "solve-covariance", "solve-mean", "inf-sup", "simulate"):
-    assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0, sub
-    assert "scipy.linalg" not in sys.modules, sub
-from spde_moments import NoiseModel, SpectralModel, AffineNoiseMap, lyapunov_solve
-field = lyapunov_solve(SpectralModel(eigenvalues=[1.0]), NoiseModel(q_eigenvalues=[1.0]),
+for sub in ("solve-moment", "solve-covariance", "solve-mean", "inf-sup", "simulate",
+            "validate"):
+    # validate exits 2 when a statistical check fails at 64 paths
+    assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) in (0, 2), sub
+    assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], sub
+from spde_moments import (NoiseModel, SpectralModel, AffineNoiseMap, lyapunov_solve,
+                          two_time_extend)
+model = SpectralModel(eigenvalues=[1.0])
+field = lyapunov_solve(model, NoiseModel(q_eigenvalues=[1.0]),
                        AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.full((1, 1), 0.5)),
                        np.ones(1), np.ones((1, 1)), 4)
-assert np.all(np.isfinite(field.diag_second_moment))
-assert "scipy.linalg" in sys.modules
+field = two_time_extend(model, field)
+assert np.all(np.isfinite(field.two_time))
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -372,6 +381,26 @@ assert "scipy.linalg" in sys.modules
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_package_imports_only_declared_dependencies(self):
+        # every third-party top-level import in the package is a runtime
+        # dependency declared in pyproject.toml
+        text = (ROOT / "pyproject.toml").read_text()
+        block = text[text.index("dependencies = ["):]
+        block = block[:block.index("]")]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", item).group(0).lower().replace("-", "_")
+                    for item in re.findall(r'"([^"]+)"', block)}
+        assert declared == {"numpy"}
+        imported = set()
+        for path in (ROOT / "src" / "spde_moments").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = {name for name in imported
+                       if name not in sys.stdlib_module_names and name != "spde_moments"}
+        assert third_party == declared
 
     def test_validate_passes_on_relaxed_scalar_config(self, tmp_path, capsys):
         raw = minimal_config()

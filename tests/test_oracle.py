@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import spde_moments.oracle as oracle
 from spde_moments import (
@@ -37,6 +38,12 @@ class TestMeanExact:
         model = SpectralModel(eigenvalues=[1.0, 4.0])
         out = mean_exact(model, np.ones(2), 2)
         np.testing.assert_allclose(out[1], [np.exp(-0.5), np.exp(-2.0)], rtol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_mean(self, bad):
+        model = SpectralModel(eigenvalues=[1.0, 2.0])
+        with pytest.raises(ValueError, match="initial mean must be finite"):
+            mean_exact(model, np.array([bad, 1.0]), 4)
 
 
 class TestNoiseQuadraticForm:
@@ -106,6 +113,24 @@ class TestLyapunovSolve:
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             lyapunov_solve(model, noise, gmap, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argument", ["m0", "M0"])
+    def test_rejects_non_finite_initial_data(self, monkeypatch, argument, bad):
+        def no_work(*args):
+            raise AssertionError("the propagator was formed")
+
+        monkeypatch.setattr(oracle, "_generator", no_work)
+        model, noise, gmap, x0 = multimode_setup()
+        m0, M0 = x0.copy(), np.outer(x0, x0)
+        if argument == "m0":
+            m0[1] = bad
+            message = "initial mean must be finite"
+        else:
+            M0[1, 2] = M0[2, 1] = bad
+            message = "initial second moment must be finite"
+        with pytest.raises(ValueError, match=message):
+            lyapunov_solve(model, noise, gmap, m0, M0, 4)
 
     def test_noise_free_flow(self):
         # without noise the second moment follows the tensorized semigroup:
@@ -219,6 +244,56 @@ class TestLyapunovSolve:
         diff = np.abs(field.diag_second_moment - diag_mc)
         slack = 1e-12 * np.max(np.abs(field.diag_second_moment))
         assert np.all(diff <= 3 * diag_se + slack)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("name, steps", [
+        (name, steps)
+        for name in ("scalar_ou", "scalar_multiplicative", "multimode")
+        for steps in (16, 256)
+    ] + [("wide-n16", 4), ("wide-n16", 4096), ("stiff", 16)])
+    def test_matches_scipy(self, name, steps):
+        # the horizon of every case is 1, so dt A is the generator over steps
+        if name == "wide-n16":  # the N=16 benchmark generator, d = 153
+            model, noise, gmap, _ = multimode_setup(16, 4 * np.pi)
+            gen = oracle._generator(model, noise, gmap)
+        elif name == "stiff":  # lambda dt = 6.25
+            gen = oracle._generator(SpectralModel(eigenvalues=[100.0]),
+                                    NoiseModel(q_eigenvalues=[1.0]),
+                                    AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1))))
+        else:
+            cfg = load_config(CONFIGS / f"{name}.json")
+            model, noise = build_model(cfg), build_noise(cfg)
+            gen = oracle._generator(model, noise, build_gmap(cfg, model, noise))
+        reference = expm(gen / steps)
+        error = np.max(np.abs(oracle._expm(gen / steps) - reference))
+        assert error <= 1e-14 * np.max(np.abs(reference))
+
+    def test_zero_matrix_gives_identity(self):
+        np.testing.assert_array_equal(oracle._expm(np.zeros((5, 5))), np.eye(5))
+
+    def test_diagonal_matrix(self):
+        # 1-norm 12: two squarings
+        diag = np.array([-12.0, -2.5, 0.0, 0.75, 4.0])
+        np.testing.assert_allclose(oracle._expm(np.diag(diag)), np.diag(np.exp(diag)),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_jordan_block(self):
+        a = 1.5
+        expected = np.exp(a) * np.array([[1.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(oracle._expm(np.array([[a, 1.0], [0.0, a]])), expected,
+                                   rtol=1e-14)
+
+    def test_large_norm_inverse(self):
+        # a skew-symmetric a of 1-norm 100 needs s = 5 squarings after
+        # scaling; its exponential is orthogonal, so the product is well
+        # conditioned
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6))
+        a -= a.T
+        a *= 100.0 / np.abs(a).sum(axis=0).max()
+        np.testing.assert_allclose(oracle._expm(a) @ oracle._expm(-a), np.eye(6),
+                                   rtol=0.0, atol=1e-13)
 
 
 class TestTwoTimeExtend:
