@@ -4,14 +4,12 @@ Every subcommand reads one JSON configuration and writes CSV tables
 (one file per emitted field, 17 significant digits) plus a report.json
 with run metadata into the output directory. Identical configurations
 and seeds produce byte-identical tables; the thread count only changes
-scheduling, never results, and --strict-sequential forces single-thread
-execution outright.
+scheduling, never results.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -22,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_gmap,
-    build_model,
-    build_noise,
-    initial_law,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, initial_law, load_config
 from .montecarlo import BATCHES, estimate_moments, simulate_ensemble
 from .noise_map import g1_v_to_hs_norm
 from .oracle import lyapunov_solve, mean_exact, two_time_extend
@@ -74,15 +64,10 @@ def _write_field(path: Path, header: list[str], chunks) -> None:
             fh.write(lead + lead.join(lines) % tuple(chunk.ravel().tolist()))
 
 
-def _config_hash(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(canon).hexdigest()
-
-
 def _report(out: Path, cfg: ExperimentConfig, subcommand: str, payload: dict) -> None:
     body = {
         "subcommand": subcommand,
-        "config_hash": _config_hash(cfg),
+        "config_hash": cfg.digest,
         "versions": {
             "spde_moments": __version__,
             "numpy": np.__version__,
@@ -102,22 +87,31 @@ def _write_picard_trace(out: Path, trace) -> None:
 def _mc_grid_steps(cfg: ExperimentConfig) -> int:
     """Step count of the config's Monte Carlo recording grid.
 
-    Refuses with a ConfigError naming mc.grid_steps when the buffers
-    estimate_moments fills on that grid, two nb x D x D per-batch fields
-    and three D x D fields of float64 with D = (grid_steps + 1) N, would
-    not fit in the machine's physical memory.
+    Refuses with a ConfigError when what a run holds at once on that grid
+    would not fit in the machine's physical memory. With D = (grid_steps
+    + 1) N, the buffers estimate_moments fills, two nb x D x D per-batch
+    fields and three D x D fields of float64, name mc.grid_steps; the
+    paths x D float64 array of the simulated paths beside them names
+    mc.paths.
     """
     grid_steps = cfg.mc_grid_steps
     if grid_steps is None:
         grid_steps = 16 if cfg.time_steps % 16 == 0 else cfg.time_steps
     width = (grid_steps + 1) * cfg.model_dimension
-    need = (2 * min(BATCHES, cfg.mc_paths) + 3) * width * width * 8
+    buffers = (2 * min(BATCHES, cfg.mc_paths) + 3) * width * width * 8
+    paths = cfg.mc_paths * width * 8
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > physical:
+    if buffers > physical:
         raise ConfigError(
             f"mc.grid_steps: {grid_steps} recording steps of {cfg.model_dimension} modes "
-            f"need {need / 2**30:.3g} GiB of moment buffers, more than the "
+            f"need {buffers / 2**30:.3g} GiB of moment buffers, more than the "
             f"{physical / 2**30:.3g} GiB of physical memory"
+        )
+    if buffers + paths > physical:
+        raise ConfigError(
+            f"mc.paths: {cfg.mc_paths} paths of {width} recorded values need "
+            f"{paths / 2**30:.3g} GiB, which with {buffers / 2**30:.3g} GiB of moment "
+            f"buffers is more than the {physical / 2**30:.3g} GiB of physical memory"
         )
     return grid_steps
 
@@ -136,24 +130,33 @@ def _check_table_space(out: Path, key: str, tables: list[tuple[int, int]]) -> No
         )
 
 
-def _stiff_diagnostics(system: PerModeSystem) -> dict:
-    """Largest lambda dt and smallest Crank-Nicolson ratio over the modes;
-    past lambda dt = 2 the ratio is negative."""
-    return {
+def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
+                       **rows) -> dict:
+    """Write diagnostics.csv: the norm of G1, the discrete inf-sup value,
+    the largest lambda dt and the smallest Crank-Nicolson ratio over the
+    modes (negative past lambda dt = 2), the trace of Q, then `rows`.
+    Returns the diagnostics for the report."""
+    diagnostics = {
+        "g1_v_to_hs_norm": g1_v_to_hs_norm(cfg.gmap, cfg.model, cfg.noise),
+        "discrete_inf_sup": discrete_inf_sup(system),
         "max_lambda_dt": float(system.lambda_dt.max()),
         "min_ratio": float(system.ratio.min()),
+        "trace_q": cfg.noise.trace,
+        **rows,
     }
+    _write_table(out / "diagnostics.csv", ["name", "value"],
+                 ((k, float(v)) for k, v in diagnostics.items()))
+    return diagnostics
 
 
-def _simulate(cfg: ExperimentConfig, model, noise, gmap, grid_steps: int, threads: int):
+def _simulate(cfg: ExperimentConfig, grid_steps: int, threads: int):
     """Simulate the config's ensemble on its recording grid of `grid_steps`
     steps. Returns the ensemble and the scheme steps per recording step."""
-    mean0, _, cov0 = initial_law(cfg)
+    mean0, _, x0_cov = cfg.initial  # no covariance: a deterministic initial value
     substeps = cfg.mc_substeps * (cfg.time_steps // grid_steps)
     ensemble = simulate_ensemble(
-        model, noise, gmap, mean0, grid_steps, cfg.mc_paths, cfg.mc_seed,
-        x0_cov=None if cfg.initial_deterministic and not cov0.any() else cov0,
-        substeps=substeps, threads=threads,
+        cfg.model, cfg.noise, cfg.gmap, mean0, grid_steps, cfg.mc_paths, cfg.mc_seed,
+        x0_cov=x0_cov, substeps=substeps, threads=threads,
     )
     return ensemble, substeps
 
@@ -162,9 +165,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     grid_steps = _mc_grid_steps(cfg)
     width = (grid_steps + 1) * cfg.model_dimension
     _check_table_space(out, "mc.grid_steps", [(width, 3)] * 2 + [(width * width, 5)] * 4)
-    model, noise = build_model(cfg), build_noise(cfg)
-    gmap = build_gmap(cfg, model, noise)
-    ensemble, substeps = _simulate(cfg, model, noise, gmap, grid_steps, threads)
+    ensemble, substeps = _simulate(cfg, grid_steps, threads)
     est = estimate_moments(ensemble)
     two = ["time_index", "mode", "value"]
     _write_field(out / "mean.csv", two, est.mean)
@@ -178,18 +179,17 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
         "paths": cfg.mc_paths,
         "grid_steps": grid_steps,
         "scheme_steps_per_grid_step": substeps,
-        "trace_q": float(noise.trace),
+        "trace_q": float(cfg.noise.trace),
     })
     return 0
 
 
 def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
-    model = build_model(cfg)
     grid = TimeGrid(steps=cfg.time_steps, horizon=cfg.model_horizon)
-    system = assemble_per_mode(model, grid)
-    mean0, _, _ = initial_law(cfg)
+    system = assemble_per_mode(cfg.model, grid)
+    mean0 = cfg.initial[0]
     coeffs = solve_mean(system, mean0)
-    exact = mean_exact(model, mean0, cfg.time_steps)[1:]  # right nodes
+    exact = mean_exact(cfg.model, mean0, cfg.time_steps)[1:]  # right nodes
     nodes = grid.nodes[1:]
     _write_table(
         out / "mean_coefficients.csv",
@@ -210,13 +210,13 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...]):
-    """Set a config's problem up once, then solve one moment problem per
+    """Assemble a config's problem once, then solve one moment problem per
     entry of `covariances`: the covariance for True, the second moment
-    for False. Returns the set-up objects and the solutions in order."""
-    model, noise = build_model(cfg), build_noise(cfg)
-    gmap = build_gmap(cfg, model, noise)
-    grid = TimeGrid(steps=cfg.time_steps, horizon=cfg.model_horizon)
-    system = assemble_per_mode(model, grid)
+    for False. Returns the assembled system, the mean coefficients and
+    the solutions in order."""
+    noise, gmap = cfg.noise, cfg.gmap
+    system = assemble_per_mode(cfg.model, TimeGrid(steps=cfg.time_steps,
+                                                    horizon=cfg.model_horizon))
     mean0, m2_0, cov_0 = initial_law(cfg)
     mean_coeffs = solve_mean(system, mean0)
     solutions = []
@@ -231,27 +231,19 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
             system, noise, gmap, load,
             tol=cfg.solver_picard_tol, max_iter=cfg.solver_picard_max_iter,
         ))
-    return model, noise, gmap, system, mean_coeffs, solutions
+    return system, mean_coeffs, solutions
 
 
 def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
     width = cfg.time_steps * cfg.model_dimension
     _check_table_space(out, "time.steps", [(width * width, 5)])
-    model, noise, gmap, system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
-    diagnostics = {
-        "g1_v_to_hs_norm": g1_v_to_hs_norm(gmap, model, noise),
-        "discrete_inf_sup": discrete_inf_sup(system),
-        **_stiff_diagnostics(system),
-        "trace_q": noise.trace,
-        "picard_iterations": solution.iterations,
-    }
+    system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
     four = ["interval_1", "mode_1", "interval_2", "mode_2", "value"]
     _write_field(out / f"{name}_coefficients.csv", four,
                  (solution.row(k) for k in range(solution.grid.steps)))
     _write_picard_trace(out, solution.trace)
-    _write_table(out / "diagnostics.csv", ["name", "value"],
-                 ((k, float(v)) for k, v in diagnostics.items()))
+    diagnostics = _write_diagnostics(out, cfg, system, picard_iterations=solution.iterations)
     _report(out, cfg, f"solve-{name}", {
         "diagnostics": diagnostics,
         "picard_trace": [float(d) for d in solution.trace],
@@ -260,7 +252,7 @@ def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
 
 
 def cmd_inf_sup(cfg: ExperimentConfig, out: Path) -> int:
-    model = build_model(cfg)
+    model = cfg.model
     rows = []
     global_rows = []
     for factor in (1, 2, 4):
@@ -299,9 +291,9 @@ def _covariance_identity_error(
 def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     started = time.perf_counter()
     grid_steps = _mc_grid_steps(cfg)
-    model, noise, gmap, system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(
-        cfg, (False, True))
-    mean0, m2_0, _ = initial_law(cfg)
+    system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(cfg, (False, True))
+    model, noise, gmap = cfg.model, cfg.noise, cfg.gmap
+    mean0, m2_0, _ = cfg.initial
     steps = cfg.time_steps
 
     checks: list[tuple[str, float, float, bool]] = []
@@ -327,7 +319,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    ensemble, _ = _simulate(cfg, model, noise, gmap, grid_steps, threads)
+    ensemble, _ = _simulate(cfg, grid_steps, threads)
     est = estimate_moments(ensemble)
     stride = steps // grid_steps
     idx = np.arange(1, grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
@@ -358,18 +350,13 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     mc_diag = np.einsum("knkn->kn", est.second_moment)
     sup_h0 = float(np.sqrt(np.sum(mc_diag, axis=1).max()))
     sup_h1 = float(np.sqrt((mc_diag @ model.eigenvalues).max()))
-    diagnostics = {
-        "g1_v_to_hs_norm": g1_v_to_hs_norm(gmap, model, noise),
-        "discrete_inf_sup": discrete_inf_sup(system),
-        **_stiff_diagnostics(system),
-        "trace_q": noise.trace,
-        "picard_iterations_second_moment": m2_sol.iterations,
-        "picard_iterations_covariance": cov_sol.iterations,
-        "mc_sup_grid_h0_moment_norm": sup_h0,
-        "mc_sup_grid_h1_moment_norm": sup_h1,
-    }
-    _write_table(out / "diagnostics.csv", ["name", "value"],
-                 ((k, float(v)) for k, v in diagnostics.items()))
+    diagnostics = _write_diagnostics(
+        out, cfg, system,
+        picard_iterations_second_moment=m2_sol.iterations,
+        picard_iterations_covariance=cov_sol.iterations,
+        mc_sup_grid_h0_moment_norm=sup_h0,
+        mc_sup_grid_h1_moment_norm=sup_h1,
+    )
     all_pass = all(ok for _, _, _, ok in checks)
     _report(out, cfg, "validate", {
         # the clock reading goes to the report only, so the tables stay byte-identical
@@ -404,8 +391,6 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for path simulation (results are "
                              "independent of this value)")
-    parser.add_argument("--strict-sequential", action="store_true",
-                        help="force single-threaded execution")
     args = parser.parse_args(argv)
 
     try:
@@ -415,7 +400,7 @@ def main(argv=None) -> int:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = 1 if args.strict_sequential else max(1, args.threads)
+    threads = max(1, args.threads)
 
     try:
         if args.subcommand == "simulate":

@@ -10,21 +10,23 @@ The normative keys are
              "value": a}, {"preset": "diagonal", "values": [...]},
              and for g1 {"preset": "scaled_random", "seed": s,
              "target_norm": t})
-    initial: mean, plus exactly one of deterministic / second_moment /
-             covariance
+    initial: mean, plus exactly one of deterministic (true) /
+             second_moment / covariance
     mc:      paths, seed, and optionally grid_steps, substeps
     solver:  picard_tol, picard_max_iter
     validate (optional): z_threshold, min_within_fraction,
              oracle_rel_tol, identity_tol
 
-A parsed configuration rewritten with `save_config` re-parses to an
-equal value.
+`parse_config` builds the problem a configuration describes once: the
+spectral model, the noise model, the affine noise map and the initial
+law. Its digest is the SHA-256 of the raw JSON with its keys sorted.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -38,7 +40,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
-    "save_config",
     "parse_config",
     "build_model",
     "build_noise",
@@ -67,6 +68,15 @@ def _number(value: Any, path: str, positive: bool = False) -> float:
     return number
 
 
+def _nonnegative(value: Any, path: str, high: Optional[float] = None) -> float:
+    """A finite number at least zero and, when `high` is given, at most `high`."""
+    number = _number(value, path)
+    if number < 0.0 or (high is not None and number > high):
+        bound = "nonnegative" if high is None else f"in [0, {high:g}]"
+        raise ConfigError(f"{path}: must be {bound}, got {value!r}")
+    return number
+
+
 def _integer(value: Any, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -81,126 +91,62 @@ def _number_list(value: Any, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Parsed configuration; g1/g2 and matrices keep their raw JSON form."""
+    """The problem a configuration describes, built once, and its run settings.
 
-    model_dimension: int
-    model_horizon: float
-    model_eigenvalues: Any          # list of floats or generator dict
+    `initial` holds the initial mean, second moment and covariance; the
+    covariance is None for a deterministic initial value, which Monte
+    Carlo then does not sample. `digest` is the SHA-256 of the raw JSON
+    with its keys sorted.
+    """
+
+    model: SpectralModel
+    noise: NoiseModel
+    gmap: AffineNoiseMap
+    initial: tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
     time_steps: int
-    noise_q_eigenvalues: list
-    noise_wiener_fraction: float
-    noise_jump_rate: float
-    g1_spec: Any
-    g2_spec: Any
-    initial_mean: list
-    initial_deterministic: bool
-    initial_second_moment: Optional[list]
-    initial_covariance: Optional[list]
     mc_paths: int
     mc_seed: int
     mc_grid_steps: Optional[int]
     mc_substeps: int
     solver_picard_tol: float
     solver_picard_max_iter: int
-    validate_z_threshold: float = 3.0
-    validate_min_within_fraction: float = 0.99
-    validate_oracle_rel_tol: float = 0.03
-    validate_identity_tol: float = 1e-8
+    validate_z_threshold: float
+    validate_min_within_fraction: float
+    validate_oracle_rel_tol: float
+    validate_identity_tol: float
+    digest: str
 
-    def to_dict(self) -> dict:
-        initial: dict[str, Any] = {"mean": self.initial_mean}
-        if self.initial_deterministic:
-            initial["deterministic"] = True
-        if self.initial_second_moment is not None:
-            initial["second_moment"] = self.initial_second_moment
-        if self.initial_covariance is not None:
-            initial["covariance"] = self.initial_covariance
-        mc: dict[str, Any] = {"paths": self.mc_paths, "seed": self.mc_seed,
-                              "substeps": self.mc_substeps}
-        if self.mc_grid_steps is not None:
-            mc["grid_steps"] = self.mc_grid_steps
-        return {
-            "model": {
-                "dimension": self.model_dimension,
-                "horizon": self.model_horizon,
-                "eigenvalues": self.model_eigenvalues,
-            },
-            "time": {"steps": self.time_steps},
-            "noise": {
-                "q_eigenvalues": self.noise_q_eigenvalues,
-                "wiener_fraction": self.noise_wiener_fraction,
-                "jump_rate": self.noise_jump_rate,
-            },
-            "g": {"g1": self.g1_spec, "g2": self.g2_spec},
-            "initial": initial,
-            "mc": mc,
-            "solver": {
-                "picard_tol": self.solver_picard_tol,
-                "picard_max_iter": self.solver_picard_max_iter,
-            },
-            "validate": {
-                "z_threshold": self.validate_z_threshold,
-                "min_within_fraction": self.validate_min_within_fraction,
-                "oracle_rel_tol": self.validate_oracle_rel_tol,
-                "identity_tol": self.validate_identity_tol,
-            },
-        }
+    @property
+    def model_dimension(self) -> int:
+        return self.model.dim
+
+    @property
+    def model_horizon(self) -> float:
+        return self.model.horizon
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Parse and validate a configuration dictionary."""
+    """Parse and validate a configuration dictionary into the problem it describes."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    model = _require(raw, "model", "")
+    model_sec = _require(raw, "model", "")
     time_sec = _require(raw, "time", "")
-    noise = _require(raw, "noise", "")
+    noise_sec = _require(raw, "noise", "")
     g_sec = _require(raw, "g", "")
-    initial = _require(raw, "initial", "")
+    initial_sec = _require(raw, "initial", "")
     mc = _require(raw, "mc", "")
     solver = raw.get("solver", {})
     validate = raw.get("validate", {})
 
-    dimension = _integer(_require(model, "dimension", "model"), "model.dimension", 1)
-    horizon = _number(_require(model, "horizon", "model"), "model.horizon", positive=True)
-    eigenvalues = _require(model, "eigenvalues", "model")
-    if isinstance(eigenvalues, dict):
-        gen = _require(eigenvalues, "generator", "model.eigenvalues")
-        if gen != "dirichlet_laplacian":
-            raise ConfigError(f"model.eigenvalues.generator: unknown generator {gen!r}")
-        length = _require(eigenvalues, "length", "model.eigenvalues")
-        _number(length, "model.eigenvalues.length", positive=True)
-    else:
-        values = _number_list(eigenvalues, "model.eigenvalues")
-        if len(values) != dimension:
-            raise ConfigError(
-                f"model.eigenvalues: has {len(values)} entries "
-                f"but model.dimension is {dimension}"
-            )
-
+    model = _model(model_sec)
     steps = _integer(_require(time_sec, "steps", "time"), "time.steps", 2)
-
-    q_eigenvalues = _number_list(_require(noise, "q_eigenvalues", "noise"), "noise.q_eigenvalues")
-    wiener_fraction = _number(noise.get("wiener_fraction", 1.0), "noise.wiener_fraction")
-    jump_rate = _number(noise.get("jump_rate", 0.0), "noise.jump_rate")
-
+    noise = _noise(noise_sec)
     g1_spec = _require(g_sec, "g1", "g")
     g2_spec = _require(g_sec, "g2", "g")
-
-    mean = _number_list(_require(initial, "mean", "initial"), "initial.mean")
-    if len(mean) != dimension:
-        raise ConfigError(
-            f"initial.mean: has {len(mean)} entries but model.dimension is {dimension}"
-        )
-    deterministic = bool(initial.get("deterministic", False))
-    second_moment = initial.get("second_moment")
-    covariance = initial.get("covariance")
-    n_given = sum([deterministic, second_moment is not None, covariance is not None])
-    if n_given != 1:
-        raise ConfigError(
-            "initial: exactly one of deterministic / second_moment / covariance is required"
-        )
+    gmap = AffineNoiseMap(g1=_g1(g1_spec, model, noise), g2=_g2(g2_spec, model, noise))
+    initial = _initial(initial_sec, model.dim)
 
     paths = _integer(_require(mc, "paths", "mc"), "mc.paths", 2)  # standard errors need two paths
     seed = _integer(_require(mc, "seed", "mc"), "mc.seed", 0)
@@ -211,49 +157,33 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"mc.grid_steps: {grid_steps} must divide time.steps = {steps}"
             )
-    substeps = _integer(mc.get("substeps", 1), "mc.substeps", 1)
 
-    cfg = ExperimentConfig(
-        model_dimension=dimension,
-        model_horizon=horizon,
-        model_eigenvalues=eigenvalues,
+    return ExperimentConfig(
+        model=model,
+        noise=noise,
+        gmap=gmap,
+        initial=initial,
         time_steps=steps,
-        noise_q_eigenvalues=q_eigenvalues,
-        noise_wiener_fraction=wiener_fraction,
-        noise_jump_rate=jump_rate,
-        g1_spec=g1_spec,
-        g2_spec=g2_spec,
-        initial_mean=mean,
-        initial_deterministic=deterministic,
-        initial_second_moment=second_moment,
-        initial_covariance=covariance,
         mc_paths=paths,
         mc_seed=seed,
         mc_grid_steps=grid_steps,
-        mc_substeps=substeps,
+        mc_substeps=_integer(mc.get("substeps", 1), "mc.substeps", 1),
         solver_picard_tol=_number(
             solver.get("picard_tol", 1e-10), "solver.picard_tol", positive=True
         ),
         solver_picard_max_iter=_integer(
             solver.get("picard_max_iter", 100), "solver.picard_max_iter", 1
         ),
-        validate_z_threshold=_number(validate.get("z_threshold", 3.0), "validate.z_threshold"),
-        validate_min_within_fraction=_number(
-            validate.get("min_within_fraction", 0.99), "validate.min_within_fraction"
-        ),
-        validate_oracle_rel_tol=_number(
-            validate.get("oracle_rel_tol", 0.03), "validate.oracle_rel_tol"
-        ),
-        validate_identity_tol=_number(
-            validate.get("identity_tol", 1e-8), "validate.identity_tol"
-        ),
+        validate_z_threshold=_nonnegative(
+            validate.get("z_threshold", 3.0), "validate.z_threshold"),
+        validate_min_within_fraction=_nonnegative(
+            validate.get("min_within_fraction", 0.99), "validate.min_within_fraction", 1.0),
+        validate_oracle_rel_tol=_nonnegative(
+            validate.get("oracle_rel_tol", 0.03), "validate.oracle_rel_tol"),
+        validate_identity_tol=_nonnegative(
+            validate.get("identity_tol", 1e-8), "validate.identity_tol"),
+        digest=hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest(),
     )
-    # force full validation of the numeric sections up front
-    model_obj = build_model(cfg)
-    noise_obj = build_noise(cfg)
-    build_gmap(cfg, model_obj, noise_obj)
-    initial_law(cfg)
-    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -265,35 +195,61 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def build_model(cfg: ExperimentConfig) -> SpectralModel:
-    if isinstance(cfg.model_eigenvalues, dict):
+    """The spectral model `parse_config` built."""
+    return cfg.model
+
+
+def build_noise(cfg: ExperimentConfig) -> NoiseModel:
+    """The noise model `parse_config` built."""
+    return cfg.noise
+
+
+def build_gmap(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> AffineNoiseMap:
+    """The noise map `parse_config` built; it was built for `cfg`'s own
+    model and noise, so `model` and `noise` are not read."""
+    return cfg.gmap
+
+
+def initial_law(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial mean, second moment, and covariance implied by the config."""
+    mean, m2, cov = cfg.initial
+    return mean, m2, np.zeros_like(m2) if cov is None else cov
+
+
+def _model(section: dict) -> SpectralModel:
+    dimension = _integer(_require(section, "dimension", "model"), "model.dimension", 1)
+    horizon = _number(_require(section, "horizon", "model"), "model.horizon", positive=True)
+    eigenvalues = _require(section, "eigenvalues", "model")
+    if isinstance(eigenvalues, dict):
+        gen = _require(eigenvalues, "generator", "model.eigenvalues")
+        if gen != "dirichlet_laplacian":
+            raise ConfigError(f"model.eigenvalues.generator: unknown generator {gen!r}")
+        length = _require(eigenvalues, "length", "model.eigenvalues")
         return dirichlet_laplacian(
-            cfg.model_dimension,
-            cfg.model_eigenvalues["length"],
-            horizon=cfg.model_horizon,
+            dimension, _number(length, "model.eigenvalues.length", positive=True),
+            horizon=horizon,
+        )
+    values = _number_list(eigenvalues, "model.eigenvalues")
+    if len(values) != dimension:
+        raise ConfigError(
+            f"model.eigenvalues: has {len(values)} entries "
+            f"but model.dimension is {dimension}"
         )
     try:
-        return SpectralModel(
-            eigenvalues=np.asarray(cfg.model_eigenvalues, dtype=float),
-            horizon=cfg.model_horizon,
-        )
+        return SpectralModel(eigenvalues=np.asarray(values), horizon=horizon)
     except ValueError as exc:
         raise ConfigError(f"model.eigenvalues: {exc}") from exc
 
 
-def build_noise(cfg: ExperimentConfig) -> NoiseModel:
+def _noise(section: dict) -> NoiseModel:
+    q_eigenvalues = _number_list(_require(section, "q_eigenvalues", "noise"),
+                                 "noise.q_eigenvalues")
+    wiener_fraction = _number(section.get("wiener_fraction", 1.0), "noise.wiener_fraction")
+    jump_rate = _number(section.get("jump_rate", 0.0), "noise.jump_rate")
     try:
-        return NoiseModel(
-            q_eigenvalues=np.asarray(cfg.noise_q_eigenvalues, dtype=float),
-            wiener_fraction=cfg.noise_wiener_fraction,
-            jump_rate=cfg.noise_jump_rate,
-        )
+        return NoiseModel(q_eigenvalues=np.asarray(q_eigenvalues),
+                          wiener_fraction=wiener_fraction, jump_rate=jump_rate)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
 
@@ -343,17 +299,14 @@ def _mode_diagonal(spec: dict, preset: Any, n: int, m: int, path: str) -> list[f
     return [_number(_require(spec, "value", path), f"{path}.value")] * n
 
 
-def _build_g1(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
-    spec = cfg.g1_spec
+def _g1(spec: Any, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
     n, m = model.dim, noise.dim
     if not isinstance(spec, dict):
         return _dense_array(spec, (n, n, m), "g.g1")
     preset = _require(spec, "preset", "g.g1")
     if preset == "scaled_random":
         seed = _integer(_require(spec, "seed", "g.g1"), "g.g1.seed", 0)
-        target = _number(_require(spec, "target_norm", "g.g1"), "g.g1.target_norm")
-        if target < 0.0:
-            raise ConfigError("g.g1.target_norm: must be nonnegative")
+        target = _nonnegative(_require(spec, "target_norm", "g.g1"), "g.g1.target_norm")
         try:
             return scaled_random_coupling(model, noise, target, seed)
         except ValueError as exc:  # a coupling of zero norm cannot be rescaled
@@ -364,8 +317,7 @@ def _build_g1(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) ->
     return g1
 
 
-def _build_g2(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
-    spec = cfg.g2_spec
+def _g2(spec: Any, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
     n, m = model.dim, noise.dim
     if not isinstance(spec, dict):
         return _dense_array(spec, (n, m), "g.g2")
@@ -373,22 +325,30 @@ def _build_g2(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) ->
     return np.diag(np.asarray(_mode_diagonal(spec, preset, n, m, "g.g2"), dtype=float))
 
 
-def build_gmap(cfg: ExperimentConfig, model: SpectralModel, noise: NoiseModel) -> AffineNoiseMap:
-    return AffineNoiseMap(g1=_build_g1(cfg, model, noise), g2=_build_g2(cfg, model, noise))
-
-
-def initial_law(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial mean, second moment, and covariance implied by the config."""
-    n = cfg.model_dimension
-    mean = np.asarray(cfg.initial_mean, dtype=float)
-    if cfg.initial_deterministic:
+def _initial(section: dict, n: int) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Initial mean, second moment, and covariance (None when deterministic)."""
+    mean = np.asarray(_number_list(_require(section, "mean", "initial"), "initial.mean"))
+    if len(mean) != n:
+        raise ConfigError(
+            f"initial.mean: has {len(mean)} entries but model.dimension is {n}"
+        )
+    deterministic = section.get("deterministic", False)
+    if not isinstance(deterministic, bool):
+        raise ConfigError(f"initial.deterministic: expected true or false, got {deterministic!r}")
+    second_moment = section.get("second_moment")
+    covariance = section.get("covariance")
+    if sum([deterministic, second_moment is not None, covariance is not None]) != 1:
+        raise ConfigError(
+            "initial: exactly one of deterministic / second_moment / covariance is required"
+        )
+    if deterministic:
         cov = np.zeros((n, n))
         m2 = np.outer(mean, mean)
-    elif cfg.initial_second_moment is not None:
-        m2 = _dense_array(cfg.initial_second_moment, (n, n), "initial.second_moment")
+    elif second_moment is not None:
+        m2 = _dense_array(second_moment, (n, n), "initial.second_moment")
         cov = m2 - np.outer(mean, mean)
     else:
-        cov = _dense_array(cfg.initial_covariance, (n, n), "initial.covariance")
+        cov = _dense_array(covariance, (n, n), "initial.covariance")
         m2 = cov + np.outer(mean, mean)
     scale = max(1.0, float(np.abs(cov).max()))
     if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
@@ -396,4 +356,6 @@ def initial_law(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     eigs = np.linalg.eigvalsh(cov)
     if eigs.min() < -1e-10 * max(1.0, float(eigs.max(initial=0.0))):
         raise ConfigError("initial: covariance implied by the config is not positive semidefinite")
-    return mean, m2, cov
+    for array in (mean, m2, cov):
+        array.setflags(write=False)
+    return mean, m2, None if deterministic else cov

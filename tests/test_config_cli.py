@@ -1,4 +1,6 @@
 import ast
+import copy
+import hashlib
 import importlib.util
 import json
 import os
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import spde_moments.config as config
 import spde_moments.montecarlo as mc
 from spde_moments import (
     TimeGrid,
@@ -32,12 +35,26 @@ from spde_moments.config import (
     initial_law,
     load_config,
     parse_config,
-    save_config,
 )
 
 from conftest import multimode_setup
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def multimode_raw():
+    return json.loads((ROOT / "configs" / "multimode.json").read_text())
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of the numbers (not booleans) in a raw configuration."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in items for leaf in numeric_leaves(child, path + (key,))]
 
 
 def minimal_config(**overrides):
@@ -68,11 +85,6 @@ class TestParsing:
             assert gmap.state_dim == model.dim
             mean, m2, cov = initial_law(cfg)
             np.testing.assert_allclose(m2 - np.outer(mean, mean), cov, atol=1e-15)
-
-    def test_round_trip(self, tmp_path):
-        cfg = load_config(ROOT / "configs" / "multimode.json")
-        save_config(cfg, tmp_path / "copy.json")
-        assert load_config(tmp_path / "copy.json") == cfg
 
     def test_missing_section_names_path(self):
         raw = minimal_config()
@@ -189,6 +201,52 @@ class TestParsing:
         with pytest.raises(ConfigError, match="semidefinite"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("initial.deterministic", "no"),
+        ("initial.deterministic", 1),
+        ("validate.oracle_rel_tol", -0.03),
+        ("validate.identity_tol", -1e-8),
+        ("validate.z_threshold", -3.0),
+        ("validate.min_within_fraction", -0.5),
+        ("validate.min_within_fraction", 1.5),
+    ], ids=["deterministic_text", "deterministic_number", "oracle_rel_tol", "identity_tol",
+            "z_threshold", "min_within_fraction_low", "min_within_fraction_high"])
+    def test_malformed_initial_and_validate_values_exit_one(self, tmp_path, capsys, key, value):
+        raw = minimal_config()
+        section, name = key.split(".")
+        raw.setdefault(section, {})[name] = value
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(raw)
+        assert str(excinfo.value).startswith(f"{key}: ")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_validate_bounds_are_inclusive(self):
+        raw = minimal_config(validate={"z_threshold": 0.0, "min_within_fraction": 1.0,
+                                       "oracle_rel_tol": 0.0, "identity_tol": 0.0})
+        cfg = parse_config(raw)
+        assert (cfg.validate_z_threshold, cfg.validate_min_within_fraction) == (0.0, 1.0)
+        raw["validate"]["min_within_fraction"] = 0.0
+        assert parse_config(raw).validate_min_within_fraction == 0.0
+
+    def test_config_hash_changes_with_every_value(self):
+        raw = multimode_raw()
+        # model.dimension fixes the length of three lists, so it cannot change alone
+        leaves = [path for path in numeric_leaves(raw) if path != ("model", "dimension")]
+        assert len(leaves) == 26
+        digests = {parse_config(raw).digest}
+        for path in leaves:
+            changed = copy.deepcopy(raw)
+            node = changed
+            for key in path[:-1]:
+                node = node[key]
+            value = node[path[-1]]
+            node[path[-1]] = value // 2 if isinstance(value, int) else value / 2
+            digests.add(parse_config(changed).digest)
+        assert len(digests) == len(leaves) + 1
+
 
 class TestCli:
     def write_config(self, tmp_path, raw):
@@ -259,7 +317,7 @@ class TestCli:
         cfg = self.write_config(tmp_path, minimal_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", cfg, "--out", str(out1), "--threads", "4"])
-        main(["simulate", "--config", cfg, "--out", str(out2), "--strict-sequential"])
+        main(["simulate", "--config", cfg, "--out", str(out2), "--threads", "1"])
         assert (out1 / "covariance.csv").read_bytes() == (out2 / "covariance.csv").read_bytes()
 
     def test_inf_sup_sweep(self, tmp_path):
@@ -299,6 +357,86 @@ class TestCli:
         assert rc == 3
         trace = (out / "picard_trace.csv").read_text().splitlines()
         assert len(trace) == 5  # header plus one row per attempted iteration
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "validate"])
+    def test_path_array_larger_than_memory_refused_before_allocating(
+        self, tmp_path, capsys, monkeypatch, subcommand
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run went ahead")
+
+        monkeypatch.setattr(cli, "_solve_moment_problems", no_run)
+        monkeypatch.setattr(cli, "_simulate", no_run)
+        raw = multimode_raw()
+        # the moment buffers on 17 nodes of 4 modes take 2.5 MB, but the
+        # (10**12, 17, 4) float64 array of the paths is half a PiB
+        raw["mc"]["paths"] = 10 ** 12
+        cfg = self.write_config(tmp_path, raw)
+        tracemalloc.start()
+        try:
+            rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mc.paths:")
+        assert "physical memory" in err
+        assert peak < 2 ** 20
+
+    def test_solve_moment_draws_the_coupling_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = config.scaled_random_coupling
+        monkeypatch.setattr(config, "scaled_random_coupling", counted)
+        raw = multimode_raw()
+        raw["time"]["steps"] = 32  # the multimode problem on a short table
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["solve-moment", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("initial, sampled", [
+        ({"mean": [1.0], "deterministic": True}, False),
+        ({"mean": [1.0], "covariance": [[0.0]]}, True),
+    ], ids=["deterministic", "gaussian"])
+    def test_only_a_gaussian_initial_value_is_sampled(
+        self, tmp_path, monkeypatch, initial, sampled
+    ):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["x0_cov"])
+            return real(*args, **kwargs)
+
+        real = cli.simulate_ensemble
+        monkeypatch.setattr(cli, "simulate_ensemble", spy)
+        cfg = self.write_config(tmp_path, minimal_config(initial=initial))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert (seen[0] is not None) == sampled
+
+    def test_config_hash_is_the_digest_of_the_sorted_raw_json(self, tmp_path):
+        def reverse(node):
+            if not isinstance(node, dict):
+                return node
+            return {key: reverse(node[key]) for key in reversed(list(node))}
+
+        raw = multimode_raw()
+        changed = copy.deepcopy(raw)
+        changed["mc"]["seed"] += 1
+        hashes = []
+        for i, config_raw in enumerate((raw, reverse(raw), changed)):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(config_raw, indent=2 if i == 1 else None))
+            out = tmp_path / f"out{i}"
+            assert main(["solve-mean", "--config", str(path), "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "report.json").read_text())["config_hash"])
+        assert list(reverse(raw)) != list(raw)
+        assert hashes[0] == hashes[1] != hashes[2]
+        assert hashes[0] == hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
 
     @pytest.mark.parametrize("subcommand", ["simulate", "validate"])
     def test_oversized_moment_buffers_refused_before_stepping(
