@@ -99,21 +99,25 @@ def _mc_grid_steps(cfg: ExperimentConfig) -> int:
         grid_steps = 16 if cfg.time_steps % 16 == 0 else cfg.time_steps
     width = (grid_steps + 1) * cfg.model_dimension
     buffers = (2 * min(BATCHES, cfg.mc_paths) + 3) * width * width * 8
-    paths = cfg.mc_paths * width * 8
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if buffers > physical:
-        raise ConfigError(
-            f"mc.grid_steps: {grid_steps} recording steps of {cfg.model_dimension} modes "
-            f"need {buffers / 2**30:.3g} GiB of moment buffers, more than the "
-            f"{physical / 2**30:.3g} GiB of physical memory"
-        )
-    if buffers + paths > physical:
-        raise ConfigError(
-            f"mc.paths: {cfg.mc_paths} paths of {width} recorded values need "
-            f"{paths / 2**30:.3g} GiB, which with {buffers / 2**30:.3g} GiB of moment "
-            f"buffers is more than the {physical / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory("mc.grid_steps", buffers, f"the moment buffers of {grid_steps} recording "
+                  f"steps of {cfg.model_dimension} modes")
+    _check_memory("mc.paths", buffers + cfg.mc_paths * width * 8,
+                  f"{cfg.mc_paths} paths of {width} recorded values and the moment buffers")
     return grid_steps
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(key: str, need: int, what: str) -> None:
+    """Refuse with a ConfigError naming `key` when `what`, which takes
+    `need` bytes, would not fit in the machine's physical memory."""
+    physical = _physical_memory()
+    if need > physical:
+        raise ConfigError(f"{key}: {what} need {need / 2**30:.3g} GiB, more than the "
+                          f"{physical / 2**30:.3g} GiB of physical memory")
 
 
 def _check_table_space(out: Path, key: str, tables: list[tuple[int, int]]) -> None:
@@ -213,7 +217,13 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
     """Assemble a config's problem once, then solve one moment problem per
     entry of `covariances`: the covariance for True, the second moment
     for False. Returns the assembled system, the mean coefficients and
-    the solutions in order."""
+    the solutions in order.
+
+    Refuses first, with a ConfigError naming model.dimension, when the
+    noise map's (N^2, N^2) Kronecker matrix and its permuted copy, 16 N^4
+    bytes, would not fit in physical memory."""
+    _check_memory("model.dimension", 16 * cfg.model_dimension ** 4, "the noise map's Kronecker "
+                  f"matrix of {cfg.model_dimension} modes and its permuted copy")
     noise, gmap = cfg.noise, cfg.gmap
     system = assemble_per_mode(cfg.model, TimeGrid(steps=cfg.time_steps,
                                                     horizon=cfg.model_horizon))

@@ -61,7 +61,11 @@ def _require(section: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: expected a finite number, got an integer beyond "
+                          "the float range") from None
     if not np.isfinite(number) or (positive and number <= 0.0):
         kind = "finite positive" if positive else "finite"
         raise ConfigError(f"{path}: expected a {kind} number, got {value!r}")
@@ -190,7 +194,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable text, or an integer past Python's digit limit
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(raw)
 

@@ -8,7 +8,11 @@ multiplicative part of that action on a second moment M is
 
     sum_m gamma_m G1_m M G1_m^T,
 
-written here once, as a matmul batched over any leading axes of M.
+a linear map of M. On the flattened M it is one (N^2, N^2) matrix T,
+the transpose of sum_m gamma_m G1_m (x) G1_m (Van Loan, J. Comput. Appl.
+Math. 123, 2000), written here once: the space-time solver applies T to
+a stack of second moments by one matmul, and the oracle reads its
+generator columns straight off T. T holds 8 N^4 bytes.
 
 Applied to a state x and an increment w, G1(x) w is one matmul too: the
 outer product x (x) w, flattened to N*M entries, against g1 flattened
@@ -32,12 +36,10 @@ __all__ = [
     "g_apply",
     "g1_v_to_hs_norm",
     "multiplicative_form",
+    "multiplicative_matrix",
     "noise_quadratic_form",
     "scaled_random_coupling",
 ]
-
-_FORM_BLOCK_BYTES = 4 * 2 ** 20   # size of the largest temporaries of multiplicative_form
-
 
 @dataclass(frozen=True)
 class AffineNoiseMap:
@@ -119,32 +121,34 @@ def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseMode
     return float(s[0]) if s.size else 0.0
 
 
+def multiplicative_matrix(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
+    """The (N^2, N^2) matrix T of the multiplicative form on flattened second
+    moments: (sum_m gamma_m G1_m M G1_m^T).ravel() == M.ravel() @ T.
+
+    Entry ((i, k), (a, b)) is sum_m gamma_m g1[a, i, m] g1[b, k, m]: one
+    (N^2, M) diag(gamma) (M, N^2) product over the pairs (i, a) and
+    (k, b), then one axis permutation.
+    """
+    check_compatible(gmap, noise, gmap.state_dim)
+    n, modes = gmap.state_dim, gmap.noise_dim
+    pairs = gmap.g1.transpose(1, 0, 2).reshape(n * n, modes)            # row (i, a): g1[a, i, :]
+    product = (pairs * noise.q_eigenvalues) @ pairs.T                    # ((i, a), (k, b))
+    return product.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarray) -> np.ndarray:
     """sum_m gamma_m G1_m M G1_m^T for a second moment M of shape (..., N, N).
 
-    The leading axes of M are batch axes, contracted a block at a time so
-    that the temporaries of shape (block, M, N, N) stay near
-    _FORM_BLOCK_BYTES whatever the batch. Each matrix of the batch goes
-    through the same matmuls as in one pass over the whole batch, so the
-    result does not depend on the block size.
+    The leading axes of M are batch axes; the whole batch, flattened to
+    rows of N^2 entries, goes through one matmul with
+    multiplicative_matrix. M need not be symmetric.
     """
     Mmat = np.asarray(Mmat, dtype=float)
     if Mmat.ndim < 2 or Mmat.shape[-2] != Mmat.shape[-1]:
         raise ValueError(f"second-moment matrices must be square, got shape {Mmat.shape}")
     check_compatible(gmap, noise, Mmat.shape[-1])
-    n, modes = gmap.state_dim, gmap.noise_dim
-    g1_m = gmap.g1.transpose(2, 0, 1)                                   # G1_m, (M, N, N)
-    # one matmul contracts the pair (m, j): rows[a, (m, j)] = (G1_m M)[a, j]
-    # against right[b, (m, j)] = gamma_m g1[b, j, m]
-    right = (gmap.g1.transpose(0, 2, 1) * noise.q_eigenvalues[:, None]).reshape(n, modes * n)
-    flat = Mmat.reshape(-1, n, n)
-    out = np.empty(flat.shape)
-    block = max(1, _FORM_BLOCK_BYTES // (8 * modes * n * n))
-    for start in range(0, len(flat), block):
-        left = g1_m @ flat[start:start + block, None, :, :]              # (block, M, N, N)
-        rows = np.swapaxes(left, -3, -2).reshape(len(left), n, modes * n)
-        np.matmul(rows, right.T, out=out[start:start + block])
-    return out.reshape(Mmat.shape)
+    n = gmap.state_dim
+    return (Mmat.reshape(-1, n * n) @ multiplicative_matrix(gmap, noise)).reshape(Mmat.shape)
 
 
 def noise_quadratic_form(

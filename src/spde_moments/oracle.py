@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .levy import NoiseModel
-from .noise_map import AffineNoiseMap, check_compatible, noise_quadratic_form
+from .noise_map import AffineNoiseMap, check_compatible, multiplicative_matrix, noise_quadratic_form
 from .spectral import SpectralModel
 
 __all__ = [
@@ -76,27 +76,28 @@ def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) ->
     upper triangle of the symmetric second moment M, the mean m and a
     constant.
 
-    Input j sets entry j of z to one and every other entry, the constant
-    included, to zero; for the entry (i, k) of M that is the symmetric
-    unit matrix with ones at (i, k) and (k, i). The last input is zero.
-    The rate is affine, so column j of A is the rate at input j minus the
-    rate at zero, and the last column is the rate at zero.
+    The rate is affine in z. Its multiplicative part is read off the
+    matrix T of multiplicative_matrix on the upper-triangle rows and
+    columns: entry (i, k) of z stands for both M[i, k] and M[k, i], so
+    its column is T[(i, k)] + T[(k, i)] for i < k and T[(i, i)] for
+    i = k. The mean and constant columns come from one noise quadratic
+    form at M = 0, against each unit mean and the zero mean: the rate at
+    a unit mean less the rate at zero, and the rate at zero. The
+    diagonal carries the decay, -(lambda_i + lambda_k) for M[i, k] and
+    -lambda_j for m_j.
     """
     n, lam = model.dim, model.eigenvalues
     rows, cols = np.triu_indices(n)
     p = rows.size
-    d = p + n + 1
-    units = np.zeros((d, n, n))
-    units[np.arange(p), rows, cols] = units[np.arange(p), cols, rows] = 1.0
-    vecs = np.zeros((d, n))
-    vecs[p:p + n] = np.eye(n)
-    gen = np.zeros((d, d))
-    for s in range(0, d, n):  # n inputs at a time keep the stacked noise forms small
-        Ms, ms = units[s:s + n], vecs[s:s + n]
-        rate = -(lam[:, None] * Ms + Ms * lam) + noise_quadratic_form(gmap, noise, Ms, ms)
-        gen[:p, s:s + n] = rate[:, rows, cols].T
-        gen[p:p + n, s:s + n] = -(ms * lam).T
-    gen[:, :-1] -= gen[:, -1:]
+    gen = np.zeros((p + n + 1, p + n + 1))
+    rates = noise_quadratic_form(gmap, noise, np.zeros((n, n)), np.eye(n + 1, n))[:, rows, cols]
+    gen[:p, p:] = rates.T
+    gen[:p, p:-1] -= rates[-1:].T
+    tmat = multiplicative_matrix(gmap, noise)
+    upper, lower = rows * n + cols, cols * n + rows
+    mirror = (rows != cols)[:, None] * tmat[np.ix_(lower, upper)]  # zero for i = k
+    gen[:p, :p] = (tmat[np.ix_(upper, upper)] + mirror).T
+    gen[np.diag_indices(p + n)] -= np.concatenate([lam[rows] + lam[cols], lam])
     return gen
 
 
@@ -171,14 +172,12 @@ def lyapunov_solve(
 
     rows, cols = np.triu_indices(n)
     step = _expm(model.horizon / steps * _generator(model, noise, gmap))
-    z = np.concatenate([M0[rows, cols], m0, [1.0]])
-    upper = np.empty((steps + 1, rows.size))
-    upper[0] = z[:rows.size]
+    z = np.empty((steps + 1, len(step)))
+    z[0] = np.concatenate([M0[rows, cols], m0, [1.0]])
     for k in range(steps):
-        z = step @ z
-        upper[k + 1] = z[:rows.size]
+        z[k + 1] = step @ z[k]
     diag = np.empty((steps + 1, n, n))
-    diag[:, rows, cols] = diag[:, cols, rows] = upper
+    diag[:, rows, cols] = diag[:, cols, rows] = z[:, :rows.size]
 
     grid = np.linspace(0.0, model.horizon, steps + 1)
     return MomentField(grid=grid, mean=mean_exact(model, m0, steps), diag_second_moment=diag)

@@ -18,8 +18,12 @@ O(K^3) per mode, the computation the inertia counts on the tridiagonal
 pencil replaced.
 
 `unblocked_multiplicative_form` contracts the noise map against a whole
-stack of second moments in one pass, the form whose leading axes the
-package now contracts a block at a time.
+stack of second moments by two matmuls through (..., M, N, N)
+temporaries, the factored form that one matmul with the package's
+Kronecker matrix replaced. `unit_input_generator` builds the oracle's
+generator by applying the noise quadratic form to a stack of symmetric
+unit matrices, N inputs at a time, the construction that reading the
+columns off that matrix replaced.
 
 `choice_sample_increments` draws Levy increments with Generator.choice
 and np.add.at, the sampler whose random stream the package's cached
@@ -103,6 +107,34 @@ def unblocked_multiplicative_form(gmap, noise, Mmat):
     rows = np.swapaxes(left, -3, -2).reshape(Mmat.shape[:-2] + (n, modes * n))
     right = (gmap.g1.transpose(0, 2, 1) * noise.q_eigenvalues[:, None]).reshape(n, modes * n)
     return rows @ right.T
+
+
+def unit_input_generator(model, noise, gmap):
+    """Matrix A of the oracle's z' = A z, z = (M[np.triu_indices(N)], m, 1),
+    column by column from the rate at unit inputs.
+
+    Input j sets entry j of z to one and every other entry, the constant
+    included, to zero; for the entry (i, k) of M that is the symmetric
+    unit matrix with ones at (i, k) and (k, i). The last input is zero.
+    The rate is affine, so column j of A is the rate at input j minus the
+    rate at zero, and the last column is the rate at zero.
+    """
+    n, lam = model.dim, model.eigenvalues
+    rows, cols = np.triu_indices(n)
+    p = rows.size
+    d = p + n + 1
+    units = np.zeros((d, n, n))
+    units[np.arange(p), rows, cols] = units[np.arange(p), cols, rows] = 1.0
+    vecs = np.zeros((d, n))
+    vecs[p:p + n] = np.eye(n)
+    gen = np.zeros((d, d))
+    for s in range(0, d, n):  # n inputs at a time keep the stacked noise forms small
+        Ms, ms = units[s:s + n], vecs[s:s + n]
+        rate = -(lam[:, None] * Ms + Ms * lam) + noise_quadratic_form(gmap, noise, Ms, ms)
+        gen[:p, s:s + n] = rate[:, rows, cols].T
+        gen[p:p + n, s:s + n] = -(ms * lam).T
+    gen[:, :-1] -= gen[:, -1:]
+    return gen
 
 
 def apply_tensor_operator(system, coeffs):

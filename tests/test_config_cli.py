@@ -16,6 +16,8 @@ import pytest
 
 import spde_moments.config as config
 import spde_moments.montecarlo as mc
+import spde_moments.noise_map as noise_map
+import spde_moments.oracle as oracle
 from spde_moments import (
     TimeGrid,
     assemble_per_mode,
@@ -184,10 +186,12 @@ class TestParsing:
         ("g.g2", lambda raw: raw["g"].update(g2=[[1.0, 2.0], [3.0]])),
         ("initial.covariance", lambda raw: raw.update(
             initial={"mean": [1.0], "covariance": [[1.0, 0.0], [0.0]]})),
+        # an integer beyond the float range, as json.loads returns it
+        ("model.horizon", lambda raw: raw["model"].update(horizon=10 ** 400)),
     ], ids=["max_iter", "tol", "paths", "mc_seed", "g1_seed", "target_norm", "zero_norm",
             "generator_horizon", "length", "list_horizon", "g2_nan", "g1_text", "g2_text",
             "g2_numeric_text", "g2_bool", "second_moment_text", "covariance_text",
-            "g1_ragged", "g2_ragged", "covariance_ragged"])
+            "g1_ragged", "g2_ragged", "covariance_ragged", "horizon_overflow"])
     def test_out_of_range_values_name_their_key(self, key, edit):
         raw = minimal_config()
         edit(raw)
@@ -357,6 +361,40 @@ class TestCli:
         assert rc == 3
         trace = (out / "picard_trace.csv").read_text().splitlines()
         assert len(trace) == 5  # header plus one row per attempted iteration
+
+    @pytest.mark.parametrize("subcommand", ["solve-moment", "solve-covariance", "validate"])
+    def test_noise_matrix_larger_than_memory_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, subcommand
+    ):
+        def not_built(*args):
+            raise AssertionError("the Kronecker matrix was built")
+
+        monkeypatch.setattr(noise_map, "multiplicative_matrix", not_built)
+        monkeypatch.setattr(oracle, "multiplicative_matrix", not_built)
+        raw = multimode_raw()
+        n = 8
+        raw["model"]["dimension"] = n
+        raw["time"]["steps"] = 8
+        raw["noise"]["q_eigenvalues"] = [2.0 ** -j for j in range(1, n + 1)]
+        raw["initial"]["mean"] = [1.0 / j for j in range(1, n + 1)]
+        raw["mc"] = {"paths": 2, "seed": 7, "grid_steps": 1}
+        # the matrix and its permuted copy take 16 N^4 bytes, one more than
+        # the machine has; validate's Monte Carlo buffers, 15 kB, still fit
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * n ** 4 - 1)
+        cfg = self.write_config(tmp_path, raw)
+        rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.dimension:")
+        assert "physical memory" in err
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        # json.load itself refuses an integer literal of more than 4300 digits
+        raw = minimal_config()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw).replace('"horizon": 1.0', '"horizon": 1' + "0" * 5000))
+        assert main(["solve-moment", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["simulate", "validate"])
     def test_path_array_larger_than_memory_refused_before_allocating(

@@ -61,7 +61,8 @@ class TestImportGraph:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
-        for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "noise_quadratic_form"):
+        for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "multiplicative_form",
+                     "multiplicative_matrix", "noise_quadratic_form"):
             assert homes.get(name) == ["noise_map"], name
 
 
@@ -109,22 +110,43 @@ class TestMultiplicativeForm:
                            jump_rate=2.0)
         return gmap, noise, rng
 
-    @pytest.mark.parametrize("block_bytes", [None, 3 * 8 * 3 * 5 * 5])
     @pytest.mark.parametrize("lead", [(), (1,), (7,), (0,), (4, 3)])
-    def test_blocks_equal_one_pass_bitwise(self, monkeypatch, block_bytes, lead):
-        # 3 * 8 * M * N * N bytes hold three matrices of the batch, so the
-        # 7- and 12-matrix batches end in a short block
-        if block_bytes is not None:
-            monkeypatch.setattr(noise_map, "_FORM_BLOCK_BYTES", block_bytes)
+    def test_matches_two_matmul_contraction(self, lead):
+        # nonsymmetric second moments: the form is linear on every square M
         gmap, noise, rng = self.coupling(5, 3)
         second = rng.standard_normal(lead + (5, 5))
-        blocked = noise_map.multiplicative_form(gmap, noise, second)
-        assert blocked.shape == second.shape
-        assert np.array_equal(blocked, unblocked_multiplicative_form(gmap, noise, second))
+        form = noise_map.multiplicative_form(gmap, noise, second)
+        reference = unblocked_multiplicative_form(gmap, noise, second)
+        assert form.shape == second.shape
+        assert np.max(np.abs(form - reference), initial=0.0) <= (
+            1e-13 * np.max(np.abs(reference), initial=0.0))
+
+    def test_matrix_matches_index_loop(self):
+        # T[(i, k), (a, b)] = sum_m gamma_m g1[a, i, m] g1[b, k, m], and the
+        # form of a nonsymmetric M is M.ravel() @ T
+        n, modes = 3, 2
+        gmap, noise, rng = self.coupling(n, modes)
+        gamma, g1 = noise.q_eigenvalues, gmap.g1
+        expected = np.zeros((n * n, n * n))
+        for i in range(n):
+            for k in range(n):
+                for a in range(n):
+                    for b in range(n):
+                        expected[i * n + k, a * n + b] = sum(
+                            gamma[m] * g1[a, i, m] * g1[b, k, m] for m in range(modes))
+        tmat = noise_map.multiplicative_matrix(gmap, noise)
+        np.testing.assert_allclose(tmat, expected, rtol=1e-14, atol=0.0)
+        second = rng.standard_normal((n, n))
+        assert np.max(np.abs(second - second.T)) > 0.1
+        brute = sum(gamma[m] * g1[:, :, m] @ second @ g1[:, :, m].T for m in range(modes))
+        np.testing.assert_allclose(second.ravel() @ tmat, brute.ravel(), rtol=1e-13)
+        np.testing.assert_allclose(noise_map.multiplicative_form(gmap, noise, second), brute,
+                                   rtol=1e-13)
 
     def test_peak_memory_bounded_at_scale(self):
-        # K = 4096 intervals of N = 16 modes against M = 16 noise modes: one
-        # pass over the batch holds two (K, M, N, N) temporaries of 128 MiB
+        # K = 4096 intervals of N = 16 modes against M = 16 noise modes: the
+        # two-matmul contraction holds two (K, M, N, N) temporaries of
+        # 128 MiB; one matmul with T holds the 8 MiB result and T's 0.5 MiB
         gmap, noise, rng = self.coupling(16, 16)
         second = rng.standard_normal((4096, 16, 16))
         tracemalloc.start()

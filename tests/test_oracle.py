@@ -18,7 +18,7 @@ from spde_moments import (
 )
 
 from conftest import multimode_setup
-from dense_reference import rk4_second_moment, two_time_transpose_loop
+from dense_reference import rk4_second_moment, two_time_transpose_loop, unit_input_generator
 from spde_moments.config import build_gmap, build_model, build_noise, initial_law, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -190,7 +190,7 @@ class TestLyapunovSolve:
 
     def test_noise_forms_do_not_grow_with_the_step_count(self, monkeypatch):
         # the propagator is formed once: the noise quadratic form is called
-        # once per N generator columns and never per step
+        # while the generator is built and never per step
         model, noise, gmap, x0 = multimode_setup()
         calls = []
         original = oracle.noise_quadratic_form
@@ -200,12 +200,12 @@ class TestLyapunovSolve:
             return original(*args)
 
         monkeypatch.setattr(oracle, "noise_quadratic_form", counter)
-        n = model.dim
-        columns = n * (n + 1) // 2 + n + 1
+        counts = []
         for steps in (4, 4096):
             calls.clear()
             lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), steps)
-            assert len(calls) == -(-columns // n)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_additive_matches_quadrature_formula(self):
         # explicit representation: M(t) = S(t) M0 S(t)
@@ -244,6 +244,28 @@ class TestLyapunovSolve:
         diff = np.abs(field.diag_second_moment - diag_mc)
         slack = 1e-12 * np.max(np.abs(field.diag_second_moment))
         assert np.all(diff <= 3 * diag_se + slack)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("name", [
+        "scalar_ou", "scalar_multiplicative", "multimode", "wide-n16", "stiff"])
+    def test_matches_unit_input_columns(self, name):
+        # the columns read off the Kronecker matrix against the rate at every
+        # unit input; the stiff case has lambda = 100
+        if name == "wide-n16":
+            model, noise, gmap, _ = multimode_setup(16, 4 * np.pi)
+        elif name == "stiff":
+            model = SpectralModel(eigenvalues=[100.0])
+            noise = NoiseModel(q_eigenvalues=[1.0])
+            gmap = AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.ones((1, 1)))
+        else:
+            cfg = load_config(CONFIGS / f"{name}.json")
+            model, noise = build_model(cfg), build_noise(cfg)
+            gmap = build_gmap(cfg, model, noise)
+        gen = oracle._generator(model, noise, gmap)
+        reference = unit_input_generator(model, noise, gmap)
+        assert gen.shape == reference.shape
+        assert np.max(np.abs(gen - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 class TestExpm:
