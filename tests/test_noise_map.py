@@ -110,6 +110,34 @@ class TestMultiplicativeForm:
                            jump_rate=2.0)
         return gmap, noise, rng
 
+    @pytest.mark.parametrize("block_bytes", [None, 3 * 8 * 3 * 5 * 5])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (0,), (4, 3)])
+    def test_blocks_equal_one_pass_bitwise(self, block_bytes, lead):
+        # small integers and dyadic gamma make every product and partial sum
+        # exact, so the form equals the two-matmul contraction bit for bit
+        # whatever the order of summation; the batch goes through in one
+        # pass (None) or a block at a time, 3 * 8 * M * N * N bytes holding
+        # three matrices, so the 7- and 12-matrix batches end in a short block
+        n, modes = 5, 3
+        rng = np.random.default_rng(5)
+        gmap = AffineNoiseMap(g1=rng.integers(-3, 4, (n, n, modes)).astype(float),
+                              g2=np.zeros((n, modes)))
+        noise = NoiseModel(q_eigenvalues=np.array([0.5, 1.0, 2.0]), wiener_fraction=0.5,
+                           jump_rate=2.0)
+        second = rng.integers(-4, 5, lead + (n, n)).astype(float)
+        if block_bytes is None:
+            blocked = noise_map.multiplicative_form(gmap, noise, second)
+        else:
+            block = block_bytes // (8 * modes * n * n)
+            flat = second.reshape(-1, n, n)
+            blocked = np.empty(flat.shape)
+            for start in range(0, len(flat), block):
+                blocked[start:start + block] = noise_map.multiplicative_form(
+                    gmap, noise, flat[start:start + block])
+            blocked = blocked.reshape(second.shape)
+        assert blocked.shape == second.shape
+        assert np.array_equal(blocked, unblocked_multiplicative_form(gmap, noise, second))
+
     @pytest.mark.parametrize("lead", [(), (1,), (7,), (0,), (4, 3)])
     def test_matches_two_matmul_contraction(self, lead):
         # nonsymmetric second moments: the form is linear on every square M
