@@ -10,7 +10,7 @@ import csv
 import sys
 from pathlib import Path
 
-from spde_moments import SpectralModel, TimeGrid, assemble_per_mode, per_mode_inf_sup
+from spde_moments import SpectralModel, TimeGrid, assemble_per_mode, per_mode_singular_range
 
 ROOT = Path(__file__).resolve().parent.parent
 EIGENVALUES = (1.0, 10.0, 100.0)
@@ -25,7 +25,7 @@ if __name__ == "__main__":
         model = SpectralModel(eigenvalues=[lam], horizon=1.0)
         for steps in STEP_COUNTS:
             system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
-            value = float(per_mode_inf_sup(system)[0])
+            value = float(per_mode_singular_range(system)[0][0])
             rows.append({"eigenvalue": lam, "steps": steps, "inf_sup": value})
             print(f"{lam:12.1f} {steps:6d} {value:12.6f}")
     with open(out, "w", newline="") as fh:

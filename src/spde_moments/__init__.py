@@ -49,13 +49,10 @@ from .petrov_galerkin import (
     TimeGrid,
     assemble_per_mode,
     discrete_inf_sup,
-    per_mode_inf_sup,
-    per_mode_operator_bound,
     per_mode_singular_range,
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
-    solve_covariance,
     solve_mean,
 )
 from .spectral import (

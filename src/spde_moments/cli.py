@@ -23,7 +23,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, initial_law, load_config
 from .montecarlo import BATCHES, estimate_moments, simulate_ensemble
 from .noise_map import g1_v_to_hs_norm
-from .oracle import lyapunov_solve, mean_exact, two_time_extend
+from .oracle import MomentField, lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
     PerModeSystem,
     PicardNonConvergence,
@@ -35,7 +35,6 @@ from .petrov_galerkin import (
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
-    solve_covariance,
     solve_mean,
 )
 
@@ -84,26 +83,21 @@ def _write_picard_trace(out: Path, trace) -> None:
                  ((i + 1, float(d)) for i, d in enumerate(trace)))
 
 
-def _mc_grid_steps(cfg: ExperimentConfig) -> int:
-    """Step count of the config's Monte Carlo recording grid.
-
-    Refuses with a ConfigError when what a run holds at once on that grid
-    would not fit in the machine's physical memory. With D = (grid_steps
-    + 1) N, the buffers estimate_moments fills, two nb x D x D per-batch
-    fields and three D x D fields of float64, name mc.grid_steps; the
-    paths x D float64 array of the simulated paths beside them names
-    mc.paths.
+def _check_mc_memory(cfg: ExperimentConfig) -> None:
+    """Refuse with a ConfigError when what a Monte Carlo run holds at once
+    on the config's recording grid would not fit in the machine's
+    physical memory. With D = (mc.grid_steps + 1) N, the buffers
+    estimate_moments fills, two nb x D x D per-batch fields and three
+    D x D fields of float64, name mc.grid_steps; the paths x D float64
+    array of the simulated paths beside them names mc.paths.
     """
     grid_steps = cfg.mc_grid_steps
-    if grid_steps is None:
-        grid_steps = 16 if cfg.time_steps % 16 == 0 else cfg.time_steps
     width = (grid_steps + 1) * cfg.model_dimension
     buffers = (2 * min(BATCHES, cfg.mc_paths) + 3) * width * width * 8
     _check_memory("mc.grid_steps", buffers, f"the moment buffers of {grid_steps} recording "
                   f"steps of {cfg.model_dimension} modes")
     _check_memory("mc.paths", buffers + cfg.mc_paths * width * 8,
                   f"{cfg.mc_paths} paths of {width} recorded values and the moment buffers")
-    return grid_steps
 
 
 def _physical_memory() -> int:
@@ -153,23 +147,24 @@ def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
     return diagnostics
 
 
-def _simulate(cfg: ExperimentConfig, grid_steps: int, threads: int):
-    """Simulate the config's ensemble on its recording grid of `grid_steps`
-    steps. Returns the ensemble and the scheme steps per recording step."""
+def _simulate(cfg: ExperimentConfig, threads: int):
+    """Simulate the config's ensemble on its recording grid of
+    mc.grid_steps steps. Returns the ensemble and the scheme steps per
+    recording step."""
     mean0, _, x0_cov = cfg.initial  # no covariance: a deterministic initial value
-    substeps = cfg.mc_substeps * (cfg.time_steps // grid_steps)
+    substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
     ensemble = simulate_ensemble(
-        cfg.model, cfg.noise, cfg.gmap, mean0, grid_steps, cfg.mc_paths, cfg.mc_seed,
+        cfg.model, cfg.noise, cfg.gmap, mean0, cfg.mc_grid_steps, cfg.mc_paths, cfg.mc_seed,
         x0_cov=x0_cov, substeps=substeps, threads=threads,
     )
     return ensemble, substeps
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
-    grid_steps = _mc_grid_steps(cfg)
-    width = (grid_steps + 1) * cfg.model_dimension
+    _check_mc_memory(cfg)
+    width = (cfg.mc_grid_steps + 1) * cfg.model_dimension
     _check_table_space(out, "mc.grid_steps", [(width, 3)] * 2 + [(width * width, 5)] * 4)
-    ensemble, substeps = _simulate(cfg, grid_steps, threads)
+    ensemble, substeps = _simulate(cfg, threads)
     est = estimate_moments(ensemble)
     two = ["time_index", "mode", "value"]
     _write_field(out / "mean.csv", two, est.mean)
@@ -181,7 +176,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     _write_field(out / "covariance_se.csv", four, est.covariance_se)
     _report(out, cfg, "simulate", {
         "paths": cfg.mc_paths,
-        "grid_steps": grid_steps,
+        "grid_steps": cfg.mc_grid_steps,
         "scheme_steps_per_grid_step": substeps,
         "trace_q": float(cfg.noise.trace),
     })
@@ -229,19 +224,12 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
                                                     horizon=cfg.model_horizon))
     mean0, m2_0, cov_0 = initial_law(cfg)
     mean_coeffs = solve_mean(system, mean0)
-    solutions = []
-    for covariance in covariances:
-        if covariance:
-            load = rhs_covariance(system, noise, gmap, mean_coeffs, cov_0)
-            solve = solve_covariance
-        else:
-            load = rhs_second_moment(system, noise, gmap, mean_coeffs, m2_0)
-            solve = picard_solve_second_moment
-        solutions.append(solve(
-            system, noise, gmap, load,
-            tol=cfg.solver_picard_tol, max_iter=cfg.solver_picard_max_iter,
-        ))
-    return system, mean_coeffs, solutions
+    loads = [rhs_covariance(system, noise, gmap, mean_coeffs, cov_0) if covariance
+             else rhs_second_moment(system, noise, gmap, mean_coeffs, m2_0)
+             for covariance in covariances]
+    return system, mean_coeffs, [picard_solve_second_moment(
+        system, noise, gmap, load, tol=cfg.solver_picard_tol,
+        max_iter=cfg.solver_picard_max_iter) for load in loads]
 
 
 def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
@@ -300,7 +288,7 @@ def _covariance_identity_error(
 
 def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     started = time.perf_counter()
-    grid_steps = _mc_grid_steps(cfg)
+    _check_mc_memory(cfg)
     system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(cfg, (False, True))
     model, noise, gmap = cfg.model, cfg.noise, cfg.gmap
     mean0, m2_0, _ = cfg.initial
@@ -329,10 +317,10 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    ensemble, _ = _simulate(cfg, grid_steps, threads)
+    ensemble, _ = _simulate(cfg, threads)
     est = estimate_moments(ensemble)
-    stride = steps // grid_steps
-    idx = np.arange(1, grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
+    stride = steps // cfg.mc_grid_steps
+    idx = np.arange(1, cfg.mc_grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
     z = cfg.validate_z_threshold
 
     cov_var = np.stack([cov_sol.row(k)[:, idx] for k in idx])
@@ -343,9 +331,10 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
                    cfg.validate_min_within_fraction,
                    frac_cov >= cfg.validate_min_within_fraction))
 
-    oracle_two = two_time_extend(
-        model, lyapunov_solve(model, noise, gmap, mean0, m2_0, grid_steps))
-    diff_o = np.abs(oracle_two.two_time - est.second_moment)
+    # the exact propagator's values at the MC nodes are the solver grid's at a stride
+    oracle_two = two_time_extend(model, MomentField(
+        oracle.grid[::stride], oracle.mean[::stride], oracle.diag_second_moment[::stride]))
+    diff_o = np.abs(oracle_two - est.second_moment)
     within_o = diff_o <= z * est.second_moment_se
     frac_oracle = float(within_o.mean())
     checks.append(("mc_vs_oracle_two_time_within_z", frac_oracle,

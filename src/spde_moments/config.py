@@ -12,7 +12,8 @@ The normative keys are
              "target_norm": t})
     initial: mean, plus exactly one of deterministic (true) /
              second_moment / covariance
-    mc:      paths, seed, and optionally grid_steps, substeps
+    mc:      paths, seed, and optionally grid_steps (default 16 when
+             it divides time.steps, else time.steps), substeps
     solver:  picard_tol, picard_max_iter
     validate (optional): z_threshold, min_within_fraction,
              oracle_rel_tol, identity_tol
@@ -112,7 +113,7 @@ class ExperimentConfig:
     time_steps: int
     mc_paths: int
     mc_seed: int
-    mc_grid_steps: Optional[int]
+    mc_grid_steps: int
     mc_substeps: int
     solver_picard_tol: float
     solver_picard_max_iter: int
@@ -154,13 +155,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     paths = _integer(_require(mc, "paths", "mc"), "mc.paths", 2)  # standard errors need two paths
     seed = _integer(_require(mc, "seed", "mc"), "mc.seed", 0)
-    grid_steps = mc.get("grid_steps")
-    if grid_steps is not None:
-        grid_steps = _integer(grid_steps, "mc.grid_steps", 1)
-        if steps % grid_steps != 0:
-            raise ConfigError(
-                f"mc.grid_steps: {grid_steps} must divide time.steps = {steps}"
-            )
+    # the Monte Carlo recording grid: 16 steps when they divide time.steps, else time.steps
+    grid_steps = _integer(mc.get("grid_steps", 16 if steps % 16 == 0 else steps),
+                          "mc.grid_steps", 1)
+    if steps % grid_steps != 0:
+        raise ConfigError(f"mc.grid_steps: {grid_steps} must divide time.steps = {steps}")
 
     return ExperimentConfig(
         model=model,

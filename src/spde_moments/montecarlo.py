@@ -35,30 +35,23 @@ __all__ = [
     "ito_isometry_check",
 ]
 
-BATCHES = 32  # default batch count of an ensemble
+BATCHES = 32  # batch count of every ensemble with at least that many paths
 
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Simulated paths on a uniform grid, plus the seeding metadata
-    needed to reproduce the batch structure."""
+    """Simulated paths on a uniform grid and the number of batches they
+    were generated in."""
 
     paths: np.ndarray  # (P, K+1, N)
-    seed: int
-    steps: int
-    horizon: float
     batches: int
 
     def __post_init__(self) -> None:
         p = np.asarray(self.paths, dtype=float)
         if p.ndim != 3 or p.shape[0] < 1:
             raise ValueError("paths must be a (P, K+1, N) array with P >= 1")
-        if p.shape[1] != self.steps + 1:
-            raise ValueError(f"paths have {p.shape[1]} nodes, expected {self.steps + 1}")
         if not np.all(np.isfinite(p)):
             raise ValueError("paths must be finite")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
         if self.batches < 1:
             raise ValueError("at least one batch is required")
         object.__setattr__(self, "paths", p)
@@ -66,10 +59,6 @@ class Ensemble:
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 def _batch_sizes(paths: int, batches: int) -> list[int]:
@@ -117,7 +106,6 @@ def simulate_ensemble(
     seed: int,
     x0_cov: Optional[np.ndarray] = None,
     substeps: int = 1,
-    batches: int = BATCHES,
     threads: int = 1,
     return_increments: bool = False,
 ):
@@ -156,7 +144,7 @@ def simulate_ensemble(
     if return_increments and substeps != 1:
         raise ValueError("increments can only be returned for substeps == 1")
 
-    sizes = _batch_sizes(paths, batches)
+    sizes = _batch_sizes(paths, BATCHES)
     nb = len(sizes)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     all_paths = np.empty((paths, steps + 1, model.dim))
@@ -178,7 +166,7 @@ def simulate_ensemble(
         for b in range(nb):
             run(b)
 
-    ens = Ensemble(paths=all_paths, seed=seed, steps=steps, horizon=model.horizon, batches=nb)
+    ens = Ensemble(paths=all_paths, batches=nb)
     if return_increments:
         return ens, all_incs
     return ens

@@ -12,7 +12,9 @@ a linear map of M. On the flattened M it is one (N^2, N^2) matrix T,
 the transpose of sum_m gamma_m G1_m (x) G1_m (Van Loan, J. Comput. Appl.
 Math. 123, 2000), written here once: the space-time solver applies T to
 a stack of second moments by one matmul, and the oracle reads its
-generator columns straight off T. T holds 8 N^4 bytes.
+generator columns straight off T. T holds 8 N^4 bytes. The terms
+with G2, the action at a mean with zero fluctuation, are mean_form;
+they need no T.
 
 Applied to a state x and an increment w, G1(x) w is one matmul too: the
 outer product x (x) w, flattened to N*M entries, against g1 flattened
@@ -35,6 +37,7 @@ __all__ = [
     "check_compatible",
     "g_apply",
     "g1_v_to_hs_norm",
+    "mean_form",
     "multiplicative_form",
     "multiplicative_matrix",
     "noise_quadratic_form",
@@ -165,19 +168,29 @@ def noise_quadratic_form(
                         + g2_{am} (G1 m)_b + g2_{am} g2_{bm} ],
 
     the four terms produced by expanding G(m + fluctuation) twice, with
-    the fluctuation second moment M and mean m. Accepts stacks M of
-    shape (..., N, N) and m of shape (..., N); their leading axes
-    broadcast against each other.
+    the fluctuation second moment M and mean m: multiplicative_form of
+    M plus mean_form of m. Accepts stacks M of shape (..., N, N) and m of
+    shape (..., N); their leading axes broadcast against each other.
+    """
+    return multiplicative_form(gmap, noise, Mmat) + mean_form(gmap, noise, mvec)
+
+
+def mean_form(gmap: AffineNoiseMap, noise: NoiseModel, mvec: np.ndarray) -> np.ndarray:
+    """The quadratic noise action at the mean m with zero fluctuation.
+
+    Entry (a, b) is sum_m gamma_m [ (G1 m)_a g2_{bm} + g2_{am} (G1 m)_b
+    + g2_{am} g2_{bm} ], the three terms of noise_quadratic_form that
+    involve G2, so no multiplicative matrix is built. Accepts a stack m
+    of shape (..., N).
     """
     mvec = np.atleast_1d(np.asarray(mvec, dtype=float))
     check_compatible(gmap, noise, mvec.shape[-1])
     n, modes = gmap.state_dim, gmap.noise_dim
-    t_mult = multiplicative_form(gmap, noise, Mmat)
     g1_flat = gmap.g1.transpose(1, 0, 2).reshape(n, n * modes)
     g1_mean = (mvec @ g1_flat).reshape(mvec.shape[:-1] + (n, modes))   # (G1 m)[a, m]
     g2_weighted = gmap.g2 * noise.q_eigenvalues
     t_cross = g1_mean @ g2_weighted.T
-    return t_mult + t_cross + np.swapaxes(t_cross, -1, -2) + gmap.g2 @ g2_weighted.T
+    return t_cross + np.swapaxes(t_cross, -1, -2) + gmap.g2 @ g2_weighted.T
 
 
 def scaled_random_coupling(

@@ -28,12 +28,11 @@ variational solver and serves as its brute-force cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .levy import NoiseModel
-from .noise_map import AffineNoiseMap, check_compatible, multiplicative_matrix, noise_quadratic_form
+from .noise_map import AffineNoiseMap, check_compatible, mean_form, multiplicative_matrix
 from .spectral import SpectralModel
 
 __all__ = [
@@ -48,10 +47,9 @@ __all__ = [
 class MomentField:
     """Mean and second-moment values on a uniform time grid."""
 
-    grid: np.ndarray                      # (K+1,) nodes
-    mean: np.ndarray                      # (K+1, N)
-    diag_second_moment: np.ndarray        # (K+1, N, N), M(t) = E[X(t) (x) X(t)]
-    two_time: Optional[np.ndarray] = None  # (K+1, N, K+1, N) when filled
+    grid: np.ndarray                # (K+1,) nodes
+    mean: np.ndarray                # (K+1, N)
+    diag_second_moment: np.ndarray  # (K+1, N, N), M(t) = E[X(t) (x) X(t)]
 
 
 def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndarray:
@@ -80,17 +78,17 @@ def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) ->
     matrix T of multiplicative_matrix on the upper-triangle rows and
     columns: entry (i, k) of z stands for both M[i, k] and M[k, i], so
     its column is T[(i, k)] + T[(k, i)] for i < k and T[(i, i)] for
-    i = k. The mean and constant columns come from one noise quadratic
-    form at M = 0, against each unit mean and the zero mean: the rate at
-    a unit mean less the rate at zero, and the rate at zero. The
-    diagonal carries the decay, -(lambda_i + lambda_k) for M[i, k] and
-    -lambda_j for m_j.
+    i = k. The mean and constant columns come from one mean_form call,
+    the rate at zero fluctuation, against each unit mean and the zero
+    mean: the rate at a unit mean less the rate at zero, and the rate at
+    zero. The diagonal carries the decay, -(lambda_i + lambda_k) for
+    M[i, k] and -lambda_j for m_j.
     """
     n, lam = model.dim, model.eigenvalues
     rows, cols = np.triu_indices(n)
     p = rows.size
     gen = np.zeros((p + n + 1, p + n + 1))
-    rates = noise_quadratic_form(gmap, noise, np.zeros((n, n)), np.eye(n + 1, n))[:, rows, cols]
+    rates = mean_form(gmap, noise, np.eye(n + 1, n))[:, rows, cols]
     gen[:p, p:] = rates.T
     gen[:p, p:-1] -= rates[-1:].T
     tmat = multiplicative_matrix(gmap, noise)
@@ -183,14 +181,16 @@ def lyapunov_solve(
     return MomentField(grid=grid, mean=mean_exact(model, m0, steps), diag_second_moment=diag)
 
 
-def two_time_extend(model: SpectralModel, field: MomentField) -> MomentField:
-    """Fill the two-time second moment from the equal-time values.
+def two_time_extend(model: SpectralModel, field: MomentField) -> np.ndarray:
+    """The two-time second moment on the field's grid, shape (K+1, N, K+1, N).
 
     For t_l >= t_k the second slot is propagated by the semigroup,
 
         M2[k, n, l, m] = exp(-lambda_m (t_l - t_k)) M(t_k)[n, m],
 
     and the block for t_l < t_k follows by the symmetry of the field.
+    Only the field's grid and equal-time values are read, so a field
+    read at a stride extends on the coarser grid.
     """
     diag = field.diag_second_moment
     nodes = field.grid
@@ -205,4 +205,4 @@ def two_time_extend(model: SpectralModel, field: MomentField) -> MomentField:
         two[k, :, k:, :] = diag[k][:, None, :] * decay[None, :, :]
     k, l = np.tril_indices(kk, -1)  # every block below the time diagonal
     two[k, :, l, :] = two[l, :, k, :].swapaxes(-1, -2)
-    return MomentField(grid=nodes, mean=field.mean, diag_second_moment=diag, two_time=two)
+    return two

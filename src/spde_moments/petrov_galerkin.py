@@ -58,6 +58,7 @@ from .noise_map import (
     AffineNoiseMap,
     check_compatible,
     g1_v_to_hs_norm,
+    mean_form,
     multiplicative_form,
     noise_quadratic_form,
 )
@@ -75,10 +76,7 @@ __all__ = [
     "rhs_second_moment",
     "rhs_covariance",
     "picard_solve_second_moment",
-    "solve_covariance",
     "per_mode_singular_range",
-    "per_mode_inf_sup",
-    "per_mode_operator_bound",
     "discrete_inf_sup",
 ]
 
@@ -248,9 +246,9 @@ def _initial_and_mean_load(
 
     if include_mean_product:
         quadratic = mean_coeffs[:, :, None] * mean_coeffs[:, None, :]
+        spatial = noise_quadratic_form(gmap, noise, quadratic, mean_coeffs)  # (K, N, N)
     else:
-        quadratic = np.zeros((n, n))
-    spatial = noise_quadratic_form(gmap, noise, quadratic, mean_coeffs)  # (K, N, N)
+        spatial = mean_form(gmap, noise, mean_coeffs)
     return MomentLoad(initial=initial_matrix, spatial=spatial)
 
 
@@ -265,8 +263,9 @@ def rhs_second_moment(
 
     Carries the initial second moment at time zero plus the three noise
     terms that involve the additive part, evaluated with the piecewise
-    constant mean on each interval. The purely multiplicative term is
-    not part of the load; it enters through the fixed-point coupling.
+    constant mean on each interval (mean_form). The purely
+    multiplicative term is not part of the load; it enters through the
+    fixed-point coupling.
     """
     return _initial_and_mean_load(
         system, noise, gmap, mean_coeffs, m2_initial, include_mean_product=False
@@ -285,7 +284,8 @@ def rhs_covariance(
     Same structure as the second-moment load, but the initial term is
     the initial covariance and the noise action is evaluated on the full
     affine operator at the mean, i.e. with the mean outer product in the
-    quadratic slot.
+    quadratic slot. picard_solve_second_moment solves it as it solves
+    the second-moment problem.
     """
     return _initial_and_mean_load(
         system, noise, gmap, mean_coeffs, cov_initial, include_mean_product=True
@@ -450,18 +450,6 @@ def picard_solve_second_moment(
     raise PicardNonConvergence(trace, max_iter)
 
 
-def solve_covariance(
-    system: PerModeSystem,
-    noise: NoiseModel,
-    gmap: AffineNoiseMap,
-    load: MomentLoad,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> SpaceTimeMoment:
-    """Solve the covariance problem; identical iteration, different load."""
-    return picard_solve_second_moment(system, noise, gmap, load, tol=tol, max_iter=max_iter)
-
-
 def _count_below(lam_dt: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:
     """Number of eigenvalues below mu of each mode's pencil (A, G_Y).
 
@@ -567,16 +555,6 @@ def per_mode_singular_range(system: PerModeSystem) -> tuple[np.ndarray, np.ndarr
     return singular[:, 0], singular[:, 1]
 
 
-def per_mode_inf_sup(system: PerModeSystem) -> np.ndarray:
-    """Discrete inf-sup value of each mode's pairing in the trial/test norms."""
-    return per_mode_singular_range(system)[0]
-
-
-def per_mode_operator_bound(system: PerModeSystem) -> np.ndarray:
-    """Largest singular value of the same normalized pencil, per mode."""
-    return per_mode_singular_range(system)[1]
-
-
 def discrete_inf_sup(system: PerModeSystem) -> float:
     """Discrete inf-sup value of the full pairing.
 
@@ -584,4 +562,4 @@ def discrete_inf_sup(system: PerModeSystem) -> float:
     minimum. Reported as a stability diagnostic; the continuous theory
     guarantees a lower bound only for the undiscretized problem.
     """
-    return float(per_mode_inf_sup(system).min())
+    return float(per_mode_singular_range(system)[0].min())

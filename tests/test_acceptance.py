@@ -28,7 +28,7 @@ from spde_moments import (
     ito_isometry_check,
     lyapunov_solve,
     mean_exact,
-    per_mode_inf_sup,
+    per_mode_singular_range,
     picard_solve_second_moment,
     projective_norm,
     rhs_covariance,
@@ -36,7 +36,6 @@ from spde_moments import (
     scaled_random_coupling,
     simulate_ensemble,
     smoothing_integral,
-    solve_covariance,
     solve_mean,
     weak_identity_residual,
 )
@@ -160,7 +159,7 @@ def test_criterion_03_multimode_cross_validation():
 
     system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
     mean = solve_mean(system, x0)
-    cov_sol = solve_covariance(
+    cov_sol = picard_solve_second_moment(
         system, noise, gmap, rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4)))
     )
 
@@ -305,7 +304,7 @@ def test_criterion_07_covariance_equals_moment_minus_mean_square():
             system, noise, gmap,
             rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0)),
         )
-        cov = solve_covariance(
+        cov = picard_solve_second_moment(
             system, noise, gmap,
             rhs_covariance(system, noise, gmap, mean, np.zeros((n, n))),
         )
@@ -325,7 +324,8 @@ def test_criterion_08_discrete_inf_sup_diagnostic():
     for lam in (1.0, 10.0, 100.0):
         model = SpectralModel(eigenvalues=[lam], horizon=1.0)
         values[lam] = [
-            float(per_mode_inf_sup(assemble_per_mode(model, TimeGrid(steps=k, horizon=1.0)))[0])
+            float(per_mode_singular_range(
+                assemble_per_mode(model, TimeGrid(steps=k, horizon=1.0)))[0][0])
             for k in (16, 32, 64)
         ]
 

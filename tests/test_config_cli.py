@@ -24,7 +24,6 @@ from spde_moments import (
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
-    solve_covariance,
     solve_mean,
 )
 from spde_moments import cli
@@ -116,6 +115,12 @@ class TestParsing:
         raw["mc"] = {"paths": 64, "seed": 1, "grid_steps": 3}
         with pytest.raises(ConfigError, match="grid_steps"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("steps, expected", [(64, 16), (16, 16), (24, 24), (8, 8)])
+    def test_grid_steps_default(self, steps, expected):
+        # 16 recording steps when they divide time.steps, else time.steps
+        raw = minimal_config(time={"steps": steps}, mc={"paths": 64, "seed": 1})
+        assert parse_config(raw).mc_grid_steps == expected
 
     def test_negative_noise_eigenvalue_rejected(self):
         raw = minimal_config()
@@ -293,6 +298,20 @@ class TestCli:
         trace = (out / "picard_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,update_norm"
         assert len(trace) >= 2
+
+    def test_validate_solves_the_oracle_once(self, tmp_path, monkeypatch):
+        # the Monte Carlo grid's oracle values are the solver grid's at a stride
+        calls = []
+
+        def counter(*args):
+            calls.append(args[-1])
+            return oracle.lyapunov_solve(*args)
+
+        monkeypatch.setattr(cli, "lyapunov_solve", counter)
+        cfg = self.write_config(tmp_path, minimal_config(
+            time={"steps": 32}, mc={"paths": 64, "seed": 1, "grid_steps": 8}))
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 2)
+        assert calls == [32]
 
     def test_solve_covariance_runs(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config())
@@ -547,8 +566,7 @@ model = SpectralModel(eigenvalues=[1.0])
 field = lyapunov_solve(model, NoiseModel(q_eigenvalues=[1.0]),
                        AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.full((1, 1), 0.5)),
                        np.ones(1), np.ones((1, 1)), 4)
-field = two_time_extend(model, field)
-assert np.all(np.isfinite(field.two_time))
+assert np.all(np.isfinite(two_time_extend(model, field)))
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
         env = dict(os.environ)
@@ -677,7 +695,7 @@ class TestFieldTables:
         mean = solve_mean(system, x0)
         m2 = picard_solve_second_moment(
             system, noise, gmap, rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0)))
-        cov = solve_covariance(
+        cov = picard_solve_second_moment(
             system, noise, gmap, rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4))))
         problems = [(m2, cov, mean)]
         cfg = load_config(multimode_variant(tmp_path))

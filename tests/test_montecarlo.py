@@ -275,10 +275,10 @@ class TestEstimateMoments:
         field = lyapunov_solve(
             scalar_model, unit_noise, additive_map, np.zeros(1), np.zeros((1, 1)), 8
         )
-        oracle = two_time_extend(scalar_model, field)
+        two = two_time_extend(scalar_model, field)
         mid, end = 4, 8
         assert abs(
-            est.covariance[mid, 0, end, 0] - oracle.two_time[mid, 0, end, 0]
+            est.covariance[mid, 0, end, 0] - two[mid, 0, end, 0]
         ) <= 3 * est.covariance_se[mid, 0, end, 0]
 
     def test_covariance_time_diagonal_nearly_positive_semidefinite(self):

@@ -61,8 +61,8 @@ class TestImportGraph:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
-        for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "multiplicative_form",
-                     "multiplicative_matrix", "noise_quadratic_form"):
+        for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "mean_form",
+                     "multiplicative_form", "multiplicative_matrix", "noise_quadratic_form"):
             assert homes.get(name) == ["noise_map"], name
 
 
@@ -78,6 +78,7 @@ MISMATCHED = {
 ENTRY_POINTS = {
     "noise_quadratic_form":
         lambda g: noise_quadratic_form(g, NOISE, np.eye(2), np.ones(2)),
+    "mean_form": lambda g: noise_map.mean_form(g, NOISE, np.ones(2)),
     "g1_v_to_hs_norm": lambda g: g1_v_to_hs_norm(g, MODEL, NOISE),
     "lyapunov_solve":
         lambda g: lyapunov_solve(MODEL, NOISE, g, np.ones(2), np.eye(2), 4),
@@ -170,6 +171,17 @@ class TestMultiplicativeForm:
         np.testing.assert_allclose(second.ravel() @ tmat, brute.ravel(), rtol=1e-13)
         np.testing.assert_allclose(noise_map.multiplicative_form(gmap, noise, second), brute,
                                    rtol=1e-13)
+
+    def test_mean_form_is_the_quadratic_form_at_zero_fluctuation(self):
+        # bit for bit on a stack of means: the multiplicative form of zeros
+        # is exactly zero, and adding it changes no bit
+        gmap, noise, rng = self.coupling(4, 3)
+        gmap = AffineNoiseMap(g1=gmap.g1, g2=rng.standard_normal((4, 3)))
+        means = rng.standard_normal((6, 4))
+        mean_terms = noise_map.mean_form(gmap, noise, means)
+        assert mean_terms.shape == (6, 4, 4)
+        np.testing.assert_array_equal(
+            mean_terms, noise_quadratic_form(gmap, noise, np.zeros((4, 4)), means))
 
     def test_peak_memory_bounded_at_scale(self):
         # K = 4096 intervals of N = 16 modes against M = 16 noise modes: the

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import spde_moments.noise_map as noise_map
 import spde_moments.oracle as oracle
 from spde_moments import (
     AffineNoiseMap,
+    MomentField,
     NoiseModel,
     SpectralModel,
     estimate_moments,
@@ -189,23 +191,24 @@ class TestLyapunovSolve:
         np.testing.assert_allclose(field.diag_second_moment[:, 0, 0], expected, rtol=1e-12)
 
     def test_noise_forms_do_not_grow_with_the_step_count(self, monkeypatch):
-        # the propagator is formed once: the noise quadratic form is called
-        # while the generator is built and never per step
+        # the propagator is formed once: the noise forms are called while
+        # the generator is built and never per step
         model, noise, gmap, x0 = multimode_setup()
         calls = []
-        original = oracle.noise_quadratic_form
+        for name in ("mean_form", "multiplicative_matrix"):
+            original = getattr(oracle, name)
 
-        def counter(*args):
-            calls.append(1)
-            return original(*args)
+            def counter(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(oracle, "noise_quadratic_form", counter)
+            monkeypatch.setattr(oracle, name, counter)
         counts = []
         for steps in (4, 4096):
             calls.clear()
             lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), steps)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == ["mean_form", "multiplicative_matrix"]
 
     def test_additive_matches_quadrature_formula(self):
         # explicit representation: M(t) = S(t) M0 S(t)
@@ -267,6 +270,21 @@ class TestGenerator:
         assert gen.shape == reference.shape
         assert np.max(np.abs(gen - reference)) <= 1e-14 * np.max(np.abs(reference))
 
+    def test_builds_the_multiplicative_matrix_once(self, monkeypatch):
+        # the mean and constant columns come from mean_form, which builds no T
+        model, noise, gmap, _ = multimode_setup()
+        calls = []
+        original = noise_map.multiplicative_matrix
+
+        def counter(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(noise_map, "multiplicative_matrix", counter)
+        monkeypatch.setattr(oracle, "multiplicative_matrix", counter)
+        oracle._generator(model, noise, gmap)
+        assert len(calls) == 1
+
 
 class TestExpm:
     @pytest.mark.parametrize("name, steps", [
@@ -323,12 +341,11 @@ class TestTwoTimeExtend:
         model = SpectralModel(eigenvalues=[1.0, 2.0])
         noise = NoiseModel(q_eigenvalues=[0.5])
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.ones((2, 1)))
-        field = two_time_extend(
-            model, lyapunov_solve(model, noise, gmap, np.ones(2), np.eye(2), 6)
-        )
+        field = lyapunov_solve(model, noise, gmap, np.ones(2), np.eye(2), 6)
+        two = two_time_extend(model, field)
         for k in range(7):
             np.testing.assert_allclose(
-                field.two_time[k, :, k, :], field.diag_second_moment[k], rtol=1e-13
+                two[k, :, k, :], field.diag_second_moment[k], rtol=1e-13
             )
 
     def test_noise_free_product_structure(self):
@@ -336,9 +353,8 @@ class TestTwoTimeExtend:
         noise = NoiseModel(q_eigenvalues=[0.0])
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         M0 = np.array([[1.0, 0.3], [0.3, 2.0]])
-        field = two_time_extend(
-            model, lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 5)
-        )
+        field = lyapunov_solve(model, noise, gmap, np.zeros(2), M0, 5)
+        two = two_time_extend(model, field)
         lam = model.eigenvalues
         t = field.grid
         for k in range(6):
@@ -346,7 +362,7 @@ class TestTwoTimeExtend:
                 expected = (
                     np.exp(-lam[:, None] * t[k]) * np.exp(-lam[None, :] * t[l]) * M0
                 )
-                np.testing.assert_allclose(field.two_time[k, :, l, :], expected, atol=1e-8)
+                np.testing.assert_allclose(two[k, :, l, :], expected, atol=1e-8)
 
     def test_scalar_ou_two_time_covariance(self):
         # for the scalar additive equation started at zero,
@@ -354,32 +370,42 @@ class TestTwoTimeExtend:
         model = SpectralModel(eigenvalues=[1.0])
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
-        field = two_time_extend(
-            model, lyapunov_solve(model, noise, gmap, np.zeros(1), np.zeros((1, 1)), 8)
-        )
+        field = lyapunov_solve(model, noise, gmap, np.zeros(1), np.zeros((1, 1)), 8)
+        two = two_time_extend(model, field)
         t = field.grid
         for k in range(9):
             for l in range(k, 9):
                 expected = np.exp(-(t[l] - t[k])) * 0.5 * -np.expm1(-2.0 * t[k])
-                assert field.two_time[k, 0, l, 0] == pytest.approx(expected, abs=1e-9)
+                assert two[k, 0, l, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_lower_half_matches_block_transpose_loop(self):
         model, noise, gmap, x0 = multimode_setup()
-        field = two_time_extend(
+        two = two_time_extend(
             model, lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 9)
         )
         upper = np.triu(np.ones((10, 10), dtype=bool))[:, None, :, None]
         np.testing.assert_array_equal(
-            field.two_time, two_time_transpose_loop(np.where(upper, field.two_time, np.nan))
+            two, two_time_transpose_loop(np.where(upper, two, np.nan))
         )
+
+    def test_strided_fine_solve_matches_coarse_solve(self):
+        # the exact propagator makes the fine grid read at a stride the
+        # coarse grid's solve, up to rounding
+        model, noise, gmap, x0 = multimode_setup()
+        fine = lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 64)
+        coarse = lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 8)
+        strided = MomentField(fine.grid[::8], fine.mean[::8], fine.diag_second_moment[::8])
+        expected = two_time_extend(model, coarse)
+        np.testing.assert_allclose(two_time_extend(model, strided), expected,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
 
     def test_symmetry_under_index_swap(self):
         model, noise, gmap, x0 = multimode_setup()
-        field = two_time_extend(
+        two = two_time_extend(
             model, lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 6)
         )
-        scale = np.max(np.abs(field.two_time))
+        scale = np.max(np.abs(two))
         np.testing.assert_allclose(
-            field.two_time, np.transpose(field.two_time, (2, 3, 0, 1)),
+            two, np.transpose(two, (2, 3, 0, 1)),
             atol=1e-12 * scale,
         )

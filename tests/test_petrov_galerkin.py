@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
+import spde_moments.noise_map as noise_map
 import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     AffineNoiseMap,
@@ -17,12 +18,10 @@ from spde_moments import (
     assemble_per_mode,
     discrete_inf_sup,
     mean_exact,
-    per_mode_inf_sup,
-    per_mode_operator_bound,
+    per_mode_singular_range,
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
-    solve_covariance,
     solve_mean,
 )
 from spde_moments.noise_map import multiplicative_form
@@ -287,6 +286,25 @@ class TestLoads:
             dense_load(system.grid, cov_load), dense_load(system.grid, m2_load), atol=1e-15
         )
 
+    def test_second_moment_load_builds_no_multiplicative_matrix(self, monkeypatch):
+        # its noise terms all involve G2 (mean_form); only the covariance
+        # load carries the multiplicative form of the mean outer product
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
+        mean = solve_mean(system, x0)
+        calls = []
+        original = noise_map.multiplicative_matrix
+
+        def counter(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(noise_map, "multiplicative_matrix", counter)
+        rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
+        assert calls == []
+        rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4)))
+        assert calls == [1]
+
 
 class TestTimeRows:
     @pytest.mark.parametrize("eigenvalues, steps", [
@@ -415,7 +433,7 @@ class TestPicard:
             system, noise, gmap,
             rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0)),
         )
-        cov = solve_covariance(
+        cov = picard_solve_second_moment(
             system, noise, gmap,
             rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4))),
         )
@@ -443,7 +461,8 @@ class TestInfSup:
     def test_smallest_below_largest(self):
         for lam in (1.0, 10.0, 100.0):
             system = scalar_system(32, lam=lam)
-            assert per_mode_inf_sup(system)[0] <= per_mode_operator_bound(system)[0]
+            smallest, largest = per_mode_singular_range(system)
+            assert smallest[0] <= largest[0]
 
     def test_eigenvalue_sweep_bounded_below(self):
         values = {
@@ -454,7 +473,7 @@ class TestInfSup:
     def test_minimum_over_modes(self):
         model = SpectralModel(eigenvalues=[1.0, 100.0])
         system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
-        per = per_mode_inf_sup(system)
+        per = per_mode_singular_range(system)[0]
         assert discrete_inf_sup(system) == pytest.approx(per.min())
 
     def test_operator_bounded_below_in_gram_norms(self):
@@ -521,7 +540,7 @@ class TestStiffRegime:
         with pytest.warns(RuntimeWarning, match="4 of 7 modes"):
             system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
         np.testing.assert_allclose(system.lambda_dt, self.LAMBDA_DT, rtol=1e-15)
-        smallest = per_mode_inf_sup(system)
+        smallest = per_mode_singular_range(system)[0]
         np.testing.assert_allclose(smallest, self.INF_SUP, rtol=1e-12, atol=0.0)
         # the value falls with lambda dt, slowly below 2 and then roughly
         # like 1 / (lambda dt): within 30% of 3.5 / (lambda dt) past 4
