@@ -3,8 +3,8 @@
 Every subcommand reads one JSON configuration and writes CSV tables
 (one file per emitted field, 17 significant digits) plus a report.json
 with run metadata into the output directory. Identical configurations
-and seeds produce byte-identical tables; the thread count only changes
-scheduling, never results.
+and seeds produce byte-identical tables. Monte Carlo runs its batches
+in order on one thread; `--threads` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, initial_law, load_config
-from .montecarlo import BATCHES, estimate_moments, simulate_ensemble
+from .montecarlo import estimate_bytes, estimate_moments, simulate_ensemble
 from .noise_map import g1_v_to_hs_norm
 from .oracle import MomentField, lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
@@ -86,14 +86,14 @@ def _write_picard_trace(out: Path, trace) -> None:
 def _check_mc_memory(cfg: ExperimentConfig) -> None:
     """Refuse with a ConfigError when what a Monte Carlo run holds at once
     on the config's recording grid would not fit in the machine's
-    physical memory. With D = (mc.grid_steps + 1) N, the buffers
-    estimate_moments fills, two nb x D x D per-batch fields and three
-    D x D fields of float64, name mc.grid_steps; the paths x D float64
-    array of the simulated paths beside them names mc.paths.
+    physical memory. With D = (mc.grid_steps + 1) N, the peak of
+    estimate_moments, montecarlo.estimate_bytes, names mc.grid_steps;
+    the paths x D float64 array of the simulated paths beside it names
+    mc.paths.
     """
     grid_steps = cfg.mc_grid_steps
     width = (grid_steps + 1) * cfg.model_dimension
-    buffers = (2 * min(BATCHES, cfg.mc_paths) + 3) * width * width * 8
+    buffers = estimate_bytes(cfg.mc_paths, width)
     _check_memory("mc.grid_steps", buffers, f"the moment buffers of {grid_steps} recording "
                   f"steps of {cfg.model_dimension} modes")
     _check_memory("mc.paths", buffers + cfg.mc_paths * width * 8,
@@ -147,7 +147,7 @@ def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
     return diagnostics
 
 
-def _simulate(cfg: ExperimentConfig, threads: int):
+def _simulate(cfg: ExperimentConfig):
     """Simulate the config's ensemble on its recording grid of
     mc.grid_steps steps. Returns the ensemble and the scheme steps per
     recording step."""
@@ -155,16 +155,16 @@ def _simulate(cfg: ExperimentConfig, threads: int):
     substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
     ensemble = simulate_ensemble(
         cfg.model, cfg.noise, cfg.gmap, mean0, cfg.mc_grid_steps, cfg.mc_paths, cfg.mc_seed,
-        x0_cov=x0_cov, substeps=substeps, threads=threads,
+        x0_cov=x0_cov, substeps=substeps,
     )
     return ensemble, substeps
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     _check_mc_memory(cfg)
     width = (cfg.mc_grid_steps + 1) * cfg.model_dimension
     _check_table_space(out, "mc.grid_steps", [(width, 3)] * 2 + [(width * width, 5)] * 4)
-    ensemble, substeps = _simulate(cfg, threads)
+    ensemble, substeps = _simulate(cfg)
     est = estimate_moments(ensemble)
     two = ["time_index", "mode", "value"]
     _write_field(out / "mean.csv", two, est.mean)
@@ -286,7 +286,14 @@ def _covariance_identity_error(
     return max(float(np.max(np.abs(c - (m - outer)))) for c, m, outer in blocks)
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def _relative_error(value: np.ndarray, reference: np.ndarray) -> float:
+    """max|value - reference| / max|reference|, the scale floored at 1e-300
+    so that an exact value of a reference of zeros has error 0."""
+    scale = max(1.0e-300, float(np.max(np.abs(reference))))
+    return float(np.max(np.abs(value - reference)) / scale)
+
+
+def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     started = time.perf_counter()
     _check_mc_memory(cfg)
     system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(cfg, (False, True))
@@ -304,20 +311,18 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     # equal-time second moment against the matrix differential equation
     oracle = lyapunov_solve(model, noise, gmap, mean0, m2_0, steps)
     diag = m2_sol.time_diagonal()
-    oracle_scale = float(np.max(np.abs(oracle.diag_second_moment[1:])))
-    diag_err = float(np.max(np.abs(diag - oracle.diag_second_moment[1:])) / oracle_scale)
+    diag_err = _relative_error(diag, oracle.diag_second_moment[1:])
     checks.append(("variational_diag_vs_oracle_rel", diag_err,
                    cfg.validate_oracle_rel_tol, diag_err <= cfg.validate_oracle_rel_tol))
 
     # solver mean against the exact semigroup mean, sup normalized
     exact_mean = mean_exact(model, mean0, steps)[1:]
-    mean_scale = max(1.0e-300, float(np.max(np.abs(exact_mean))))
-    mean_err = float(np.max(np.abs(mean_coeffs - exact_mean)) / mean_scale)
+    mean_err = _relative_error(mean_coeffs, exact_mean)
     checks.append(("variational_mean_vs_exact_rel", mean_err,
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    ensemble, _ = _simulate(cfg, threads)
+    ensemble, _ = _simulate(cfg)
     est = estimate_moments(ensemble)
     stride = steps // cfg.mc_grid_steps
     idx = np.arange(1, cfg.mc_grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
@@ -388,8 +393,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--out", required=True, help="output directory (created if absent)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for path simulation (results are "
-                             "independent of this value)")
+                        help="ignored: Monte Carlo runs its batches in order on one "
+                             "thread (accepted so that existing command lines still run)")
     args = parser.parse_args(argv)
 
     try:
@@ -398,12 +403,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    threads = max(1, args.threads)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         if args.subcommand == "simulate":
-            return cmd_simulate(cfg, out, threads)
+            return cmd_simulate(cfg, out)
         if args.subcommand == "solve-mean":
             return cmd_solve_mean(cfg, out)
         if args.subcommand == "solve-moment":
@@ -412,7 +420,7 @@ def main(argv=None) -> int:
             return _emit_moment(cfg, out, covariance=True)
         if args.subcommand == "inf-sup":
             return cmd_inf_sup(cfg, out)
-        return cmd_validate(cfg, out, threads)
+        return cmd_validate(cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,15 +8,14 @@ which treats the stiff linear part exactly in spectral coordinates and
 evaluates the noise operator at the left endpoint of every step, as the
 stochastic integral's predictability requires.
 
-Ensembles are generated in fixed batches of paths. Batch b always draws
-from the generator seeded with [seed, b], so results are reproducible
-bit for bit regardless of how many worker threads execute the batches,
-and the same batches feed the batch-means standard errors.
+Ensembles are generated in fixed batches of paths, run in order on one
+thread. Batch b always draws from the generator seeded with [seed, b]
+and fills its own rows, so results are reproducible bit for bit, and
+the same batches feed the batch-means standard errors.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,11 +39,9 @@ BATCHES = 32  # batch count of every ensemble with at least that many paths
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Simulated paths on a uniform grid and the number of batches they
-    were generated in."""
+    """Simulated paths on a uniform grid."""
 
     paths: np.ndarray  # (P, K+1, N)
-    batches: int
 
     def __post_init__(self) -> None:
         p = np.asarray(self.paths, dtype=float)
@@ -52,48 +49,43 @@ class Ensemble:
             raise ValueError("paths must be a (P, K+1, N) array with P >= 1")
         if not np.all(np.isfinite(p)):
             raise ValueError("paths must be finite")
-        if self.batches < 1:
-            raise ValueError("at least one batch is required")
         object.__setattr__(self, "paths", p)
 
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
 
+    @property
+    def batches(self) -> int:
+        """Number of batches the paths were generated in, and over which
+        estimate_moments takes its standard errors."""
+        return min(BATCHES, self.n_paths)
 
-def _batch_sizes(paths: int, batches: int) -> list[int]:
-    batches = min(batches, paths)
-    base, rem = divmod(paths, batches)
-    return [base + (1 if b < rem else 0) for b in range(batches)]
+
+def _batch_bounds(paths: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of the min(BATCHES, paths) batches of an
+    ensemble, in order; the first paths mod nb batches hold one path more."""
+    nb = min(BATCHES, paths)
+    base, rem = divmod(paths, nb)
+    return [(b * base + min(b, rem), (b + 1) * base + min(b + 1, rem)) for b in range(nb)]
 
 
-def _simulate_batch(
-    model: SpectralModel,
-    noise: NoiseModel,
-    gmap: AffineNoiseMap,
-    x0_mean: np.ndarray,
-    x0_cov_factor: Optional[np.ndarray],
-    steps: int,
-    substeps: int,
-    count: int,
-    rng: np.random.Generator,
-    out: np.ndarray,
-    inc_out: Optional[np.ndarray],
-) -> None:
-    dt = model.horizon / (steps * substeps)
-    decay = np.exp(-model.eigenvalues * dt)
-    if x0_cov_factor is None:
-        x = np.tile(x0_mean, (count, 1))
-    else:
-        x = x0_mean + rng.standard_normal((count, model.dim)) @ x0_cov_factor.T
-    out[:, 0] = x
-    for k in range(steps):
-        for s in range(substeps):
-            dL = sample_increments(noise, dt, count, rng)
-            if inc_out is not None:
-                inc_out[:, k * substeps + s] = dL
-            x = (x + g_apply(gmap, x, dL)) * decay
-        out[:, k + 1] = x
+def estimate_bytes(paths: int, width: int) -> int:
+    """Peak bytes that estimate_moments allocates for `paths` paths of
+    `width` recorded values each, beyond the paths themselves.
+
+    With nb batches and D = width, the peak falls in the last np.std:
+    the nb x D x D per-batch second moments and covariances, the D x D
+    moment, covariance and first standard error, and np.std's nb x D x D
+    deviation, D x D mean and sum, and its result divided by sqrt(nb),
+    (3 nb + 5) D^2 float64 in all; beside them the (nb + 2) D per-batch
+    and total means and the mean's standard error, and 4 KiB for the
+    interpreter objects the call creates. On a grid so small that
+    nb D^2 falls below numpy's 8192-element iteration buffer, that
+    buffer can add some ten kB more.
+    """
+    nb = min(BATCHES, paths)
+    return ((3 * nb + 5) * width + nb + 2) * width * 8 + 2**12
 
 
 def simulate_ensemble(
@@ -106,7 +98,6 @@ def simulate_ensemble(
     seed: int,
     x0_cov: Optional[np.ndarray] = None,
     substeps: int = 1,
-    threads: int = 1,
     return_increments: bool = False,
 ):
     """Simulate an ensemble of independent paths.
@@ -114,7 +105,7 @@ def simulate_ensemble(
     The recording grid has `steps` intervals; each is advanced with
     `substeps` internal scheme steps, which refines the time stepping
     without enlarging the stored grid. Batch b draws from the stream
-    [seed, b], so the result does not depend on the thread count.
+    [seed, b] and fills its own rows of the ensemble.
 
     x0_cov, when given, samples Gaussian initial values with that
     covariance around x0_mean; otherwise the initial value is the
@@ -144,29 +135,27 @@ def simulate_ensemble(
     if return_increments and substeps != 1:
         raise ValueError("increments can only be returned for substeps == 1")
 
-    sizes = _batch_sizes(paths, BATCHES)
-    nb = len(sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     all_paths = np.empty((paths, steps + 1, model.dim))
     all_incs = np.empty((paths, steps, noise.dim)) if return_increments else None
-
-    def run(b: int) -> None:
+    dt = model.horizon / (steps * substeps)
+    decay = np.exp(-model.eigenvalues * dt)
+    for b, (lo, hi) in enumerate(_batch_bounds(paths)):
         rng = np.random.default_rng([seed, b])
-        lo, hi = offsets[b], offsets[b + 1]
-        inc_view = all_incs[lo:hi] if all_incs is not None else None
-        _simulate_batch(
-            model, noise, gmap, x0_mean, factor, steps, substeps,
-            sizes[b], rng, all_paths[lo:hi], inc_view,
-        )
+        count = hi - lo
+        if factor is None:
+            x = np.tile(x0_mean, (count, 1))
+        else:
+            x = x0_mean + rng.standard_normal((count, model.dim)) @ factor.T
+        all_paths[lo:hi, 0] = x
+        for k in range(steps):
+            for s in range(substeps):
+                dL = sample_increments(noise, dt, count, rng)
+                if all_incs is not None:
+                    all_incs[lo:hi, k * substeps + s] = dL
+                x = (x + g_apply(gmap, x, dL)) * decay
+            all_paths[lo:hi, k + 1] = x
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(nb)))
-    else:
-        for b in range(nb):
-            run(b)
-
-    ens = Ensemble(paths=all_paths, batches=nb)
+    ens = Ensemble(paths=all_paths)
     if return_increments:
         return ens, all_incs
     return ens
@@ -206,14 +195,12 @@ def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
     D = nodes * dim
     flat = paths.reshape(P, D)
 
-    sizes = _batch_sizes(P, ensemble.batches)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    nb = len(sizes)
+    nb = ensemble.batches
     b_mean = np.empty((nb, D))
     b_m2 = np.empty((nb, D, D))
     b_cov = np.empty((nb, D, D))
-    for b in range(nb):
-        chunk = flat[offsets[b]:offsets[b + 1]]
+    for b, (lo, hi) in enumerate(_batch_bounds(P)):
+        chunk = flat[lo:hi]
         b_mean[b] = chunk.mean(axis=0)
         b_m2[b] = chunk.T @ chunk / chunk.shape[0]
         b_cov[b] = b_m2[b] - np.outer(b_mean[b], b_mean[b])

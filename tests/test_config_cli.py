@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,6 +271,14 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, minimal_config())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["solve-mean", "--config", cfg, "--out", str(taken)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_solve_mean_outputs_and_reproducibility(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -398,7 +407,7 @@ class TestCli:
         raw["initial"]["mean"] = [1.0 / j for j in range(1, n + 1)]
         raw["mc"] = {"paths": 2, "seed": 7, "grid_steps": 1}
         # the matrix and its permuted copy take 16 N^4 bytes, one more than
-        # the machine has; validate's Monte Carlo buffers, 15 kB, still fit
+        # the machine has; validate's Monte Carlo buffers, 27 kB, still fit
         monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * n ** 4 - 1)
         cfg = self.write_config(tmp_path, raw)
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -425,7 +434,7 @@ class TestCli:
         monkeypatch.setattr(cli, "_solve_moment_problems", no_run)
         monkeypatch.setattr(cli, "_simulate", no_run)
         raw = multimode_raw()
-        # the moment buffers on 17 nodes of 4 modes take 2.5 MB, but the
+        # the moment buffers on 17 nodes of 4 modes take 3.8 MB, but the
         # (10**12, 17, 4) float64 array of the paths is half a PiB
         raw["mc"]["paths"] = 10 ** 12
         cfg = self.write_config(tmp_path, raw)
@@ -595,6 +604,22 @@ assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         third_party = {name for name in imported
                        if name not in sys.stdlib_module_names and name != "spde_moments"}
         assert third_party == declared
+
+    def test_validate_passes_when_every_moment_is_zero(self, tmp_path):
+        # scalar_ou without its additive noise, started at zero: every
+        # route gives zero moments exactly, and no relative error divides
+        # by a zero scale
+        raw = json.loads((ROOT / "configs" / "scalar_ou.json").read_text())
+        raw["g"]["g2"]["value"] = 0.0
+        cfg = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["validate", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        checks = {c["check"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert checks["variational_diag_vs_oracle_rel"]["value"] == 0.0
+        assert all(c["status"] == "PASS" for c in checks.values())
 
     def test_validate_passes_on_relaxed_scalar_config(self, tmp_path, capsys):
         raw = minimal_config()

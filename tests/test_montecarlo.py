@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,12 +174,6 @@ class TestSimulatePath:
 
 
 class TestEnsemble:
-    def test_thread_count_does_not_change_results(self, scalar_model, unit_noise, additive_map):
-        kw = dict(x0_mean=np.zeros(1), steps=8, paths=200, seed=3)
-        a = simulate_ensemble(scalar_model, unit_noise, additive_map, **kw, threads=1)
-        b = simulate_ensemble(scalar_model, unit_noise, additive_map, **kw, threads=4)
-        np.testing.assert_array_equal(a.paths, b.paths)
-
     def test_substepping_subsamples_the_fine_grid(self, scalar_model, unit_noise, additive_map):
         coarse = simulate_ensemble(
             scalar_model, unit_noise, additive_map, np.zeros(1), 4, 64, seed=4, substeps=3
@@ -202,6 +198,30 @@ class TestEnsemble:
             dL = sample_increments(unit_noise, dt, 1, rng)[0]
             path.append(decay * (path[-1] + g_apply(additive_map, path[-1], dL)))
         np.testing.assert_array_equal(ens.paths[0], np.stack(path))
+
+    def test_batches_replay_their_own_streams_in_order(
+        self, scalar_model, unit_noise, multiplicative_map
+    ):
+        # 200 paths fall into 32 batches, the first 8 of 7 paths and the
+        # rest of 6; batch b is stepped by hand on the stream [seed, b]
+        # and fills the next rows
+        ens = simulate_ensemble(
+            scalar_model, unit_noise, multiplicative_map, np.ones(1), 8, 200, seed=9
+        )
+        assert ens.batches == 32
+        dt = scalar_model.horizon / 8
+        decay = np.exp(-scalar_model.eigenvalues * dt)
+        replay = []
+        for b in range(32):
+            rng = np.random.default_rng([9, b])
+            x = np.ones((7 if b < 8 else 6, 1))
+            path = [x]
+            for _ in range(8):
+                dL = sample_increments(unit_noise, dt, x.shape[0], rng)
+                x = (x + g_apply(multiplicative_map, x, dL)) * decay
+                path.append(x)
+            replay.append(np.stack(path, axis=1))
+        np.testing.assert_array_equal(ens.paths, np.concatenate(replay))
 
     def test_nonfinite_initial_mean_rejected_before_stepping(
         self, scalar_model, unit_noise, additive_map, monkeypatch
@@ -231,6 +251,21 @@ class TestEstimateMoments:
         ens = simulate_ensemble(scalar_model, unit_noise, additive_map, np.zeros(1), 4, 1, seed=0)
         with pytest.raises(ValueError):
             estimate_moments(ens)
+
+    @pytest.mark.parametrize("paths", [2, 64])
+    def test_peak_memory_within_the_count(self, paths):
+        # nb = 2 and nb = 32 batches of 65 nodes of 4 modes: D = 260, and
+        # one D x D float64 field is 0.54 MB
+        ens = mc.Ensemble(paths=np.random.default_rng(0).standard_normal((paths, 65, 4)))
+        assert ens.batches == min(paths, 32)
+        count = mc.estimate_bytes(paths, 260)
+        tracemalloc.start()
+        try:
+            estimate_moments(ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count - 260 * 260 * 8 < peak <= count
 
     def test_deterministic_ensemble(self, scalar_model, additive_map):
         # no noise: covariance vanishes, second moment is the mean outer product

@@ -3,12 +3,36 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPTS_DIR.glob("*.py"))
+
+
+def load_script(path):
+    # importing a script under a name other than __main__ runs none of its
+    # work but resolves every library name it imports
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[path.stem for path in SCRIPTS])
 def test_script_imports(path):
-    # importing a script under a name other than __main__ runs none of its
-    # work but resolves every library name it imports
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    load_script(path)
+
+
+def test_table_diff_names_the_changed_table_and_its_value_difference(tmp_path, capsys):
+    table_diff = load_script(SCRIPTS_DIR / "table_diff.py")
+    rows = "time_index,mode,value\n0,0,2\n1,0,-4\n"
+    for tree in ("old", "new"):
+        for name in ("a/mean.csv", "b/covariance.csv"):
+            path = tmp_path / tree / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rows)
+    table_diff.main(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert capsys.readouterr().out == ""
+
+    (tmp_path / "new" / "b" / "covariance.csv").write_text("time_index,mode,value\n0,0,2\n1,0,-3\n")
+    table_diff.main(str(tmp_path / "old"), str(tmp_path / "new"))
+    # max|a - b| / max|a| = 1 / 4
+    assert capsys.readouterr().out == "b/covariance.csv  value: max|a-b|/max|a| = 0.25\n"
