@@ -3,8 +3,10 @@
 Every subcommand reads one JSON configuration and writes CSV tables
 (one file per emitted field, 17 significant digits) plus a report.json
 with run metadata into the output directory. Identical configurations
-and seeds produce byte-identical tables. Monte Carlo runs its batches
-in order on one thread; `--threads` is accepted and ignored.
+and seeds produce byte-identical tables. Monte Carlo batches and the
+rows of a field table are spread over one process per CPU of the
+process's affinity (`_fanout`), which changes no table; the report
+records that count as `workers`. `--threads` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._fanout import fan_out, split, workers
 from .config import ConfigError, ExperimentConfig, initial_law, load_config
 from .montecarlo import estimate_bytes, estimate_moments, simulate_ensemble
 from .noise_map import g1_v_to_hs_norm
@@ -48,19 +51,43 @@ def _write_table(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(FMT % v if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_field(path: Path, header: list[str], chunks) -> None:
-    """Write a field table, one row per entry in C order: the entry's
-    indices, then its value. Chunk k holds the values at leading index k,
-    so a field is written one chunk at a time and never held whole."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        lines = None
-        for k, chunk in enumerate(chunks):
-            if lines is None:  # the trailing indices repeat in every chunk
-                lines = ["".join(f"{i}," for i in index) + FMT + "\n"
-                         for index in np.ndindex(chunk.shape)]
-            lead = f"{k},"
-            fh.write(lead + lead.join(lines) % tuple(chunk.ravel().tolist()))
+def _write_field(path: Path, header: list[str], row, rows: int) -> int:
+    """Write a field table, one line per entry in C order: the entry's
+    indices, then its value. row(k) returns the values at leading index k
+    for k < rows, so a field is formatted one row at a time and never held
+    whole. Contiguous ranges of rows are formatted by workers(rows)
+    processes, the first range straight into the table and each other
+    into a part file beside it, which is then appended to the table and
+    removed. Returns the number of processes."""
+    ranges = split(rows, workers(rows))
+    files = [path] + [path.with_name(f"{path.name}.part{w}") for w in range(1, len(ranges))]
+
+    def write(w: int) -> None:
+        with open(files[w], "w", encoding="utf-8", newline="\n") as fh:
+            if w == 0:
+                fh.write(",".join(header) + "\n")
+            lines = None
+            for k in range(*ranges[w]):
+                chunk = row(k)
+                if lines is None:  # the trailing indices repeat in every row
+                    lines = ["".join(f"{i}," for i in index) + FMT + "\n"
+                             for index in np.ndindex(chunk.shape)]
+                lead = f"{k},"
+                fh.write(lead + lead.join(lines) % tuple(chunk.ravel().tolist()))
+
+    try:
+        fan_out(write, list(range(len(ranges))))
+        with open(path, "r+b", buffering=0) as table:
+            table.seek(0, os.SEEK_END)  # copy_file_range refuses a table opened to append
+            for part in files[1:]:
+                with open(part, "rb", buffering=0) as src:
+                    while os.copy_file_range(src.fileno(), table.fileno(), 2**30):
+                        pass
+                part.unlink()
+    finally:
+        for part in files[1:]:
+            part.unlink(missing_ok=True)
+    return len(ranges)
 
 
 def _report(out: Path, cfg: ExperimentConfig, subcommand: str, payload: dict) -> None:
@@ -114,12 +141,18 @@ def _check_memory(key: str, need: int, what: str) -> None:
                           f"{physical / 2**30:.3g} GiB of physical memory")
 
 
-def _check_table_space(out: Path, key: str, tables: list[tuple[int, int]]) -> None:
-    """Refuse with a ConfigError naming `key` when tables of (rows,
-    columns) could not fit in the free space under `out`, even with every
-    field one character long: each row then takes two bytes a column."""
-    rows = sum(count for count, _ in tables)
-    need = sum(2 * count * columns for count, columns in tables)
+def _check_table_space(out: Path, key: str, tables: list[tuple[int, int, int]]) -> None:
+    """Refuse with a ConfigError naming `key` when field tables of (leading
+    indices, rows, columns), written in this order, could not fit in the
+    free space under `out`, even with every field one character long:
+    each row then takes two bytes a column. The last table is assembled
+    by _write_field from the ranges of its leading indices; until its
+    last part file is removed, that part's rows are on disk twice."""
+    lead, count, columns = tables[-1]
+    procs = workers(lead)
+    part = 0 if procs == 1 else 2 * columns * (count // lead) * (lead // procs)
+    rows = sum(count for _, count, _ in tables)
+    need = sum(2 * count * columns for _, count, columns in tables) + part
     free = shutil.disk_usage(out).free
     if need > free:
         raise ConfigError(
@@ -162,19 +195,22 @@ def _simulate(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     _check_mc_memory(cfg)
-    width = (cfg.mc_grid_steps + 1) * cfg.model_dimension
-    _check_table_space(out, "mc.grid_steps", [(width, 3)] * 2 + [(width * width, 5)] * 4)
+    nodes = cfg.mc_grid_steps + 1
+    width = nodes * cfg.model_dimension
+    _check_table_space(out, "mc.grid_steps",
+                       [(nodes, width, 3)] * 2 + [(nodes, width * width, 5)] * 4)
     ensemble, substeps = _simulate(cfg)
     est = estimate_moments(ensemble)
     two = ["time_index", "mode", "value"]
-    _write_field(out / "mean.csv", two, est.mean)
-    _write_field(out / "mean_se.csv", two, est.mean_se)
     four = ["time_index_1", "mode_1", "time_index_2", "mode_2", "value"]
-    _write_field(out / "second_moment.csv", four, est.second_moment)
-    _write_field(out / "second_moment_se.csv", four, est.second_moment_se)
-    _write_field(out / "covariance.csv", four, est.covariance)
-    _write_field(out / "covariance_se.csv", four, est.covariance_se)
+    procs = [workers(ensemble.batches)]
+    for name in ("mean", "mean_se", "second_moment", "second_moment_se",
+                 "covariance", "covariance_se"):
+        field = getattr(est, name)
+        procs.append(_write_field(out / f"{name}.csv", two if field.ndim == 2 else four,
+                                  field.__getitem__, nodes))
     _report(out, cfg, "simulate", {
+        "workers": max(procs),
         "paths": cfg.mc_paths,
         "grid_steps": cfg.mc_grid_steps,
         "scheme_steps_per_grid_step": substeps,
@@ -203,6 +239,7 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
          for k in range(coeffs.shape[0]) for n in range(coeffs.shape[1])),
     )
     _report(out, cfg, "solve-mean", {
+        "workers": 1,
         "sup_error_vs_exact": float(np.max(np.abs(coeffs - exact))),
     })
     return 0
@@ -235,14 +272,15 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
 def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
     width = cfg.time_steps * cfg.model_dimension
-    _check_table_space(out, "time.steps", [(width * width, 5)])
+    _check_table_space(out, "time.steps", [(cfg.time_steps, width * width, 5)])
     system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
     four = ["interval_1", "mode_1", "interval_2", "mode_2", "value"]
-    _write_field(out / f"{name}_coefficients.csv", four,
-                 (solution.row(k) for k in range(solution.grid.steps)))
+    procs = _write_field(out / f"{name}_coefficients.csv", four, solution.row,
+                         solution.grid.steps)
     _write_picard_trace(out, solution.trace)
     diagnostics = _write_diagnostics(out, cfg, system, picard_iterations=solution.iterations)
     _report(out, cfg, f"solve-{name}", {
+        "workers": procs,
         "diagnostics": diagnostics,
         "picard_trace": [float(d) for d in solution.trace],
     })
@@ -264,7 +302,10 @@ def cmd_inf_sup(cfg: ExperimentConfig, out: Path) -> int:
     _write_table(out / "inf_sup.csv",
                  ["steps", "mode", "eigenvalue", "inf_sup", "operator_bound", "lambda_dt"], rows)
     _write_table(out / "inf_sup_global.csv", ["steps", "value"], global_rows)
-    _report(out, cfg, "inf-sup", {"sweep_steps": [cfg.time_steps * f for f in (1, 2, 4)]})
+    _report(out, cfg, "inf-sup", {
+        "workers": 1,
+        "sweep_steps": [cfg.time_steps * f for f in (1, 2, 4)],
+    })
     return 0
 
 
@@ -363,6 +404,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     )
     all_pass = all(ok for _, _, _, ok in checks)
     _report(out, cfg, "validate", {
+        "workers": workers(ensemble.batches),
         # the clock reading goes to the report only, so the tables stay byte-identical
         "diagnostics": {**diagnostics, "elapsed_seconds": time.perf_counter() - started},
         "picard_trace_second_moment": [float(d) for d in m2_sol.trace],
@@ -393,8 +435,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--out", required=True, help="output directory (created if absent)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="ignored: Monte Carlo runs its batches in order on one "
-                             "thread (accepted so that existing command lines still run)")
+                        help="ignored: Monte Carlo batches and table rows are spread over "
+                             "one process per CPU of the process's affinity (accepted so "
+                             "that existing command lines still run)")
     args = parser.parse_args(argv)
 
     try:

@@ -8,19 +8,25 @@ which treats the stiff linear part exactly in spectral coordinates and
 evaluates the noise operator at the left endpoint of every step, as the
 stochastic integral's predictability requires.
 
-Ensembles are generated in fixed batches of paths, run in order on one
-thread. Batch b always draws from the generator seeded with [seed, b]
-and fills its own rows, so results are reproducible bit for bit, and
-the same batches feed the batch-means standard errors.
+Ensembles are generated in fixed batches of paths. Batch b always draws
+from the generator seeded with [seed, b] and fills its own rows, so
+results are reproducible bit for bit, and the same batches feed the
+batch-means standard errors. Contiguous runs of batches go to one
+process per CPU of the process's affinity (`_fanout`), which fill their
+rows of an ensemble in shared memory; the ensemble is the same bit for
+bit whatever the number of processes.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._fanout import fan_out, split, workers
 from .levy import NoiseModel, sample_increments
 from .noise_map import AffineNoiseMap, check_compatible, g_apply
 from .spectral import SpectralModel
@@ -65,27 +71,33 @@ class Ensemble:
 def _batch_bounds(paths: int) -> list[tuple[int, int]]:
     """Row ranges [lo, hi) of the min(BATCHES, paths) batches of an
     ensemble, in order; the first paths mod nb batches hold one path more."""
-    nb = min(BATCHES, paths)
-    base, rem = divmod(paths, nb)
-    return [(b * base + min(b, rem), (b + 1) * base + min(b + 1, rem)) for b in range(nb)]
+    return split(paths, min(BATCHES, paths))
+
+
+def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of `shape` in anonymous shared memory, so that the
+    rows a forked worker writes are the rows its parent reads."""
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
 def estimate_bytes(paths: int, width: int) -> int:
     """Peak bytes that estimate_moments allocates for `paths` paths of
     `width` recorded values each, beyond the paths themselves.
 
-    With nb batches and D = width, the peak falls in the last np.std:
-    the nb x D x D per-batch second moments and covariances, the D x D
-    moment, covariance and first standard error, and np.std's nb x D x D
-    deviation, D x D mean and sum, and its result divided by sqrt(nb),
-    (3 nb + 5) D^2 float64 in all; beside them the (nb + 2) D per-batch
-    and total means and the mean's standard error, and 4 KiB for the
-    interpreter objects the call creates. On a grid so small that
-    nb D^2 falls below numpy's 8192-element iteration buffer, that
-    buffer can add some ten kB more.
+    With nb batches and D = width, the peak falls in the spread of the
+    per-batch covariances: the nb x D x D per-batch second moments and
+    covariances, whose deviations are formed in place, the D x D moment,
+    covariance and first standard error, and two D x D temporaries (the
+    batch sum and its quotient by nb, then the squared sum and its
+    quotient by nb - 1), (2 nb + 5) D^2 float64 in all; beside them the
+    (nb + 2) D per-batch and total means and the mean's standard error,
+    and 4 KiB for the interpreter objects the call creates. On a grid so
+    small that nb D^2 falls below numpy's 8192-element iteration buffer,
+    that buffer can add some ten kB more.
     """
     nb = min(BATCHES, paths)
-    return ((3 * nb + 5) * width + nb + 2) * width * 8 + 2**12
+    return ((2 * nb + 5) * width + nb + 2) * width * 8 + 2**12
 
 
 def simulate_ensemble(
@@ -105,7 +117,9 @@ def simulate_ensemble(
     The recording grid has `steps` intervals; each is advanced with
     `substeps` internal scheme steps, which refines the time stepping
     without enlarging the stored grid. Batch b draws from the stream
-    [seed, b] and fills its own rows of the ensemble.
+    [seed, b] and fills its own rows of the ensemble. The batches are
+    spread over workers(batches) processes in contiguous runs; with more
+    than one, the paths (and increments) live in shared memory.
 
     x0_cov, when given, samples Gaussian initial values with that
     covariance around x0_mean; otherwise the initial value is the
@@ -135,25 +149,33 @@ def simulate_ensemble(
     if return_increments and substeps != 1:
         raise ValueError("increments can only be returned for substeps == 1")
 
-    all_paths = np.empty((paths, steps + 1, model.dim))
-    all_incs = np.empty((paths, steps, noise.dim)) if return_increments else None
+    bounds = _batch_bounds(paths)
+    procs = workers(len(bounds))
+    empty = _shared_empty if procs > 1 else np.empty
+    all_paths = empty((paths, steps + 1, model.dim))
+    all_incs = empty((paths, steps, noise.dim)) if return_increments else None
     dt = model.horizon / (steps * substeps)
     decay = np.exp(-model.eigenvalues * dt)
-    for b, (lo, hi) in enumerate(_batch_bounds(paths)):
-        rng = np.random.default_rng([seed, b])
-        count = hi - lo
-        if factor is None:
-            x = np.tile(x0_mean, (count, 1))
-        else:
-            x = x0_mean + rng.standard_normal((count, model.dim)) @ factor.T
-        all_paths[lo:hi, 0] = x
-        for k in range(steps):
-            for s in range(substeps):
-                dL = sample_increments(noise, dt, count, rng)
-                if all_incs is not None:
-                    all_incs[lo:hi, k * substeps + s] = dL
-                x = (x + g_apply(gmap, x, dL)) * decay
-            all_paths[lo:hi, k + 1] = x
+
+    def run(batches: tuple[int, int]) -> None:
+        for b in range(*batches):
+            lo, hi = bounds[b]
+            rng = np.random.default_rng([seed, b])
+            count = hi - lo
+            if factor is None:
+                x = np.tile(x0_mean, (count, 1))
+            else:
+                x = x0_mean + rng.standard_normal((count, model.dim)) @ factor.T
+            all_paths[lo:hi, 0] = x
+            for k in range(steps):
+                for s in range(substeps):
+                    dL = sample_increments(noise, dt, count, rng)
+                    if all_incs is not None:
+                        all_incs[lo:hi, k * substeps + s] = dL
+                    x = (x + g_apply(gmap, x, dL)) * decay
+                all_paths[lo:hi, k + 1] = x
+
+    fan_out(run, split(len(bounds), procs))
 
     ens = Ensemble(paths=all_paths)
     if return_increments:
@@ -177,6 +199,18 @@ class MomentEstimate:
     mean_se: np.ndarray
     second_moment_se: np.ndarray
     covariance_se: np.ndarray
+
+
+def _batch_error(stats: np.ndarray) -> np.ndarray:
+    """Batch-means standard error over the leading axis of nb per-batch
+    statistics, np.std(stats, axis=0, ddof=1) / sqrt(nb) bit for bit: the
+    same operations in np.std's order, with the deviations formed in
+    place in `stats`, which are overwritten."""
+    nb = stats.shape[0]
+    stats -= np.add.reduce(stats, axis=0, keepdims=True) / nb
+    np.multiply(stats, stats, out=stats)
+    spread = np.add.reduce(stats, axis=0) / (nb - 1)
+    return np.sqrt(spread, out=spread) / np.sqrt(nb)
 
 
 def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
@@ -208,9 +242,9 @@ def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
     mean = flat.mean(axis=0)
     m2 = flat.T @ flat / P
     cov = m2 - np.outer(mean, mean)
-    mean_se = b_mean.std(axis=0, ddof=1) / np.sqrt(nb)
-    m2_se = b_m2.std(axis=0, ddof=1) / np.sqrt(nb)
-    cov_se = b_cov.std(axis=0, ddof=1) / np.sqrt(nb)
+    mean_se = _batch_error(b_mean)
+    m2_se = _batch_error(b_m2)
+    cov_se = _batch_error(b_cov)
 
     shape2 = (nodes, dim, nodes, dim)
     return MomentEstimate(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,18 @@ from spde_moments import (
     dirichlet_laplacian,
     scaled_random_coupling,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped: every worker the
+    package forks must have been waited for when its call returns."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process was left " + ("running" if pid == 0 else "unreaped"))
 
 
 @pytest.fixture

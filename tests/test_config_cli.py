@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import spde_moments.config as config
+from spde_moments import _fanout
 import spde_moments.montecarlo as mc
 import spde_moments.noise_map as noise_map
 import spde_moments.oracle as oracle
@@ -537,6 +538,7 @@ class TestCli:
         def no_solve(*args, **kwargs):
             raise AssertionError("the solver ran")
 
+        monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # one process writes no part file
         free = {"bytes": need - 1}
         monkeypatch.setattr(cli.shutil, "disk_usage",
                             lambda path: SimpleNamespace(total=2 ** 40, used=0, free=free["bytes"]))
@@ -554,6 +556,42 @@ class TestCli:
         monkeypatch.setattr(cli, "_solve_moment_problems", real[0])
         monkeypatch.setattr(cli, "_simulate", real[1])
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+
+    @pytest.mark.parametrize("subcommand, key, need", [
+        # at three processes the last table's last part holds 8 // 3 = 2
+        # of its 8 leading indices, 8 rows each, or 9 // 3 = 3 of 9, 9 rows
+        # each, on disk twice until the part is removed
+        ("solve-moment", "time.steps", 640 + 2 * 8 * 10),
+        ("simulate", "mc.grid_steps", 4 * 81 * 10 + 2 * 9 * 6 + 3 * 9 * 10),
+    ])
+    def test_table_space_counts_the_last_part_file(
+        self, tmp_path, capsys, monkeypatch, subcommand, key, need
+    ):
+        monkeypatch.setattr(_fanout, "_cpus", lambda: 3)
+        free = {"bytes": need - 1}
+        monkeypatch.setattr(cli.shutil, "disk_usage",
+                            lambda path: SimpleNamespace(total=2 ** 40, used=0, free=free["bytes"]))
+        cfg = self.write_config(tmp_path, minimal_config())
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        free["bytes"] = need
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "solve-moment"])
+    def test_worker_count_does_not_change_the_output(self, tmp_path, monkeypatch, subcommand):
+        cfg = self.write_config(tmp_path, minimal_config())
+        trees = []
+        for procs in (1, 3):
+            monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
+            out = tmp_path / f"procs{procs}"
+            assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+            tree = {path.name: path.read_bytes() for path in out.iterdir()}
+            report = json.loads(tree.pop("report.json"))
+            assert report.pop("workers") == procs
+            trees.append((tree, report))
+        assert trees[0] == trees[1]
+        assert not [name for name in trees[0][0] if ".part" in name]
+        assert all(name.endswith(".csv") for name in trees[0][0])
 
     def test_moment_path_never_loads_scipy_linalg(self, tmp_path):
         # numpy is the only runtime dependency: no subcommand and no oracle
@@ -701,8 +739,9 @@ class TestFieldTables:
         flat[:len(self.SPECIAL)] = self.SPECIAL
         header = [f"i{j}" for j in range(len(shape))] + ["value"]
         cli._write_table(tmp_path / "rows.csv", header, rows(values))
-        cli._write_field(tmp_path / "field.csv", header, values)
-        cli._write_field(tmp_path / "chunks.csv", header, (chunk for chunk in values))
+        cli._write_field(tmp_path / "field.csv", header, values.__getitem__, len(values))
+        cli._write_field(tmp_path / "chunks.csv", header, lambda k: values[k],
+                         shape[0])
         expected = (tmp_path / "rows.csv").read_bytes()
         for text in (b",-0\n", b",4.9406564584124654e-324\n", b",nan\n", b",-inf\n"):
             assert text in expected

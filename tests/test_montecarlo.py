@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spde_moments.montecarlo as mc
+from spde_moments import _fanout
 from spde_moments import (
     AffineNoiseMap,
     NoiseModel,
@@ -20,6 +21,8 @@ from spde_moments import (
     two_time_extend,
     weak_identity_residual,
 )
+
+from conftest import multimode_setup
 
 
 def brute_force_g(gmap, state, increment):
@@ -223,6 +226,45 @@ class TestEnsemble:
             replay.append(np.stack(path, axis=1))
         np.testing.assert_array_equal(ens.paths, np.concatenate(replay))
 
+    @pytest.mark.parametrize("paths, steps, multimode, x0_cov, increments", [
+        (200, 8, False, False, False),    # 32 batches of 7 or 6 paths, 11/11/10 at 3 workers
+        (45, 4, True, True, True),        # 32 batches of 2 or 1 paths, four modes
+        (45, 4, True, False, True),
+        (200, 8, False, True, False),
+        (1, 1, False, False, True),       # one batch: fewer parts than workers
+    ])
+    def test_worker_count_does_not_change_the_ensemble(
+        self, monkeypatch, unit_noise, multiplicative_map, paths, steps, multimode, x0_cov,
+        increments,
+    ):
+        if multimode:
+            model, noise, gmap, x0 = multimode_setup()
+        else:
+            model, noise, gmap, x0 = (SpectralModel(eigenvalues=[1.0]), unit_noise,
+                                      multiplicative_map, np.ones(1))
+        cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
+        runs = []
+        for procs in (1, 2, 3):
+            monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
+            out = simulate_ensemble(model, noise, gmap, x0, steps, paths, seed=4, x0_cov=cov,
+                                    return_increments=increments)
+            runs.append(out if increments else (out, None))
+        for ens, incs in runs[1:]:
+            np.testing.assert_array_equal(ens.paths, runs[0][0].paths)
+            if increments:
+                np.testing.assert_array_equal(incs, runs[0][1])
+
+    def test_one_cpu_forks_no_worker(self, monkeypatch, scalar_model, unit_noise,
+                                     multiplicative_map):
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(_fanout, "_cpus", lambda: 1)
+        monkeypatch.setattr(_fanout.os, "fork", no_fork)
+        ens = simulate_ensemble(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 64,
+                                seed=3)
+        assert ens.batches == 32
+
     def test_nonfinite_initial_mean_rejected_before_stepping(
         self, scalar_model, unit_noise, additive_map, monkeypatch
     ):
@@ -266,6 +308,20 @@ class TestEstimateMoments:
         finally:
             tracemalloc.stop()
         assert count - 260 * 260 * 8 < peak <= count
+
+    @pytest.mark.parametrize("paths, nodes, dim", [(64, 17, 4), (2, 65, 4), (20, 13, 1)])
+    def test_standard_errors_equal_numpy_std_bitwise(self, paths, nodes, dim):
+        ens = mc.Ensemble(paths=np.random.default_rng(1).standard_normal((paths, nodes, dim)))
+        est = estimate_moments(ens)
+        flat = ens.paths.reshape(paths, -1)
+        chunks = [flat[lo:hi] for lo, hi in mc._batch_bounds(paths)]
+        b_mean = np.stack([c.mean(axis=0) for c in chunks])
+        b_m2 = np.stack([c.T @ c / c.shape[0] for c in chunks])
+        b_cov = np.stack([m2 - np.outer(m, m) for m2, m in zip(b_m2, b_mean)])
+        root = np.sqrt(len(chunks))
+        for se, stats in ((est.mean_se, b_mean), (est.second_moment_se, b_m2),
+                          (est.covariance_se, b_cov)):
+            assert np.array_equal(se.ravel(), (stats.std(axis=0, ddof=1) / root).ravel())
 
     def test_deterministic_ensemble(self, scalar_model, additive_map):
         # no noise: covariance vanishes, second moment is the mean outer product
