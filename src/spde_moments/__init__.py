@@ -25,13 +25,13 @@ from .montecarlo import (
     estimate_moments,
     ito_isometry_check,
     simulate_ensemble,
+    simulate_moments,
     weak_identity_residual,
 )
 from .noise_map import (
     AffineNoiseMap,
     g1_v_to_hs_norm,
     g_apply,
-    noise_quadratic_form,
     scaled_random_coupling,
 )
 from .oracle import (

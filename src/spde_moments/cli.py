@@ -6,7 +6,13 @@ with run metadata into the output directory. Identical configurations
 and seeds produce byte-identical tables. Monte Carlo batches and the
 rows of a field table are spread over one process per CPU of the
 process's affinity (`_fanout`), which changes no table; the report
-records that count as `workers`. `--threads` is accepted and ignored.
+records that count as `workers`, and the peak resident set sizes of the
+process and of its workers. `--threads` is accepted and ignored.
+
+Monte Carlo runs never hold their paths: each batch is reduced to its
+moment sums where it is simulated (`simulate_moments`), so a run with
+nb batches of P paths on a recording grid of D values a path holds
+O(nb D^2 + (P / nb) D) float64, with no P D term.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import sys
 import time
@@ -24,7 +31,7 @@ import numpy as np
 from . import __version__
 from ._fanout import fan_out, split, workers
 from .config import ConfigError, ExperimentConfig, initial_law, load_config
-from .montecarlo import estimate_bytes, estimate_moments, simulate_ensemble
+from .montecarlo import BATCHES, estimate_bytes, simulate_moments
 from .noise_map import g1_v_to_hs_norm
 from .oracle import MomentField, lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
@@ -90,10 +97,28 @@ def _write_field(path: Path, header: list[str], row, rows: int) -> int:
     return len(ranges)
 
 
+def _peak_rss_mib() -> dict:
+    """Peak resident set sizes in MiB, by resource.getrusage, over the
+    process's life so far: `self` of this process (RUSAGE_SELF), and
+    `children` of the largest of its reaped workers (RUSAGE_CHILDREN). A
+    forked worker's figure starts from its parent's high-water mark at
+    the fork, so `children` counts the parent's memory up to that fork
+    beside what the worker added. It also counts the children that a
+    launcher reaped before it exec'd this process, such as a version
+    manager's shell shim."""
+    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in bytes there, else KiB
+    return {who: resource.getrusage(flag).ru_maxrss * unit / 2**20
+            for who, flag in (("self", resource.RUSAGE_SELF),
+                              ("children", resource.RUSAGE_CHILDREN))}
+
+
 def _report(out: Path, cfg: ExperimentConfig, subcommand: str, payload: dict) -> None:
+    """Write report.json: the subcommand, the config hash, the versions,
+    the peak resident set sizes (_peak_rss_mib) and `payload`."""
     body = {
         "subcommand": subcommand,
         "config_hash": cfg.digest,
+        "peak_rss_mib": _peak_rss_mib(),
         "versions": {
             "spde_moments": __version__,
             "numpy": np.__version__,
@@ -114,17 +139,19 @@ def _check_mc_memory(cfg: ExperimentConfig) -> None:
     """Refuse with a ConfigError when what a Monte Carlo run holds at once
     on the config's recording grid would not fit in the machine's
     physical memory. With D = (mc.grid_steps + 1) N, the peak of
-    estimate_moments, montecarlo.estimate_bytes, names mc.grid_steps;
-    the paths x D float64 array of the simulated paths beside it names
-    mc.paths.
+    simulate_moments, montecarlo.estimate_bytes, names mc.grid_steps when
+    even one path a batch would not fit, and mc.paths when the block of
+    the largest batch, ceil(paths / nb) x D float64, is what does not.
+    The run never holds all paths x D values at once.
     """
-    grid_steps = cfg.mc_grid_steps
+    grid_steps, paths = cfg.mc_grid_steps, cfg.mc_paths
     width = (grid_steps + 1) * cfg.model_dimension
-    buffers = estimate_bytes(cfg.mc_paths, width)
-    _check_memory("mc.grid_steps", buffers, f"the moment buffers of {grid_steps} recording "
-                  f"steps of {cfg.model_dimension} modes")
-    _check_memory("mc.paths", buffers + cfg.mc_paths * width * 8,
-                  f"{cfg.mc_paths} paths of {width} recorded values and the moment buffers")
+    batches = min(BATCHES, paths)
+    _check_memory("mc.grid_steps", estimate_bytes(batches, width), f"the moment buffers of "
+                  f"{grid_steps} recording steps of {cfg.model_dimension} modes")
+    _check_memory("mc.paths", estimate_bytes(paths, width),
+                  f"the moment buffers and batches of {-(-paths // batches)} paths of {width} "
+                  "recorded values")
 
 
 def _physical_memory() -> int:
@@ -181,16 +208,16 @@ def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
 
 
 def _simulate(cfg: ExperimentConfig):
-    """Simulate the config's ensemble on its recording grid of
-    mc.grid_steps steps. Returns the ensemble and the scheme steps per
-    recording step."""
+    """Estimate the moments of the config's ensemble on its recording grid
+    of mc.grid_steps steps, batch by batch, without holding the paths.
+    Returns the estimate and the scheme steps per recording step."""
     mean0, _, x0_cov = cfg.initial  # no covariance: a deterministic initial value
     substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
-    ensemble = simulate_ensemble(
+    est = simulate_moments(
         cfg.model, cfg.noise, cfg.gmap, mean0, cfg.mc_grid_steps, cfg.mc_paths, cfg.mc_seed,
         x0_cov=x0_cov, substeps=substeps,
     )
-    return ensemble, substeps
+    return est, substeps
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
@@ -199,11 +226,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     width = nodes * cfg.model_dimension
     _check_table_space(out, "mc.grid_steps",
                        [(nodes, width, 3)] * 2 + [(nodes, width * width, 5)] * 4)
-    ensemble, substeps = _simulate(cfg)
-    est = estimate_moments(ensemble)
+    est, substeps = _simulate(cfg)
     two = ["time_index", "mode", "value"]
     four = ["time_index_1", "mode_1", "time_index_2", "mode_2", "value"]
-    procs = [workers(ensemble.batches)]
+    procs = [workers(min(BATCHES, cfg.mc_paths))]
     for name in ("mean", "mean_se", "second_moment", "second_moment_se",
                  "covariance", "covariance_se"):
         field = getattr(est, name)
@@ -211,6 +237,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
                                   field.__getitem__, nodes))
     _report(out, cfg, "simulate", {
         "workers": max(procs),
+        "expected_jumps_per_path": cfg.noise.drawn_jump_rate * cfg.model_horizon,
         "paths": cfg.mc_paths,
         "grid_steps": cfg.mc_grid_steps,
         "scheme_steps_per_grid_step": substeps,
@@ -363,8 +390,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    ensemble, _ = _simulate(cfg)
-    est = estimate_moments(ensemble)
+    est, _ = _simulate(cfg)
     stride = steps // cfg.mc_grid_steps
     idx = np.arange(1, cfg.mc_grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
     z = cfg.validate_z_threshold
@@ -404,7 +430,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     )
     all_pass = all(ok for _, _, _, ok in checks)
     _report(out, cfg, "validate", {
-        "workers": workers(ensemble.batches),
+        "workers": workers(min(BATCHES, cfg.mc_paths)),
+        "expected_jumps_per_path": cfg.noise.drawn_jump_rate * cfg.model_horizon,
         # the clock reading goes to the report only, so the tables stay byte-identical
         "diagnostics": {**diagnostics, "elapsed_seconds": time.perf_counter() - started},
         "picard_trace_second_moment": [float(d) for d in m2_sol.trace],

@@ -89,6 +89,13 @@ class NoiseModel:
         return cdf
 
     @cached_property
+    def drawn_jump_rate(self) -> float:
+        """Expected jumps per unit time that sample_increments draws:
+        jump_rate, or 0 where the jump part carries no covariance
+        (rho = 1 or tr(Q) = 0) and no jump is drawn."""
+        return self.jump_rate if self.wiener_fraction < 1.0 and self.trace > 0.0 else 0.0
+
+    @cached_property
     def jump_size(self) -> float:
         """Common magnitude sqrt((1 - rho) tr(Q) / nu) of every jump."""
         return np.sqrt((1.0 - self.wiener_fraction) * self.trace / self.jump_rate)
@@ -117,7 +124,7 @@ def sample_increments(
     rho = noise.wiener_fraction
     out = rng.standard_normal((count, noise.dim))
     out *= np.sqrt(dt * rho * noise.q_eigenvalues)
-    if rho < 1.0 and noise.trace > 0.0:
+    if noise.drawn_jump_rate > 0.0:
         counts = rng.poisson(noise.jump_rate * dt, size=count)
         rows = counts.nonzero()[0]
         if rows.size:

@@ -8,13 +8,20 @@ which treats the stiff linear part exactly in spectral coordinates and
 evaluates the noise operator at the left endpoint of every step, as the
 stochastic integral's predictability requires.
 
-Ensembles are generated in fixed batches of paths. Batch b always draws
-from the generator seeded with [seed, b] and fills its own rows, so
-results are reproducible bit for bit, and the same batches feed the
-batch-means standard errors. Contiguous runs of batches go to one
-process per CPU of the process's affinity (`_fanout`), which fill their
-rows of an ensemble in shared memory; the ensemble is the same bit for
-bit whatever the number of processes.
+Paths are generated in fixed batches. Batch b always draws from the
+generator seeded with [seed, b], so results are reproducible bit for
+bit, and the same batches feed the batch-means standard errors.
+Contiguous runs of batches go to one process per CPU of the process's
+affinity (`_fanout`), and the results are the same bit for bit whatever
+the number of processes.
+
+The moments are functions of the per-batch sums of the paths and of
+their outer products alone. simulate_moments reduces each batch to
+those sums in the process that simulates it and drops its paths, so
+with nb batches of P paths of D recorded values it holds O(nb D^2 +
+(P / nb) D) float64, with no P D term. simulate_ensemble keeps every
+path, for the callers that need paths; estimate_moments reduces an
+ensemble through the same sums, so the two routes give the same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "Ensemble",
     "MomentEstimate",
     "simulate_ensemble",
+    "simulate_moments",
     "estimate_moments",
     "weak_identity_residual",
     "ito_isometry_check",
@@ -82,25 +90,30 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def estimate_bytes(paths: int, width: int) -> int:
-    """Peak bytes that estimate_moments allocates for `paths` paths of
-    `width` recorded values each, beyond the paths themselves.
+    """Peak bytes that simulate_moments allocates for `paths` paths of
+    `width` recorded values each, and a bound on what estimate_moments
+    allocates beyond an ensemble's own paths.
 
-    With nb batches and D = width, the peak falls in the spread of the
-    per-batch covariances: the nb x D x D per-batch second moments and
-    covariances, whose deviations are formed in place, the D x D moment,
-    covariance and first standard error, and two D x D temporaries (the
-    batch sum and its quotient by nb, then the squared sum and its
-    quotient by nb - 1), (2 nb + 5) D^2 float64 in all; beside them the
-    (nb + 2) D per-batch and total means and the mean's standard error,
-    and 4 KiB for the interpreter objects the call creates. On a grid so
-    small that nb D^2 falls below numpy's 8192-element iteration buffer,
-    that buffer can add some ten kB more.
+    With nb batches and D = width, the peak of the reduction falls in
+    the spread of the per-batch covariances: the nb x D x D per-batch
+    second moments and covariances, whose deviations are formed in
+    place, the D x D moment, covariance and first standard error, and
+    two D x D temporaries (the batch sum and its quotient by nb, then the
+    squared sum and its quotient by nb - 1), (2 nb + 5) D^2 float64 in
+    all; beside them the (nb + 2) D per-batch and total means and the
+    mean's standard error, and 4 KiB for the interpreter objects the call
+    creates. To these comes the block of one batch of paths, at most
+    ceil(paths / nb) D float64, which simulate_moments holds while it
+    steps a batch. No term grows with paths x D. On a grid so small that
+    nb D^2 falls below numpy's 8192-element iteration buffer, that buffer
+    can add some ten kB more.
     """
     nb = min(BATCHES, paths)
-    return ((2 * nb + 5) * width + nb + 2) * width * 8 + 2**12
+    block = -(-paths // nb) * width
+    return ((2 * nb + 5) * width + nb + 2) * width * 8 + block * 8 + 2**12
 
 
-def simulate_ensemble(
+def _batch_stepper(
     model: SpectralModel,
     noise: NoiseModel,
     gmap: AffineNoiseMap,
@@ -108,22 +121,16 @@ def simulate_ensemble(
     steps: int,
     paths: int,
     seed: int,
-    x0_cov: Optional[np.ndarray] = None,
-    substeps: int = 1,
-    return_increments: bool = False,
+    x0_cov: Optional[np.ndarray],
+    substeps: int,
 ):
-    """Simulate an ensemble of independent paths.
+    """Check the arguments of a simulation and return its batch stepper.
 
-    The recording grid has `steps` intervals; each is advanced with
-    `substeps` internal scheme steps, which refines the time stepping
-    without enlarging the stored grid. Batch b draws from the stream
-    [seed, b] and fills its own rows of the ensemble. The batches are
-    spread over workers(batches) processes in contiguous runs; with more
-    than one, the paths (and increments) live in shared memory.
-
-    x0_cov, when given, samples Gaussian initial values with that
-    covariance around x0_mean; otherwise the initial value is the
-    deterministic vector x0_mean.
+    batch(b, block, incs=None) fills `block`, a (count, steps + 1, N)
+    array, with the count paths of batch b on the recording grid, drawn
+    from the stream [seed, b]; each recording step takes `substeps`
+    scheme steps. `incs`, when given, is a (count, steps * substeps, M)
+    array that receives the increments.
     """
     if steps < 1 or substeps < 1:
         raise ValueError("steps and substeps must be positive")
@@ -146,6 +153,56 @@ def simulate_ensemble(
         if np.any(w < -1e-10 * max(1.0, float(w.max(initial=0.0)))):
             raise ValueError("initial covariance must be positive semidefinite")
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    dt = model.horizon / (steps * substeps)
+    decay = np.exp(-model.eigenvalues * dt)
+
+    def batch(b: int, block: np.ndarray, incs: Optional[np.ndarray] = None) -> None:
+        rng = np.random.default_rng([seed, b])
+        count = block.shape[0]
+        if factor is None:
+            x = np.tile(x0_mean, (count, 1))
+        else:
+            x = x0_mean + rng.standard_normal((count, model.dim)) @ factor.T
+        block[:, 0] = x
+        for k in range(steps):
+            for s in range(substeps):
+                dL = sample_increments(noise, dt, count, rng)
+                if incs is not None:
+                    incs[:, k * substeps + s] = dL
+                x = (x + g_apply(gmap, x, dL)) * decay
+            block[:, k + 1] = x
+
+    return batch
+
+
+def simulate_ensemble(
+    model: SpectralModel,
+    noise: NoiseModel,
+    gmap: AffineNoiseMap,
+    x0_mean: np.ndarray,
+    steps: int,
+    paths: int,
+    seed: int,
+    x0_cov: Optional[np.ndarray] = None,
+    substeps: int = 1,
+    return_increments: bool = False,
+):
+    """Simulate an ensemble of independent paths.
+
+    The recording grid has `steps` intervals; each is advanced with
+    `substeps` internal scheme steps, which refines the time stepping
+    without enlarging the stored grid. Batch b draws from the stream
+    [seed, b] and fills its own rows of the ensemble. The batches are
+    spread over workers(batches) processes in contiguous runs; with more
+    than one, the paths (and increments) live in shared memory. The
+    ensemble holds every path, paths x (steps + 1) x N float64; where
+    only the moments are wanted, simulate_moments gives them without it.
+
+    x0_cov, when given, samples Gaussian initial values with that
+    covariance around x0_mean; otherwise the initial value is the
+    deterministic vector x0_mean.
+    """
+    batch = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
     if return_increments and substeps != 1:
         raise ValueError("increments can only be returned for substeps == 1")
 
@@ -154,26 +211,11 @@ def simulate_ensemble(
     empty = _shared_empty if procs > 1 else np.empty
     all_paths = empty((paths, steps + 1, model.dim))
     all_incs = empty((paths, steps, noise.dim)) if return_increments else None
-    dt = model.horizon / (steps * substeps)
-    decay = np.exp(-model.eigenvalues * dt)
 
     def run(batches: tuple[int, int]) -> None:
         for b in range(*batches):
             lo, hi = bounds[b]
-            rng = np.random.default_rng([seed, b])
-            count = hi - lo
-            if factor is None:
-                x = np.tile(x0_mean, (count, 1))
-            else:
-                x = x0_mean + rng.standard_normal((count, model.dim)) @ factor.T
-            all_paths[lo:hi, 0] = x
-            for k in range(steps):
-                for s in range(substeps):
-                    dL = sample_increments(noise, dt, count, rng)
-                    if all_incs is not None:
-                        all_incs[lo:hi, k * substeps + s] = dL
-                    x = (x + g_apply(gmap, x, dL)) * decay
-                all_paths[lo:hi, k + 1] = x
+            batch(b, all_paths[lo:hi], None if all_incs is None else all_incs[lo:hi])
 
     fan_out(run, split(len(bounds), procs))
 
@@ -213,37 +255,34 @@ def _batch_error(stats: np.ndarray) -> np.ndarray:
     return np.sqrt(spread, out=spread) / np.sqrt(nb)
 
 
-def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
-    """Estimate moments over the ensemble's paths.
+def _sum_batch(block: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+    """Write the sum of the rows of a (count, D) block of paths to s1 and
+    the sum of their outer products to s2."""
+    s1[...] = block.sum(axis=0)
+    s2[...] = block.T @ block
 
-    Standard errors come from the spread of the per-batch statistics
-    over the same batches the ensemble was generated with. The two-time
-    fields hold ((K+1) N)^2 entries each; keep recording grids coarse
-    and refine the stepping through substeps instead.
-    """
-    P = ensemble.n_paths
-    if P < 2:
-        raise ValueError(f"at least two paths are required, got {P}")
-    paths = ensemble.paths
-    nodes, dim = paths.shape[1], paths.shape[2]
-    D = nodes * dim
-    flat = paths.reshape(P, D)
 
-    nb = ensemble.batches
-    b_mean = np.empty((nb, D))
-    b_m2 = np.empty((nb, D, D))
-    b_cov = np.empty((nb, D, D))
-    for b, (lo, hi) in enumerate(_batch_bounds(P)):
-        chunk = flat[lo:hi]
-        b_mean[b] = chunk.mean(axis=0)
-        b_m2[b] = chunk.T @ chunk / chunk.shape[0]
-        b_cov[b] = b_m2[b] - np.outer(b_mean[b], b_mean[b])
-
-    mean = flat.mean(axis=0)
-    m2 = flat.T @ flat / P
+def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes: int,
+            dim: int) -> MomentEstimate:
+    """The moments of paths from their per-batch sums: s1[b] and s2[b]
+    are _sum_batch of the rows bounds[b]. Both are overwritten: divided
+    by the batch counts, they are the per-batch means and second moments
+    (chunk.mean(axis=0) and chunk.T @ chunk / count bit for bit), and
+    then their deviations. The totals are the sums over the batches, in
+    batch order, divided by the path count."""
+    paths = bounds[-1][1]
+    counts = np.array([hi - lo for lo, hi in bounds], dtype=float)
+    mean = np.add.reduce(s1, axis=0)
+    mean /= paths
+    m2 = np.add.reduce(s2, axis=0)
+    m2 /= paths
     cov = m2 - np.outer(mean, mean)
-    mean_se = _batch_error(b_mean)
-    m2_se = _batch_error(b_m2)
+    s1 /= counts[:, None]
+    s2 /= counts[:, None, None]
+    b_cov = s1[:, :, None] * s1[:, None, :]
+    np.subtract(s2, b_cov, out=b_cov)
+    mean_se = _batch_error(s1)
+    m2_se = _batch_error(s2)
     cov_se = _batch_error(b_cov)
 
     shape2 = (nodes, dim, nodes, dim)
@@ -255,6 +294,75 @@ def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
         second_moment_se=m2_se.reshape(shape2),
         covariance_se=cov_se.reshape(shape2),
     )
+
+
+def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
+    """Estimate moments over the ensemble's paths.
+
+    Standard errors come from the spread of the per-batch statistics
+    over the same batches the ensemble was generated with. The two-time
+    fields hold ((K+1) N)^2 entries each; keep recording grids coarse
+    and refine the stepping through substeps instead.
+    """
+    P = ensemble.n_paths
+    if P < 2:
+        raise ValueError(f"at least two paths are required, got {P}")
+    nodes, dim = ensemble.paths.shape[1:]
+    flat = ensemble.paths.reshape(P, nodes * dim)
+    bounds = _batch_bounds(P)
+    s1 = np.empty((len(bounds), nodes * dim))
+    s2 = np.empty((len(bounds), nodes * dim, nodes * dim))
+    for b, (lo, hi) in enumerate(bounds):
+        _sum_batch(flat[lo:hi], s1[b], s2[b])
+    return _reduce(s1, s2, bounds, nodes, dim)
+
+
+def simulate_moments(
+    model: SpectralModel,
+    noise: NoiseModel,
+    gmap: AffineNoiseMap,
+    x0_mean: np.ndarray,
+    steps: int,
+    paths: int,
+    seed: int,
+    x0_cov: Optional[np.ndarray] = None,
+    substeps: int = 1,
+) -> MomentEstimate:
+    """estimate_moments(simulate_ensemble(...)) for the same arguments,
+    bit for bit, without ever holding the ensemble.
+
+    Each batch is stepped into a block of its own, reduced at once to
+    its sum and its sum of outer products, and dropped. The processes of
+    the fan-out write these sums into shared (nb, D) and (nb, D, D)
+    arrays, so none holds more than one batch of paths, and the memory
+    is O(nb D^2 + (paths / nb) D) float64 (estimate_bytes), with no
+    paths x D term. Raises ValueError when a path is not finite, as the
+    Ensemble of the same paths would.
+    """
+    batch = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
+    if paths < 2:
+        raise ValueError(f"at least two paths are required, got {paths}")
+    bounds = _batch_bounds(paths)
+    nodes, width = steps + 1, (steps + 1) * model.dim
+    procs = workers(len(bounds))
+    empty = _shared_empty if procs > 1 else np.empty
+    s1, s2 = empty((len(bounds), width)), empty((len(bounds), width, width))
+    finite = empty((len(bounds),))
+
+    def run(batches: tuple[int, int]) -> None:
+        for b in range(*batches):
+            lo, hi = bounds[b]
+            block = np.empty((hi - lo, nodes, model.dim))
+            batch(b, block)
+            finite[b] = np.isfinite(block).all()
+            if finite[b]:
+                _sum_batch(block.reshape(hi - lo, width), s1[b], s2[b])
+            del block
+
+    fan_out(run, split(len(bounds), procs))
+    if not finite.all():
+        raise ValueError("paths must be finite")
+    return _reduce(s1, s2, bounds, nodes, model.dim)
 
 
 def weak_identity_residual(

@@ -40,7 +40,6 @@ __all__ = [
     "mean_form",
     "multiplicative_form",
     "multiplicative_matrix",
-    "noise_quadratic_form",
     "scaled_random_coupling",
 ]
 
@@ -154,34 +153,15 @@ def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarra
     return (Mmat.reshape(-1, n * n) @ multiplicative_matrix(gmap, noise)).reshape(Mmat.shape)
 
 
-def noise_quadratic_form(
-    gmap: AffineNoiseMap,
-    noise: NoiseModel,
-    Mmat: np.ndarray,
-    mvec: np.ndarray,
-) -> np.ndarray:
-    """Spatial matrix of the quadratic noise action against the covariance.
-
-    Entry (a, b) is
-
-        sum_m gamma_m [ (G1 M G1)_{ab,m} + (G1 m)_a g2_{bm}
-                        + g2_{am} (G1 m)_b + g2_{am} g2_{bm} ],
-
-    the four terms produced by expanding G(m + fluctuation) twice, with
-    the fluctuation second moment M and mean m: multiplicative_form of
-    M plus mean_form of m. Accepts stacks M of shape (..., N, N) and m of
-    shape (..., N); their leading axes broadcast against each other.
-    """
-    return multiplicative_form(gmap, noise, Mmat) + mean_form(gmap, noise, mvec)
-
-
 def mean_form(gmap: AffineNoiseMap, noise: NoiseModel, mvec: np.ndarray) -> np.ndarray:
     """The quadratic noise action at the mean m with zero fluctuation.
 
     Entry (a, b) is sum_m gamma_m [ (G1 m)_a g2_{bm} + g2_{am} (G1 m)_b
-    + g2_{am} g2_{bm} ], the three terms of noise_quadratic_form that
-    involve G2, so no multiplicative matrix is built. Accepts a stack m
-    of shape (..., N).
+    + g2_{am} g2_{bm} ]: of the four terms that expanding G(m +
+    fluctuation) twice gives, the three that involve G2, so no
+    multiplicative matrix is built. With multiplicative_form of the
+    fluctuation second moment it makes the whole quadratic noise action.
+    Accepts a stack m of shape (..., N).
     """
     mvec = np.atleast_1d(np.asarray(mvec, dtype=float))
     check_compatible(gmap, noise, mvec.shape[-1])

@@ -60,7 +60,6 @@ from .noise_map import (
     g1_v_to_hs_norm,
     mean_form,
     multiplicative_form,
-    noise_quadratic_form,
 )
 from .spectral import SpectralModel
 
@@ -246,7 +245,8 @@ def _initial_and_mean_load(
 
     if include_mean_product:
         quadratic = mean_coeffs[:, :, None] * mean_coeffs[:, None, :]
-        spatial = noise_quadratic_form(gmap, noise, quadratic, mean_coeffs)  # (K, N, N)
+        spatial = (multiplicative_form(gmap, noise, quadratic)
+                   + mean_form(gmap, noise, mean_coeffs))  # (K, N, N)
     else:
         spatial = mean_form(gmap, noise, mean_coeffs)
     return MomentLoad(initial=initial_matrix, spatial=spatial)

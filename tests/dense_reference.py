@@ -33,7 +33,7 @@ jump law reproduces draw for draw.
 import numpy as np
 from scipy.linalg import svdvals
 
-from spde_moments import noise_quadratic_form
+from spde_moments.noise_map import mean_form, multiplicative_form
 
 
 def tdelta_assemble(grid):
@@ -130,7 +130,8 @@ def unit_input_generator(model, noise, gmap):
     gen = np.zeros((d, d))
     for s in range(0, d, n):  # n inputs at a time keep the stacked noise forms small
         Ms, ms = units[s:s + n], vecs[s:s + n]
-        rate = -(lam[:, None] * Ms + Ms * lam) + noise_quadratic_form(gmap, noise, Ms, ms)
+        rate = -(lam[:, None] * Ms + Ms * lam) + (multiplicative_form(gmap, noise, Ms)
+                                                   + mean_form(gmap, noise, ms))
         gen[:p, s:s + n] = rate[:, rows, cols].T
         gen[p:p + n, s:s + n] = -(ms * lam).T
     gen[:, :-1] -= gen[:, -1:]
@@ -180,7 +181,8 @@ def rk4_second_moment(model, noise, gmap, m0, M0, steps, substeps):
 
     def rate(t, M):
         m_t = np.exp(-lam * t) * m0
-        return -(lam[:, None] * M + M * lam[None, :]) + noise_quadratic_form(gmap, noise, M, m_t)
+        return -(lam[:, None] * M + M * lam[None, :]) + (multiplicative_form(gmap, noise, M)
+                                                        + mean_form(gmap, noise, m_t))
 
     h = model.horizon / (steps * substeps)
     diag = np.empty((steps + 1,) + np.shape(M0))

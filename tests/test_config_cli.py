@@ -436,7 +436,8 @@ class TestCli:
         monkeypatch.setattr(cli, "_simulate", no_run)
         raw = multimode_raw()
         # the moment buffers on 17 nodes of 4 modes take 3.8 MB, but the
-        # (10**12, 17, 4) float64 array of the paths is half a PiB
+        # block of the largest of 32 batches, (31_250_000_000, 17, 4)
+        # float64, is 15.5 TiB
         raw["mc"]["paths"] = 10 ** 12
         cfg = self.write_config(tmp_path, raw)
         tracemalloc.start()
@@ -450,6 +451,19 @@ class TestCli:
         assert err.startswith("error: mc.paths:")
         assert "physical memory" in err
         assert peak < 2 ** 20
+
+    def test_paths_beyond_memory_run_in_batches_that_fit(self, tmp_path, capsys, monkeypatch):
+        # 64 paths of 9 recorded values in 32 batches of 2: the run needs
+        # the moment buffers and one 2-path block, estimate_bytes(64, 9);
+        # the whole (64, 9) path array beside the buffers, 4.5 kB more than
+        # a block, would not fit
+        need = mc.estimate_bytes(64, 9)
+        cfg = self.write_config(tmp_path, minimal_config())
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "again")]) == 1
+        assert capsys.readouterr().err.startswith("error: mc.paths:")
 
     def test_solve_moment_draws_the_coupling_once(self, tmp_path, monkeypatch):
         calls = []
@@ -479,8 +493,8 @@ class TestCli:
             seen.append(kwargs["x0_cov"])
             return real(*args, **kwargs)
 
-        real = cli.simulate_ensemble
-        monkeypatch.setattr(cli, "simulate_ensemble", spy)
+        real = cli.simulate_moments
+        monkeypatch.setattr(cli, "simulate_moments", spy)
         cfg = self.write_config(tmp_path, minimal_config(initial=initial))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert (seen[0] is not None) == sampled
@@ -588,10 +602,35 @@ class TestCli:
             tree = {path.name: path.read_bytes() for path in out.iterdir()}
             report = json.loads(tree.pop("report.json"))
             assert report.pop("workers") == procs
+            report.pop("peak_rss_mib")  # a measurement of this run
             trees.append((tree, report))
         assert trees[0] == trees[1]
         assert not [name for name in trees[0][0] if ".part" in name]
         assert all(name.endswith(".csv") for name in trees[0][0])
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "solve-mean", "solve-moment",
+                                            "solve-covariance", "validate", "inf-sup"])
+    def test_report_records_peak_rss(self, tmp_path, subcommand):
+        cfg = self.write_config(tmp_path, minimal_config())
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) in (0, 2)
+        peak = json.loads((out / "report.json").read_text())["peak_rss_mib"]
+        assert sorted(peak) == ["children", "self"]
+        assert peak["self"] > 1.0 and peak["children"] >= 0.0
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "validate"])
+    @pytest.mark.parametrize("wiener_fraction, expected", [(0.5, 6.0), (1.0, 0.0)])
+    def test_report_records_expected_jumps_per_path(self, tmp_path, subcommand,
+                                                    wiener_fraction, expected):
+        # jump rate 3 over a horizon of 2; an all-Wiener driver draws no jumps
+        raw = minimal_config(noise={"q_eigenvalues": [1.0], "wiener_fraction": wiener_fraction,
+                                    "jump_rate": 3.0})
+        raw["model"]["horizon"] = 2.0
+        cfg = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) in (0, 2)
+        report = json.loads((out / "report.json").read_text())
+        assert report["expected_jumps_per_path"] == expected
 
     def test_moment_path_never_loads_scipy_linalg(self, tmp_path):
         # numpy is the only runtime dependency: no subcommand and no oracle

@@ -18,6 +18,7 @@ from spde_moments import (
     sample_increments,
     semigroup_apply,
     simulate_ensemble,
+    simulate_moments,
     two_time_extend,
     weak_identity_residual,
 )
@@ -297,7 +298,8 @@ class TestEstimateMoments:
     @pytest.mark.parametrize("paths", [2, 64])
     def test_peak_memory_within_the_count(self, paths):
         # nb = 2 and nb = 32 batches of 65 nodes of 4 modes: D = 260, and
-        # one D x D float64 field is 0.54 MB
+        # one D x D float64 field is 0.54 MB; the count's block of one
+        # batch, 4 kB at most, is a view of the ensemble here
         ens = mc.Ensemble(paths=np.random.default_rng(0).standard_normal((paths, 65, 4)))
         assert ens.batches == min(paths, 32)
         count = mc.estimate_bytes(paths, 260)
@@ -403,6 +405,78 @@ class TestEstimateMoments:
         gap = np.abs(means[0] - means[1])
         combined = np.sqrt(ses[0] ** 2 + ses[1] ** 2)
         assert np.all(gap <= 3 * np.maximum(combined, 1e-300))
+
+
+class TestSimulateMoments:
+    FIELDS = ("mean", "second_moment", "covariance", "mean_se", "second_moment_se",
+              "covariance_se")
+
+    @pytest.mark.parametrize("paths, steps, multimode, x0_cov", [
+        (200, 8, False, False),   # 32 batches of 7 or 6 paths, 11/11/10 at 3 workers
+        (200, 8, False, True),
+        (45, 4, True, True),      # 32 batches of 2 or 1 paths, four modes
+        (2, 1, True, False),      # two batches of one path, one recording step
+    ])
+    def test_equals_the_estimate_of_the_ensemble_bitwise(
+        self, monkeypatch, unit_noise, multiplicative_map, paths, steps, multimode, x0_cov,
+    ):
+        if multimode:
+            model, noise, gmap, x0 = multimode_setup()
+        else:
+            model, noise, gmap, x0 = (SpectralModel(eigenvalues=[1.0]), unit_noise,
+                                      multiplicative_map, np.ones(1))
+        cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
+        for procs in (1, 2, 3):
+            monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
+            est = simulate_moments(model, noise, gmap, x0, steps, paths, seed=4, x0_cov=cov,
+                                   substeps=2)
+            ref = estimate_moments(simulate_ensemble(model, noise, gmap, x0, steps, paths,
+                                                     seed=4, x0_cov=cov, substeps=2))
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
+
+    @pytest.mark.parametrize("procs", [1, 3])
+    def test_nonfinite_path_raises_the_ensembles_error(
+        self, monkeypatch, scalar_model, unit_noise, multiplicative_map, procs
+    ):
+        # 63 paths: batches 0-30 hold two paths, and batch 31, the last
+        # worker's at three processes, holds the one path that draws an
+        # infinite increment
+        def infinite_for_one_path(noise, dt, count, rng):
+            draws = real(noise, dt, count, rng)
+            return np.full_like(draws, np.inf) if count == 1 else draws
+
+        real = mc.sample_increments
+        monkeypatch.setattr(mc, "sample_increments", infinite_for_one_path)
+        monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
+        with np.errstate(invalid="ignore"):
+            for simulate in (simulate_ensemble, simulate_moments):
+                with pytest.raises(ValueError, match="^paths must be finite$"):
+                    simulate(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 63,
+                             seed=0)
+
+    def test_requires_two_paths(self, scalar_model, unit_noise, additive_map):
+        with pytest.raises(ValueError, match="at least two paths"):
+            simulate_moments(scalar_model, unit_noise, additive_map, np.zeros(1), 4, 1, seed=0)
+
+    @pytest.mark.parametrize("paths", [2, 4000])
+    def test_peak_memory_within_the_count(self, monkeypatch, paths):
+        # 65 nodes of 4 modes: D = 260. At 4000 paths the (P, D) float64
+        # paths, 8.3 MB, exceed the count's slack of one D x D field,
+        # 0.54 MB, so a run that held them would fail the bound
+        model, noise, gmap, x0 = multimode_setup()
+        monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
+        count = mc.estimate_bytes(paths, 260)
+        # numpy keeps small freed blocks in caches that tracemalloc still
+        # counts; a first call fills them
+        simulate_moments(model, noise, gmap, x0, 64, paths, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_moments(model, noise, gmap, x0, 64, paths, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count - 260 * 260 * 8 < peak <= count
 
 
 class TestWeakIdentity:

@@ -16,7 +16,6 @@ from spde_moments import (
     assemble_per_mode,
     g1_v_to_hs_norm,
     lyapunov_solve,
-    noise_quadratic_form,
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
@@ -62,7 +61,7 @@ class TestImportGraph:
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
         for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "mean_form",
-                     "multiplicative_form", "multiplicative_matrix", "noise_quadratic_form"):
+                     "multiplicative_form", "multiplicative_matrix"):
             assert homes.get(name) == ["noise_map"], name
 
 
@@ -76,8 +75,9 @@ MISMATCHED = {
     "noise": AffineNoiseMap(g1=np.full((2, 2, 3), 0.1), g2=np.ones((2, 3))),
 }
 ENTRY_POINTS = {
-    "noise_quadratic_form":
-        lambda g: noise_quadratic_form(g, NOISE, np.eye(2), np.ones(2)),
+    "noise_quadratic_form":  # the whole quadratic action: multiplicative plus mean part
+        lambda g: (noise_map.multiplicative_form(g, NOISE, np.eye(2))
+                   + noise_map.mean_form(g, NOISE, np.ones(2))),
     "mean_form": lambda g: noise_map.mean_form(g, NOISE, np.ones(2)),
     "g1_v_to_hs_norm": lambda g: g1_v_to_hs_norm(g, MODEL, NOISE),
     "lyapunov_solve":
@@ -181,7 +181,8 @@ class TestMultiplicativeForm:
         mean_terms = noise_map.mean_form(gmap, noise, means)
         assert mean_terms.shape == (6, 4, 4)
         np.testing.assert_array_equal(
-            mean_terms, noise_quadratic_form(gmap, noise, np.zeros((4, 4)), means))
+            mean_terms, noise_map.multiplicative_form(gmap, noise, np.zeros((4, 4)))
+            + noise_map.mean_form(gmap, noise, means))
 
     def test_peak_memory_bounded_at_scale(self):
         # K = 4096 intervals of N = 16 modes against M = 16 noise modes: the

@@ -14,7 +14,6 @@ from spde_moments import (
     estimate_moments,
     lyapunov_solve,
     mean_exact,
-    noise_quadratic_form,
     simulate_ensemble,
     two_time_extend,
 )
@@ -54,7 +53,8 @@ class TestNoiseQuadraticForm:
         g2 = rng.standard_normal((3, 2))
         gmap = AffineNoiseMap(g1=np.zeros((3, 3, 2)), g2=g2)
         noise = NoiseModel(q_eigenvalues=[0.5, 0.2])
-        out = noise_quadratic_form(gmap, noise, rng.standard_normal((3, 3)), rng.standard_normal(3))
+        out = (noise_map.multiplicative_form(gmap, noise, rng.standard_normal((3, 3)))
+               + noise_map.mean_form(gmap, noise, rng.standard_normal(3)))
         np.testing.assert_allclose(out, g2 @ np.diag([0.5, 0.2]) @ g2.T, rtol=1e-13)
 
     def test_zero_moment_and_mean(self):
@@ -63,7 +63,8 @@ class TestNoiseQuadraticForm:
         g2 = rng.standard_normal((2, 2))
         gmap = AffineNoiseMap(g1=g1, g2=g2)
         noise = NoiseModel(q_eigenvalues=[1.0, 2.0])
-        out = noise_quadratic_form(gmap, noise, np.zeros((2, 2)), np.zeros(2))
+        out = (noise_map.multiplicative_form(gmap, noise, np.zeros((2, 2)))
+               + noise_map.mean_form(gmap, noise, np.zeros(2)))
         np.testing.assert_allclose(out, g2 @ np.diag([1.0, 2.0]) @ g2.T, rtol=1e-13)
 
     def test_scalar_expansion(self):
@@ -72,7 +73,8 @@ class TestNoiseQuadraticForm:
         a, b, M, m = 0.5, 0.25, 1.7, -0.3
         gmap = AffineNoiseMap(g1=np.full((1, 1, 1), a), g2=np.full((1, 1), b))
         noise = NoiseModel(q_eigenvalues=[1.0])
-        out = noise_quadratic_form(gmap, noise, np.array([[M]]), np.array([m]))
+        out = (noise_map.multiplicative_form(gmap, noise, np.array([[M]]))
+               + noise_map.mean_form(gmap, noise, np.array([m])))
         assert out[0, 0] == pytest.approx(a * a * M + 2 * a * b * m + b * b)
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stack"])
@@ -87,7 +89,8 @@ class TestNoiseQuadraticForm:
         mvecs = rng.standard_normal(lead + (n,))
         gmap = AffineNoiseMap(g1=g1, g2=g2)
         noise = NoiseModel(q_eigenvalues=gamma)
-        out = noise_quadratic_form(gmap, noise, Mmats, mvecs)
+        out = (noise_map.multiplicative_form(gmap, noise, Mmats)
+               + noise_map.mean_form(gmap, noise, mvecs))
         assert out.shape == Mmats.shape
         for idx in np.ndindex(lead):
             Mmat, mvec = Mmats[idx], mvecs[idx]
