@@ -9,6 +9,9 @@ differs, usually the `value` column, the line gives the largest relative
 difference max|a - b| / max|a| over the rows, with a from OLD; index
 columns agree and are left out. Prints nothing when the two trees hold
 the same tables byte for byte.
+
+Exits 0 when the trees hold the same tables byte for byte and 1 when a
+table differs or exists on one side only, as diff(1) does.
 """
 
 import csv
@@ -50,20 +53,27 @@ def describe(old: Path, new: Path) -> str:
     return "; ".join(parts) if parts else "bytes differ, values agree"
 
 
-def main(old_dir: str, new_dir: str) -> None:
+def main(old_dir: str, new_dir: str) -> int:
+    """Print the differing tables; return 1 if there are any, else 0."""
     old_root, new_root = Path(old_dir), Path(new_dir)
     old = {p.relative_to(old_root).as_posix() for p in old_root.rglob("*.csv")}
     new = {p.relative_to(new_root).as_posix() for p in new_root.rglob("*.csv")}
-    for path in sorted(old | new):
+    differing = [
+        path for path in sorted(old | new)
+        if path not in old or path not in new
+        or (old_root / path).read_bytes() != (new_root / path).read_bytes()
+    ]
+    for path in differing:
         if path not in new:
             print(f"{path}  only in {old_dir}")
         elif path not in old:
             print(f"{path}  only in {new_dir}")
-        elif (old_root / path).read_bytes() != (new_root / path).read_bytes():
+        else:
             print(f"{path}  {describe(old_root / path, new_root / path)}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit("usage: scripts/table_diff.py OLD NEW")
-    main(sys.argv[1], sys.argv[2])
+    sys.exit(main(sys.argv[1], sys.argv[2]))

@@ -115,10 +115,10 @@ def sample_increments(
     """Draw `count` independent increments over a step of length dt.
 
     Returns a (count, M) array with zero mean and covariance
-    dt * diag(gamma) per row.
+    dt * diag(gamma) per row. dt must be positive and finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     rho = noise.wiener_fraction

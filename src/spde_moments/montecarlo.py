@@ -6,7 +6,11 @@ The time stepper is the semigroup (exponential Euler) scheme
 
 which treats the stiff linear part exactly in spectral coordinates and
 evaluates the noise operator at the left endpoint of every step, as the
-stochastic integral's predictability requires.
+stochastic integral's predictability requires. A batch is stepped with
+its state as one (N, count) array, modes by paths, so that the noise
+map is one contraction over the contiguous paths (g_apply_columns) and
+the update is done in place; each recording node is written back to
+the (count, K+1, N) block of paths.
 
 Paths are generated in fixed batches. Batch b always draws from the
 generator seeded with [seed, b], so results are reproducible bit for
@@ -35,7 +39,7 @@ import numpy as np
 
 from ._fanout import fan_out, split, workers
 from .levy import NoiseModel, sample_increments
-from .noise_map import AffineNoiseMap, check_compatible, g_apply
+from .noise_map import AffineNoiseMap, check_compatible, g_apply, g_apply_columns
 from .spectral import SpectralModel
 
 __all__ = [
@@ -130,7 +134,9 @@ def _batch_stepper(
     array, with the count paths of batch b on the recording grid, drawn
     from the stream [seed, b]; each recording step takes `substeps`
     scheme steps. `incs`, when given, is a (count, steps * substeps, M)
-    array that receives the increments.
+    array that receives the increments. Between nodes the state is an
+    (N, count) array and the outer products x (x) dL live in one
+    (N, M, count) buffer, both reused for every step of the batch.
     """
     if steps < 1 or substeps < 1:
         raise ValueError("steps and substeps must be positive")
@@ -154,23 +160,26 @@ def _batch_stepper(
             raise ValueError("initial covariance must be positive semidefinite")
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     dt = model.horizon / (steps * substeps)
-    decay = np.exp(-model.eigenvalues * dt)
+    decay = np.exp(-model.eigenvalues * dt)[:, None]
 
     def batch(b: int, block: np.ndarray, incs: Optional[np.ndarray] = None) -> None:
         rng = np.random.default_rng([seed, b])
         count = block.shape[0]
         if factor is None:
-            x = np.tile(x0_mean, (count, 1))
+            x = np.repeat(x0_mean[:, None], count, axis=1)
         else:
-            x = x0_mean + rng.standard_normal((count, model.dim)) @ factor.T
-        block[:, 0] = x
+            x = np.ascontiguousarray((x0_mean + rng.standard_normal((count, model.dim))
+                                      @ factor.T).T)
+        work = np.empty((model.dim, noise.dim, count))
+        block[:, 0] = x.T
         for k in range(steps):
             for s in range(substeps):
                 dL = sample_increments(noise, dt, count, rng)
                 if incs is not None:
                     incs[:, k * substeps + s] = dL
-                x = (x + g_apply(gmap, x, dL)) * decay
-            block[:, k + 1] = x
+                x += g_apply_columns(gmap, x, dL.T, work)
+                x *= decay
+            block[:, k + 1] = x.T
 
     return batch
 

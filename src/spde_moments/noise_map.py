@@ -16,9 +16,12 @@ generator columns straight off T. T holds 8 N^4 bytes. The terms
 with G2, the action at a mean with zero fluctuation, are mean_form;
 they need no T.
 
-Applied to a state x and an increment w, G1(x) w is one matmul too: the
-outer product x (x) w, flattened to N*M entries, against g1 flattened
-to an (N, N*M) matrix. Its sums run in a different order than the
+Applied to states and increments, G1(x) w is one matmul too, written
+once in g_apply_columns: with the P paths on the last axis, the outer
+products x (x) w fill an (N, M, P) array by one broadcast multiply, and
+g1 flattened to an (N, N*M) matrix contracts them over the contiguous
+paths. g_apply, for states and increments in rows, transposes into
+that kernel and back. Its sums run in a different order than the
 triple contraction sum_{j,m} g1[i, j, m] x_j w_m, so the two agree to
 rounding (about 1e-15 relative), not bit for bit.
 """
@@ -36,6 +39,7 @@ __all__ = [
     "AffineNoiseMap",
     "check_compatible",
     "g_apply",
+    "g_apply_columns",
     "g1_v_to_hs_norm",
     "mean_form",
     "multiplicative_form",
@@ -85,12 +89,42 @@ def check_compatible(gmap: AffineNoiseMap, noise: NoiseModel, state_dim: int) ->
         raise ValueError(f"noise map noise dimension {gmap.noise_dim} != noise dimension {noise.dim}")
 
 
+def g_apply_columns(
+    gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Evaluate G(x) w for P paths stacked as columns, paths last.
+
+    state is (N, P) and increment (M, P); column p of the (N, P) result
+    is G(state[:, p]) increment[:, p]. The outer products x (x) w go by
+    one broadcast multiply into `work`, an (N, M, P) array (allocated
+    when not given), and meet g1 as one (N, N*M) by (N*M, P) matmul over
+    the contiguous paths; G2 adds g2 @ increment. increment may be a
+    transposed view, such as the .T of (P, M) draws.
+    """
+    n, modes = gmap.state_dim, gmap.noise_dim
+    count = state.shape[-1]
+    if state.shape != (n, count) or increment.shape != (modes, count):
+        raise ValueError(
+            f"state and increment must be ({n}, P) and ({modes}, P), "
+            f"got {state.shape} and {increment.shape}"
+        )
+    if work is None:
+        work = np.empty((n, modes, count))
+    np.multiply(state[:, None, :], increment, out=work)
+    out = gmap.g1.reshape(n, n * modes) @ work.reshape(n * modes, count)
+    out += gmap.g2 @ increment
+    return out
+
+
 def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> np.ndarray:
     """Evaluate G(state) applied to a noise increment.
 
     Accepts a single state (N,) with increment (M,), or batches whose
     leading shapes broadcast against each other, such as one state (N,)
-    against increments (P, M).
+    against increments (P, M). The states and increments, flattened to
+    rows, go through g_apply_columns as columns, and its result comes
+    back transposed, bit for bit.
     """
     state = np.asarray(state, dtype=float)
     increment = np.asarray(increment, dtype=float)
@@ -99,9 +133,13 @@ def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> n
     if increment.shape[-1] != gmap.noise_dim:
         raise ValueError(f"increment dimension {increment.shape[-1]} != {gmap.noise_dim}")
     n, modes = gmap.state_dim, gmap.noise_dim
-    # the outer product x (x) w flattened to (..., N*M): entry j*M + m is x_j w_m
-    outer = state.repeat(modes, axis=-1) * np.tile(increment, n)
-    return outer @ gmap.g1.reshape(n, n * modes).T + increment @ gmap.g2.T
+    lead = state.shape[:-1]
+    if increment.shape[:-1] != lead:
+        lead = np.broadcast_shapes(lead, increment.shape[:-1])
+        state = np.broadcast_to(state, lead + (n,))
+        increment = np.broadcast_to(increment, lead + (modes,))
+    columns = g_apply_columns(gmap, state.reshape(-1, n).T, increment.reshape(-1, modes).T)
+    return columns.T.reshape(lead + (n,))
 
 
 def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseModel) -> float:

@@ -89,6 +89,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_increments(noise, 0.0, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("rho, rate", [(1.0, 0.0), (0.5, 4.0)])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_dt(self, dt, rho, rate):
+        # Wiener-only noise would return NaN or infinite increments,
+        # and noise with jumps would fail inside the Poisson draw
+        noise = NoiseModel(q_eigenvalues=[1.0, 0.5], wiener_fraction=rho, jump_rate=rate)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            sample_increments(noise, dt, 3, np.random.default_rng(0))
+
     def test_deterministic_under_fixed_seed(self):
         noise = NoiseModel(q_eigenvalues=[0.5, 0.25], wiener_fraction=0.5, jump_rate=4.0)
         a = sample_increments(noise, 0.1, 64, np.random.default_rng(42))

@@ -22,6 +22,7 @@ from spde_moments import (
     two_time_extend,
     weak_identity_residual,
 )
+from spde_moments.noise_map import g_apply_columns
 
 from conftest import multimode_setup
 
@@ -74,6 +75,36 @@ class TestGApply:
         np.testing.assert_allclose(
             g_apply(gmap, state, incs), [brute_force_g(gmap, state, w) for w in incs], rtol=1e-13,
         )
+
+    @pytest.mark.parametrize("n, modes", [(1, 1), (4, 4), (16, 16)])
+    def test_columns_kernel_matches_brute_force_contraction(self, n, modes):
+        # nonnegative entries, so no sum cancels and rtol bounds every entry
+        rng = np.random.default_rng(n)
+        gmap = AffineNoiseMap(g1=rng.random((n, n, modes)), g2=rng.random((n, modes)))
+        states, incs = rng.random((n, 9)), rng.random((9, modes))
+        expected = np.transpose([brute_force_g(gmap, x, w) for x, w in zip(states.T, incs)])
+        # the increments as the stepper passes them: the .T view of (P, M) draws
+        out = g_apply_columns(gmap, states, incs.T)
+        np.testing.assert_allclose(out, expected, rtol=1e-13)
+        work = np.empty((n, modes, 9))
+        np.testing.assert_array_equal(g_apply_columns(gmap, states, incs.T, work), out)
+
+    def test_g_apply_is_the_columns_kernel_transposed_bitwise(self):
+        rng = np.random.default_rng(8)
+        gmap = AffineNoiseMap(g1=rng.standard_normal((4, 4, 3)), g2=rng.standard_normal((4, 3)))
+        states, incs = rng.standard_normal((50, 4)), rng.standard_normal((50, 3))
+        columns = g_apply_columns(gmap, np.ascontiguousarray(states.T), incs.T)
+        np.testing.assert_array_equal(g_apply(gmap, states, incs), columns.T)
+        # one state is one column (BLAS may sum a single column in another order)
+        one = g_apply_columns(gmap, states[0][:, None], incs[0][:, None])
+        np.testing.assert_array_equal(g_apply(gmap, states[0], incs[0]), one[:, 0])
+
+    def test_columns_kernel_shape_mismatch(self):
+        gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            g_apply_columns(gmap, np.zeros((2, 5)), np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            g_apply_columns(gmap, np.zeros((5, 2)), np.zeros((5, 1)))
 
     def test_shape_mismatch(self):
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
@@ -154,13 +185,14 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
         seen = []
-        original = mc.g_apply
+        original = mc.g_apply_columns
 
-        def recorder(gm, state, increment):
-            seen.append(np.array(state, copy=True))
-            return original(gm, state, increment)
+        def recorder(gm, state, increment, work=None):
+            # the stepper's state is (N, paths); record it as rows of paths
+            seen.append(np.array(state.T, copy=True))
+            return original(gm, state, increment, work)
 
-        monkeypatch.setattr(mc, "g_apply", recorder)
+        monkeypatch.setattr(mc, "g_apply_columns", recorder)
         path = simulate_ensemble(model, noise, gmap, np.array([1.0]), 6, 1, seed=2).paths[0]
         np.testing.assert_array_equal(np.concatenate(seen), path[:-1])
 
@@ -226,6 +258,35 @@ class TestEnsemble:
                 path.append(x)
             replay.append(np.stack(path, axis=1))
         np.testing.assert_array_equal(ens.paths, np.concatenate(replay))
+
+    @pytest.mark.parametrize("x0_cov", [False, True])
+    def test_multimode_batches_match_the_row_scheme_to_rounding(self, x0_cov):
+        # the stepper holds each batch as (N, paths) and applies the noise
+        # map by one matmul over the paths; the row scheme with g_apply
+        # sums in another order, so the two agree to rounding
+        model, noise, gmap, x0 = multimode_setup()
+        cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
+        ens = simulate_ensemble(model, noise, gmap, x0, 4, 45, seed=3, x0_cov=cov, substeps=2)
+        dt = model.horizon / 8
+        decay = np.exp(-model.eigenvalues * dt)
+        replay = []
+        for b, (lo, hi) in enumerate(mc._batch_bounds(45)):
+            rng = np.random.default_rng([3, b])
+            if cov is None:
+                x = np.tile(x0, (hi - lo, 1))
+            else:
+                w, v = np.linalg.eigh(cov)
+                x = x0 + rng.standard_normal((hi - lo, model.dim)) @ (v * np.sqrt(w)).T
+            path = [x]
+            for _ in range(4):
+                for _ in range(2):
+                    dL = sample_increments(noise, dt, hi - lo, rng)
+                    x = (x + g_apply(gmap, x, dL)) * decay
+                path.append(x)
+            replay.append(np.stack(path, axis=1))
+        replay = np.concatenate(replay)
+        scale = np.abs(replay).max()
+        np.testing.assert_allclose(ens.paths, replay, rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("paths, steps, multimode, x0_cov, increments", [
         (200, 8, False, False, False),    # 32 batches of 7 or 6 paths, 11/11/10 at 3 workers

@@ -60,8 +60,8 @@ class TestImportGraph:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
-        for name in ("AffineNoiseMap", "g_apply", "g1_v_to_hs_norm", "mean_form",
-                     "multiplicative_form", "multiplicative_matrix"):
+        for name in ("AffineNoiseMap", "g_apply", "g_apply_columns", "g1_v_to_hs_norm",
+                     "mean_form", "multiplicative_form", "multiplicative_matrix"):
             assert homes.get(name) == ["noise_map"], name
 
 

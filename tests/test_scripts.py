@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,21 @@ def test_table_diff_names_the_changed_table_and_its_value_difference(tmp_path, c
     table_diff.main(str(tmp_path / "old"), str(tmp_path / "new"))
     # max|a - b| / max|a| = 1 / 4
     assert capsys.readouterr().out == "b/covariance.csv  value: max|a-b|/max|a| = 0.25\n"
+
+
+def test_table_diff_exits_like_diff(tmp_path):
+    def run():
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS_DIR / "table_diff.py"), str(tmp_path / "old"),
+             str(tmp_path / "new")], capture_output=True, text=True,
+        ).returncode
+
+    for tree in ("old", "new"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "mean.csv").write_text("time_index,mode,value\n0,0,2\n")
+    assert run() == 0
+    (tmp_path / "new" / "extra.csv").write_text("time_index,mode,value\n0,0,1\n")
+    assert run() == 1  # a table on one side only
+    (tmp_path / "new" / "extra.csv").unlink()
+    (tmp_path / "new" / "mean.csv").write_text("time_index,mode,value\n0,0,3\n")
+    assert run() == 1  # a table whose bytes differ
