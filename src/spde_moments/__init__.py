@@ -20,18 +20,14 @@ from .levy import (
     sample_increments,
 )
 from .montecarlo import (
-    Ensemble,
     MomentEstimate,
-    estimate_moments,
     ito_isometry_check,
-    simulate_ensemble,
     simulate_moments,
     weak_identity_residual,
 )
 from .noise_map import (
     AffineNoiseMap,
     g1_v_to_hs_norm,
-    g_apply,
     scaled_random_coupling,
 )
 from .oracle import (

@@ -59,6 +59,17 @@ def _require(section: dict, key: str, path: str) -> Any:
     return section[key]
 
 
+def _section(raw: dict, key: str, required: bool = True) -> dict:
+    """The top-level object `key`; an optional section that is absent is empty."""
+    if key not in raw:
+        if required:
+            raise ConfigError(f"{key}: required key is missing")
+        return {}
+    if not isinstance(raw[key], dict):
+        raise ConfigError(f"{key}: expected an object, got {raw[key]!r}")
+    return raw[key]
+
+
 def _number(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -136,14 +147,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Parse and validate a configuration dictionary into the problem it describes."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    model_sec = _require(raw, "model", "")
-    time_sec = _require(raw, "time", "")
-    noise_sec = _require(raw, "noise", "")
-    g_sec = _require(raw, "g", "")
-    initial_sec = _require(raw, "initial", "")
-    mc = _require(raw, "mc", "")
-    solver = raw.get("solver", {})
-    validate = raw.get("validate", {})
+    model_sec, time_sec, noise_sec, g_sec, initial_sec, mc = (
+        _section(raw, key) for key in ("model", "time", "noise", "g", "initial", "mc"))
+    solver = _section(raw, "solver", required=False)
+    validate = _section(raw, "validate", required=False)
 
     model = _model(model_sec)
     steps = _integer(_require(time_sec, "steps", "time"), "time.steps", 2)

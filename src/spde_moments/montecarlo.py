@@ -20,12 +20,11 @@ affinity (`_fanout`), and the results are the same bit for bit whatever
 the number of processes.
 
 The moments are functions of the per-batch sums of the paths and of
-their outer products alone. simulate_moments reduces each batch to
-those sums in the process that simulates it and drops its paths, so
-with nb batches of P paths of D recorded values it holds O(nb D^2 +
-(P / nb) D) float64, with no P D term. simulate_ensemble keeps every
-path, for the callers that need paths; estimate_moments reduces an
-ensemble through the same sums, so the two routes give the same bits.
+their outer products alone. simulate_moments, the one Monte Carlo
+entry point, reduces each batch to those sums in the process that
+simulates it and drops its paths, so with nb batches of P paths of D
+recorded values it holds O(nb D^2 + (P / nb) D) float64, with no P D
+term. No path outlives its batch.
 """
 
 from __future__ import annotations
@@ -39,50 +38,22 @@ import numpy as np
 
 from ._fanout import fan_out, split, workers
 from .levy import NoiseModel, sample_increments
-from .noise_map import AffineNoiseMap, check_compatible, g_apply, g_apply_columns
+from .noise_map import AffineNoiseMap, check_compatible, g_apply_columns
 from .spectral import SpectralModel
 
 __all__ = [
-    "Ensemble",
     "MomentEstimate",
-    "simulate_ensemble",
     "simulate_moments",
-    "estimate_moments",
     "weak_identity_residual",
     "ito_isometry_check",
 ]
 
-BATCHES = 32  # batch count of every ensemble with at least that many paths
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Simulated paths on a uniform grid."""
-
-    paths: np.ndarray  # (P, K+1, N)
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.paths, dtype=float)
-        if p.ndim != 3 or p.shape[0] < 1:
-            raise ValueError("paths must be a (P, K+1, N) array with P >= 1")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("paths must be finite")
-        object.__setattr__(self, "paths", p)
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def batches(self) -> int:
-        """Number of batches the paths were generated in, and over which
-        estimate_moments takes its standard errors."""
-        return min(BATCHES, self.n_paths)
+BATCHES = 32  # batch count of every run of at least that many paths
 
 
 def _batch_bounds(paths: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of the min(BATCHES, paths) batches of an
-    ensemble, in order; the first paths mod nb batches hold one path more."""
+    """Path ranges [lo, hi) of the min(BATCHES, paths) batches of a run,
+    in order; the first paths mod nb batches hold one path more."""
     return split(paths, min(BATCHES, paths))
 
 
@@ -95,8 +66,7 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 def estimate_bytes(paths: int, width: int) -> int:
     """Peak bytes that simulate_moments allocates for `paths` paths of
-    `width` recorded values each, and a bound on what estimate_moments
-    allocates beyond an ensemble's own paths.
+    `width` recorded values each.
 
     With nb batches and D = width, the peak of the reduction falls in
     the spread of the per-batch covariances: the nb x D x D per-batch
@@ -107,10 +77,10 @@ def estimate_bytes(paths: int, width: int) -> int:
     all; beside them the (nb + 2) D per-batch and total means and the
     mean's standard error, and 4 KiB for the interpreter objects the call
     creates. To these comes the block of one batch of paths, at most
-    ceil(paths / nb) D float64, which simulate_moments holds while it
-    steps a batch. No term grows with paths x D. On a grid so small that
-    nb D^2 falls below numpy's 8192-element iteration buffer, that buffer
-    can add some ten kB more.
+    ceil(paths / nb) D float64, held while a batch is stepped. No term
+    grows with paths x D. On a grid so small that nb D^2 falls below
+    numpy's 8192-element iteration buffer, that buffer can add some ten
+    kB more.
     """
     nb = min(BATCHES, paths)
     block = -(-paths // nb) * width
@@ -134,9 +104,10 @@ def _batch_stepper(
     array, with the count paths of batch b on the recording grid, drawn
     from the stream [seed, b]; each recording step takes `substeps`
     scheme steps. `incs`, when given, is a (count, steps * substeps, M)
-    array that receives the increments. Between nodes the state is an
-    (N, count) array and the outer products x (x) dL live in one
-    (N, M, count) buffer, both reused for every step of the batch.
+    array that receives the increments; simulate_moments never passes
+    one. Between nodes the state is an (N, count) array and the outer
+    products x (x) dL live in one (N, M, count) buffer, both reused for
+    every step of the batch.
     """
     if steps < 1 or substeps < 1:
         raise ValueError("steps and substeps must be positive")
@@ -153,6 +124,8 @@ def _batch_stepper(
         cov = np.asarray(x0_cov, dtype=float)
         if cov.shape != (model.dim, model.dim):
             raise ValueError(f"initial covariance must be {model.dim}x{model.dim}")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("initial covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError("initial covariance must be symmetric")
         w, v = np.linalg.eigh(cov)
@@ -184,59 +157,9 @@ def _batch_stepper(
     return batch
 
 
-def simulate_ensemble(
-    model: SpectralModel,
-    noise: NoiseModel,
-    gmap: AffineNoiseMap,
-    x0_mean: np.ndarray,
-    steps: int,
-    paths: int,
-    seed: int,
-    x0_cov: Optional[np.ndarray] = None,
-    substeps: int = 1,
-    return_increments: bool = False,
-):
-    """Simulate an ensemble of independent paths.
-
-    The recording grid has `steps` intervals; each is advanced with
-    `substeps` internal scheme steps, which refines the time stepping
-    without enlarging the stored grid. Batch b draws from the stream
-    [seed, b] and fills its own rows of the ensemble. The batches are
-    spread over workers(batches) processes in contiguous runs; with more
-    than one, the paths (and increments) live in shared memory. The
-    ensemble holds every path, paths x (steps + 1) x N float64; where
-    only the moments are wanted, simulate_moments gives them without it.
-
-    x0_cov, when given, samples Gaussian initial values with that
-    covariance around x0_mean; otherwise the initial value is the
-    deterministic vector x0_mean.
-    """
-    batch = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
-    if return_increments and substeps != 1:
-        raise ValueError("increments can only be returned for substeps == 1")
-
-    bounds = _batch_bounds(paths)
-    procs = workers(len(bounds))
-    empty = _shared_empty if procs > 1 else np.empty
-    all_paths = empty((paths, steps + 1, model.dim))
-    all_incs = empty((paths, steps, noise.dim)) if return_increments else None
-
-    def run(batches: tuple[int, int]) -> None:
-        for b in range(*batches):
-            lo, hi = bounds[b]
-            batch(b, all_paths[lo:hi], None if all_incs is None else all_incs[lo:hi])
-
-    fan_out(run, split(len(bounds), procs))
-
-    ens = Ensemble(paths=all_paths)
-    if return_increments:
-        return ens, all_incs
-    return ens
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Sample mean, two-time second moment, and covariance of an ensemble,
+    """Sample mean, two-time second moment, and covariance of the paths,
     with batch-means standard errors per entry.
 
     The covariance field is second_moment minus the outer product of the
@@ -305,27 +228,6 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
     )
 
 
-def estimate_moments(ensemble: Ensemble) -> MomentEstimate:
-    """Estimate moments over the ensemble's paths.
-
-    Standard errors come from the spread of the per-batch statistics
-    over the same batches the ensemble was generated with. The two-time
-    fields hold ((K+1) N)^2 entries each; keep recording grids coarse
-    and refine the stepping through substeps instead.
-    """
-    P = ensemble.n_paths
-    if P < 2:
-        raise ValueError(f"at least two paths are required, got {P}")
-    nodes, dim = ensemble.paths.shape[1:]
-    flat = ensemble.paths.reshape(P, nodes * dim)
-    bounds = _batch_bounds(P)
-    s1 = np.empty((len(bounds), nodes * dim))
-    s2 = np.empty((len(bounds), nodes * dim, nodes * dim))
-    for b, (lo, hi) in enumerate(bounds):
-        _sum_batch(flat[lo:hi], s1[b], s2[b])
-    return _reduce(s1, s2, bounds, nodes, dim)
-
-
 def simulate_moments(
     model: SpectralModel,
     noise: NoiseModel,
@@ -337,16 +239,23 @@ def simulate_moments(
     x0_cov: Optional[np.ndarray] = None,
     substeps: int = 1,
 ) -> MomentEstimate:
-    """estimate_moments(simulate_ensemble(...)) for the same arguments,
-    bit for bit, without ever holding the ensemble.
+    """Simulate `paths` independent paths and estimate their moments.
+
+    The recording grid has `steps` intervals; each is advanced with
+    `substeps` internal scheme steps, which refines the time stepping
+    without enlarging the recorded grid. x0_cov, when given, samples
+    Gaussian initial values with that covariance around x0_mean;
+    otherwise the initial value is the deterministic vector x0_mean.
 
     Each batch is stepped into a block of its own, reduced at once to
     its sum and its sum of outer products, and dropped. The processes of
     the fan-out write these sums into shared (nb, D) and (nb, D, D)
     arrays, so none holds more than one batch of paths, and the memory
     is O(nb D^2 + (paths / nb) D) float64 (estimate_bytes), with no
-    paths x D term. Raises ValueError when a path is not finite, as the
-    Ensemble of the same paths would.
+    paths x D term. The standard errors come from the spread of the
+    per-batch statistics. The two-time fields hold ((K+1) N)^2 entries
+    each; keep recording grids coarse and refine the stepping through
+    substeps instead. Raises ValueError when a path is not finite.
     """
     batch = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
     if paths < 2:
@@ -396,6 +305,8 @@ def weak_identity_residual(
     if path.ndim != 2 or path.shape[1] != model.dim:
         raise ValueError(f"path must be (K+1, {model.dim})")
     K = path.shape[0] - 1
+    if K < 1:
+        raise ValueError("path must have at least two nodes")
     if v.shape != path.shape:
         raise ValueError(f"test function shape {v.shape} != path shape {path.shape}")
     if increments.shape != (K, gmap.noise_dim):
@@ -409,7 +320,8 @@ def weak_identity_residual(
     v_mid = 0.5 * (v[:-1] + v[1:])
     dv = (v[1:] - v[:-1]) / dt
     lhs = dt * float(np.sum(x_left * (lam * v_mid - dv)))
-    noise_term = g_apply(gmap, x_left, increments)  # (K, N), left-point integrand
+    # (K, N), the left-point integrand
+    noise_term = g_apply_columns(gmap, x_left.T, increments.T).T
     rhs = float(path[0] @ v[0]) + float(np.sum(v[:-1] * noise_term))
     return lhs - rhs
 
@@ -436,6 +348,8 @@ def ito_isometry_check(
     phi = np.asarray(phi, dtype=float)
     if v1.shape != v2.shape or v1.ndim != 2:
         raise ValueError("v1 and v2 must be (K+1, N) arrays of equal shape")
+    if v1.shape[0] < 2:
+        raise ValueError("test functions must have at least two nodes")
     if phi.shape != (v1.shape[0], v1.shape[1], noise.dim):
         raise ValueError(f"phi must have shape {(v1.shape[0], v1.shape[1], noise.dim)}")
     if samples < 2:

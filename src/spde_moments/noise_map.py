@@ -17,11 +17,11 @@ with G2, the action at a mean with zero fluctuation, are mean_form;
 they need no T.
 
 Applied to states and increments, G1(x) w is one matmul too, written
-once in g_apply_columns: with the P paths on the last axis, the outer
-products x (x) w fill an (N, M, P) array by one broadcast multiply, and
-g1 flattened to an (N, N*M) matrix contracts them over the contiguous
-paths. g_apply, for states and increments in rows, transposes into
-that kernel and back. Its sums run in a different order than the
+once in g_apply_columns, the one kernel for it: with the P paths on the
+last axis, the outer products x (x) w fill an (N, M, P) array by one
+broadcast multiply, and g1 flattened to an (N, N*M) matrix contracts
+them over the contiguous paths. States and increments held in rows go
+in as their transposes. Its sums run in a different order than the
 triple contraction sum_{j,m} g1[i, j, m] x_j w_m, so the two agree to
 rounding (about 1e-15 relative), not bit for bit.
 """
@@ -38,7 +38,6 @@ from .spectral import SpectralModel
 __all__ = [
     "AffineNoiseMap",
     "check_compatible",
-    "g_apply",
     "g_apply_columns",
     "g1_v_to_hs_norm",
     "mean_form",
@@ -115,31 +114,6 @@ def g_apply_columns(
     out = gmap.g1.reshape(n, n * modes) @ work.reshape(n * modes, count)
     out += gmap.g2 @ increment
     return out
-
-
-def g_apply(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> np.ndarray:
-    """Evaluate G(state) applied to a noise increment.
-
-    Accepts a single state (N,) with increment (M,), or batches whose
-    leading shapes broadcast against each other, such as one state (N,)
-    against increments (P, M). The states and increments, flattened to
-    rows, go through g_apply_columns as columns, and its result comes
-    back transposed, bit for bit.
-    """
-    state = np.asarray(state, dtype=float)
-    increment = np.asarray(increment, dtype=float)
-    if state.shape[-1] != gmap.state_dim:
-        raise ValueError(f"state dimension {state.shape[-1]} != {gmap.state_dim}")
-    if increment.shape[-1] != gmap.noise_dim:
-        raise ValueError(f"increment dimension {increment.shape[-1]} != {gmap.noise_dim}")
-    n, modes = gmap.state_dim, gmap.noise_dim
-    lead = state.shape[:-1]
-    if increment.shape[:-1] != lead:
-        lead = np.broadcast_shapes(lead, increment.shape[:-1])
-        state = np.broadcast_to(state, lead + (n,))
-        increment = np.broadcast_to(increment, lead + (modes,))
-    columns = g_apply_columns(gmap, state.reshape(-1, n).T, increment.reshape(-1, modes).T)
-    return columns.T.reshape(lead + (n,))
 
 
 def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseModel) -> float:

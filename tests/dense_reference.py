@@ -28,11 +28,19 @@ columns off that matrix replaced.
 `choice_sample_increments` draws Levy increments with Generator.choice
 and np.add.at, the sampler whose random stream the package's cached
 jump law reproduces draw for draw.
+
+`simulate_paths` keeps every path of a Monte Carlo run, with its
+increments, in one process: it fills each batch with the package's own
+batch stepper. `estimate_paths` reduces such paths to their moments
+through the package's per-batch sums, so for the same arguments
+`estimate_paths(simulate_paths(...)[0])` is `simulate_moments(...)` bit
+for bit. Both hold P (K+1) N float64; keep P K small.
 """
 
 import numpy as np
 from scipy.linalg import svdvals
 
+import spde_moments.montecarlo as mc
 from spde_moments.noise_map import mean_form, multiplicative_form
 
 
@@ -228,3 +236,32 @@ def choice_sample_increments(noise, dt, count, rng):
             signs = rng.integers(0, 2, size=total) * 2 - 1
             np.add.at(out, (rows, modes), size * signs)
     return out
+
+
+def simulate_paths(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov=None, substeps=1):
+    """Every path of simulate_moments' run for the same arguments, as a
+    (P, steps + 1, N) array, with the (P, steps * substeps, M) increments
+    that drove them: batch b of mc._batch_bounds fills its own rows from
+    the stream [seed, b]."""
+    batch = mc._batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
+    out = np.empty((paths, steps + 1, model.dim))
+    incs = np.empty((paths, steps * substeps, noise.dim))
+    for b, (lo, hi) in enumerate(mc._batch_bounds(paths)):
+        batch(b, out[lo:hi], incs[lo:hi])
+    return out, incs
+
+
+def estimate_paths(paths):
+    """Moments of (P, K+1, N) paths over the batches they were simulated
+    in, with batch-means standard errors."""
+    P = paths.shape[0]
+    if P < 2:
+        raise ValueError(f"at least two paths are required, got {P}")
+    nodes, dim = paths.shape[1:]
+    flat = paths.reshape(P, nodes * dim)
+    bounds = mc._batch_bounds(P)
+    s1 = np.empty((len(bounds), nodes * dim))
+    s2 = np.empty((len(bounds), nodes * dim, nodes * dim))
+    for b, (lo, hi) in enumerate(bounds):
+        mc._sum_batch(flat[lo:hi], s1[b], s2[b])
+    return mc._reduce(s1, s2, bounds, nodes, dim)

@@ -21,7 +21,6 @@ from spde_moments import (
     covariance_kernel,
     dirichlet_laplacian,
     dual_pair,
-    estimate_moments,
     g1_v_to_hs_norm,
     hilbert_norm,
     injective_norm,
@@ -34,11 +33,13 @@ from spde_moments import (
     rhs_covariance,
     rhs_second_moment,
     scaled_random_coupling,
-    simulate_ensemble,
+    simulate_moments,
     smoothing_integral,
     solve_mean,
     weak_identity_residual,
 )
+
+from dense_reference import simulate_paths
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -98,10 +99,9 @@ def test_criterion_01_scalar_additive_end_to_end():
         )
     ratio = errors[64] / errors[128]
 
-    ensemble = simulate_ensemble(
+    est = simulate_moments(
         model, noise, gmap, x0, steps=16, paths=100_000, seed=0, substeps=64
     )
-    est = estimate_moments(ensemble)
     nodes = np.linspace(0.0, 1.0, 17)
     s_grid, t_grid = np.meshgrid(nodes, nodes, indexing="ij")
     exact = exact_ou_second_moment(s_grid, t_grid)
@@ -163,10 +163,9 @@ def test_criterion_03_multimode_cross_validation():
         system, noise, gmap, rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4)))
     )
 
-    ensemble = simulate_ensemble(
+    est = simulate_moments(
         model, noise, gmap, x0, steps=grid_steps, paths=10_000, seed=7, substeps=stride
     )
-    est = estimate_moments(ensemble)
     idx = np.arange(1, grid_steps + 1) * stride - 1  # intervals ending at MC nodes
     modes = np.arange(4)
     cov_var = cov_sol.coeffs[np.ix_(idx, modes, idx, modes)]
@@ -274,14 +273,13 @@ def test_criterion_06_weak_identity_refinement():
     model, noise, gmap, x0 = scalar_multiplicative()
     rms = []
     for steps in (32, 64, 128):
-        ensemble, increments = simulate_ensemble(
-            model, noise, gmap, x0, steps=steps, paths=1000, seed=5,
-            return_increments=True,
+        paths, increments = simulate_paths(
+            model, noise, gmap, x0, steps=steps, paths=1000, seed=5
         )
         v = (1.0 - np.linspace(0.0, 1.0, steps + 1))[:, None]
         residuals = [
-            weak_identity_residual(ensemble.paths[p], v, model, gmap, increments[p])
-            for p in range(1000)
+            weak_identity_residual(path, v, model, gmap, inc)
+            for path, inc in zip(paths, increments)
         ]
         rms.append(float(np.sqrt(np.mean(np.square(residuals)))))
 

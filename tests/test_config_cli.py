@@ -272,6 +272,15 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [5, [], None, "x"])
+    @pytest.mark.parametrize("section", [
+        "model", "time", "noise", "g", "initial", "mc", "solver", "validate"])
+    def test_section_that_is_not_an_object_exits_one(self, tmp_path, capsys, section, value):
+        cfg = self.write_config(tmp_path, minimal_config(**{section: value}))
+        rc = main(["solve-mean", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: expected an object, got ")
+
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, minimal_config())
         taken = tmp_path / "taken"

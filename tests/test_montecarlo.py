@@ -9,15 +9,12 @@ from spde_moments import (
     AffineNoiseMap,
     NoiseModel,
     SpectralModel,
-    estimate_moments,
     g1_v_to_hs_norm,
-    g_apply,
     hs_norm_on_cameron_martin,
     ito_isometry_check,
     lyapunov_solve,
     sample_increments,
     semigroup_apply,
-    simulate_ensemble,
     simulate_moments,
     two_time_extend,
     weak_identity_residual,
@@ -25,6 +22,7 @@ from spde_moments import (
 from spde_moments.noise_map import g_apply_columns
 
 from conftest import multimode_setup
+from dense_reference import estimate_paths, simulate_paths
 
 
 def brute_force_g(gmap, state, increment):
@@ -44,36 +42,40 @@ class TestGApply:
     def test_additive_identity(self):
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 2)), g2=np.eye(2))
         w = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(g_apply(gmap, np.array([5.0, 5.0]), w), w)
+        out = g_apply_columns(gmap, np.array([[5.0], [5.0]]), w[:, None])
+        np.testing.assert_array_equal(out[:, 0], w)
 
     def test_scalar_affine(self):
         a, b, x, w = 0.5, 2.0, 3.0, 0.25
         gmap = AffineNoiseMap(g1=np.full((1, 1, 1), a), g2=np.full((1, 1), b))
-        out = g_apply(gmap, np.array([x]), np.array([w]))
-        assert out == pytest.approx([(a * x + b) * w])
+        out = g_apply_columns(gmap, np.array([[x]]), np.array([[w]]))
+        assert out[:, 0] == pytest.approx([(a * x + b) * w])
 
     def test_matches_brute_force_contraction(self):
         rng = np.random.default_rng(5)
         gmap = AffineNoiseMap(g1=rng.standard_normal((3, 3, 2)), g2=rng.standard_normal((3, 2)))
         state, inc = rng.standard_normal(3), rng.standard_normal(2)
         np.testing.assert_allclose(
-            g_apply(gmap, state, inc), brute_force_g(gmap, state, inc), rtol=1e-13
+            g_apply_columns(gmap, state[:, None], inc[:, None])[:, 0],
+            brute_force_g(gmap, state, inc), rtol=1e-13,
         )
-        # a (P, N) batch, a two-axis leading shape (a, b, N), and one
-        # state (N,) broadcast against (P, M) increments
+        # a (P, N) batch as columns, a two-axis leading shape (a, b, N)
+        # flattened to columns, and one state (N,) broadcast to P columns
+        # against (P, M) increments
         states, incs = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
         np.testing.assert_allclose(
-            g_apply(gmap, states, incs),
+            g_apply_columns(gmap, states.T, incs.T).T,
             [brute_force_g(gmap, x, w) for x, w in zip(states, incs)], rtol=1e-13,
         )
         grid, grid_incs = rng.standard_normal((4, 5, 3)), rng.standard_normal((4, 5, 2))
         expected = [[brute_force_g(gmap, x, w) for x, w in zip(xs, ws)]
                     for xs, ws in zip(grid, grid_incs)]
-        out = g_apply(gmap, grid, grid_incs)
-        assert out.shape == (4, 5, 3)
+        out = g_apply_columns(gmap, grid.reshape(-1, 3).T, grid_incs.reshape(-1, 2).T)
+        out = out.T.reshape(4, 5, 3)
         np.testing.assert_allclose(out, expected, rtol=1e-13)
         np.testing.assert_allclose(
-            g_apply(gmap, state, incs), [brute_force_g(gmap, state, w) for w in incs], rtol=1e-13,
+            g_apply_columns(gmap, np.broadcast_to(state[:, None], (3, 7)), incs.T).T,
+            [brute_force_g(gmap, state, w) for w in incs], rtol=1e-13,
         )
 
     @pytest.mark.parametrize("n, modes", [(1, 1), (4, 4), (16, 16)])
@@ -89,16 +91,6 @@ class TestGApply:
         work = np.empty((n, modes, 9))
         np.testing.assert_array_equal(g_apply_columns(gmap, states, incs.T, work), out)
 
-    def test_g_apply_is_the_columns_kernel_transposed_bitwise(self):
-        rng = np.random.default_rng(8)
-        gmap = AffineNoiseMap(g1=rng.standard_normal((4, 4, 3)), g2=rng.standard_normal((4, 3)))
-        states, incs = rng.standard_normal((50, 4)), rng.standard_normal((50, 3))
-        columns = g_apply_columns(gmap, np.ascontiguousarray(states.T), incs.T)
-        np.testing.assert_array_equal(g_apply(gmap, states, incs), columns.T)
-        # one state is one column (BLAS may sum a single column in another order)
-        one = g_apply_columns(gmap, states[0][:, None], incs[0][:, None])
-        np.testing.assert_array_equal(g_apply(gmap, states[0], incs[0]), one[:, 0])
-
     def test_columns_kernel_shape_mismatch(self):
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         with pytest.raises(ValueError):
@@ -109,7 +101,7 @@ class TestGApply:
     def test_shape_mismatch(self):
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            g_apply(gmap, np.zeros(3), np.zeros(1))
+            g_apply_columns(gmap, np.zeros((3, 1)), np.zeros((1, 1)))
 
 
 class TestG1Norm:
@@ -159,7 +151,7 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[0.0])
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
         x0 = np.array([1.0, -2.0])
-        path = simulate_ensemble(model, noise, gmap, x0, 8, 1, seed=0).paths[0]
+        path = simulate_paths(model, noise, gmap, x0, 8, 1, seed=0)[0][0]
         for k in range(9):
             np.testing.assert_allclose(
                 path[k], semigroup_apply(model, k / 8.0, x0), rtol=1e-12
@@ -170,15 +162,15 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[5.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.zeros((1, 1)))
         x0 = np.array([3.0])
-        path = simulate_ensemble(model, noise, gmap, x0, 4, 1, seed=1).paths[0]
+        path = simulate_paths(model, noise, gmap, x0, 4, 1, seed=1)[0][0]
         np.testing.assert_allclose(path[:, 0], 3.0 * np.exp(-np.arange(5) / 4.0), rtol=1e-12)
 
     def test_step_count_validation(self):
         model = SpectralModel(eigenvalues=[1.0])
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            simulate_ensemble(model, noise, gmap, np.zeros(1), 0, 1, seed=0)
+        with pytest.raises(ValueError, match="steps"):
+            simulate_moments(model, noise, gmap, np.zeros(1), 0, 2, seed=0)
 
     def test_scheme_evaluates_noise_map_at_left_endpoint(self, monkeypatch):
         model = SpectralModel(eigenvalues=[1.0])
@@ -193,17 +185,16 @@ class TestSimulatePath:
             return original(gm, state, increment, work)
 
         monkeypatch.setattr(mc, "g_apply_columns", recorder)
-        path = simulate_ensemble(model, noise, gmap, np.array([1.0]), 6, 1, seed=2).paths[0]
+        path = simulate_paths(model, noise, gmap, np.array([1.0]), 6, 1, seed=2)[0][0]
         np.testing.assert_array_equal(np.concatenate(seen), path[:-1])
 
     def test_scalar_ou_variance(self, scalar_model, unit_noise, additive_map):
         # independent value: the variance of the stochastic convolution,
         # (1 - exp(-2 t)) / 2 at t = 1
-        ens = simulate_ensemble(
+        est = simulate_moments(
             scalar_model, unit_noise, additive_map, np.zeros(1), 16, 100_000, seed=10,
             substeps=16,
         )
-        est = estimate_moments(ens)
         target = 0.5 * -np.expm1(-2.0)
         diff = abs(est.second_moment[-1, 0, -1, 0] - target)
         assert diff <= 3 * est.second_moment_se[-1, 0, -1, 0]
@@ -211,18 +202,18 @@ class TestSimulatePath:
 
 class TestEnsemble:
     def test_substepping_subsamples_the_fine_grid(self, scalar_model, unit_noise, additive_map):
-        coarse = simulate_ensemble(
+        coarse, _ = simulate_paths(
             scalar_model, unit_noise, additive_map, np.zeros(1), 4, 64, seed=4, substeps=3
         )
-        fine = simulate_ensemble(
+        fine, _ = simulate_paths(
             scalar_model, unit_noise, additive_map, np.zeros(1), 12, 64, seed=4, substeps=1
         )
-        np.testing.assert_array_equal(coarse.paths, fine.paths[:, ::3])
+        np.testing.assert_array_equal(coarse, fine[:, ::3])
 
     def test_single_path_matches_simulate_path_stream(
         self, scalar_model, unit_noise, additive_map
     ):
-        ens = simulate_ensemble(
+        paths, _ = simulate_paths(
             scalar_model, unit_noise, additive_map, np.zeros(1), 8, 1, seed=6
         )
         # the plain scheme, stepped by hand on the stream of batch 0
@@ -232,8 +223,9 @@ class TestEnsemble:
         path = [np.zeros(1)]
         for _ in range(8):
             dL = sample_increments(unit_noise, dt, 1, rng)[0]
-            path.append(decay * (path[-1] + g_apply(additive_map, path[-1], dL)))
-        np.testing.assert_array_equal(ens.paths[0], np.stack(path))
+            noise_term = g_apply_columns(additive_map, path[-1][:, None], dL[:, None])[:, 0]
+            path.append(decay * (path[-1] + noise_term))
+        np.testing.assert_array_equal(paths[0], np.stack(path))
 
     def test_batches_replay_their_own_streams_in_order(
         self, scalar_model, unit_noise, multiplicative_map
@@ -241,10 +233,10 @@ class TestEnsemble:
         # 200 paths fall into 32 batches, the first 8 of 7 paths and the
         # rest of 6; batch b is stepped by hand on the stream [seed, b]
         # and fills the next rows
-        ens = simulate_ensemble(
+        paths, _ = simulate_paths(
             scalar_model, unit_noise, multiplicative_map, np.ones(1), 8, 200, seed=9
         )
-        assert ens.batches == 32
+        assert len(mc._batch_bounds(200)) == 32
         dt = scalar_model.horizon / 8
         decay = np.exp(-scalar_model.eigenvalues * dt)
         replay = []
@@ -254,19 +246,19 @@ class TestEnsemble:
             path = [x]
             for _ in range(8):
                 dL = sample_increments(unit_noise, dt, x.shape[0], rng)
-                x = (x + g_apply(multiplicative_map, x, dL)) * decay
+                x = (x + g_apply_columns(multiplicative_map, x.T, dL.T).T) * decay
                 path.append(x)
             replay.append(np.stack(path, axis=1))
-        np.testing.assert_array_equal(ens.paths, np.concatenate(replay))
+        np.testing.assert_array_equal(paths, np.concatenate(replay))
 
     @pytest.mark.parametrize("x0_cov", [False, True])
     def test_multimode_batches_match_the_row_scheme_to_rounding(self, x0_cov):
         # the stepper holds each batch as (N, paths) and applies the noise
-        # map by one matmul over the paths; the row scheme with g_apply
-        # sums in another order, so the two agree to rounding
+        # map by one matmul over the paths; the row scheme's triple
+        # contraction sums in another order, so the two agree to rounding
         model, noise, gmap, x0 = multimode_setup()
         cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
-        ens = simulate_ensemble(model, noise, gmap, x0, 4, 45, seed=3, x0_cov=cov, substeps=2)
+        paths, _ = simulate_paths(model, noise, gmap, x0, 4, 45, seed=3, x0_cov=cov, substeps=2)
         dt = model.horizon / 8
         decay = np.exp(-model.eigenvalues * dt)
         replay = []
@@ -281,40 +273,13 @@ class TestEnsemble:
             for _ in range(4):
                 for _ in range(2):
                     dL = sample_increments(noise, dt, hi - lo, rng)
-                    x = (x + g_apply(gmap, x, dL)) * decay
+                    noise_term = np.einsum("ijm,pj,pm->pi", gmap.g1, x, dL) + dL @ gmap.g2.T
+                    x = (x + noise_term) * decay
                 path.append(x)
             replay.append(np.stack(path, axis=1))
         replay = np.concatenate(replay)
         scale = np.abs(replay).max()
-        np.testing.assert_allclose(ens.paths, replay, rtol=0, atol=1e-13 * scale)
-
-    @pytest.mark.parametrize("paths, steps, multimode, x0_cov, increments", [
-        (200, 8, False, False, False),    # 32 batches of 7 or 6 paths, 11/11/10 at 3 workers
-        (45, 4, True, True, True),        # 32 batches of 2 or 1 paths, four modes
-        (45, 4, True, False, True),
-        (200, 8, False, True, False),
-        (1, 1, False, False, True),       # one batch: fewer parts than workers
-    ])
-    def test_worker_count_does_not_change_the_ensemble(
-        self, monkeypatch, unit_noise, multiplicative_map, paths, steps, multimode, x0_cov,
-        increments,
-    ):
-        if multimode:
-            model, noise, gmap, x0 = multimode_setup()
-        else:
-            model, noise, gmap, x0 = (SpectralModel(eigenvalues=[1.0]), unit_noise,
-                                      multiplicative_map, np.ones(1))
-        cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
-        runs = []
-        for procs in (1, 2, 3):
-            monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
-            out = simulate_ensemble(model, noise, gmap, x0, steps, paths, seed=4, x0_cov=cov,
-                                    return_increments=increments)
-            runs.append(out if increments else (out, None))
-        for ens, incs in runs[1:]:
-            np.testing.assert_array_equal(ens.paths, runs[0][0].paths)
-            if increments:
-                np.testing.assert_array_equal(incs, runs[0][1])
+        np.testing.assert_allclose(paths, replay, rtol=0, atol=1e-13 * scale)
 
     def test_one_cpu_forks_no_worker(self, monkeypatch, scalar_model, unit_noise,
                                      multiplicative_map):
@@ -323,9 +288,10 @@ class TestEnsemble:
 
         monkeypatch.setattr(_fanout, "_cpus", lambda: 1)
         monkeypatch.setattr(_fanout.os, "fork", no_fork)
-        ens = simulate_ensemble(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 64,
-                                seed=3)
-        assert ens.batches == 32
+        assert len(mc._batch_bounds(64)) == 32  # more batches than CPUs
+        est = simulate_moments(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 64,
+                               seed=3)
+        assert est.mean.shape == (5, 1)
 
     def test_nonfinite_initial_mean_rejected_before_stepping(
         self, scalar_model, unit_noise, additive_map, monkeypatch
@@ -336,47 +302,43 @@ class TestEnsemble:
         monkeypatch.setattr(mc, "sample_increments", no_draws)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="initial mean"):
-                simulate_ensemble(
+                simulate_moments(
                     scalar_model, unit_noise, additive_map, np.array([bad]), 4, 8, seed=0
                 )
 
+    def test_nonfinite_initial_covariance_rejected_before_stepping(
+        self, scalar_model, unit_noise, additive_map, monkeypatch
+    ):
+        def no_draws(*args):
+            raise AssertionError("a path was stepped")
+
+        monkeypatch.setattr(mc, "sample_increments", no_draws)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^initial covariance must be finite$"):
+                simulate_moments(scalar_model, unit_noise, additive_map, np.ones(1), 4, 8,
+                                 seed=0, x0_cov=np.array([[bad]]))
+
     def test_gaussian_initial_law(self, scalar_model, unit_noise, additive_map):
-        ens = simulate_ensemble(
+        est = simulate_moments(
             scalar_model, unit_noise, additive_map, np.array([2.0]), 4, 50_000, seed=7,
             x0_cov=np.array([[0.25]]),
         )
-        est = estimate_moments(ens)
         assert abs(est.mean[0, 0] - 2.0) <= 3 * est.mean_se[0, 0]
         assert abs(est.covariance[0, 0, 0, 0] - 0.25) <= 3 * est.covariance_se[0, 0, 0, 0]
 
 
 class TestEstimateMoments:
     def test_requires_two_paths(self, scalar_model, unit_noise, additive_map):
-        ens = simulate_ensemble(scalar_model, unit_noise, additive_map, np.zeros(1), 4, 1, seed=0)
-        with pytest.raises(ValueError):
-            estimate_moments(ens)
-
-    @pytest.mark.parametrize("paths", [2, 64])
-    def test_peak_memory_within_the_count(self, paths):
-        # nb = 2 and nb = 32 batches of 65 nodes of 4 modes: D = 260, and
-        # one D x D float64 field is 0.54 MB; the count's block of one
-        # batch, 4 kB at most, is a view of the ensemble here
-        ens = mc.Ensemble(paths=np.random.default_rng(0).standard_normal((paths, 65, 4)))
-        assert ens.batches == min(paths, 32)
-        count = mc.estimate_bytes(paths, 260)
-        tracemalloc.start()
-        try:
-            estimate_moments(ens)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert count - 260 * 260 * 8 < peak <= count
+        paths, _ = simulate_paths(scalar_model, unit_noise, additive_map, np.zeros(1), 4, 1,
+                                  seed=0)
+        with pytest.raises(ValueError, match="at least two paths"):
+            estimate_paths(paths)
 
     @pytest.mark.parametrize("paths, nodes, dim", [(64, 17, 4), (2, 65, 4), (20, 13, 1)])
     def test_standard_errors_equal_numpy_std_bitwise(self, paths, nodes, dim):
-        ens = mc.Ensemble(paths=np.random.default_rng(1).standard_normal((paths, nodes, dim)))
-        est = estimate_moments(ens)
-        flat = ens.paths.reshape(paths, -1)
+        sample = np.random.default_rng(1).standard_normal((paths, nodes, dim))
+        est = estimate_paths(sample)
+        flat = sample.reshape(paths, -1)
         chunks = [flat[lo:hi] for lo, hi in mc._batch_bounds(paths)]
         b_mean = np.stack([c.mean(axis=0) for c in chunks])
         b_m2 = np.stack([c.T @ c / c.shape[0] for c in chunks])
@@ -389,8 +351,7 @@ class TestEstimateMoments:
     def test_deterministic_ensemble(self, scalar_model, additive_map):
         # no noise: covariance vanishes, second moment is the mean outer product
         silent = NoiseModel(q_eigenvalues=[0.0])
-        ens = simulate_ensemble(scalar_model, silent, additive_map, np.ones(1), 4, 16, seed=1)
-        est = estimate_moments(ens)
+        est = simulate_moments(scalar_model, silent, additive_map, np.ones(1), 4, 16, seed=1)
         scale = np.max(np.abs(est.second_moment))
         np.testing.assert_allclose(est.covariance, 0.0, atol=1e-14 * scale)
         np.testing.assert_allclose(
@@ -402,10 +363,9 @@ class TestEstimateMoments:
         np.testing.assert_allclose(est.covariance_se, 0.0, atol=1e-15 * scale)
 
     def test_symmetry_and_identity_exact(self, scalar_model, unit_noise, multiplicative_map):
-        ens = simulate_ensemble(
+        est = simulate_moments(
             scalar_model, unit_noise, multiplicative_map, np.ones(1), 6, 500, seed=2
         )
-        est = estimate_moments(ens)
         m2 = est.second_moment
         np.testing.assert_array_equal(m2, np.transpose(m2, (2, 3, 0, 1)))
         flat_mean = est.mean.reshape(-1)
@@ -421,11 +381,10 @@ class TestEstimateMoments:
     ):
         # Cov(X(1/2), X(1)) = exp(-1/2) Var(X(1/2)) for the scalar
         # additive equation started at zero
-        ens = simulate_ensemble(
+        est = simulate_moments(
             scalar_model, unit_noise, additive_map, np.zeros(1), 8, 100_000, seed=11,
             substeps=32,
         )
-        est = estimate_moments(ens)
         field = lyapunov_solve(
             scalar_model, unit_noise, additive_map, np.zeros(1), np.zeros((1, 1)), 8
         )
@@ -436,11 +395,8 @@ class TestEstimateMoments:
         ) <= 3 * est.covariance_se[mid, 0, end, 0]
 
     def test_covariance_time_diagonal_nearly_positive_semidefinite(self):
-        from conftest import multimode_setup
-
         model, noise, gmap, x0 = multimode_setup()
-        ens = simulate_ensemble(model, noise, gmap, x0, 6, 4000, seed=20, substeps=8)
-        est = estimate_moments(ens)
+        est = simulate_moments(model, noise, gmap, x0, 6, 4000, seed=20, substeps=8)
         scale = float(np.abs(est.second_moment).max())
         for k in range(7):
             block = est.covariance[k, :, k, :]
@@ -457,10 +413,9 @@ class TestEstimateMoments:
         ses = []
         for b in (1.0, 3.0):
             gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.full((1, 1), b))
-            ens = simulate_ensemble(
+            est = simulate_moments(
                 scalar_model, unit_noise, gmap, np.ones(1), 8, 50_000, seed=12
             )
-            est = estimate_moments(ens)
             means.append(est.mean)
             ses.append(est.mean_se)
         gap = np.abs(means[0] - means[1])
@@ -487,12 +442,12 @@ class TestSimulateMoments:
             model, noise, gmap, x0 = (SpectralModel(eigenvalues=[1.0]), unit_noise,
                                       multiplicative_map, np.ones(1))
         cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
+        ref = estimate_paths(simulate_paths(model, noise, gmap, x0, steps, paths, seed=4,
+                                            x0_cov=cov, substeps=2)[0])
         for procs in (1, 2, 3):
             monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
             est = simulate_moments(model, noise, gmap, x0, steps, paths, seed=4, x0_cov=cov,
                                    substeps=2)
-            ref = estimate_moments(simulate_ensemble(model, noise, gmap, x0, steps, paths,
-                                                     seed=4, x0_cov=cov, substeps=2))
             for name in self.FIELDS:
                 assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
 
@@ -510,10 +465,9 @@ class TestSimulateMoments:
         real = mc.sample_increments
         monkeypatch.setattr(mc, "sample_increments", infinite_for_one_path)
         monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
-        with np.errstate(invalid="ignore"):
-            for simulate in (simulate_ensemble, simulate_moments):
-                with pytest.raises(ValueError, match="^paths must be finite$"):
-                    simulate(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 63,
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="^paths must be finite$"):
+            simulate_moments(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 63,
                              seed=0)
 
     def test_requires_two_paths(self, scalar_model, unit_noise, additive_map):
@@ -554,30 +508,33 @@ class TestWeakIdentity:
         with pytest.raises(ValueError):
             weak_identity_residual(path, v, scalar_model, additive_map, incs)
 
+    def test_rejects_a_one_node_path(self, scalar_model, additive_map):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            weak_identity_residual(np.zeros((1, 1)), np.zeros((1, 1)), scalar_model,
+                                   additive_map, np.zeros((0, 1)))
+
     def test_zero_noise_residual_is_first_order(self, scalar_model, additive_map):
         silent = NoiseModel(q_eigenvalues=[0.0])
         residuals = []
         for steps in (16, 32, 64):
-            ens, incs = simulate_ensemble(
-                scalar_model, silent, additive_map, np.ones(1), steps, 1, seed=0,
-                return_increments=True,
+            paths, incs = simulate_paths(
+                scalar_model, silent, additive_map, np.ones(1), steps, 1, seed=0
             )
             v = self.ramp_test_function(steps, 1)
             residuals.append(abs(weak_identity_residual(
-                ens.paths[0], v, scalar_model, additive_map, incs[0])))
+                paths[0], v, scalar_model, additive_map, incs[0])))
         assert residuals[0] > residuals[1] > residuals[2]
         assert residuals[1] / residuals[0] == pytest.approx(0.5, abs=0.15)
 
     def test_additive_noise_residual_mean_zero(self, scalar_model, unit_noise, additive_map):
         steps = 16
         v = self.ramp_test_function(steps, 1)
-        ens, incs = simulate_ensemble(
-            scalar_model, unit_noise, additive_map, np.zeros(1), steps, 2000, seed=13,
-            return_increments=True,
+        paths, incs = simulate_paths(
+            scalar_model, unit_noise, additive_map, np.zeros(1), steps, 2000, seed=13
         )
         res = np.array([
-            weak_identity_residual(ens.paths[p], v, scalar_model, additive_map, incs[p])
-            for p in range(ens.n_paths)
+            weak_identity_residual(path, v, scalar_model, additive_map, inc)
+            for path, inc in zip(paths, incs)
         ])
         se = res.std(ddof=1) / np.sqrt(res.size)
         assert abs(res.mean()) <= 3 * se
@@ -587,14 +544,13 @@ class TestWeakIdentity:
     ):
         rms = []
         for steps in (16, 32, 64):
-            ens, incs = simulate_ensemble(
-                scalar_model, unit_noise, multiplicative_map, np.ones(1), steps, 400,
-                seed=14, return_increments=True,
+            paths, incs = simulate_paths(
+                scalar_model, unit_noise, multiplicative_map, np.ones(1), steps, 400, seed=14
             )
             v = self.ramp_test_function(steps, 1)
             res = [
-                weak_identity_residual(ens.paths[p], v, scalar_model, multiplicative_map, incs[p])
-                for p in range(ens.n_paths)
+                weak_identity_residual(path, v, scalar_model, multiplicative_map, inc)
+                for path, inc in zip(paths, incs)
             ]
             rms.append(float(np.sqrt(np.mean(np.square(res)))))
         assert rms[0] > rms[1] > rms[2]
@@ -613,6 +569,12 @@ class TestItoIsometry:
         phi = np.ones((9, 1, 1))
         lhs, rhs, z = ito_isometry_check(unit_noise, v1, v2, phi, 100, np.random.default_rng(0))
         assert lhs == rhs == 0.0
+
+    def test_rejects_a_one_node_grid(self, unit_noise):
+        v = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="at least two nodes"):
+            ito_isometry_check(unit_noise, v, v, np.zeros((1, 1, 1)), 100,
+                               np.random.default_rng(0))
 
     def test_scalar_unit_integrand(self, unit_noise):
         v = np.ones((17, 1))

@@ -19,7 +19,7 @@ from spde_moments import (
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
-    simulate_ensemble,
+    simulate_moments,
 )
 
 from dense_reference import unblocked_multiplicative_form
@@ -60,9 +60,31 @@ class TestImportGraph:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
-        for name in ("AffineNoiseMap", "g_apply", "g_apply_columns", "g1_v_to_hs_norm",
+        for name in ("AffineNoiseMap", "g_apply_columns", "g1_v_to_hs_norm",
                      "mean_form", "multiplicative_form", "multiplicative_matrix"):
             assert homes.get(name) == ["noise_map"], name
+
+    def test_public_surface_is_what_the_modules_list(self):
+        # every name in a module's __all__ is defined at its top level, and
+        # the package re-exports only names some module lists
+        listed = set()
+        for path in sorted(PACKAGE.glob("*.py")):
+            body = ast.parse(path.read_text(encoding="utf-8")).body
+            defined, public = set(), set()
+            for node in body:
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                    defined |= targets
+                    if "__all__" in targets:
+                        public = set(ast.literal_eval(node.value))
+            assert public <= defined, (path.stem, public - defined)
+            listed |= public
+        init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        exported = {alias.asname or alias.name for node in init
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert exported and exported <= listed, exported - listed
 
 
 # A two-mode model with a one-mode noise, and a noise map that is wrong in
@@ -82,8 +104,8 @@ ENTRY_POINTS = {
     "g1_v_to_hs_norm": lambda g: g1_v_to_hs_norm(g, MODEL, NOISE),
     "lyapunov_solve":
         lambda g: lyapunov_solve(MODEL, NOISE, g, np.ones(2), np.eye(2), 4),
-    "simulate_ensemble":
-        lambda g: simulate_ensemble(MODEL, NOISE, g, np.ones(2), 4, 8, seed=0),
+    "simulate_moments":
+        lambda g: simulate_moments(MODEL, NOISE, g, np.ones(2), 4, 8, seed=0),
     "rhs_second_moment":
         lambda g: rhs_second_moment(SYSTEM, NOISE, g, np.ones((4, 2)), np.eye(2)),
     "rhs_covariance":

@@ -11,10 +11,9 @@ from spde_moments import (
     MomentField,
     NoiseModel,
     SpectralModel,
-    estimate_moments,
     lyapunov_solve,
     mean_exact,
-    simulate_ensemble,
+    simulate_moments,
     two_time_extend,
 )
 
@@ -243,8 +242,7 @@ class TestLyapunovSolve:
         # step sized to the fastest mode for small weak bias
         model, noise, gmap, x0 = multimode_setup()
         field = lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 8)
-        ens = simulate_ensemble(model, noise, gmap, x0, 8, 5_000, seed=17, substeps=512)
-        est = estimate_moments(ens)
+        est = simulate_moments(model, noise, gmap, x0, 8, 5_000, seed=17, substeps=512)
         diag_mc = np.einsum("knkm->knm", est.second_moment)
         diag_se = np.einsum("knkm->knm", est.second_moment_se)
         diff = np.abs(field.diag_second_moment - diag_mc)
