@@ -14,9 +14,6 @@ __version__ = "0.1.0"
 
 from .levy import (
     NoiseModel,
-    covariance_kernel,
-    hs_norm_on_cameron_martin,
-    q_sqrt_apply,
     sample_increments,
 )
 from .montecarlo import (
@@ -37,7 +34,6 @@ from .oracle import (
     two_time_extend,
 )
 from .petrov_galerkin import (
-    AssemblyError,
     MomentLoad,
     PerModeSystem,
     PicardNonConvergence,
@@ -54,8 +50,6 @@ from .petrov_galerkin import (
 from .spectral import (
     SpectralModel,
     dirichlet_laplacian,
-    fractional_norm,
-    semigroup_apply,
     smoothing_integral,
 )
 from .tensors import (
@@ -63,6 +57,5 @@ from .tensors import (
     dual_pair,
     hilbert_norm,
     injective_norm,
-    operator_tensor_apply,
     projective_norm,
 )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._fanout import fan_out, split, workers
-from .config import ConfigError, ExperimentConfig, initial_law, load_config
+from .config import ConfigError, ExperimentConfig, _check_memory, initial_law, load_config
 from .montecarlo import BATCHES, estimate_bytes, simulate_moments
 from .noise_map import g1_v_to_hs_norm
 from .oracle import MomentField, lyapunov_solve, mean_exact, two_time_extend
@@ -152,20 +152,6 @@ def _check_mc_memory(cfg: ExperimentConfig) -> None:
     _check_memory("mc.paths", estimate_bytes(paths, width),
                   f"the moment buffers and batches of {-(-paths // batches)} paths of {width} "
                   "recorded values")
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_memory(key: str, need: int, what: str) -> None:
-    """Refuse with a ConfigError naming `key` when `what`, which takes
-    `need` bytes, would not fit in the machine's physical memory."""
-    physical = _physical_memory()
-    if need > physical:
-        raise ConfigError(f"{key}: {what} need {need / 2**30:.3g} GiB, more than the "
-                          f"{physical / 2**30:.3g} GiB of physical memory")
 
 
 def _check_table_space(out: Path, key: str, tables: list[tuple[int, int, int]]) -> None:
@@ -404,8 +390,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                    frac_cov >= cfg.validate_min_within_fraction))
 
     # the exact propagator's values at the MC nodes are the solver grid's at a stride
-    oracle_two = two_time_extend(model, MomentField(
-        oracle.grid[::stride], oracle.mean[::stride], oracle.diag_second_moment[::stride]))
+    oracle_two = two_time_extend(model, MomentField(oracle.grid[::stride],
+                                                    oracle.diag_second_moment[::stride]))
     diff_o = np.abs(oracle_two - est.second_moment)
     within_o = diff_o <= z * est.second_moment_se
     frac_oracle = float(within_o.mean())

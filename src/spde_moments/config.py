@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -53,6 +54,20 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key path."""
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(key: str, need: int, what: str) -> None:
+    """Refuse with a ConfigError naming `key` when `what`, which takes
+    `need` bytes, would not fit in the machine's physical memory."""
+    physical = _physical_memory()
+    if need > physical:
+        raise ConfigError(f"{key}: {what} need {need / 2**30:.3g} GiB, more than the "
+                          f"{physical / 2**30:.3g} GiB of physical memory")
+
+
 def _require(section: dict, key: str, path: str) -> Any:
     if key not in section:
         raise ConfigError(f"{path}.{key}: required key is missing")
@@ -66,13 +81,13 @@ def _section(raw: dict, key: str, required: bool = True) -> dict:
             raise ConfigError(f"{key}: required key is missing")
         return {}
     if not isinstance(raw[key], dict):
-        raise ConfigError(f"{key}: expected an object, got {raw[key]!r}")
+        raise ConfigError(f"{key}: expected an object, got {json.dumps(raw[key])}")
     return raw[key]
 
 
 def _number(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {json.dumps(value)}")
     try:
         number = float(value)
     except OverflowError:
@@ -80,7 +95,7 @@ def _number(value: Any, path: str, positive: bool = False) -> float:
                           "the float range") from None
     if not np.isfinite(number) or (positive and number <= 0.0):
         kind = "finite positive" if positive else "finite"
-        raise ConfigError(f"{path}: expected a {kind} number, got {value!r}")
+        raise ConfigError(f"{path}: expected a {kind} number, got {json.dumps(value)}")
     return number
 
 
@@ -89,13 +104,13 @@ def _nonnegative(value: Any, path: str, high: Optional[float] = None) -> float:
     number = _number(value, path)
     if number < 0.0 or (high is not None and number > high):
         bound = "nonnegative" if high is None else f"in [0, {high:g}]"
-        raise ConfigError(f"{path}: must be {bound}, got {value!r}")
+        raise ConfigError(f"{path}: must be {bound}, got {json.dumps(value)}")
     return number
 
 
 def _integer(value: Any, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        raise ConfigError(f"{path}: expected an integer, got {json.dumps(value)}")
     if value < minimum:
         raise ConfigError(f"{path}: must be at least {minimum}, got {value}")
     return value
@@ -144,7 +159,12 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Parse and validate a configuration dictionary into the problem it describes."""
+    """Parse and validate a configuration dictionary into the problem it describes.
+
+    Refuses model.dimension before the noise map is built when its
+    (N, N, M) coupling g1, 8 N^2 M bytes, would not fit in physical
+    memory.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     model_sec, time_sec, noise_sec, g_sec, initial_sec, mc = (
@@ -155,6 +175,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model = _model(model_sec)
     steps = _integer(_require(time_sec, "steps", "time"), "time.steps", 2)
     noise = _noise(noise_sec)
+    n, m = model.dim, noise.dim
+    _check_memory("model.dimension", 8 * n * n * m,
+                  f"the {n} x {n} x {m} float64 of the coupling g.g1")
     g1_spec = _require(g_sec, "g1", "g")
     g2_spec = _require(g_sec, "g2", "g")
     gmap = AffineNoiseMap(g1=_g1(g1_spec, model, noise), g2=_g2(g2_spec, model, noise))
@@ -234,7 +257,8 @@ def _model(section: dict) -> SpectralModel:
     if isinstance(eigenvalues, dict):
         gen = _require(eigenvalues, "generator", "model.eigenvalues")
         if gen != "dirichlet_laplacian":
-            raise ConfigError(f"model.eigenvalues.generator: unknown generator {gen!r}")
+            raise ConfigError(
+                f"model.eigenvalues.generator: unknown generator {json.dumps(gen)}")
         length = _require(eigenvalues, "length", "model.eigenvalues")
         return dirichlet_laplacian(
             dimension, _number(length, "model.eigenvalues.length", positive=True),
@@ -270,7 +294,7 @@ def _dense_array(spec: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
     except ValueError as exc:  # ragged nesting
         raise ConfigError(f"{path}: expected a nested list of numbers ({exc})") from exc
     if arr.dtype.kind not in "iuf":  # text, booleans, null or objects
-        raise ConfigError(f"{path}: expected a nested list of numbers, got {spec!r}")
+        raise ConfigError(f"{path}: expected a nested list of numbers, got {json.dumps(spec)}")
     arr = arr.astype(float)
     if arr.shape != shape:
         raise ConfigError(f"{path}: has shape {arr.shape} but dimensions require {shape}")
@@ -305,7 +329,7 @@ def _mode_diagonal(spec: dict, preset: Any, n: int, m: int, path: str) -> list[f
                 )
             return vals
     else:
-        raise ConfigError(f"{path}.preset: unknown preset {preset!r}")
+        raise ConfigError(f"{path}.preset: unknown preset {json.dumps(preset)}")
     return [_number(_require(spec, "value", path), f"{path}.value")] * n
 
 
@@ -321,9 +345,10 @@ def _g1(spec: Any, model: SpectralModel, noise: NoiseModel) -> np.ndarray:
             return scaled_random_coupling(model, noise, target, seed)
         except ValueError as exc:  # a coupling of zero norm cannot be rescaled
             raise ConfigError(f"g.g1: {exc}") from exc
+    values = _mode_diagonal(spec, preset, n, m, "g.g1")  # checks m = n before g1 exists
     g1 = np.zeros((n, n, n))
     idx = np.arange(n)
-    g1[idx, idx, idx] = _mode_diagonal(spec, preset, n, m, "g.g1")
+    g1[idx, idx, idx] = values
     return g1
 
 
@@ -344,7 +369,8 @@ def _initial(section: dict, n: int) -> tuple[np.ndarray, np.ndarray, Optional[np
         )
     deterministic = section.get("deterministic", False)
     if not isinstance(deterministic, bool):
-        raise ConfigError(f"initial.deterministic: expected true or false, got {deterministic!r}")
+        raise ConfigError(
+            f"initial.deterministic: expected true or false, got {json.dumps(deterministic)}")
     second_moment = section.get("second_moment")
     covariance = section.get("covariance")
     if sum([deterministic, second_moment is not None, covariance is not None]) != 1:

@@ -25,14 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import Tensor2
-
 __all__ = [
     "NoiseModel",
-    "covariance_kernel",
     "sample_increments",
-    "q_sqrt_apply",
-    "hs_norm_on_cameron_martin",
 ]
 
 
@@ -101,14 +96,6 @@ class NoiseModel:
         return np.sqrt((1.0 - self.wiener_fraction) * self.trace / self.jump_rate)
 
 
-def covariance_kernel(noise: NoiseModel) -> Tensor2:
-    """Kernel of the covariance operator: diag(gamma) in the eigenbasis.
-
-    Its projective norm equals the trace of the covariance operator.
-    """
-    return Tensor2(np.diag(noise.q_eigenvalues))
-
-
 def sample_increments(
     noise: NoiseModel, dt: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -138,24 +125,3 @@ def sample_increments(
             np.add.at(out, (rows, modes), jumps)
     return out
 
-
-def q_sqrt_apply(noise: NoiseModel, x: np.ndarray) -> np.ndarray:
-    """Multiply componentwise by sqrt(gamma), the square root of the covariance."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (noise.dim,):
-        raise ValueError(f"argument has shape {x.shape}, expected ({noise.dim},)")
-    return np.sqrt(noise.q_eigenvalues) * x
-
-
-def hs_norm_on_cameron_martin(noise: NoiseModel, B: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of the matrix B restricted to the noise range.
-
-    The range of the covariance square root has the orthonormal basis
-    sqrt(gamma_m) e_m, so the squared norm is sum_m gamma_m |B e_m|^2.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[1] != noise.dim:
-        raise ValueError(f"matrix has {B.shape[1]} columns, expected {noise.dim}")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("matrix entries must be finite")
-    return float(np.sqrt(np.sum(noise.q_eigenvalues * np.sum(B ** 2, axis=0))))

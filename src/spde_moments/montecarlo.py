@@ -100,12 +100,11 @@ def _batch_stepper(
 ):
     """Check the arguments of a simulation and return its batch stepper.
 
-    batch(b, block, incs=None) fills `block`, a (count, steps + 1, N)
-    array, with the count paths of batch b on the recording grid, drawn
-    from the stream [seed, b]; each recording step takes `substeps`
-    scheme steps. `incs`, when given, is a (count, steps * substeps, M)
-    array that receives the increments; simulate_moments never passes
-    one. Between nodes the state is an (N, count) array and the outer
+    batch(b, block) fills `block`, a (count, steps + 1, N) array, with
+    the count paths of batch b on the recording grid, drawn from the
+    stream [seed, b]; each recording step takes `substeps` scheme steps,
+    and each scheme step draws its increments by one sample_increments
+    call. Between nodes the state is an (N, count) array and the outer
     products x (x) dL live in one (N, M, count) buffer, both reused for
     every step of the batch.
     """
@@ -135,7 +134,7 @@ def _batch_stepper(
     dt = model.horizon / (steps * substeps)
     decay = np.exp(-model.eigenvalues * dt)[:, None]
 
-    def batch(b: int, block: np.ndarray, incs: Optional[np.ndarray] = None) -> None:
+    def batch(b: int, block: np.ndarray) -> None:
         rng = np.random.default_rng([seed, b])
         count = block.shape[0]
         if factor is None:
@@ -146,10 +145,8 @@ def _batch_stepper(
         work = np.empty((model.dim, noise.dim, count))
         block[:, 0] = x.T
         for k in range(steps):
-            for s in range(substeps):
+            for _ in range(substeps):
                 dL = sample_increments(noise, dt, count, rng)
-                if incs is not None:
-                    incs[:, k * substeps + s] = dL
                 x += g_apply_columns(gmap, x, dL.T, work)
                 x *= decay
             block[:, k + 1] = x.T

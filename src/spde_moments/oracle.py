@@ -45,10 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentField:
-    """Mean and second-moment values on a uniform time grid."""
+    """Equal-time second moment on a uniform time grid.
+
+    The mean is not kept: it is mean_exact's closed form, and
+    two_time_extend reads only the grid and the second moment.
+    """
 
     grid: np.ndarray                # (K+1,) nodes
-    mean: np.ndarray                # (K+1, N)
     diag_second_moment: np.ndarray  # (K+1, N, N), M(t) = E[X(t) (x) X(t)]
 
 
@@ -178,7 +181,7 @@ def lyapunov_solve(
     diag[:, rows, cols] = diag[:, cols, rows] = z[:, :rows.size]
 
     grid = np.linspace(0.0, model.horizon, steps + 1)
-    return MomentField(grid=grid, mean=mean_exact(model, m0, steps), diag_second_moment=diag)
+    return MomentField(grid=grid, diag_second_moment=diag)
 
 
 def two_time_extend(model: SpectralModel, field: MomentField) -> np.ndarray:

@@ -42,7 +42,8 @@ field that solves it is semi-separable: every block beyond the first
 off-diagonals is a power of r times a first off-diagonal block. The
 field is therefore stored by its three block diagonals
 (SpaceTimeMoment) and computed by one forward sweep over the intervals;
-the dense two-time field exists only when a caller asks for it.
+callers read the two-time field one time row at a time, and this
+module never forms the dense field.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "PerModeSystem",
     "MomentLoad",
     "SpaceTimeMoment",
-    "AssemblyError",
     "PicardNonConvergence",
     "assemble_per_mode",
     "solve_mean",
@@ -82,10 +82,6 @@ __all__ = [
 _CANDIDATES = 63     # points per bracket in one multisection round of the inf-sup
 _MAX_ROUNDS = 64     # far above the ~10 rounds any bracket needs to close
 _PIVOT_BLOCK = 64    # pivots held at once by the inertia count
-
-
-class AssemblyError(RuntimeError):
-    """Raised when an assembled system violates a structural requirement."""
 
 
 class PicardNonConvergence(RuntimeError):
@@ -166,20 +162,18 @@ class PerModeSystem:
 def assemble_per_mode(model: SpectralModel, grid: TimeGrid) -> PerModeSystem:
     """The per-mode pairing of a model on a grid, in O(N) memory.
 
-    Raises ValueError when the two horizons differ and AssemblyError
-    when a mode's pairing is singular (a_n <= 0). Warns (RuntimeWarning)
-    when a mode is stiff, lambda_n dt > 2: its ratio r_n is negative, so
-    its two-time field alternates in sign from one interval to the next,
-    and its discrete inf-sup value falls with lambda_n dt.
+    Raises ValueError when the two horizons differ. Every pairing is
+    invertible: lambda_n > 0 and dt > 0 give a_n > 1. Warns
+    (RuntimeWarning) when a mode is stiff, lambda_n dt > 2: its ratio
+    r_n is negative, so its two-time field alternates in sign from one
+    interval to the next, and its discrete inf-sup value falls with
+    lambda_n dt.
     """
     if not np.isclose(grid.horizon, model.horizon):
         raise ValueError(
             f"grid horizon {grid.horizon} differs from model horizon {model.horizon}"
         )
     system = PerModeSystem(grid=grid, eigenvalues=model.eigenvalues)
-    singular = np.flatnonzero(system.a <= 0.0)
-    if singular.size:
-        raise AssemblyError(f"trial-test matrix for mode {singular[0]} is singular")
     stiff = int(np.count_nonzero(system.lambda_dt > 2.0))
     if stiff:
         warnings.warn(
@@ -302,8 +296,7 @@ class SpaceTimeMoment:
     second mode index, and U[l, :, k, :] = ratio**(l - k - 1) * lower[k]
     along the first, where ratio[n] = r_n is the Crank-Nicolson factor.
     This expansion lives in `row` alone: callers read the field one time
-    row at a time, or on the block diagonals, and `coeffs` stacks the
-    rows into the dense field for those that need it whole.
+    row at a time, or on the block diagonals.
     """
 
     grid: TimeGrid
@@ -336,16 +329,6 @@ class SpaceTimeMoment:
             row[:, k + 1:] = self.upper[k][:, None, :] * self._powers[:K - 1 - k]
         row[:, :k] = (self._powers[:k][::-1, :, None] * self.lower[:k]).transpose(1, 0, 2)
         return row
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Dense trial coefficients U[k, n, l, m], shape (K, N, K, N).
-
-        The time rows, stacked. Materialized anew on every access, in
-        O((K N)^2) memory, and not kept: a caller that reads it twice
-        pays twice.
-        """
-        return np.stack([self.row(k) for k in range(len(self.diagonal))])
 
 
 def _causal_solve(

@@ -1,9 +1,11 @@
-"""Spectral representation of the elliptic operator and its heat semigroup.
+"""Spectral representation of the elliptic operator.
 
 The operator is self-adjoint, positive definite, and diagonal in its
-eigenbasis, so a state is just the array of its eigenmode coefficients.
-The semigroup, the fractional smoothness norms, and the smoothing
-integral all reduce to componentwise formulas in the eigenvalues.
+eigenbasis, so a state is just the array of its eigenmode coefficients,
+and the model is its eigenvalues and the time horizon. Each route
+applies the heat semigroup itself, as the componentwise factors
+exp(-lambda_n t); the smoothing integral of one mode is a closed form in
+its eigenvalue.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import numpy as np
 __all__ = [
     "SpectralModel",
     "dirichlet_laplacian",
-    "semigroup_apply",
-    "fractional_norm",
     "smoothing_integral",
 ]
 
@@ -61,38 +61,6 @@ def dirichlet_laplacian(dim: int, length: float, horizon: float = 1.0) -> Spectr
         raise ValueError(f"length must be positive, got {length!r}")
     modes = np.arange(1, int(dim) + 1, dtype=float)
     return SpectralModel(eigenvalues=(modes * np.pi / length) ** 2, horizon=horizon)
-
-
-def _check_coeffs(model: SpectralModel, coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (model.dim,):
-        raise ValueError(f"coefficient array has shape {c.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
-    return c
-
-
-def semigroup_apply(model: SpectralModel, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the semigroup at time t: mode n is damped by exp(-lambda_n * t).
-
-    A contraction in every norm of the smoothness scale for t >= 0.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    c = _check_coeffs(model, coeffs)
-    return np.exp(-model.eigenvalues * t) * c
-
-
-def fractional_norm(model: SpectralModel, r: float, coeffs: np.ndarray) -> float:
-    """Norm of the smoothness scale with exponent r in [-1, 1].
-
-    r = 0 is the base Hilbert norm, r = 1 the energy norm, r = -1 the
-    dual norm.
-    """
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"scale exponent must lie in [-1, 1], got {r}")
-    c = _check_coeffs(model, coeffs)
-    return float(np.sqrt(np.sum(model.eigenvalues ** r * c ** 2)))
 
 
 def smoothing_integral(model: SpectralModel, mode: int, upper: float) -> float:

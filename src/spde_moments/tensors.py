@@ -17,7 +17,6 @@ __all__ = [
     "projective_norm",
     "injective_norm",
     "hilbert_norm",
-    "operator_tensor_apply",
     "dual_pair",
 ]
 
@@ -60,20 +59,6 @@ def injective_norm(x: Tensor2) -> float:
 def hilbert_norm(x: Tensor2) -> float:
     """Frobenius norm: square root of the sum of squared entries."""
     return float(np.linalg.norm(x.entries, "fro"))
-
-
-def operator_tensor_apply(S: np.ndarray, T: np.ndarray, x: Tensor2) -> Tensor2:
-    """Apply S (x) T, which maps u (x) v to (S u) (x) (T v).
-
-    In coefficients this is S @ entries @ T^t.
-    """
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if S.ndim != 2 or S.shape[1] != x.rows:
-        raise ValueError(f"left factor shape {S.shape} incompatible with {x.rows} rows")
-    if T.ndim != 2 or T.shape[1] != x.cols:
-        raise ValueError(f"right factor shape {T.shape} incompatible with {x.cols} cols")
-    return Tensor2(S @ x.entries @ T.T)
 
 
 def dual_pair(x: Tensor2, y: Tensor2) -> float:

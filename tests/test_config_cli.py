@@ -41,6 +41,7 @@ from spde_moments.config import (
 )
 
 from conftest import multimode_setup
+from dense_reference import dense_coeffs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -162,6 +163,25 @@ class TestParsing:
         assert message.startswith(f"g.{key}{prefix}: ")
         assert ("g.g2" if key == "g1" else "g.g1") not in message
 
+    def test_diagonal_preset_mismatch_refused_before_g1_is_allocated(self):
+        # the (N, N, N) coupling of a diagonal preset, 216 MB here, is not
+        # allocated for a noise with fewer modes than the state
+        n = 300
+        raw = minimal_config(
+            model={"dimension": n, "horizon": 1.0,
+                   "eigenvalues": {"generator": "dirichlet_laplacian", "length": 1.0}},
+            g={"g1": {"preset": "diagonal", "value": 0.5}, "g2": [[0.5]] * n},
+            initial={"mean": [0.0] * n, "deterministic": True},
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^g.g1: diagonal preset"):
+                parse_config(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     @pytest.mark.parametrize("key, edit", [
         ("solver.picard_max_iter", lambda raw: raw["solver"].update(picard_max_iter=0)),
         ("solver.picard_tol", lambda raw: raw["solver"].update(picard_tol=0.0)),
@@ -279,7 +299,52 @@ class TestCli:
         cfg = self.write_config(tmp_path, minimal_config(**{section: value}))
         rc = main(["solve-mean", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {section}: expected an object, got ")
+        assert capsys.readouterr().err == (
+            f"error: {section}: expected an object, got {json.dumps(value)}\n")
+
+    @pytest.mark.parametrize("key, edit, shown", [
+        ("time.steps", lambda raw: raw["time"].update(steps=True), "true"),
+        ("initial.deterministic", lambda raw: raw["initial"].update(deterministic=None),
+         "null"),
+        ("g.g1.preset", lambda raw: raw["g"].update(g1={"preset": "x", "value": 0.5}), '"x"'),
+    ], ids=["steps_true", "deterministic_null", "preset_text"])
+    def test_offending_value_is_shown_as_json(self, tmp_path, capsys, key, edit, shown):
+        raw = minimal_config()
+        edit(raw)
+        rc = main(["solve-mean", "--config", self.write_config(tmp_path, raw),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert err.endswith(f" {shown}\n")
+
+    def test_coupling_larger_than_memory_refused_while_parsing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the diagonal preset's g1 of N x N x M float64 takes 8 N^2 M bytes
+        n = m = 3
+        raw = minimal_config(
+            model={"dimension": n, "horizon": 1.0, "eigenvalues": [1.0, 4.0, 9.0]},
+            noise={"q_eigenvalues": [1.0] * m},
+            g={"g1": {"preset": "diagonal", "value": 0.5},
+               "g2": {"preset": "diagonal", "value": 0.5}},
+            initial={"mean": [1.0] * n, "deterministic": True},
+        )
+        monkeypatch.setattr(config, "_physical_memory", lambda: 8 * n * n * m)
+        assert parse_config(raw).gmap.g1.shape == (n, n, m)
+
+        def not_built(*args):
+            raise AssertionError("g1 was built")
+
+        monkeypatch.setattr(config, "_g1", not_built)
+        monkeypatch.setattr(config, "_physical_memory", lambda: 8 * n * n * m - 1)
+        rc = main(["solve-mean", "--config", self.write_config(tmp_path, raw),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.dimension:")
+        assert "physical memory" in err
+        assert "Traceback" not in err
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, minimal_config())
@@ -418,7 +483,7 @@ class TestCli:
         raw["mc"] = {"paths": 2, "seed": 7, "grid_steps": 1}
         # the matrix and its permuted copy take 16 N^4 bytes, one more than
         # the machine has; validate's Monte Carlo buffers, 27 kB, still fit
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * n ** 4 - 1)
+        monkeypatch.setattr(config, "_physical_memory", lambda: 16 * n ** 4 - 1)
         cfg = self.write_config(tmp_path, raw)
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -468,9 +533,9 @@ class TestCli:
         # a block, would not fit
         need = mc.estimate_bytes(64, 9)
         cfg = self.write_config(tmp_path, minimal_config())
-        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        monkeypatch.setattr(config, "_physical_memory", lambda: need)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "again")]) == 1
         assert capsys.readouterr().err.startswith("error: mc.paths:")
 
@@ -799,7 +864,7 @@ class TestFieldTables:
     @staticmethod
     def dense_identity_error(m2, cov, mean):
         return float(np.max(np.abs(
-            cov.coeffs - (m2.coeffs - np.einsum("kn,lm->knlm", mean, mean)))))
+            dense_coeffs(cov) - (dense_coeffs(m2) - np.einsum("kn,lm->knlm", mean, mean)))))
 
     def test_identity_error_on_block_diagonals_equals_dense_max(self, tmp_path):
         model, noise, gmap, x0 = multimode_setup()

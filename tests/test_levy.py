@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from spde_moments import (
-    NoiseModel,
-    covariance_kernel,
-    hs_norm_on_cameron_martin,
-    projective_norm,
-    q_sqrt_apply,
-    sample_increments,
-)
+from spde_moments import NoiseModel, sample_increments
 
 from dense_reference import choice_sample_increments
 
@@ -29,58 +22,6 @@ class TestNoiseModelInvariants:
     def test_zero_eigenvalue_allowed(self):
         model = NoiseModel(q_eigenvalues=[0.0, 1.0])
         assert model.trace == pytest.approx(1.0)
-
-
-class TestCovarianceKernel:
-    def test_single_mode(self):
-        kern = covariance_kernel(NoiseModel(q_eigenvalues=[1.0]))
-        np.testing.assert_array_equal(kern.entries, [[1.0]])
-        assert projective_norm(kern) == pytest.approx(1.0)
-
-    def test_projective_norm_is_trace(self):
-        noise = NoiseModel(q_eigenvalues=[0.5, 0.25])
-        kern = covariance_kernel(noise)
-        np.testing.assert_array_equal(kern.entries, np.diag([0.5, 0.25]))
-        assert projective_norm(kern) == pytest.approx(0.75, abs=1e-12)
-
-    def test_null_mode_ignored_by_square_root(self):
-        noise = NoiseModel(q_eigenvalues=[0.0, 1.0])
-        kern = covariance_kernel(noise)
-        np.testing.assert_array_equal(kern.entries, np.diag([0.0, 1.0]))
-        np.testing.assert_array_equal(q_sqrt_apply(noise, np.array([7.0, 0.0])), [0.0, 0.0])
-
-
-class TestQSqrt:
-    def test_componentwise_root(self):
-        noise = NoiseModel(q_eigenvalues=[4.0])
-        np.testing.assert_allclose(q_sqrt_apply(noise, np.array([1.0])), [2.0])
-
-    def test_null_mode(self):
-        noise = NoiseModel(q_eigenvalues=[0.0, 9.0])
-        np.testing.assert_allclose(q_sqrt_apply(noise, np.array([5.0, 1.0])), [0.0, 3.0])
-
-    def test_twice_is_covariance(self):
-        noise = NoiseModel(q_eigenvalues=[0.3, 2.0])
-        x = np.array([1.5, -2.0])
-        np.testing.assert_allclose(
-            q_sqrt_apply(noise, q_sqrt_apply(noise, x)), noise.q_eigenvalues * x
-        )
-
-
-class TestHsNorm:
-    def test_identity_matrix(self):
-        noise = NoiseModel(q_eigenvalues=[1.0, 1.0])
-        assert hs_norm_on_cameron_martin(noise, np.eye(2)) == pytest.approx(np.sqrt(2.0))
-
-    def test_identity_equals_root_trace(self):
-        noise = NoiseModel(q_eigenvalues=[0.5, 0.25])
-        assert hs_norm_on_cameron_martin(noise, np.eye(2)) == pytest.approx(np.sqrt(0.75))
-
-    def test_row_vector(self):
-        noise = NoiseModel(q_eigenvalues=[2.0, 3.0])
-        assert hs_norm_on_cameron_martin(noise, np.array([1.0, 0.0])) == pytest.approx(
-            np.sqrt(2.0)
-        )
 
 
 class TestSampling:

@@ -10,11 +10,9 @@ from spde_moments import (
     NoiseModel,
     SpectralModel,
     g1_v_to_hs_norm,
-    hs_norm_on_cameron_martin,
     ito_isometry_check,
     lyapunov_solve,
     sample_increments,
-    semigroup_apply,
     simulate_moments,
     two_time_extend,
     weak_identity_residual,
@@ -124,9 +122,12 @@ class TestG1Norm:
         value = g1_v_to_hs_norm(gmap, model, noise)
         assert value == pytest.approx(0.25)
         # independent check: the supremum over the unit ball of the energy
-        # norm; in one dimension that ball is the pair +-1/sqrt(lambda)
+        # norm; in one dimension that ball is the pair +-1/sqrt(lambda), and
+        # B = G1(phi) has the norm sqrt(sum_m gamma_m |B e_m|^2) on the
+        # range of the covariance square root
         phi = 1.0 / np.sqrt(model.eigenvalues[0])
-        attained = hs_norm_on_cameron_martin(noise, np.array([[gmap.g1[0, 0, 0] * phi]]))
+        mapped = np.array([[gmap.g1[0, 0, 0] * phi]])
+        attained = np.sqrt(np.sum(noise.q_eigenvalues * np.sum(mapped ** 2, axis=0)))
         assert value == pytest.approx(attained)
 
     def test_supremum_over_random_directions(self):
@@ -140,7 +141,7 @@ class TestG1Norm:
             phi = rng.standard_normal(3)
             phi /= np.sqrt(np.sum(model.eigenvalues * phi ** 2))
             mapped = np.einsum("ijm,j->im", gmap.g1, phi)
-            best = max(best, hs_norm_on_cameron_martin(noise, mapped))
+            best = max(best, np.sqrt(np.sum(noise.q_eigenvalues * np.sum(mapped ** 2, axis=0))))
         assert best <= bound * (1 + 1e-12)
         assert best >= 0.8 * bound  # random probing should come close
 
@@ -154,7 +155,7 @@ class TestSimulatePath:
         path = simulate_paths(model, noise, gmap, x0, 8, 1, seed=0)[0][0]
         for k in range(9):
             np.testing.assert_allclose(
-                path[k], semigroup_apply(model, k / 8.0, x0), rtol=1e-12
+                path[k], np.exp(-model.eigenvalues * (k / 8.0)) * x0, rtol=1e-12
             )
 
     def test_zero_map_ignores_noise(self):

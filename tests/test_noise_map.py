@@ -86,6 +86,46 @@ class TestImportGraph:
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert exported and exported <= listed, exported - listed
 
+    def test_every_public_name_has_a_caller(self):
+        # every name in a module's __all__ is referenced, by name, attribute
+        # or import, by another module of the package, by its own module
+        # outside its definition and __all__, by a script, by the benchmark
+        # or by the acceptance criteria; the package's re-exports do not count
+        def references(trees):
+            names = set()
+            for node in (node for tree in trees for node in ast.walk(tree)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            return names
+
+        def assigned(node):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            return {t.id for t in targets if isinstance(t, ast.Name)}
+
+        root = Path(__file__).resolve().parent.parent
+        outside = [root / "tests" / "test_acceptance.py", *sorted((root / "scripts").glob("*.py")),
+                   *sorted((root / "bench").glob("*.py"))]
+        called = references(ast.parse(path.read_text(encoding="utf-8")) for path in outside)
+        modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")).body
+                   for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+        uncalled = []
+        for stem, body in modules.items():
+            public = next((ast.literal_eval(node.value) for node in body
+                           if "__all__" in assigned(node)), [])
+            others = references(node for other, nodes in modules.items() if other != stem
+                                for node in nodes)
+            for name in public:
+                own = references(node for node in body if "__all__" not in assigned(node)
+                                 and getattr(node, "name", None) != name
+                                 and name not in assigned(node))
+                if name not in called | others | own:
+                    uncalled.append(f"{stem}.{name}")
+        assert uncalled == [], uncalled
+
 
 # A two-mode model with a one-mode noise, and a noise map that is wrong in
 # exactly one of its two dimensions.

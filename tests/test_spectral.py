@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +8,6 @@ from scipy.integrate import quad
 from spde_moments import (
     SpectralModel,
     dirichlet_laplacian,
-    fractional_norm,
-    semigroup_apply,
     smoothing_integral,
 )
 
@@ -46,86 +43,6 @@ class TestModelInvariants:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             SpectralModel(eigenvalues=[1.0], horizon=0.0)
-
-
-class TestSemigroup:
-    def test_identity_at_time_zero(self):
-        model = SpectralModel(eigenvalues=[1.0])
-        assert semigroup_apply(model, 0.0, np.array([5.0])) == pytest.approx([5.0])
-
-    def test_scalar_exponential(self):
-        model = SpectralModel(eigenvalues=[1.0])
-        out = semigroup_apply(model, 1.0, np.array([1.0]))
-        assert out == pytest.approx([math.exp(-1.0)])
-
-    def test_per_mode_decay(self):
-        # independent oracle: plain scalar exponentials per mode
-        model = SpectralModel(eigenvalues=[1.0, 4.0])
-        out = semigroup_apply(model, 0.5, np.array([1.0, 1.0]))
-        assert out == pytest.approx([math.exp(-0.5), math.exp(-2.0)], rel=1e-14)
-
-    def test_negative_time_rejected(self):
-        model = SpectralModel(eigenvalues=[1.0])
-        with pytest.raises(ValueError):
-            semigroup_apply(model, -0.1, np.array([1.0]))
-
-    def test_length_mismatch_rejected(self):
-        model = SpectralModel(eigenvalues=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            semigroup_apply(model, 0.1, np.array([1.0]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        t=st.floats(0.0, 1.0),
-        s=st.floats(0.0, 1.0),
-        x=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
-    )
-    def test_composition(self, t, s, x):
-        model = SpectralModel(eigenvalues=[0.5, 1.0, 7.0], horizon=2.0)
-        x = np.asarray(x)
-        once = semigroup_apply(model, t + s, x)
-        twice = semigroup_apply(model, t, semigroup_apply(model, s, x))
-        np.testing.assert_allclose(twice, once, rtol=1e-12, atol=1e-300)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        t=st.floats(0.0, 2.0),
-        r=st.sampled_from([-1.0, 0.0, 1.0]),
-        x=st.lists(st.floats(-10, 10), min_size=2, max_size=2),
-    )
-    def test_contraction_in_every_scale_norm(self, t, r, x):
-        model = SpectralModel(eigenvalues=[0.3, 5.0], horizon=2.0)
-        x = np.asarray(x)
-        after = fractional_norm(model, r, semigroup_apply(model, t, x))
-        before = fractional_norm(model, r, x)
-        assert after <= before * (1 + 1e-12)
-
-
-class TestFractionalNorm:
-    def test_energy_norm(self):
-        model = SpectralModel(eigenvalues=[4.0])
-        assert fractional_norm(model, 1.0, np.array([1.0])) == pytest.approx(2.0)
-
-    def test_base_norm_is_euclidean(self):
-        model = SpectralModel(eigenvalues=[4.0])
-        assert fractional_norm(model, 0.0, np.array([3.0])) == pytest.approx(3.0)
-
-    def test_dual_norm(self):
-        model = SpectralModel(eigenvalues=[4.0])
-        assert fractional_norm(model, -1.0, np.array([2.0])) == pytest.approx(1.0)
-
-    def test_exponent_outside_range_rejected(self):
-        model = SpectralModel(eigenvalues=[4.0])
-        with pytest.raises(ValueError):
-            fractional_norm(model, 1.5, np.array([1.0]))
-
-    def test_monotone_in_exponent_for_eigenvalues_above_one(self):
-        model = SpectralModel(eigenvalues=[1.0, 3.0, 10.0])
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            norms = [fractional_norm(model, r, x) for r in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-            assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
 class TestSmoothingIntegral:

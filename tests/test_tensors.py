@@ -8,7 +8,6 @@ from spde_moments import (
     dual_pair,
     hilbert_norm,
     injective_norm,
-    operator_tensor_apply,
     projective_norm,
 )
 
@@ -54,50 +53,6 @@ class TestNormExamples:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Tensor2(np.array([[np.nan, 0.0]]))
-
-
-class TestOperatorTensorApply:
-    def test_identity_factors(self):
-        x = Tensor2(np.arange(6.0).reshape(2, 3))
-        out = operator_tensor_apply(np.eye(2), np.eye(3), x)
-        np.testing.assert_array_equal(out.entries, x.entries)
-
-    def test_scaled_identities(self):
-        out = operator_tensor_apply(2 * np.eye(2), 3 * np.eye(2), Tensor2(np.eye(2)))
-        np.testing.assert_allclose(out.entries, 6 * np.eye(2))
-
-    def test_rank_one_maps_to_transformed_outer_product(self):
-        # independent oracle: explicit outer product of the mapped factors
-        rng = np.random.default_rng(7)
-        S, T = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        out = operator_tensor_apply(S, T, rank_one(u, v))
-        np.testing.assert_allclose(out.entries, np.outer(S @ u, T @ v), rtol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            operator_tensor_apply(np.eye(3), np.eye(2), Tensor2(np.eye(2)))
-
-    def test_norm_multiplicativity_at_aligned_witness(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            S, T = rng.standard_normal((4, 4)), rng.standard_normal((5, 5))
-            _, s_vals, s_vt = np.linalg.svd(S)
-            _, t_vals, t_vt = np.linalg.svd(T)
-            witness = rank_one(s_vt[0], t_vt[0])  # unit norm in all three cross norms
-            out = operator_tensor_apply(S, T, witness)
-            expected = s_vals[0] * t_vals[0]
-            assert projective_norm(out) == pytest.approx(expected, abs=1e-6)
-            assert hilbert_norm(out) == pytest.approx(expected, abs=1e-6)
-
-    def test_projective_norm_never_amplified_beyond_operator_norms(self):
-        rng = np.random.default_rng(13)
-        S, T = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        bound = np.linalg.norm(S, 2) * np.linalg.norm(T, 2)
-        for _ in range(50):
-            x = Tensor2(rng.standard_normal((4, 4)))
-            x = Tensor2(x.entries / projective_norm(x))
-            assert projective_norm(operator_tensor_apply(S, T, x)) <= bound * (1 + 1e-10)
 
 
 class TestDualPair:
