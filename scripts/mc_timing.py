@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Wall time and memory of `simulate_moments`, the Monte Carlo route.
+
+    python scripts/mc_timing.py [runs]
+
+Two problems: `configs/multimode.json` as `validate` simulates it (its
+paths, recording grid and scheme steps), and the same problem at N=16
+modes on a domain of length 4 pi, with 2000 paths on 16 recording steps
+of 256 scheme steps each. For each, the script prints the group size G,
+the median and range of `runs` timed calls (default 5), and the
+tracemalloc peak of one more call against `montecarlo.estimate_bytes`.
+The timed calls fan out over the CPUs of the process's affinity; the
+traced call runs on one CPU, so that it forks no worker and every
+allocation is traced.
+"""
+
+import json
+import math
+import os
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+from spde_moments import montecarlo
+from spde_moments.config import parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def multimode_raw(n: int | None = None) -> dict:
+    """`configs/multimode.json`, or with n modes on a domain of length 4 pi,
+    2000 paths and 16 recording steps of 256 scheme steps; the noise and
+    the initial mean extend the shipped 2**-j and 1/j sequences."""
+    raw = json.loads((ROOT / "configs" / "multimode.json").read_text(encoding="utf-8"))
+    if n is not None:
+        raw["model"]["dimension"] = n
+        raw["model"]["eigenvalues"]["length"] = 4 * math.pi
+        raw["noise"]["q_eigenvalues"] = [2.0 ** -j for j in range(1, n + 1)]
+        raw["initial"]["mean"] = [1.0 / j for j in range(1, n + 1)]
+        raw["time"]["steps"] = 16 * 256
+        raw["mc"].update(paths=2000, grid_steps=16, substeps=1)
+    return raw
+
+
+def simulation(raw: dict):
+    """simulate_moments on the config's Monte Carlo grid, as a call of no
+    arguments, with the paths, width, modes and noise modes of the run."""
+    cfg = parse_config(raw)
+    substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
+
+    def call():
+        return montecarlo.simulate_moments(
+            cfg.model, cfg.noise, cfg.gmap, cfg.initial[0], cfg.mc_grid_steps, cfg.mc_paths,
+            cfg.mc_seed, x0_cov=cfg.initial[2], substeps=substeps)
+
+    width = (cfg.mc_grid_steps + 1) * cfg.model.dim
+    return call, (cfg.mc_paths, width, cfg.model.dim, cfg.noise.dim)
+
+
+def traced_peak(call) -> int:
+    """tracemalloc peak of call() run on one CPU of the affinity."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        call()  # numpy keeps small freed blocks in caches that tracemalloc counts
+        tracemalloc.start()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.sched_setaffinity(0, cpus)
+
+
+def report(name: str, raw: dict, runs: int) -> None:
+    call, sizes = simulation(raw)
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    peak, count = traced_peak(call), montecarlo.estimate_bytes(*sizes)
+    print(f"{name}: G = {montecarlo._group_size(*sizes)}, median {statistics.median(times):.3f} s "
+          f"over {runs} runs (min {min(times):.3f}, max {max(times):.3f}); "
+          f"traced peak {peak / 2**20:.3f} MiB of estimate_bytes {count / 2**20:.3f} MiB")
+
+
+if __name__ == "__main__":
+    runs = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    report("multimode", multimode_raw(), runs)
+    report("multimode N=16", multimode_raw(16), runs)

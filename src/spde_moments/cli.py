@@ -140,16 +140,17 @@ def _check_mc_memory(cfg: ExperimentConfig) -> None:
     on the config's recording grid would not fit in the machine's
     physical memory. With D = (mc.grid_steps + 1) N, the peak of
     simulate_moments, montecarlo.estimate_bytes, names mc.grid_steps when
-    even one path a batch would not fit, and mc.paths when the block of
-    the largest batch, ceil(paths / nb) x D float64, is what does not.
-    The run never holds all paths x D values at once.
+    even one path a batch would not fit, and mc.paths when the buffers of
+    a group of the largest batches, of ceil(paths / nb) paths each, are
+    what does not. The run never holds all paths x D values at once.
     """
     grid_steps, paths = cfg.mc_grid_steps, cfg.mc_paths
+    dims = (cfg.model_dimension, cfg.noise.dim)
     width = (grid_steps + 1) * cfg.model_dimension
     batches = min(BATCHES, paths)
-    _check_memory("mc.grid_steps", estimate_bytes(batches, width), f"the moment buffers of "
-                  f"{grid_steps} recording steps of {cfg.model_dimension} modes")
-    _check_memory("mc.paths", estimate_bytes(paths, width),
+    _check_memory("mc.grid_steps", estimate_bytes(batches, width, *dims), f"the moment buffers "
+                  f"of {grid_steps} recording steps of {cfg.model_dimension} modes")
+    _check_memory("mc.paths", estimate_bytes(paths, width, *dims),
                   f"the moment buffers and batches of {-(-paths // batches)} paths of {width} "
                   "recorded values")
 

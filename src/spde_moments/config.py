@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -61,11 +62,17 @@ def _physical_memory() -> int:
 
 def _check_memory(key: str, need: int, what: str) -> None:
     """Refuse with a ConfigError naming `key` when `what`, which takes
-    `need` bytes, would not fit in the machine's physical memory."""
-    physical = _physical_memory()
-    if need > physical:
+    `need` bytes, would not fit in the machine's physical memory or,
+    when it is finite and smaller, the process's soft address-space
+    limit (ulimit -v), past which an allocation fails whatever memory
+    is free. The message names the limit that refused."""
+    room, limit = _physical_memory(), "of physical memory"
+    space = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if space != resource.RLIM_INFINITY and space < room:
+        room, limit = space, "address-space limit (ulimit -v)"
+    if need > room:
         raise ConfigError(f"{key}: {what} need {need / 2**30:.3g} GiB, more than the "
-                          f"{physical / 2**30:.3g} GiB of physical memory")
+                          f"{room / 2**30:.3g} GiB {limit}")
 
 
 def _require(section: dict, key: str, path: str) -> Any:

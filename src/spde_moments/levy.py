@@ -15,11 +15,20 @@ The jump law (trace, mode cdf and jump size) is computed once per
 NoiseModel and cached on it. Modes are drawn by searching that cdf with
 uniform draws, which is what Generator.choice(p=gamma / tr(Q)) does, so
 the random stream, and every increment drawn from it, is the one
-choice would give.
+choice would give. The jump law is read only where jumps are drawn: at
+rho = 1 with nu = 0 the jump size would divide by zero.
+
+sample_increments also draws for several generators at once, each
+making the calls of its own draw in the same order, and stacks their
+rows. Monte Carlo steps its batches in lockstep groups this way: the
+draws of a batch are its own, but the scaling and the jump placement,
+each with a fixed cost per call, run once a group.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,31 +106,61 @@ class NoiseModel:
 
 
 def sample_increments(
-    noise: NoiseModel, dt: float, count: int, rng: np.random.Generator
+    noise: NoiseModel, dt: float, count: int | Sequence[int],
+    rng: np.random.Generator | Sequence[np.random.Generator], out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `count` independent increments over a step of length dt.
 
     Returns a (count, M) array with zero mean and covariance
     dt * diag(gamma) per row. dt must be positive and finite.
+
+    count and rng may also be sequences of equal length: counts[i] rows
+    then come from rngs[i], stacked in order into one (sum(counts), M)
+    array. Each generator makes the calls a call of its own would make,
+    in the same order (its normals and Poisson counts, then, where its
+    paths jump, its jump uniforms and signs), so its rows are bit for bit
+    those of its own call and it is left in the same state; the scaling
+    and the placing of the jumps run once for all rows. out, when given,
+    is a float64 array of the result's shape that receives the
+    increments and is returned; it may be the transpose of an (M, rows)
+    buffer, whose rows the scaling then runs along.
     """
     if not 0.0 < dt < np.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    rho = noise.wiener_fraction
-    out = rng.standard_normal((count, noise.dim))
-    out *= np.sqrt(dt * rho * noise.q_eigenvalues)
-    if noise.drawn_jump_rate > 0.0:
-        counts = rng.poisson(noise.jump_rate * dt, size=count)
-        rows = counts.nonzero()[0]
+    if isinstance(rng, np.random.Generator):
+        count, rng = [count], [rng]
+    counts, rngs = list(count), list(rng)
+    if len(counts) != len(rngs) or not rngs:
+        raise ValueError(f"{len(counts)} counts for {len(rngs)} generators")
+    if min(counts) < 1:
+        raise ValueError(f"count must be positive, got {min(counts)}")
+    edges = [0, *itertools.accumulate(counts)]
+    if out is None:
+        out = np.empty((edges[-1], noise.dim))
+    elif out.shape != (edges[-1], noise.dim):
+        raise ValueError(f"out must have shape {(edges[-1], noise.dim)}, got {out.shape}")
+    jumping = noise.drawn_jump_rate > 0.0
+    hits = []  # Poisson jump counts of the rows, per generator
+    for r, lo, hi in zip(rngs, edges, edges[1:]):
+        out[lo:hi] = r.standard_normal((hi - lo, noise.dim))
+        if jumping:
+            hits.append(r.poisson(noise.jump_rate * dt, size=hi - lo))
+    out *= np.sqrt(dt * noise.wiener_fraction * noise.q_eigenvalues)
+    if jumping:
+        hits = np.concatenate(hits)
+        rows = hits.nonzero()[0]
         if rows.size:
-            total = int(counts.sum())
-            if total > rows.size:  # some path jumps more than once in this step
-                rows = rows.repeat(counts[rows])
-            modes = noise.jump_cdf.searchsorted(rng.random(total), side="right")
+            totals = np.add.reduceat(hits, edges[:-1]).tolist()
+            if sum(totals) > rows.size:  # some path jumps more than once in this step
+                rows = rows.repeat(hits[rows])
+            uniforms, signs = [], []
+            for r, jumps in zip(rngs, totals):
+                if jumps:
+                    uniforms.append(r.random(jumps))
+                    signs.append(r.integers(0, 2, size=jumps))
+            modes = noise.jump_cdf.searchsorted(np.concatenate(uniforms), side="right")
             size = noise.jump_size
-            jumps = np.where(rng.integers(0, 2, size=total), size, -size)
+            jumps = np.where(np.concatenate(signs), size, -size)
             # a (row, mode) pair hit twice takes its jumps in sequence
             np.add.at(out, (rows, modes), jumps)
     return out
-

@@ -6,11 +6,7 @@ The time stepper is the semigroup (exponential Euler) scheme
 
 which treats the stiff linear part exactly in spectral coordinates and
 evaluates the noise operator at the left endpoint of every step, as the
-stochastic integral's predictability requires. A batch is stepped with
-its state as one (N, count) array, modes by paths, so that the noise
-map is one contraction over the contiguous paths (g_apply_columns) and
-the update is done in place; each recording node is written back to
-the (count, K+1, N) block of paths.
+stochastic integral's predictability requires.
 
 Paths are generated in fixed batches. Batch b always draws from the
 generator seeded with [seed, b], so results are reproducible bit for
@@ -19,12 +15,29 @@ Contiguous runs of batches go to one process per CPU of the process's
 affinity (`_fanout`), and the results are the same bit for bit whatever
 the number of processes.
 
+A process steps its batches in lockstep groups of G consecutive
+batches, G set by the fixed byte budget GROUP_BYTES (four batches of
+313 paths at N = 4 and 17 recorded nodes). A group's state is one (N,
+count) array and its increments one (M, count) array, modes by paths,
+so that the noise map is one contraction over the contiguous paths
+(g_apply_columns) and the update is done in place; each recording node
+is written back to the group's (count, K+1, N) block of paths. Stepped
+alone, a 313-path batch at N = 4 costs some 55-85 us a scheme step on
+a 2-CPU x86 host, about half of it the draws themselves and the rest a
+dozen small numpy operations, each with a fixed cost per call. A group
+draws every batch's increments from the batch's own generator in one
+sampler call and makes those operations once for all its batches, for
+some 15-25% less a batch at G = 4; only the noise map's two matmuls go
+a batch at a time, since BLAS rounds the columns of a wider product
+differently. The paths are therefore those of the batches stepped one
+at a time, bit for bit, whatever G.
+
 The moments are functions of the per-batch sums of the paths and of
 their outer products alone. simulate_moments, the one Monte Carlo
 entry point, reduces each batch to those sums in the process that
 simulates it and drops its paths, so with nb batches of P paths of D
-recorded values it holds O(nb D^2 + (P / nb) D) float64, with no P D
-term. No path outlives its batch.
+recorded values it holds O(nb D^2 + G (P / nb) D) float64, with no P D
+term. No path outlives its group.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ __all__ = [
 ]
 
 BATCHES = 32  # batch count of every run of at least that many paths
+GROUP_BYTES = 2**20  # buffer budget of one group of batches stepped in lockstep
 
 
 def _batch_bounds(paths: int) -> list[tuple[int, int]]:
@@ -64,27 +78,56 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
-def estimate_bytes(paths: int, width: int) -> int:
-    """Peak bytes that simulate_moments allocates for `paths` paths of
-    `width` recorded values each.
+def _path_words(width: int, dim: int, noise_dim: int) -> int:
+    """float64 a path takes while its group is stepped: its row of the
+    block (width values), its state column (N), its increment (M), its
+    outer products (N M) and its noise term (N)."""
+    return width + dim * (noise_dim + 2) + noise_dim
 
-    With nb batches and D = width, the peak of the reduction falls in
-    the spread of the per-batch covariances: the nb x D x D per-batch
-    second moments and covariances, whose deviations are formed in
-    place, the D x D moment, covariance and first standard error, and
-    two D x D temporaries (the batch sum and its quotient by nb, then the
-    squared sum and its quotient by nb - 1), (2 nb + 5) D^2 float64 in
-    all; beside them the (nb + 2) D per-batch and total means and the
-    mean's standard error, and 4 KiB for the interpreter objects the call
-    creates. To these comes the block of one batch of paths, at most
-    ceil(paths / nb) D float64, held while a batch is stepped. No term
-    grows with paths x D. On a grid so small that nb D^2 falls below
-    numpy's 8192-element iteration buffer, that buffer can add some ten
-    kB more.
+
+def _group_size(paths: int, width: int, dim: int, noise_dim: int) -> int:
+    """Batches G of a group: as many as fit the buffers of groups of the
+    largest batch in GROUP_BYTES, at least one and at most nb."""
+    nb = min(BATCHES, paths)
+    batch = 8 * -(-paths // nb) * _path_words(width, dim, noise_dim)
+    return max(1, min(nb, GROUP_BYTES // batch))
+
+
+def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
+    """Peak bytes that simulate_moments allocates in one process for
+    `paths` paths of `width` recorded values of `dim` modes each, driven
+    by `noise_dim` noise modes.
+
+    With nb batches and D = width, the per-batch sums (nb D^2 + nb D
+    float64, and nb flags) are held throughout, and the peak falls in
+    one of three phases:
+    - stepping a group: G batches of at most ceil(paths / nb) paths
+      (_group_size), each path taking _path_words in the buffers, N
+      words for the G2 part of the noise term and 9 for the sampler's
+      draws (the Poisson counts twice, the jumping rows and, at one jump
+      a path, six words a jump), beside the M normals a path of the
+      batch being drawn;
+    - summing a group's batches: its block, one D x D product, a D sum
+      and a one-byte-a-value finiteness mask of a batch;
+    - the reduction: the D x D moment, covariance and covariance error,
+      and either two D x D temporaries of a batch error or a row chunk
+      of the per-batch covariances, (nb + 2) D floor(D / (nb + 2))
+      values and at least (nb + 2) D, beside the mean and its error.
+    4 KiB and 256 bytes a batch more cover the interpreter objects of
+    the call, the batch bounds among them. No term grows with paths x D.
+    On a grid so small that nb D^2 falls below numpy's 8192-element
+    iteration buffer, that buffer can add some ten kB more.
     """
     nb = min(BATCHES, paths)
-    block = -(-paths // nb) * width
-    return ((2 * nb + 5) * width + nb + 2) * width * 8 + block * 8 + 2**12
+    batch = -(-paths // nb)
+    group = _group_size(paths, width, dim, noise_dim) * batch
+    sums = nb * (width + 1) * width + nb
+    words = _path_words(width, dim, noise_dim)
+    stepping = max(group * (words + dim + 9) + batch * noise_dim,
+                   group * width + width * width + width + batch * width // 8 + 1)
+    chunk = max(1, width // (nb + 2)) * (nb + 2) * width
+    reduction = 3 * width * width + max(2 * width * width, chunk) + 2 * width
+    return (sums + max(stepping, reduction)) * 8 + 2**12 + 256 * nb
 
 
 def _batch_stepper(
@@ -98,15 +141,23 @@ def _batch_stepper(
     x0_cov: Optional[np.ndarray],
     substeps: int,
 ):
-    """Check the arguments of a simulation and return its batch stepper.
+    """Check the arguments of a simulation and return its group stepper.
 
-    batch(b, block) fills `block`, a (count, steps + 1, N) array, with
-    the count paths of batch b on the recording grid, drawn from the
-    stream [seed, b]; each recording step takes `substeps` scheme steps,
-    and each scheme step draws its increments by one sample_increments
-    call. Between nodes the state is an (N, count) array and the outer
-    products x (x) dL live in one (N, M, count) buffer, both reused for
-    every step of the batch.
+    step(first, last, block) fills `block`, a (count, steps + 1, N)
+    array, with the count paths of batches first to last - 1 on the
+    recording grid, batch b's rows drawn from the stream [seed, b]; each
+    recording step takes `substeps` scheme steps. The batches go in
+    lockstep: the group's state is one (N, count) array, its increments
+    one (M, count) array and its outer products x (x) dL one (N, M,
+    count) buffer, all reused for every step, so that every elementwise
+    operation runs along the contiguous paths. On a scheme step one
+    sample_increments call draws every batch's increments from its own
+    generator, and the scaling, the jumps, the decay and the noise map
+    run once for the group, which pays numpy's per-call cost once for G
+    batches. Only the noise map's matmuls
+    run a batch at a time (g_apply_columns' parts), so that every batch
+    is rounded as when it was stepped alone: a group's paths are bit for
+    bit those of its batches stepped one by one.
     """
     if steps < 1 or substeps < 1:
         raise ValueError("steps and substeps must be positive")
@@ -133,25 +184,31 @@ def _batch_stepper(
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     dt = model.horizon / (steps * substeps)
     decay = np.exp(-model.eigenvalues * dt)[:, None]
+    bounds = _batch_bounds(paths)
 
-    def batch(b: int, block: np.ndarray) -> None:
-        rng = np.random.default_rng([seed, b])
+    def step(first: int, last: int, block: np.ndarray) -> None:
+        start = bounds[first][0]
+        parts = [(lo - start, hi - start) for lo, hi in bounds[first:last]]
+        counts = [hi - lo for lo, hi in parts]
+        rngs = [np.random.default_rng([seed, b]) for b in range(first, last)]
         count = block.shape[0]
         if factor is None:
             x = np.repeat(x0_mean[:, None], count, axis=1)
         else:
-            x = np.ascontiguousarray((x0_mean + rng.standard_normal((count, model.dim))
-                                      @ factor.T).T)
+            x = np.empty((model.dim, count))
+            for rng, (lo, hi) in zip(rngs, parts):
+                x[:, lo:hi] = (x0_mean + rng.standard_normal((hi - lo, model.dim)) @ factor.T).T
+        incs = np.empty((noise.dim, count))
         work = np.empty((model.dim, noise.dim, count))
         block[:, 0] = x.T
         for k in range(steps):
             for _ in range(substeps):
-                dL = sample_increments(noise, dt, count, rng)
-                x += g_apply_columns(gmap, x, dL.T, work)
+                dL = sample_increments(noise, dt, counts, rngs, out=incs.T)
+                x += g_apply_columns(gmap, x, dL.T, work, parts)
                 x *= decay
             block[:, k + 1] = x.T
 
-    return batch
+    return step
 
 
 @dataclass(frozen=True)
@@ -198,8 +255,12 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
     by the batch counts, they are the per-batch means and second moments
     (chunk.mean(axis=0) and chunk.T @ chunk / count bit for bit), and
     then their deviations. The totals are the sums over the batches, in
-    batch order, divided by the path count."""
+    batch order, divided by the path count. The per-batch covariances
+    are formed a chunk of rows at a time, each chunk's spread taken
+    before the next, so that no nb x D x D array is held beside s2; the
+    batches are summed in the same order either way."""
     paths = bounds[-1][1]
+    nb, width = s1.shape
     counts = np.array([hi - lo for lo, hi in bounds], dtype=float)
     mean = np.add.reduce(s1, axis=0)
     mean /= paths
@@ -208,11 +269,16 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
     cov = m2 - np.outer(mean, mean)
     s1 /= counts[:, None]
     s2 /= counts[:, None, None]
-    b_cov = s1[:, :, None] * s1[:, None, :]
-    np.subtract(s2, b_cov, out=b_cov)
+    cov_se = np.empty((width, width))
+    # a chunk and the two temporaries of its batch error, (nb + 2) rows of D, fit in D^2
+    rows = max(1, width // (nb + 2))
+    for r in range(0, width, rows):
+        b_cov = s1[:, r:r + rows, None] * s1[:, None, :]
+        np.subtract(s2[:, r:r + rows], b_cov, out=b_cov)
+        cov_se[r:r + rows] = _batch_error(b_cov)
+        del b_cov  # freed before the next chunk is formed
     mean_se = _batch_error(s1)
     m2_se = _batch_error(s2)
-    cov_se = _batch_error(b_cov)
 
     shape2 = (nodes, dim, nodes, dim)
     return MomentEstimate(
@@ -244,35 +310,42 @@ def simulate_moments(
     Gaussian initial values with that covariance around x0_mean;
     otherwise the initial value is the deterministic vector x0_mean.
 
-    Each batch is stepped into a block of its own, reduced at once to
-    its sum and its sum of outer products, and dropped. The processes of
-    the fan-out write these sums into shared (nb, D) and (nb, D, D)
-    arrays, so none holds more than one batch of paths, and the memory
-    is O(nb D^2 + (paths / nb) D) float64 (estimate_bytes), with no
-    paths x D term. The standard errors come from the spread of the
-    per-batch statistics. The two-time fields hold ((K+1) N)^2 entries
-    each; keep recording grids coarse and refine the stepping through
-    substeps instead. Raises ValueError when a path is not finite.
+    Each process steps its batches in groups of G consecutive batches
+    (_group_size), each group into a block of its own; every batch of the
+    group is reduced at once to its sum and its sum of outer products,
+    and the block is dropped. The processes of the fan-out write these
+    sums into shared (nb, D) and (nb, D, D) arrays, so none holds more
+    than one group of paths, and the memory is O(nb D^2 + G (paths / nb)
+    D) float64 (estimate_bytes), with no paths x D term. The standard
+    errors come from the spread of the per-batch statistics. The
+    two-time fields hold ((K+1) N)^2 entries each; keep recording grids
+    coarse and refine the stepping through substeps instead. Raises
+    ValueError when a path is not finite.
     """
-    batch = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
+    step = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
     if paths < 2:
         raise ValueError(f"at least two paths are required, got {paths}")
     bounds = _batch_bounds(paths)
     nodes, width = steps + 1, (steps + 1) * model.dim
+    group = _group_size(paths, width, model.dim, noise.dim)
     procs = workers(len(bounds))
     empty = _shared_empty if procs > 1 else np.empty
     s1, s2 = empty((len(bounds), width)), empty((len(bounds), width, width))
     finite = empty((len(bounds),))
 
     def run(batches: tuple[int, int]) -> None:
-        for b in range(*batches):
-            lo, hi = bounds[b]
-            block = np.empty((hi - lo, nodes, model.dim))
-            batch(b, block)
-            finite[b] = np.isfinite(block).all()
-            if finite[b]:
-                _sum_batch(block.reshape(hi - lo, width), s1[b], s2[b])
-            del block
+        for first in range(batches[0], batches[1], group):
+            last = min(first + group, batches[1])
+            start = bounds[first][0]
+            block = np.empty((bounds[last - 1][1] - start, nodes, model.dim))
+            step(first, last, block)
+            for b in range(first, last):
+                lo, hi = bounds[b]
+                rows = block[lo - start:hi - start].reshape(hi - lo, width)
+                finite[b] = np.isfinite(rows).all()
+                if finite[b]:
+                    _sum_batch(rows, s1[b], s2[b])
+            del block, rows
 
     fan_out(run, split(len(bounds), procs))
     if not finite.all():

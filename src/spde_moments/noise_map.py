@@ -90,7 +90,7 @@ def check_compatible(gmap: AffineNoiseMap, noise: NoiseModel, state_dim: int) ->
 
 def g_apply_columns(
     gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray,
-    work: np.ndarray | None = None,
+    work: np.ndarray | None = None, parts: list[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Evaluate G(x) w for P paths stacked as columns, paths last.
 
@@ -100,6 +100,12 @@ def g_apply_columns(
     when not given), and meet g1 as one (N, N*M) by (N*M, P) matmul over
     the contiguous paths; G2 adds g2 @ increment. increment may be a
     transposed view, such as the .T of (P, M) draws.
+
+    `parts`, column ranges [lo, hi) that cover the P columns in order,
+    runs the two matmuls once a range: a range's columns then come out
+    bit for bit as they would applied alone, where one matmul over all
+    columns lets BLAS block, and so round, them otherwise. The multiply
+    and the sum are elementwise and the same in either layout.
     """
     n, modes = gmap.state_dim, gmap.noise_dim
     count = state.shape[-1]
@@ -111,8 +117,13 @@ def g_apply_columns(
     if work is None:
         work = np.empty((n, modes, count))
     np.multiply(state[:, None, :], increment, out=work)
-    out = gmap.g1.reshape(n, n * modes) @ work.reshape(n * modes, count)
-    out += gmap.g2 @ increment
+    g1 = gmap.g1.reshape(n, n * modes)
+    flat = work.reshape(n * modes, count)
+    out, additive = np.empty((n, count)), np.empty((n, count))
+    for lo, hi in parts or [(0, count)]:
+        np.matmul(g1, flat[:, lo:hi], out=out[:, lo:hi])
+        np.matmul(gmap.g2, increment[:, lo:hi], out=additive[:, lo:hi])
+    out += additive
     return out
 
 

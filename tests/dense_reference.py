@@ -242,23 +242,24 @@ def simulate_paths(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov=None,
     """Every path of simulate_moments' run for the same arguments, as a
     (P, steps + 1, N) array, with the (P, steps * substeps, M) increments
     that drove them: batch b of mc._batch_bounds fills its own rows from
-    the stream [seed, b]. The stepper looks up mc.sample_increments on
-    every scheme step, so the increments are recorded by wrapping it
-    while the batches are stepped."""
-    batch = mc._batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
+    the stream [seed, b], stepped alone, as a group of one batch. The
+    stepper looks up mc.sample_increments on every scheme step and draws
+    into a buffer it reuses, so the increments are recorded by wrapping
+    it and copying each draw while the batches are stepped."""
+    step = mc._batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
     out = np.empty((paths, steps + 1, model.dim))
     incs = np.empty((paths, steps * substeps, noise.dim))
     sample, draws = mc.sample_increments, []
 
-    def recorded(*args):
-        draws.append(sample(*args))
+    def recorded(*args, **kwargs):
+        draws.append(sample(*args, **kwargs).copy())
         return draws[-1]
 
     mc.sample_increments = recorded
     try:
         for b, (lo, hi) in enumerate(mc._batch_bounds(paths)):
             draws.clear()
-            batch(b, out[lo:hi])
+            step(b, b + 1, out[lo:hi])
             incs[lo:hi] = np.stack(draws, axis=1)
     finally:
         mc.sample_increments = sample

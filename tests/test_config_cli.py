@@ -346,6 +346,42 @@ class TestCli:
         assert "physical memory" in err
         assert "Traceback" not in err
 
+    def test_coupling_beyond_the_address_space_limit_refused_while_parsing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # under ulimit -v an allocation past the soft limit fails however
+        # much physical memory the machine has; g1 takes 8 N^2 M bytes
+        n = m = 3
+        raw = minimal_config(
+            model={"dimension": n, "horizon": 1.0, "eigenvalues": [1.0, 4.0, 9.0]},
+            noise={"q_eigenvalues": [1.0] * m},
+            g={"g1": {"preset": "diagonal", "value": 0.5},
+               "g2": {"preset": "diagonal", "value": 0.5}},
+            initial={"mean": [1.0] * n, "deterministic": True},
+        )
+        limit = [8 * n * n * m]
+
+        def getrlimit(which):
+            assert which == config.resource.RLIMIT_AS
+            return limit[0], config.resource.RLIM_INFINITY
+
+        monkeypatch.setattr(config.resource, "getrlimit", getrlimit)
+        monkeypatch.setattr(config, "_physical_memory", lambda: 2 ** 40)
+        assert parse_config(raw).gmap.g1.shape == (n, n, m)
+
+        def not_built(*args):
+            raise AssertionError("g1 was built")
+
+        monkeypatch.setattr(config, "_g1", not_built)
+        limit[0] -= 1
+        rc = main(["solve-mean", "--config", self.write_config(tmp_path, raw),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.dimension:")
+        assert "address-space limit" in err
+        assert "Traceback" not in err
+
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, minimal_config())
         taken = tmp_path / "taken"
@@ -528,10 +564,11 @@ class TestCli:
 
     def test_paths_beyond_memory_run_in_batches_that_fit(self, tmp_path, capsys, monkeypatch):
         # 64 paths of 9 recorded values in 32 batches of 2: the run needs
-        # the moment buffers and one 2-path block, estimate_bytes(64, 9);
-        # the whole (64, 9) path array beside the buffers, 4.5 kB more than
-        # a block, would not fit
-        need = mc.estimate_bytes(64, 9)
+        # the moment buffers and one group of 2-path batches,
+        # estimate_bytes(64, 9, 1, 1); a byte less would still hold the
+        # buffers with one path a batch, so it is the path count that
+        # does not fit
+        need = mc.estimate_bytes(64, 9, 1, 1)
         cfg = self.write_config(tmp_path, minimal_config())
         monkeypatch.setattr(config, "_physical_memory", lambda: need)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -597,7 +634,7 @@ class TestCli:
     def test_oversized_moment_buffers_refused_before_stepping(
         self, tmp_path, capsys, monkeypatch, subcommand
     ):
-        def no_draws(*args):
+        def no_draws(*args, **kwargs):
             raise AssertionError("a path was stepped")
 
         monkeypatch.setattr(mc, "sample_increments", no_draws)

@@ -180,10 +180,10 @@ class TestSimulatePath:
         seen = []
         original = mc.g_apply_columns
 
-        def recorder(gm, state, increment, work=None):
+        def recorder(gm, state, increment, *buffers):
             # the stepper's state is (N, paths); record it as rows of paths
             seen.append(np.array(state.T, copy=True))
-            return original(gm, state, increment, work)
+            return original(gm, state, increment, *buffers)
 
         monkeypatch.setattr(mc, "g_apply_columns", recorder)
         path = simulate_paths(model, noise, gmap, np.array([1.0]), 6, 1, seed=2)[0][0]
@@ -297,7 +297,7 @@ class TestEnsemble:
     def test_nonfinite_initial_mean_rejected_before_stepping(
         self, scalar_model, unit_noise, additive_map, monkeypatch
     ):
-        def no_draws(*args):
+        def no_draws(*args, **kwargs):
             raise AssertionError("a path was stepped")
 
         monkeypatch.setattr(mc, "sample_increments", no_draws)
@@ -310,7 +310,7 @@ class TestEnsemble:
     def test_nonfinite_initial_covariance_rejected_before_stepping(
         self, scalar_model, unit_noise, additive_map, monkeypatch
     ):
-        def no_draws(*args):
+        def no_draws(*args, **kwargs):
             raise AssertionError("a path was stepped")
 
         monkeypatch.setattr(mc, "sample_increments", no_draws)
@@ -452,6 +452,31 @@ class TestSimulateMoments:
             for name in self.FIELDS:
                 assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
 
+    @pytest.mark.parametrize("group", [None, 2, 3], ids=["budget", "G2", "G3"])
+    @pytest.mark.parametrize("x0_cov", [False, True])
+    @pytest.mark.parametrize("paths", [45, 63, 1251])
+    def test_groups_change_no_bit(self, monkeypatch, paths, x0_cov, group):
+        # the reference steps every batch alone. 45 paths make 13 batches
+        # of two paths and 19 of one, 63 make 31 of two and one of one, and
+        # 1251 three of 40 and 29 of 39, so that groups of two put a 40-
+        # and a 39-path batch together; the budget's group is every batch
+        # of a process
+        model, noise, gmap, x0 = multimode_setup()
+        cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
+        ref = estimate_paths(simulate_paths(model, noise, gmap, x0, 4, paths, seed=4,
+                                            x0_cov=cov, substeps=2)[0])
+        width = 5 * model.dim
+        if group is not None:
+            words = mc._path_words(width, model.dim, noise.dim)
+            monkeypatch.setattr(mc, "GROUP_BYTES", group * 8 * -(-paths // 32) * words)
+        assert mc._group_size(paths, width, model.dim, noise.dim) == (group or 32)
+        for procs in (1, 2, 3):
+            monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
+            est = simulate_moments(model, noise, gmap, x0, 4, paths, seed=4, x0_cov=cov,
+                                   substeps=2)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
+
     @pytest.mark.parametrize("procs", [1, 3])
     def test_nonfinite_path_raises_the_ensembles_error(
         self, monkeypatch, scalar_model, unit_noise, multiplicative_map, procs
@@ -459,9 +484,15 @@ class TestSimulateMoments:
         # 63 paths: batches 0-30 hold two paths, and batch 31, the last
         # worker's at three processes, holds the one path that draws an
         # infinite increment
-        def infinite_for_one_path(noise, dt, count, rng):
-            draws = real(noise, dt, count, rng)
-            return np.full_like(draws, np.inf) if count == 1 else draws
+        def infinite_for_one_path(noise, dt, counts, rngs, out):
+            # a grouped call stacks its batches' rows in order
+            draws = real(noise, dt, counts, rngs, out=out)
+            lo = 0
+            for count in counts:
+                if count == 1:
+                    draws[lo:lo + count] = np.inf
+                lo += count
+            return draws
 
         real = mc.sample_increments
         monkeypatch.setattr(mc, "sample_increments", infinite_for_one_path)
@@ -482,7 +513,7 @@ class TestSimulateMoments:
         # 0.54 MB, so a run that held them would fail the bound
         model, noise, gmap, x0 = multimode_setup()
         monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
-        count = mc.estimate_bytes(paths, 260)
+        count = mc.estimate_bytes(paths, 260, 4, 4)
         # numpy keeps small freed blocks in caches that tracemalloc still
         # counts; a first call fills them
         simulate_moments(model, noise, gmap, x0, 64, paths, seed=1)
