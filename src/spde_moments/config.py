@@ -60,16 +60,29 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _mapped_bytes() -> int:
+    """Bytes of address space the process has mapped (VmSize), or 0
+    where /proc/self/statm cannot be read."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            return int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def _check_memory(key: str, need: int, what: str) -> None:
     """Refuse with a ConfigError naming `key` when `what`, which takes
     `need` bytes, would not fit in the machine's physical memory or,
-    when it is finite and smaller, the process's soft address-space
-    limit (ulimit -v), past which an allocation fails whatever memory
-    is free. The message names the limit that refused."""
+    when it is finite and leaves less, in the address space left under
+    the process's soft address-space limit (ulimit -v) beside what the
+    process has already mapped: past that limit an allocation fails
+    whatever memory is free. The message names the limit that refused."""
     room, limit = _physical_memory(), "of physical memory"
     space = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if space != resource.RLIM_INFINITY and space < room:
-        room, limit = space, "address-space limit (ulimit -v)"
+    if space != resource.RLIM_INFINITY:
+        left = max(0, space - _mapped_bytes())
+        if left < room:
+            room, limit = left, "left under the address-space limit (ulimit -v)"
     if need > room:
         raise ConfigError(f"{key}: {what} need {need / 2**30:.3g} GiB, more than the "
                           f"{room / 2**30:.3g} GiB {limit}")

@@ -99,6 +99,17 @@ class NoiseModel:
         (rho = 1 or tr(Q) = 0) and no jump is drawn."""
         return self.jump_rate if self.wiener_fraction < 1.0 and self.trace > 0.0 else 0.0
 
+    def wiener_scale(self, dt: float) -> np.ndarray:
+        """Standard deviations sqrt(dt rho gamma_m) of the Wiener part's
+        increments over a step of length dt. The scale of the last dt
+        asked for is kept, as Monte Carlo asks for one dt on every step."""
+        last = self.__dict__.get("_wiener_scale")
+        if last is None or last[0] != dt:
+            scale = np.sqrt(dt * self.wiener_fraction * self.q_eigenvalues)
+            scale.setflags(write=False)
+            last = self.__dict__["_wiener_scale"] = dt, scale
+        return last[1]
+
     @cached_property
     def jump_size(self) -> float:
         """Common magnitude sqrt((1 - rho) tr(Q) / nu) of every jump."""
@@ -123,44 +134,58 @@ def sample_increments(
     and the placing of the jumps run once for all rows. out, when given,
     is a float64 array of the result's shape that receives the
     increments and is returned; it may be the transpose of an (M, rows)
-    buffer, whose rows the scaling then runs along.
+    buffer, whose rows the scaling then runs along. Rows laid out in
+    order, as in a buffer of rows, receive the normals as they are
+    drawn; the rows of a transposed buffer receive them by one copy.
     """
     if not 0.0 < dt < np.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if isinstance(rng, np.random.Generator):
         count, rng = [count], [rng]
-    counts, rngs = list(count), list(rng)
-    if len(counts) != len(rngs) or not rngs:
-        raise ValueError(f"{len(counts)} counts for {len(rngs)} generators")
-    if min(counts) < 1:
-        raise ValueError(f"count must be positive, got {min(counts)}")
-    edges = [0, *itertools.accumulate(counts)]
+    if len(count) != len(rng) or not rng:
+        raise ValueError(f"{len(count)} counts for {len(rng)} generators")
+    if min(count) < 1:
+        raise ValueError(f"count must be positive, got {min(count)}")
+    total, dim = sum(count), noise.dim
     if out is None:
-        out = np.empty((edges[-1], noise.dim))
-    elif out.shape != (edges[-1], noise.dim):
-        raise ValueError(f"out must have shape {(edges[-1], noise.dim)}, got {out.shape}")
+        out = np.empty((total, dim))
+    elif out.shape != (total, dim):
+        raise ValueError(f"out must have shape {(total, dim)}, got {out.shape}")
+    direct = out.flags.c_contiguous
     jumping = noise.drawn_jump_rate > 0.0
-    hits = []  # Poisson jump counts of the rows, per generator
-    for r, lo, hi in zip(rngs, edges, edges[1:]):
-        out[lo:hi] = r.standard_normal((hi - lo, noise.dim))
+    normals, hits, lo = [], [], 0  # per generator: normals to copy, Poisson jump counts
+    for r, c in zip(rng, count):
+        if direct:
+            r.standard_normal(out=out[lo:lo + c])
+        else:
+            normals.append(r.standard_normal((c, dim)))
         if jumping:
-            hits.append(r.poisson(noise.jump_rate * dt, size=hi - lo))
-    out *= np.sqrt(dt * noise.wiener_fraction * noise.q_eigenvalues)
+            hits.append(r.poisson(noise.jump_rate * dt, size=c))
+        lo += c
+    if normals:
+        np.concatenate(normals, out=out)
+    out *= noise.wiener_scale(dt)
     if jumping:
-        hits = np.concatenate(hits)
+        hits = _stacked(hits)
         rows = hits.nonzero()[0]
         if rows.size:
-            totals = np.add.reduceat(hits, edges[:-1]).tolist()
+            totals = np.add.reduceat(hits, [0, *itertools.accumulate(count[:-1])]).tolist()
             if sum(totals) > rows.size:  # some path jumps more than once in this step
                 rows = rows.repeat(hits[rows])
             uniforms, signs = [], []
-            for r, jumps in zip(rngs, totals):
+            for r, jumps in zip(rng, totals):
                 if jumps:
                     uniforms.append(r.random(jumps))
                     signs.append(r.integers(0, 2, size=jumps))
-            modes = noise.jump_cdf.searchsorted(np.concatenate(uniforms), side="right")
+            modes = noise.jump_cdf.searchsorted(_stacked(uniforms), side="right")
             size = noise.jump_size
-            jumps = np.where(np.concatenate(signs), size, -size)
+            jumps = np.array((-size, size)).take(_stacked(signs))
             # a (row, mode) pair hit twice takes its jumps in sequence
             np.add.at(out, (rows, modes), jumps)
     return out
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    """The draws of several generators end to end; the one generator's
+    own array, not a copy, when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -16,8 +16,9 @@ affinity (`_fanout`), and the results are the same bit for bit whatever
 the number of processes.
 
 A process steps its batches in lockstep groups of G consecutive
-batches, G set by the fixed byte budget GROUP_BYTES (four batches of
-313 paths at N = 4 and 17 recorded nodes). A group's state is one (N,
+batches, G set by the fixed byte budget GROUP_BYTES, or by the smaller
+memory the reduction saves (four batches of 313 paths at N = 4 and 17
+recorded nodes). A group's state is one (N,
 count) array and its increments one (M, count) array, modes by paths,
 so that the noise map is one contraction over the contiguous paths
 (g_apply_columns) and the update is done in place; each recording node
@@ -27,10 +28,12 @@ a 2-CPU x86 host, about half of it the draws themselves and the rest a
 dozen small numpy operations, each with a fixed cost per call. A group
 draws every batch's increments from the batch's own generator in one
 sampler call and makes those operations once for all its batches, for
-some 15-25% less a batch at G = 4; only the noise map's two matmuls go
+some 15-20% less a batch at G = 4; only the noise map's two matmuls go
 a batch at a time, since BLAS rounds the columns of a wider product
 differently. The paths are therefore those of the batches stepped one
-at a time, bit for bit, whatever G.
+at a time, bit for bit, whatever G. Where one batch's buffers fill the
+budget, G = 1, and a group of one costs what a batch stepped alone
+costs: the sampler stacks nothing and the noise map slices nothing.
 
 The moments are functions of the per-batch sums of the paths and of
 their outer products alone. simulate_moments, the one Monte Carlo
@@ -87,10 +90,13 @@ def _path_words(width: int, dim: int, noise_dim: int) -> int:
 
 def _group_size(paths: int, width: int, dim: int, noise_dim: int) -> int:
     """Batches G of a group: as many as fit the buffers of groups of the
-    largest batch in GROUP_BYTES, at least one and at most nb."""
+    largest batch in GROUP_BYTES and in the nb D^2 float64 of per-batch
+    covariances that _reduce, forming them a chunk of rows at a time, no
+    longer holds, so that grouping adds nothing to a run's peak memory;
+    at least one and at most nb."""
     nb = min(BATCHES, paths)
     batch = 8 * -(-paths // nb) * _path_words(width, dim, noise_dim)
-    return max(1, min(nb, GROUP_BYTES // batch))
+    return max(1, min(nb, min(GROUP_BYTES, 8 * nb * width * width) // batch))
 
 
 def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
@@ -103,10 +109,10 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
     one of three phases:
     - stepping a group: G batches of at most ceil(paths / nb) paths
       (_group_size), each path taking _path_words in the buffers, N
-      words for the G2 part of the noise term and 9 for the sampler's
-      draws (the Poisson counts twice, the jumping rows and, at one jump
-      a path, six words a jump), beside the M normals a path of the
-      batch being drawn;
+      words for the G2 part of the noise term, M for its normals as
+      drawn, before they are copied into the increments, and 9 for the
+      sampler's jump draws (the Poisson counts twice, the jumping rows
+      and, at one jump a path, six words a jump);
     - summing a group's batches: its block, one D x D product, a D sum
       and a one-byte-a-value finiteness mask of a batch;
     - the reduction: the D x D moment, covariance and covariance error,
@@ -115,15 +121,19 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
       values and at least (nb + 2) D, beside the mean and its error.
     4 KiB and 256 bytes a batch more cover the interpreter objects of
     the call, the batch bounds among them. No term grows with paths x D.
-    On a grid so small that nb D^2 falls below numpy's 8192-element
-    iteration buffer, that buffer can add some ten kB more.
+    numpy's buffered iteration is not counted: on a grid so small that
+    nb D^2 falls below its 8192-element buffer, and in the broadcast
+    multiply of the outer products while a group holds fewer than some
+    5000 paths, its buffers can add up to some 120 kB (traced: 41 kB
+    beyond the count at 64 scalar paths and K = 8, 13 kB at G = 1 with
+    20000 multimode paths and K = 2).
     """
     nb = min(BATCHES, paths)
     batch = -(-paths // nb)
     group = _group_size(paths, width, dim, noise_dim) * batch
     sums = nb * (width + 1) * width + nb
     words = _path_words(width, dim, noise_dim)
-    stepping = max(group * (words + dim + 9) + batch * noise_dim,
+    stepping = max(group * (words + dim + noise_dim + 9),
                    group * width + width * width + width + batch * width // 8 + 1)
     chunk = max(1, width // (nb + 2)) * (nb + 2) * width
     reduction = 3 * width * width + max(2 * width * width, chunk) + 2 * width
@@ -154,10 +164,10 @@ def _batch_stepper(
     sample_increments call draws every batch's increments from its own
     generator, and the scaling, the jumps, the decay and the noise map
     run once for the group, which pays numpy's per-call cost once for G
-    batches. Only the noise map's matmuls
-    run a batch at a time (g_apply_columns' parts), so that every batch
-    is rounded as when it was stepped alone: a group's paths are bit for
-    bit those of its batches stepped one by one.
+    batches. Only the noise map's matmuls run a batch at a time
+    (g_apply_columns' parts), so that every batch is rounded as when it
+    was stepped alone: a group's paths are bit for bit those of its
+    batches stepped one by one.
     """
     if steps < 1 or substeps < 1:
         raise ValueError("steps and substeps must be positive")
@@ -203,8 +213,8 @@ def _batch_stepper(
         block[:, 0] = x.T
         for k in range(steps):
             for _ in range(substeps):
-                dL = sample_increments(noise, dt, counts, rngs, out=incs.T)
-                x += g_apply_columns(gmap, x, dL.T, work, parts)
+                sample_increments(noise, dt, counts, rngs, out=incs.T)
+                x += g_apply_columns(gmap, x, incs, work, parts)
                 x *= decay
             block[:, k + 1] = x.T
 

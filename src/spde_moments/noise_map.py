@@ -64,7 +64,9 @@ class AffineNoiseMap:
             raise ValueError(f"g1 must have shape (N, N, M), got {g1.shape}")
         if g2.shape != (g1.shape[0], g1.shape[2]):
             raise ValueError(f"g2 must have shape {(g1.shape[0], g1.shape[2])}, got {g2.shape}")
-        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        # the extremes are finite exactly when every entry is (NaN propagates),
+        # and finding them allocates no N x N x M mask beside g1
+        if not all(a.size == 0 or np.isfinite(a.min()) and np.isfinite(a.max()) for a in (g1, g2)):
             raise ValueError("noise map entries must be finite")
         g1.setflags(write=False)
         g2.setflags(write=False)
@@ -105,7 +107,9 @@ def g_apply_columns(
     runs the two matmuls once a range: a range's columns then come out
     bit for bit as they would applied alone, where one matmul over all
     columns lets BLAS block, and so round, them otherwise. The multiply
-    and the sum are elementwise and the same in either layout.
+    and the sum are elementwise and the same in either layout. With one
+    range, or none, the two products run over all columns at once, with
+    no slicing and no buffer for G2's part.
     """
     n, modes = gmap.state_dim, gmap.noise_dim
     count = state.shape[-1]
@@ -119,8 +123,12 @@ def g_apply_columns(
     np.multiply(state[:, None, :], increment, out=work)
     g1 = gmap.g1.reshape(n, n * modes)
     flat = work.reshape(n * modes, count)
+    if parts is None or len(parts) == 1:
+        out = g1 @ flat
+        out += gmap.g2 @ increment
+        return out
     out, additive = np.empty((n, count)), np.empty((n, count))
-    for lo, hi in parts or [(0, count)]:
+    for lo, hi in parts:
         np.matmul(g1, flat[:, lo:hi], out=out[:, lo:hi])
         np.matmul(gmap.g2, increment[:, lo:hi], out=additive[:, lo:hi])
     out += additive

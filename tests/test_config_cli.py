@@ -359,13 +359,16 @@ class TestCli:
                "g2": {"preset": "diagonal", "value": 0.5}},
             initial={"mean": [1.0] * n, "deterministic": True},
         )
-        limit = [8 * n * n * m]
+        # the limit counts the address space the process has mapped already
+        need, mapped = 8 * n * n * m, 2 ** 20
+        limit = [need + mapped]
 
         def getrlimit(which):
             assert which == config.resource.RLIMIT_AS
             return limit[0], config.resource.RLIM_INFINITY
 
         monkeypatch.setattr(config.resource, "getrlimit", getrlimit)
+        monkeypatch.setattr(config, "_mapped_bytes", lambda: mapped)
         monkeypatch.setattr(config, "_physical_memory", lambda: 2 ** 40)
         assert parse_config(raw).gmap.g1.shape == (n, n, m)
 
@@ -373,14 +376,25 @@ class TestCli:
             raise AssertionError("g1 was built")
 
         monkeypatch.setattr(config, "_g1", not_built)
-        limit[0] -= 1
-        rc = main(["solve-mean", "--config", self.write_config(tmp_path, raw),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: model.dimension:")
-        assert "address-space limit" in err
-        assert "Traceback" not in err
+        # one byte short of the room left, then a need below the whole limit
+        for limit[0] in (need + mapped - 1, need + 1):
+            rc = main(["solve-mean", "--config", self.write_config(tmp_path, raw),
+                       "--out", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: model.dimension:")
+            assert "address-space limit" in err
+            assert "Traceback" not in err
+
+    def test_mapped_bytes_is_the_size_of_the_address_space(self):
+        # VmSize of /proc/self/status, in kB, is the first field of statm in pages
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("no /proc on this system")
+        mapped = config._mapped_bytes()
+        vm_size = next(int(line.split()[1]) for line in status.read_text().splitlines()
+                       if line.startswith("VmSize:"))
+        assert abs(mapped - 1024 * vm_size) < 2 ** 24  # the two reads are not at once
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, minimal_config())

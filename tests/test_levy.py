@@ -102,6 +102,17 @@ class TestSampling:
         assert abs(prod.mean()) <= 3 * se
 
 
+    def test_scale_follows_the_step_length(self):
+        # the model keeps the Wiener scale of the last dt; a new dt must not reuse it
+        noise = NoiseModel(q_eigenvalues=[0.5, 0.25], wiener_fraction=0.5, jump_rate=4.0)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for dt in (0.1, 0.05, 0.05, 0.1, 0.025):
+            np.testing.assert_array_equal(
+                sample_increments(noise, dt, 50, rng),
+                choice_sample_increments(noise, dt, 50, ref_rng),
+            )
+
+
 class TestStreamPin:
     """The cached jump law draws the stream Generator.choice drew: the same
     increments and the same generator state afterwards, seed for seed."""
@@ -172,7 +183,9 @@ class TestGroupedSampling:
         ([0.5, 0.25, 0.125], 0.0, 40.0, 0.05, [3, 2, 4]),     # jumps only
         ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.05, [1, 1, 1, 1]),  # one-path batches
         ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313, 313, 312]),
-    ], ids=["wiener", "pure-jump", "one-path-batches", "multimode"])
+        ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313]),     # a group of one
+        ([1.0], 0.5, 40.0, 0.05, [3, 2]),     # one mode: a transposed buffer's rows are in order
+    ], ids=["wiener", "pure-jump", "one-path-batches", "multimode", "one-generator", "one-mode"])
     def test_matches_the_calls_of_its_generators(self, gamma, rho, rate, dt, counts):
         noise = NoiseModel(q_eigenvalues=gamma, wiener_fraction=rho, jump_rate=rate)
         for seed in range(40):
