@@ -83,9 +83,10 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 def _path_words(width: int, dim: int, noise_dim: int) -> int:
     """float64 a path takes while its group is stepped: its row of the
-    block (width values), its state column (N), its increment (M), its
-    outer products (N M) and its noise term (N)."""
-    return width + dim * (noise_dim + 2) + noise_dim
+    block (width values), its state column (N), its decay factors (N),
+    its increment (M), its outer products (N M) and its noise term
+    (N)."""
+    return width + dim * (noise_dim + 3) + noise_dim
 
 
 def _group_size(paths: int, width: int, dim: int, noise_dim: int) -> int:
@@ -210,12 +211,14 @@ def _batch_stepper(
                 x[:, lo:hi] = (x0_mean + rng.standard_normal((hi - lo, model.dim)) @ factor.T).T
         incs = np.empty((noise.dim, count))
         work = np.empty((model.dim, noise.dim, count))
+        # one factor a path: numpy copies x for an in-place product broadcast along it
+        decays = np.repeat(decay, count, axis=1)
         block[:, 0] = x.T
         for k in range(steps):
             for _ in range(substeps):
                 sample_increments(noise, dt, counts, rngs, out=incs.T)
                 x += g_apply_columns(gmap, x, incs, work, parts)
-                x *= decay
+                x *= decays
             block[:, k + 1] = x.T
 
     return step
