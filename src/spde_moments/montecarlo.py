@@ -18,11 +18,11 @@ the number of processes.
 A process steps its batches in lockstep groups of G consecutive
 batches, G set by the fixed byte budget GROUP_BYTES, or by the smaller
 memory the reduction saves (four batches of 313 paths at N = 4 and 17
-recorded nodes). A group's state is one (N,
-count) array and its increments one (M, count) array, modes by paths,
-so that the noise map is one contraction over the contiguous paths
-(g_apply_columns) and the update is done in place; each recording node
-is written back to the group's (count, K+1, N) block of paths. Stepped
+recorded nodes). A group's state is one (N, count) array and its
+increments one (M, count) array, modes by paths, so that the noise map
+is one contraction over the contiguous paths (g_apply_columns) and the
+update is done in place; each recording node is written back to the
+group's (count, K+1, N) block of paths. Stepped
 alone, a 313-path batch at N = 4 costs some 55-85 us a scheme step on
 a 2-CPU x86 host, about half of it the draws themselves and the rest a
 dozen small numpy operations, each with a fixed cost per call. A group
