@@ -2,12 +2,14 @@
 
 Every subcommand reads one JSON configuration and writes CSV tables
 (one file per emitted field, 17 significant digits) plus a report.json
-with run metadata into the output directory. Identical configurations
-and seeds produce byte-identical tables. Monte Carlo batches and the
-rows of a field table are spread over one process per CPU of the
-process's affinity (`_fanout`), which changes no table; the report
-records that count as `workers`, and the peak resident set sizes of the
-process and of its workers. `--threads` is accepted and ignored.
+with run metadata into the output directory. A field table is formatted
+by the array kernel of `_format`, byte-identical to `"%.17g" % v`, with
+`%` itself for each value outside the kernel's exact range. Identical
+configurations and seeds produce byte-identical tables. Monte Carlo
+batches and the rows of a field table are spread over one process per
+CPU of the process's affinity (`_fanout`), which changes no table; the
+report records that count as `workers`, and the peak resident set sizes
+of the process and of its workers. `--threads` is accepted and ignored.
 
 Monte Carlo runs never hold their paths: each batch is reduced to its
 moment sums where it is simulated (`simulate_moments`), so a run with
@@ -48,7 +50,7 @@ from .petrov_galerkin import (
     solve_mean,
 )
 
-FMT = "%.17g"
+FMT = "%.17g"  # of a table's floats; field tables by _format.RowText, which reproduces it
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:
@@ -60,27 +62,30 @@ def _write_table(path: Path, header: list[str], rows) -> None:
 
 def _write_field(path: Path, header: list[str], row, rows: int) -> int:
     """Write a field table, one line per entry in C order: the entry's
-    indices, then its value. row(k) returns the values at leading index k
-    for k < rows, so a field is formatted one row at a time and never held
-    whole. Contiguous ranges of rows are formatted by workers(rows)
-    processes, the first range straight into the table and each other
-    into a part file beside it, which is then appended to the table and
-    removed. Returns the number of processes."""
+    indices, then its value as FMT % v gives it. row(k) returns the
+    values at leading index k for k < rows, so a field is formatted one
+    row at a time and never held whole. A row's lines are formatted by
+    _format.RowText, byte-identical to FMT, in blocks of about 1 MiB of
+    buffers, with FMT % v for the values that fall back. Contiguous
+    ranges of rows are formatted by workers(rows) processes, the first
+    range straight into the table and each other into a part file beside
+    it, which is then appended to the table and removed. Returns the
+    number of processes."""
+    from ._format import RowText  # here, so that importing the CLI does not load the kernel
+
     ranges = split(rows, workers(rows))
     files = [path] + [path.with_name(f"{path.name}.part{w}") for w in range(1, len(ranges))]
 
     def write(w: int) -> None:
-        with open(files[w], "w", encoding="utf-8", newline="\n") as fh:
+        with open(files[w], "wb") as fh:
             if w == 0:
-                fh.write(",".join(header) + "\n")
-            lines = None
+                fh.write((",".join(header) + "\n").encode())
+            text = None
             for k in range(*ranges[w]):
                 chunk = row(k)
-                if lines is None:  # the trailing indices repeat in every row
-                    lines = ["".join(f"{i}," for i in index) + FMT + "\n"
-                             for index in np.ndindex(chunk.shape)]
-                lead = f"{k},"
-                fh.write(lead + lead.join(lines) % tuple(chunk.ravel().tolist()))
+                if text is None:  # every row has the shape of the first
+                    text = RowText(chunk.shape, rows)
+                text.write(fh, k, chunk)
 
     try:
         fan_out(write, list(range(len(ranges))))

@@ -945,3 +945,32 @@ class TestFieldTables:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2 ** 20
+
+    def test_special_values_write_without_warnings(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "workers", lambda parts: 1)  # every row in this process
+        values = np.array(self.SPECIAL).reshape(3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli._write_field(tmp_path / "special.csv", ["i", "j", "value"], values.__getitem__, 3)
+        lines = [f"{i},{j},{cli.FMT % values[i, j]}\n" for i, j in np.ndindex(3, 4)]
+        assert (tmp_path / "special.csv").read_text() == "".join(["i,j,value\n", *lines])
+
+    @pytest.mark.parametrize("field", ["multimode", "wide_rows"])
+    def test_field_writer_holds_one_row_and_a_block(self, tmp_path, monkeypatch, field):
+        # rows of 4096 values, and rows of 320000 values that format in blocks
+        monkeypatch.setattr(cli, "workers", lambda parts: 1)  # every row in this process
+        if field == "multimode":
+            cfg = load_config(ROOT / "configs" / "multimode.json")
+            _, _, (solution,) = cli._solve_moment_problems(cfg, (False,))
+            row, rows = solution.row, solution.grid.steps
+        else:
+            values = np.random.default_rng(4).standard_normal((2, 4, 20000, 4))
+            row, rows = values.__getitem__, 2
+        header = ["i1", "n1", "i2", "n2", "value"]
+        tracemalloc.start()
+        try:
+            cli._write_field(tmp_path / "field.csv", header, row, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= row(0).nbytes + 2 * 2**20
