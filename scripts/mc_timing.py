@@ -3,15 +3,16 @@
 
     python scripts/mc_timing.py [runs]
 
-Two problems: `configs/multimode.json` as `validate` simulates it (its
-paths, recording grid and scheme steps), and the same problem at N=16
-modes on a domain of length 4 pi, with 2000 paths on 16 recording steps
-of 256 scheme steps each. For each, the script prints the group size G,
-the median and range of `runs` timed calls (default 5), and the
-tracemalloc peak of one more call against `montecarlo.estimate_bytes`.
-The timed calls fan out over the CPUs of the process's affinity; the
-traced call runs on one CPU, so that it forks no worker and every
-allocation is traced.
+Three problems, each simulated as `validate` simulates it (`cli._simulate`:
+its paths, recording grid and scheme steps): `configs/multimode.json`,
+the same problem at N=16 modes on a domain of length 4 pi, with 2000
+paths on 16 recording steps of 256 scheme steps each, and
+`configs/scalar_multiplicative.json`. For each, the script prints the
+group size G, the median and range of `runs` timed calls (default 5),
+and the tracemalloc peak of one more call against
+`montecarlo.estimate_bytes`. The timed calls fan out over the CPUs of
+the process's affinity; the traced call runs on one CPU, so that it
+forks no worker and every allocation is traced.
 """
 
 import json
@@ -23,17 +24,22 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from spde_moments import montecarlo
+from spde_moments import cli, montecarlo
 from spde_moments.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def shipped_raw(name: str) -> dict:
+    """The shipped config `configs/<name>.json`."""
+    return json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def multimode_raw(n: int | None = None) -> dict:
     """`configs/multimode.json`, or with n modes on a domain of length 4 pi,
     2000 paths and 16 recording steps of 256 scheme steps; the noise and
     the initial mean extend the shipped 2**-j and 1/j sequences."""
-    raw = json.loads((ROOT / "configs" / "multimode.json").read_text(encoding="utf-8"))
+    raw = shipped_raw("multimode")
     if n is not None:
         raw["model"]["dimension"] = n
         raw["model"]["eigenvalues"]["length"] = 4 * math.pi
@@ -45,18 +51,11 @@ def multimode_raw(n: int | None = None) -> dict:
 
 
 def simulation(raw: dict):
-    """simulate_moments on the config's Monte Carlo grid, as a call of no
+    """The config's Monte Carlo run as `validate` makes it, as a call of no
     arguments, with the paths, width, modes and noise modes of the run."""
     cfg = parse_config(raw)
-    substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
-
-    def call():
-        return montecarlo.simulate_moments(
-            cfg.model, cfg.noise, cfg.gmap, cfg.initial[0], cfg.mc_grid_steps, cfg.mc_paths,
-            cfg.mc_seed, x0_cov=cfg.initial[2], substeps=substeps)
-
     width = (cfg.mc_grid_steps + 1) * cfg.model.dim
-    return call, (cfg.mc_paths, width, cfg.model.dim, cfg.noise.dim)
+    return lambda: cli._simulate(cfg), (cfg.mc_paths, width, cfg.model.dim, cfg.noise.dim)
 
 
 def traced_peak(call) -> int:
@@ -90,3 +89,4 @@ if __name__ == "__main__":
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     report("multimode", multimode_raw(), runs)
     report("multimode N=16", multimode_raw(16), runs)
+    report("scalar_multiplicative", shipped_raw("scalar_multiplicative"), runs)

@@ -202,14 +202,15 @@ def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
 def _simulate(cfg: ExperimentConfig):
     """Estimate the moments of the config's ensemble on its recording grid
     of mc.grid_steps steps, batch by batch, without holding the paths.
-    Returns the estimate and the scheme steps per recording step."""
+    Returns the estimate, the scheme steps per recording step and the
+    number of processes the batches were spread over."""
     mean0, _, x0_cov = cfg.initial  # no covariance: a deterministic initial value
     substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
     est = simulate_moments(
         cfg.model, cfg.noise, cfg.gmap, mean0, cfg.mc_grid_steps, cfg.mc_paths, cfg.mc_seed,
         x0_cov=x0_cov, substeps=substeps,
     )
-    return est, substeps
+    return est, substeps, workers(min(BATCHES, cfg.mc_paths))
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
@@ -218,10 +219,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     width = nodes * cfg.model_dimension
     _check_table_space(out, "mc.grid_steps",
                        [(nodes, width, 3)] * 2 + [(nodes, width * width, 5)] * 4)
-    est, substeps = _simulate(cfg)
+    est, substeps, mc_procs = _simulate(cfg)
     two = ["time_index", "mode", "value"]
     four = ["time_index_1", "mode_1", "time_index_2", "mode_2", "value"]
-    procs = [workers(min(BATCHES, cfg.mc_paths))]
+    procs = [mc_procs]
     for name in ("mean", "mean_se", "second_moment", "second_moment_se",
                  "covariance", "covariance_se"):
         field = getattr(est, name)
@@ -382,7 +383,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                    cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
 
     # Monte Carlo cross-checks on the recording grid
-    est, _ = _simulate(cfg)
+    est, _, mc_procs = _simulate(cfg)
     stride = steps // cfg.mc_grid_steps
     idx = np.arange(1, cfg.mc_grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
     z = cfg.validate_z_threshold
@@ -422,7 +423,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     )
     all_pass = all(ok for _, _, _, ok in checks)
     _report(out, cfg, "validate", {
-        "workers": workers(min(BATCHES, cfg.mc_paths)),
+        "workers": mc_procs,
         "expected_jumps_per_path": cfg.noise.drawn_jump_rate * cfg.model_horizon,
         # the clock reading goes to the report only, so the tables stay byte-identical
         "diagnostics": {**diagnostics, "elapsed_seconds": time.perf_counter() - started},

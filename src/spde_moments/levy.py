@@ -22,7 +22,10 @@ sample_increments also draws for several generators at once, each
 making the calls of its own draw in the same order, and stacks their
 rows. Monte Carlo steps its batches in lockstep groups this way: the
 draws of a batch are its own, but the scaling and the jump placement,
-each with a fixed cost per call, run once a group.
+each with a fixed cost per call, run once a group. Each generator's
+normals are drawn into an array of their own and copied into the
+result by one concatenate, whatever the result's layout, so that one
+path serves every caller.
 """
 
 from __future__ import annotations
@@ -134,9 +137,8 @@ def sample_increments(
     and the placing of the jumps run once for all rows. out, when given,
     is a float64 array of the result's shape that receives the
     increments and is returned; it may be the transpose of an (M, rows)
-    buffer, whose rows the scaling then runs along. Rows laid out in
-    order, as in a buffer of rows, receive the normals as they are
-    drawn; the rows of a transposed buffer receive them by one copy.
+    buffer, whose rows the scaling then runs along. The normals reach
+    `out` by one copy, in any layout.
     """
     if not 0.0 < dt < np.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -151,19 +153,13 @@ def sample_increments(
         out = np.empty((total, dim))
     elif out.shape != (total, dim):
         raise ValueError(f"out must have shape {(total, dim)}, got {out.shape}")
-    direct = out.flags.c_contiguous
     jumping = noise.drawn_jump_rate > 0.0
-    normals, hits, lo = [], [], 0  # per generator: normals to copy, Poisson jump counts
+    normals, hits = [], []  # per generator: normals to copy, Poisson jump counts
     for r, c in zip(rng, count):
-        if direct:
-            r.standard_normal(out=out[lo:lo + c])
-        else:
-            normals.append(r.standard_normal((c, dim)))
+        normals.append(r.standard_normal((c, dim)))
         if jumping:
             hits.append(r.poisson(noise.jump_rate * dt, size=c))
-        lo += c
-    if normals:
-        np.concatenate(normals, out=out)
+    np.concatenate(normals, out=out)
     out *= noise.wiener_scale(dt)
     if jumping:
         hits = _stacked(hits)

@@ -16,13 +16,13 @@ affinity (`_fanout`), and the results are the same bit for bit whatever
 the number of processes.
 
 A process steps its batches in lockstep groups of G consecutive
-batches, G set by the fixed byte budget GROUP_BYTES, or by the smaller
-memory the reduction saves (four batches of 313 paths at N = 4 and 17
-recorded nodes). A group's state is one (N, count) array and its
-increments one (M, count) array, modes by paths, so that the noise map
-is one contraction over the contiguous paths (g_apply_columns) and the
-update is done in place; each recording node is written back to the
-group's (count, K+1, N) block of paths. Stepped
+batches, as many of the largest batch as fit the fixed byte budget
+GROUP_BYTES (four batches of 313 paths at N = 4 and 17 recorded nodes,
+nine of 625 paths in the scalar configs). A group's state is one (N,
+count) array and its increments one (M, count) array, modes by paths,
+so that the noise map is one contraction over the contiguous paths
+(g_apply_columns) and the update is done in place; each recording node
+is written back to the group's (count, K+1, N) block of paths. Stepped
 alone, a 313-path batch at N = 4 costs some 55-85 us a scheme step on
 a 2-CPU x86 host, about half of it the draws themselves and the rest a
 dozen small numpy operations, each with a fixed cost per call. A group
@@ -32,15 +32,17 @@ some 15-20% less a batch at G = 4; only the noise map's two matmuls go
 a batch at a time, since BLAS rounds the columns of a wider product
 differently. The paths are therefore those of the batches stepped one
 at a time, bit for bit, whatever G. Where one batch's buffers fill the
-budget, G = 1, and a group of one costs what a batch stepped alone
-costs: the sampler stacks nothing and the noise map slices nothing.
+budget, G = 1.
 
 The moments are functions of the per-batch sums of the paths and of
 their outer products alone. simulate_moments, the one Monte Carlo
 entry point, reduces each batch to those sums in the process that
 simulates it and drops its paths, so with nb batches of P paths of D
 recorded values it holds O(nb D^2 + G (P / nb) D) float64, with no P D
-term. No path outlives its group.
+term; a group's buffers take at most GROUP_BYTES, or one batch's
+where that is more. No path outlives its group. Every batch is summed,
+and a path that is not finite leaves its batch's sum not finite, which
+refuses the run.
 """
 
 from __future__ import annotations
@@ -91,13 +93,10 @@ def _path_words(width: int, dim: int, noise_dim: int) -> int:
 
 def _group_size(paths: int, width: int, dim: int, noise_dim: int) -> int:
     """Batches G of a group: as many as fit the buffers of groups of the
-    largest batch in GROUP_BYTES and in the nb D^2 float64 of per-batch
-    covariances that _reduce, forming them a chunk of rows at a time, no
-    longer holds, so that grouping adds nothing to a run's peak memory;
-    at least one and at most nb."""
+    largest batch in GROUP_BYTES; at least one and at most nb."""
     nb = min(BATCHES, paths)
     batch = 8 * -(-paths // nb) * _path_words(width, dim, noise_dim)
-    return max(1, min(nb, min(GROUP_BYTES, 8 * nb * width * width) // batch))
+    return max(1, min(nb, GROUP_BYTES // batch))
 
 
 def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
@@ -106,16 +105,16 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
     by `noise_dim` noise modes.
 
     With nb batches and D = width, the per-batch sums (nb D^2 + nb D
-    float64, and nb flags) are held throughout, and the peak falls in
-    one of three phases:
+    float64) are held throughout, and the peak falls in one of three
+    phases:
     - stepping a group: G batches of at most ceil(paths / nb) paths
       (_group_size), each path taking _path_words in the buffers, N
       words for the G2 part of the noise term, M for its normals as
       drawn, before they are copied into the increments, and 9 for the
       sampler's jump draws (the Poisson counts twice, the jumping rows
       and, at one jump a path, six words a jump);
-    - summing a group's batches: its block, one D x D product, a D sum
-      and a one-byte-a-value finiteness mask of a batch;
+    - summing a group's batches: its block, one D x D product and a D
+      sum of a batch;
     - the reduction: the D x D moment, covariance and covariance error,
       and either two D x D temporaries of a batch error or a row chunk
       of the per-batch covariances, (nb + 2) D floor(D / (nb + 2))
@@ -132,10 +131,10 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
     nb = min(BATCHES, paths)
     batch = -(-paths // nb)
     group = _group_size(paths, width, dim, noise_dim) * batch
-    sums = nb * (width + 1) * width + nb
+    sums = nb * (width + 1) * width
     words = _path_words(width, dim, noise_dim)
     stepping = max(group * (words + dim + noise_dim + 9),
-                   group * width + width * width + width + batch * width // 8 + 1)
+                   group * width + width * width + width)
     chunk = max(1, width // (nb + 2)) * (nb + 2) * width
     reduction = 3 * width * width + max(2 * width * width, chunk) + 2 * width
     return (sums + max(stepping, reduction)) * 8 + 2**12 + 256 * nb
@@ -333,7 +332,7 @@ def simulate_moments(
     errors come from the spread of the per-batch statistics. The
     two-time fields hold ((K+1) N)^2 entries each; keep recording grids
     coarse and refine the stepping through substeps instead. Raises
-    ValueError when a path is not finite.
+    ValueError when a path is not finite: its batch's sum is not either.
     """
     step = _batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
     if paths < 2:
@@ -344,7 +343,6 @@ def simulate_moments(
     procs = workers(len(bounds))
     empty = _shared_empty if procs > 1 else np.empty
     s1, s2 = empty((len(bounds), width)), empty((len(bounds), width, width))
-    finite = empty((len(bounds),))
 
     def run(batches: tuple[int, int]) -> None:
         for first in range(batches[0], batches[1], group):
@@ -355,13 +353,13 @@ def simulate_moments(
             for b in range(first, last):
                 lo, hi = bounds[b]
                 rows = block[lo - start:hi - start].reshape(hi - lo, width)
-                finite[b] = np.isfinite(rows).all()
-                if finite[b]:
+                # inf - inf and overflow leave nan or inf quietly; such a sum is refused below
+                with np.errstate(invalid="ignore", over="ignore"):
                     _sum_batch(rows, s1[b], s2[b])
             del block, rows
 
     fan_out(run, split(len(bounds), procs))
-    if not finite.all():
+    if not np.isfinite(s1).all():
         raise ValueError("paths must be finite")
     return _reduce(s1, s2, bounds, nodes, model.dim)
 

@@ -107,9 +107,8 @@ def g_apply_columns(
     runs the two matmuls once a range: a range's columns then come out
     bit for bit as they would applied alone, where one matmul over all
     columns lets BLAS block, and so round, them otherwise. The multiply
-    and the sum are elementwise and the same in either layout. With one
-    range, or none, the two products run over all columns at once, with
-    no slicing and no buffer for G2's part.
+    and the sum are elementwise and the same in either layout. With no
+    parts the one range is all P columns.
     """
     n, modes = gmap.state_dim, gmap.noise_dim
     count = state.shape[-1]
@@ -123,12 +122,8 @@ def g_apply_columns(
     np.multiply(state[:, None, :], increment, out=work)
     g1 = gmap.g1.reshape(n, n * modes)
     flat = work.reshape(n * modes, count)
-    if parts is None or len(parts) == 1:
-        out = g1 @ flat
-        out += gmap.g2 @ increment
-        return out
     out, additive = np.empty((n, count)), np.empty((n, count))
-    for lo, hi in parts:
+    for lo, hi in parts or [(0, count)]:
         np.matmul(g1, flat[:, lo:hi], out=out[:, lo:hi])
         np.matmul(gmap.g2, increment[:, lo:hi], out=additive[:, lo:hi])
     out += additive

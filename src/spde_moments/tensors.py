@@ -36,14 +36,6 @@ class Tensor2:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
 
 def projective_norm(x: Tensor2) -> float:
     """Nuclear norm: the sum of singular values."""

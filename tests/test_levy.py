@@ -185,7 +185,10 @@ class TestGroupedSampling:
         ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313, 313, 312]),
         ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313]),     # a group of one
         ([1.0], 0.5, 40.0, 0.05, [3, 2]),     # one mode: a transposed buffer's rows are in order
-    ], ids=["wiener", "pure-jump", "one-path-batches", "multimode", "one-generator", "one-mode"])
+        ([1.0], 0.5, 40.0, 0.05, [1]),        # one mode, one path
+        ([0.5, 0.25, 0.125], 0.5, 40.0, 0.05, [1]),  # a one-path group: both buffers are rows
+    ], ids=["wiener", "pure-jump", "one-path-batches", "multimode", "one-generator", "one-mode",
+            "one-mode-one-path", "one-path-group"])
     def test_matches_the_calls_of_its_generators(self, gamma, rho, rate, dt, counts):
         noise = NoiseModel(q_eigenvalues=gamma, wiener_fraction=rho, jump_rate=rate)
         for seed in range(40):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,42 @@ class TestSimulateMoments:
                                    substeps=2)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
+
+    def test_group_size_reads_the_budget_alone(self):
+        # 20000 paths make 32 batches of 625. A path takes 22 words at 17
+        # recorded values of one mode and at 9 of three modes driven by
+        # one, so a batch's buffers, 8 * 625 * 22 bytes, fit GROUP_BYTES
+        # nine times in either case, whatever the D^2 of the reduction
+        assert mc._path_words(17, 1, 1) == mc._path_words(9, 3, 1) == 22
+        assert mc._group_size(20000, 17, 1, 1) > 1
+        assert (mc._group_size(20000, 17, 1, 1) == mc._group_size(20000, 9, 3, 1)
+                == mc.GROUP_BYTES // (8 * 625 * 22))
+
+    @pytest.mark.parametrize("procs", [1, 3])
+    def test_nonfinite_path_raises_without_a_warning(
+        self, monkeypatch, scalar_model, unit_noise, multiplicative_map, procs
+    ):
+        # 64 paths: the last batch, the last worker's at three processes,
+        # holds two paths, which end at +inf and -inf, so that its sums
+        # meet inf - inf
+        def poisoned_stepper(*args):
+            step = real(*args)
+
+            def poisoned(first, last, block):
+                step(first, last, block)
+                if last == 32:
+                    block[-2:, -1] = [[np.inf], [-np.inf]]
+
+            return poisoned
+
+        real = mc._batch_stepper
+        monkeypatch.setattr(mc, "_batch_stepper", poisoned_stepper)
+        monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^paths must be finite$"):
+                simulate_moments(scalar_model, unit_noise, multiplicative_map, np.ones(1), 4, 64,
+                                 seed=0)
 
     @pytest.mark.parametrize("procs", [1, 3])
     def test_nonfinite_path_raises_the_ensembles_error(
