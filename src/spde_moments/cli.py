@@ -15,6 +15,15 @@ Monte Carlo runs never hold their paths: each batch is reduced to its
 moment sums where it is simulated (`simulate_moments`), so a run with
 nb batches of P paths on a recording grid of D values a path holds
 O(nb D^2 + (P / nb) D) float64, with no P D term.
+
+The structure of a moment field is petrov_galerkin's alone: a field
+table is written one time row at a time (SpaceTimeMoment.row), and
+validate's covariance identity check is covariance_identity_error.
+An input that could not run is refused before any solve, with a
+ConfigError naming its config key: model.dimension, time.steps,
+mc.grid_steps or mc.paths when what the run must hold would not fit in
+memory, and time.steps or mc.grid_steps when its tables would not fit
+in the free space under --out.
 """
 
 from __future__ import annotations
@@ -39,9 +48,9 @@ from .oracle import MomentField, lyapunov_solve, mean_exact, two_time_extend
 from .petrov_galerkin import (
     PerModeSystem,
     PicardNonConvergence,
-    SpaceTimeMoment,
     TimeGrid,
     assemble_per_mode,
+    covariance_identity_error,
     discrete_inf_sup,
     per_mode_singular_range,
     picard_solve_second_moment,
@@ -165,11 +174,13 @@ def _check_table_space(out: Path, key: str, tables: list[tuple[int, int, int]]) 
     indices, rows, columns), written in this order, could not fit in the
     free space under `out`, even with every field one character long:
     each row then takes two bytes a column. The last table is assembled
-    by _write_field from the ranges of its leading indices; until its
-    last part file is removed, that part's rows are on disk twice."""
+    by _write_field from the ranges of its leading indices: each range
+    but the first goes to a part file, whose rows are on disk twice from
+    when it is appended to the table until it is removed, so the largest
+    such range counts twice."""
     lead, count, columns = tables[-1]
-    procs = workers(lead)
-    part = 0 if procs == 1 else 2 * columns * (count // lead) * (lead // procs)
+    largest = max((hi - lo for lo, hi in split(lead, workers(lead))[1:]), default=0)
+    part = 2 * columns * (count // lead) * largest
     rows = sum(count for _, count, _ in tables)
     need = sum(2 * count * columns for _, count, columns in tables) + part
     free = shutil.disk_usage(out).free
@@ -240,6 +251,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
+    _check_memory("time.steps", 8 * cfg.time_steps * cfg.model_dimension, "the mean "
+                  f"coefficients of {cfg.time_steps} steps of {cfg.model_dimension} modes")
     grid = TimeGrid(steps=cfg.time_steps, horizon=cfg.model_horizon)
     system = assemble_per_mode(cfg.model, grid)
     mean0 = cfg.initial[0]
@@ -271,14 +284,18 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
     for False. Returns the assembled system, the mean coefficients and
     the solutions in order.
 
-    Refuses first, with a ConfigError naming model.dimension, when the
-    noise map's (N^2, N^2) Kronecker matrix and its permuted copy, 16 N^4
-    bytes, would not fit in physical memory."""
-    _check_memory("model.dimension", 16 * cfg.model_dimension ** 4, "the noise map's Kronecker "
-                  f"matrix of {cfg.model_dimension} modes and its permuted copy")
+    Refuses first, with a ConfigError, when what every such run holds
+    would not fit in memory (config._check_memory): naming
+    model.dimension for the noise map's (N^2, N^2) Kronecker matrix and
+    its permuted copy, 16 N^4 bytes, and time.steps for one field's three
+    block diagonals, 24 K N^2 bytes."""
+    steps, n = cfg.time_steps, cfg.model_dimension
+    _check_memory("model.dimension", 16 * n ** 4, "the noise map's Kronecker "
+                  f"matrix of {n} modes and its permuted copy")
+    _check_memory("time.steps", 24 * steps * n * n, "the block diagonals of a "
+                  f"field of {steps} steps of {n} modes")
     noise, gmap = cfg.noise, cfg.gmap
-    system = assemble_per_mode(cfg.model, TimeGrid(steps=cfg.time_steps,
-                                                    horizon=cfg.model_horizon))
+    system = assemble_per_mode(cfg.model, TimeGrid(steps=steps, horizon=cfg.model_horizon))
     mean0, m2_0, cov_0 = initial_law(cfg)
     mean_coeffs = solve_mean(system, mean0)
     loads = [rhs_covariance(system, noise, gmap, mean_coeffs, cov_0) if covariance
@@ -329,24 +346,6 @@ def cmd_inf_sup(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _covariance_identity_error(
-    m2: SpaceTimeMoment, cov: SpaceTimeMoment, mean: np.ndarray
-) -> float:
-    """Max-norm of cov - (m2 - mean (x) mean) over the two-time field.
-
-    The mean x_k = x0 / a * r**k is semi-separable with the same ratio r
-    as both fields, so beyond the first block off-diagonals the difference
-    is a power of r, |r| < 1, times an off-diagonal block. The max over
-    the three block diagonals is therefore the max over the whole field.
-    """
-    blocks = (
-        (cov.diagonal, m2.diagonal, mean[:, :, None] * mean[:, None, :]),
-        (cov.upper, m2.upper, mean[:-1, :, None] * mean[1:, None, :]),
-        (cov.lower, m2.lower, mean[1:, :, None] * mean[:-1, None, :]),
-    )
-    return max(float(np.max(np.abs(c - (m - outer)))) for c, m, outer in blocks)
-
-
 def _relative_error(value: np.ndarray, reference: np.ndarray) -> float:
     """max|value - reference| / max|reference|, the scale floored at 1e-300
     so that an exact value of a reference of zeros has error 0."""
@@ -365,7 +364,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     checks: list[tuple[str, float, float, bool]] = []
 
     # covariance equals second moment minus the mean outer product, per solve
-    identity_err = _covariance_identity_error(m2_sol, cov_sol, mean_coeffs)
+    identity_err = covariance_identity_error(m2_sol, cov_sol, mean_coeffs)
     checks.append(("covariance_identity_max_abs_diff", identity_err,
                    cfg.validate_identity_tol, identity_err <= cfg.validate_identity_tol))
 

@@ -30,7 +30,10 @@ term that reads only the diagonal-in-time blocks of the unknown through
 the quadratic noise action. The coupling is contractive when the
 energy-to-Hilbert-Schmidt norm of the multiplicative part is below one,
 and the problems are solved by successive substitution starting from
-the zero-coupling solve.
+the zero-coupling solve. The two problems differ only in their loads:
+the covariance load is the second-moment load, with the initial
+covariance in place of the initial second moment, plus the
+multiplicative noise action on the mean outer product.
 
 Because test hats overlap single intervals where the trial functions
 are constant, reading diagonal-in-time blocks is exact for this pair,
@@ -43,7 +46,9 @@ off-diagonals is a power of r times a first off-diagonal block. The
 field is therefore stored by its three block diagonals
 (SpaceTimeMoment) and computed by one forward sweep over the intervals;
 callers read the two-time field one time row at a time, and this
-module never forms the dense field.
+module never forms the dense field. Its max-norm is the max over the
+three block diagonals (_max_abs), which both the Picard update and the
+covariance identity check (covariance_identity_error) read.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ __all__ = [
     "rhs_second_moment",
     "rhs_covariance",
     "picard_solve_second_moment",
+    "covariance_identity_error",
     "per_mode_singular_range",
     "discrete_inf_sup",
 ]
@@ -218,34 +224,6 @@ class MomentLoad:
     spatial: np.ndarray   # (K, N, N), the noise intensity on each interval
 
 
-def _initial_and_mean_load(
-    system: PerModeSystem,
-    noise: NoiseModel,
-    gmap: AffineNoiseMap,
-    mean_coeffs: np.ndarray,
-    initial_matrix: np.ndarray,
-    include_mean_product: bool,
-) -> MomentLoad:
-    check_compatible(gmap, noise, system.n_modes)
-    K, n = system.grid.steps, system.n_modes
-    if mean_coeffs is None:
-        raise ValueError("mean coefficients are required; solve the mean problem first")
-    mean_coeffs = np.asarray(mean_coeffs, dtype=float)
-    if mean_coeffs.shape != (K, n):
-        raise ValueError(f"mean coefficients must be ({K}, {n}), got {mean_coeffs.shape}")
-    initial_matrix = np.asarray(initial_matrix, dtype=float)
-    if initial_matrix.shape != (n, n):
-        raise ValueError(f"initial matrix must be {n}x{n}, got {initial_matrix.shape}")
-
-    if include_mean_product:
-        quadratic = mean_coeffs[:, :, None] * mean_coeffs[:, None, :]
-        spatial = (multiplicative_form(gmap, noise, quadratic)
-                   + mean_form(gmap, noise, mean_coeffs))  # (K, N, N)
-    else:
-        spatial = mean_form(gmap, noise, mean_coeffs)
-    return MomentLoad(initial=initial_matrix, spatial=spatial)
-
-
 def rhs_second_moment(
     system: PerModeSystem,
     noise: NoiseModel,
@@ -261,9 +239,15 @@ def rhs_second_moment(
     multiplicative term is not part of the load; it enters through the
     fixed-point coupling.
     """
-    return _initial_and_mean_load(
-        system, noise, gmap, mean_coeffs, m2_initial, include_mean_product=False
-    )
+    check_compatible(gmap, noise, system.n_modes)
+    K, n = system.grid.steps, system.n_modes
+    mean_coeffs = np.asarray(mean_coeffs, dtype=float)
+    if mean_coeffs.shape != (K, n):
+        raise ValueError(f"mean coefficients must be ({K}, {n}), got {mean_coeffs.shape}")
+    m2_initial = np.asarray(m2_initial, dtype=float)
+    if m2_initial.shape != (n, n):
+        raise ValueError(f"initial matrix must be {n}x{n}, got {m2_initial.shape}")
+    return MomentLoad(initial=m2_initial, spatial=mean_form(gmap, noise, mean_coeffs))
 
 
 def rhs_covariance(
@@ -275,15 +259,16 @@ def rhs_covariance(
 ) -> MomentLoad:
     """Test-side load of the covariance problem.
 
-    Same structure as the second-moment load, but the initial term is
-    the initial covariance and the noise action is evaluated on the full
-    affine operator at the mean, i.e. with the mean outer product in the
-    quadratic slot. picard_solve_second_moment solves it as it solves
-    the second-moment problem.
+    The second-moment load with the initial covariance at time zero,
+    plus the multiplicative noise action on the mean outer product: the
+    covariance problem has the same operator, and the noise acting on
+    the mean moves into its load. picard_solve_second_moment solves it
+    as it solves the second-moment problem.
     """
-    return _initial_and_mean_load(
-        system, noise, gmap, mean_coeffs, cov_initial, include_mean_product=True
-    )
+    load = rhs_second_moment(system, noise, gmap, mean_coeffs, cov_initial)
+    mean = np.asarray(mean_coeffs, dtype=float)
+    quadratic = mean[:, :, None] * mean[:, None, :]
+    return MomentLoad(load.initial, load.spatial + multiplicative_form(gmap, noise, quadratic))
 
 
 @dataclass(frozen=True)
@@ -305,8 +290,12 @@ class SpaceTimeMoment:
     lower: np.ndarray         # (K-1, N, N), U[k+1, :, k, :]
     ratio: np.ndarray         # (N,)
     trace: np.ndarray         # update max-norms per iteration
-    iterations: int
     final_load: MomentLoad
+
+    @property
+    def iterations(self) -> int:
+        """Number of Picard iterations, one per entry of the trace."""
+        return len(self.trace)
 
     def time_diagonal(self) -> np.ndarray:
         """Diagonal-in-time blocks D_k = U[k, :, k, :], shape (K, N, N)."""
@@ -367,6 +356,32 @@ def _causal_solve(
     return diagonal, (off - ac * diagonal[:-1]) / aa, (off - ca * diagonal[:-1]) / aa
 
 
+def _max_abs(blocks) -> float:
+    """Max-norm of a two-time field from its three block diagonals.
+
+    The field is semi-separable with ratio r: beyond the first block
+    off-diagonals every block is a power of r times an off-diagonal
+    block. Because |r| < 1, the max over the three block diagonals is
+    the max over the whole field.
+    """
+    return max(float(np.max(np.abs(block))) for block in blocks)
+
+
+def covariance_identity_error(
+    m2: SpaceTimeMoment, cov: SpaceTimeMoment, mean: np.ndarray
+) -> float:
+    """Max-norm of cov - (m2 - mean (x) mean) over the two-time field.
+
+    The mean x_k = x0 / a * r**k has the same ratio r as both fields, so
+    the difference is semi-separable with that ratio too (_max_abs).
+    """
+    return _max_abs(c - (m - outer) for c, m, outer in (
+        (cov.diagonal, m2.diagonal, mean[:, :, None] * mean[:, None, :]),
+        (cov.upper, m2.upper, mean[:-1, :, None] * mean[1:, None, :]),
+        (cov.lower, m2.lower, mean[1:, :, None] * mean[:-1, None, :]),
+    ))
+
+
 def _contraction_report(trace: list[float], bound: float, tol_floor: float) -> None:
     meaningful = [d for d in trace if d > tol_floor]
     if len(meaningful) < 2:
@@ -393,11 +408,10 @@ def picard_solve_second_moment(
 
     Starts from the zero-coupling solve, then repeatedly re-solves with
     the coupling term evaluated at the previous iterate. Stops when the
-    max-norm update drops below tol relative to the iterate scale. The
-    iterates are semi-separable with |r| < 1, so these max-norms over
-    the three block diagonals equal those over the dense fields. With
-    a purely additive noise operator the map is constant and a single
-    iteration confirms convergence.
+    max-norm update drops below tol relative to the iterate scale, both
+    max-norms over the whole field (_max_abs). With a purely additive
+    noise operator the map is constant and a single iteration confirms
+    convergence.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -418,18 +432,18 @@ def picard_solve_second_moment(
 
     blocks = _causal_solve(system, load)
     trace: list[float] = []
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         current = MomentLoad(load.initial, load.spatial + multiplicative_form(gmap, noise, blocks[0]))
         new_blocks = _causal_solve(system, current)
-        delta = max(float(np.max(np.abs(new - old))) for new, old in zip(new_blocks, blocks))
+        delta = _max_abs(new - old for new, old in zip(new_blocks, blocks))
         trace.append(delta)
         blocks = new_blocks
-        scale = max(1.0, *(float(np.max(np.abs(b))) for b in blocks))
+        scale = max(1.0, _max_abs(blocks))
         if delta <= tol * scale:
             if g1_norm < 1.0:
                 _contraction_report(trace, g1_norm ** 2 + 0.15, 1e3 * np.finfo(float).eps * scale)
-            # fields in order: grid, diagonal, upper, lower, ratio, trace, iterations, final_load
-            return SpaceTimeMoment(system.grid, *blocks, system.ratio, np.asarray(trace), iteration, current)
+            # fields in order: grid, diagonal, upper, lower, ratio, trace, final_load
+            return SpaceTimeMoment(system.grid, *blocks, system.ratio, np.asarray(trace), current)
     raise PicardNonConvergence(trace, max_iter)
 
 

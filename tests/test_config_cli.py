@@ -39,6 +39,7 @@ from spde_moments.config import (
     load_config,
     parse_config,
 )
+from spde_moments.petrov_galerkin import covariance_identity_error
 
 from conftest import multimode_setup
 from dense_reference import dense_coeffs
@@ -541,6 +542,24 @@ class TestCli:
         assert err.startswith("error: model.dimension:")
         assert "physical memory" in err
 
+    @pytest.mark.parametrize("subcommand", ["solve-mean", "validate"])
+    def test_steps_larger_than_memory_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, subcommand
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("solve_mean", "mean_exact", "picard_solve_second_moment",
+                     "lyapunov_solve", "_simulate"):
+            monkeypatch.setattr(cli, name, no_solve)
+        raw = multimode_raw()
+        # the 2^40 x 4 mean coefficients alone take 32 TiB
+        raw["time"]["steps"] = 2 ** 40
+        cfg = self.write_config(tmp_path, raw)
+        rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: time.steps:")
+
     def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
         # json.load itself refuses an integer literal of more than 4300 digits
         raw = minimal_config()
@@ -697,10 +716,10 @@ class TestCli:
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
 
     @pytest.mark.parametrize("subcommand, key, need", [
-        # at three processes the last table's last part holds 8 // 3 = 2
-        # of its 8 leading indices, 8 rows each, or 9 // 3 = 3 of 9, 9 rows
-        # each, on disk twice until the part is removed
-        ("solve-moment", "time.steps", 640 + 2 * 8 * 10),
+        # at three processes the last table's largest part file, its first,
+        # holds 3 of 8 leading indices (ranges of 3, 3 and 2), 8 rows each,
+        # or 3 of 9, 9 rows each, on disk twice until the part is removed
+        ("solve-moment", "time.steps", 640 + 3 * 8 * 10),
         ("simulate", "mc.grid_steps", 4 * 81 * 10 + 2 * 9 * 6 + 3 * 9 * 10),
     ])
     def test_table_space_counts_the_last_part_file(
@@ -930,7 +949,7 @@ class TestFieldTables:
         *_, mean, (m2, cov) = cli._solve_moment_problems(cfg, (False, True))
         problems.append((m2, cov, mean))
         for m2, cov, mean in problems:
-            structured = cli._covariance_identity_error(m2, cov, mean)
+            structured = covariance_identity_error(m2, cov, mean)
             assert structured > 0.0
             assert structured == self.dense_identity_error(m2, cov, mean)
 

@@ -49,7 +49,7 @@ def swept_field(system, load):
     return pg.SpaceTimeMoment(
         grid=system.grid, diagonal=diagonal, upper=upper, lower=lower,
         ratio=-system.c / system.a,
-        trace=np.empty(0), iterations=0, final_load=load,
+        trace=np.empty(0), final_load=load,
     )
 
 
@@ -304,6 +304,19 @@ class TestLoads:
         assert calls == []
         rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4)))
         assert calls == [1]
+
+    def test_covariance_load_is_second_moment_load_plus_mean_product(self):
+        # bit for bit: the second-moment load with the initial covariance,
+        # plus the multiplicative form of the mean outer product
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
+        mean = solve_mean(system, x0)
+        cov_0 = np.diag(x0)
+        cov = rhs_covariance(system, noise, gmap, mean, cov_0)
+        m2 = rhs_second_moment(system, noise, gmap, mean, cov_0)
+        product = multiplicative_form(gmap, noise, mean[:, :, None] * mean[:, None, :])
+        assert cov.spatial.tobytes() == (m2.spatial + product).tobytes()
+        assert cov.initial.tobytes() == m2.initial.tobytes() == cov_0.tobytes()
 
 
 class TestTimeRows:
