@@ -44,7 +44,7 @@ from ._fanout import fan_out, split, workers
 from .config import ConfigError, ExperimentConfig, _check_memory, initial_law, load_config
 from .montecarlo import BATCHES, estimate_bytes, simulate_moments
 from .noise_map import g1_v_to_hs_norm
-from .oracle import MomentField, lyapunov_solve, mean_exact, two_time_extend
+from .oracle import MomentField, lyapunov_solve, mean_exact, propagator_bytes, two_time_extend
 from .petrov_galerkin import (
     PerModeSystem,
     PicardNonConvergence,
@@ -286,12 +286,13 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
 
     Refuses first, with a ConfigError, when what every such run holds
     would not fit in memory (config._check_memory): naming
-    model.dimension for the noise map's (N^2, N^2) Kronecker matrix and
-    its permuted copy, 16 N^4 bytes, and time.steps for one field's three
-    block diagonals, 24 K N^2 bytes."""
+    model.dimension for the noise map's (N^2, N^2) Kronecker matrix T,
+    built once a Picard solve, and the pair products it is copied from,
+    16 N^4 bytes, and time.steps for one field's three block diagonals,
+    24 K N^2 bytes."""
     steps, n = cfg.time_steps, cfg.model_dimension
     _check_memory("model.dimension", 16 * n ** 4, "the noise map's Kronecker "
-                  f"matrix of {n} modes and its permuted copy")
+                  f"matrix of {n} modes and its pair products")
     _check_memory("time.steps", 24 * steps * n * n, "the block diagonals of a "
                   f"field of {steps} steps of {n} modes")
     noise, gmap = cfg.noise, cfg.gmap
@@ -356,6 +357,9 @@ def _relative_error(value: np.ndarray, reference: np.ndarray) -> float:
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     started = time.perf_counter()
     _check_mc_memory(cfg)
+    n = cfg.model_dimension
+    _check_memory("model.dimension", propagator_bytes(n), "the oracle's pair products "
+                  f"and Pade matrices of {n} modes")
     system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(cfg, (False, True))
     model, noise, gmap = cfg.model, cfg.noise, cfg.gmap
     mean0, m2_0, _ = cfg.initial

@@ -8,13 +8,19 @@ multiplicative part of that action on a second moment M is
 
     sum_m gamma_m G1_m M G1_m^T,
 
-a linear map of M. On the flattened M it is one (N^2, N^2) matrix T,
-the transpose of sum_m gamma_m G1_m (x) G1_m (Van Loan, J. Comput. Appl.
-Math. 123, 2000), written here once: the space-time solver applies T to
-a stack of second moments by one matmul, and the oracle reads its
-generator columns straight off T. T holds 8 N^4 bytes. The terms
-with G2, the action at a mean with zero fluctuation, are mean_form;
-they need no T.
+a linear map of M. Its coefficients are the pair products
+
+    P[i, a, k, b] = sum_m gamma_m g1[a, i, m] g1[b, k, m],
+
+one (N^2, M) diag(gamma) (M, N^2) product, written here once
+(pair_products), 8 N^4 bytes. On the flattened M the map is one
+(N^2, N^2) matrix T, the transpose of sum_m gamma_m G1_m (x) G1_m (Van
+Loan, J. Comput. Appl. Math. 123, 2000): P with its middle axes swapped,
+a second 8 N^4 bytes while it is copied out of P. The space-time solver
+builds T once a solve and applies it to a stack of second moments by
+one matmul; the oracle gathers its generator columns straight from P
+and builds no T. The terms with G2, the action at a mean with zero
+fluctuation, are mean_form; they need neither.
 
 Applied to states and increments, G1(x) w is one matmul too, written
 once in g_apply_columns, the one kernel for it: with the P paths on the
@@ -43,6 +49,7 @@ __all__ = [
     "mean_form",
     "multiplicative_form",
     "multiplicative_matrix",
+    "pair_products",
     "scaled_random_coupling",
 ]
 
@@ -149,19 +156,29 @@ def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseMode
     return float(s[0]) if s.size else 0.0
 
 
-def multiplicative_matrix(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
-    """The (N^2, N^2) matrix T of the multiplicative form on flattened second
-    moments: (sum_m gamma_m G1_m M G1_m^T).ravel() == M.ravel() @ T.
+def pair_products(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
+    """The (N, N, N, N) coefficients of the multiplicative form,
+    P[i, a, k, b] = sum_m gamma_m g1[a, i, m] g1[b, k, m].
 
-    Entry ((i, k), (a, b)) is sum_m gamma_m g1[a, i, m] g1[b, k, m]: one
-    (N^2, M) diag(gamma) (M, N^2) product over the pairs (i, a) and
-    (k, b), then one axis permutation.
+    One (N^2, M) diag(gamma) (M, N^2) product over the pairs (i, a) and
+    (k, b); the result is that product's (N^2, N^2) array, viewed with
+    four axes.
     """
     check_compatible(gmap, noise, gmap.state_dim)
     n, modes = gmap.state_dim, gmap.noise_dim
     pairs = gmap.g1.transpose(1, 0, 2).reshape(n * n, modes)            # row (i, a): g1[a, i, :]
-    product = (pairs * noise.q_eigenvalues) @ pairs.T                    # ((i, a), (k, b))
-    return product.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return ((pairs * noise.q_eigenvalues) @ pairs.T).reshape(n, n, n, n)
+
+
+def multiplicative_matrix(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
+    """The (N^2, N^2) matrix T of the multiplicative form on flattened second
+    moments: (sum_m gamma_m G1_m M G1_m^T).ravel() == M.ravel() @ T.
+
+    Entry ((i, k), (a, b)) is pair_products' P[i, a, k, b]: the pair
+    products with their middle axes swapped, copied.
+    """
+    n = gmap.state_dim
+    return pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarray) -> np.ndarray:

@@ -16,6 +16,13 @@ approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005). The grid
 values carry no time-stepping error, and stiff modes need no step-size
 restriction.
 
+What it holds. The generator's second-moment block is gathered
+straight from the noise map's pair products, 8 N^4 bytes, which are
+freed before the exponential; the exponential accumulates its Pade sums
+in place and holds at most eight matrices of the propagator's size
+(p + N + 1)^2, p = N (N + 1) / 2, at once. propagator_bytes counts both,
+and validate refuses a dimension whose count would not fit in memory.
+
 Two-time values follow from the equal-time ones because the driver is a
 martingale: conditionally on time s, the stochastic convolution
 increment up to t > s has mean zero, so the second slot is propagated
@@ -32,13 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import NoiseModel
-from .noise_map import AffineNoiseMap, check_compatible, mean_form, multiplicative_matrix
+from .noise_map import AffineNoiseMap, check_compatible, mean_form, pair_products
 from .spectral import SpectralModel
 
 __all__ = [
     "MomentField",
     "mean_exact",
     "lyapunov_solve",
+    "propagator_bytes",
     "two_time_extend",
 ]
 
@@ -77,15 +85,17 @@ def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) ->
     upper triangle of the symmetric second moment M, the mean m and a
     constant.
 
-    The rate is affine in z. Its multiplicative part is read off the
-    matrix T of multiplicative_matrix on the upper-triangle rows and
-    columns: entry (i, k) of z stands for both M[i, k] and M[k, i], so
-    its column is T[(i, k)] + T[(k, i)] for i < k and T[(i, i)] for
-    i = k. The mean and constant columns come from one mean_form call,
-    the rate at zero fluctuation, against each unit mean and the zero
-    mean: the rate at a unit mean less the rate at zero, and the rate at
-    zero. The diagonal carries the decay, -(lambda_i + lambda_k) for
-    M[i, k] and -lambda_j for m_j.
+    The rate is affine in z. Its multiplicative part is gathered
+    straight from the pair products P of pair_products: entry (i, k) of
+    z stands for both M[i, k] and M[k, i], so its rate on entry (a, b)
+    of M is P[i, a, k, b] + P[k, a, i, b] for i < k and P[i, a, i, b]
+    for i = k. Each of the two terms is one p x p gather, the second
+    zeroed on the columns i = k, so no (N^2, N^2) matrix is built beside
+    P. The mean and constant columns come from one mean_form call, the
+    rate at zero fluctuation, against each unit mean and the zero mean:
+    the rate at a unit mean less the rate at zero, and the rate at zero.
+    The diagonal carries the decay, -(lambda_i + lambda_k) for M[i, k]
+    and -lambda_j for m_j.
     """
     n, lam = model.dim, model.eigenvalues
     rows, cols = np.triu_indices(n)
@@ -94,10 +104,13 @@ def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) ->
     rates = mean_form(gmap, noise, np.eye(n + 1, n))[:, rows, cols]
     gen[:p, p:] = rates.T
     gen[:p, p:-1] -= rates[-1:].T
-    tmat = multiplicative_matrix(gmap, noise)
-    upper, lower = rows * n + cols, cols * n + rows
-    mirror = (rows != cols)[:, None] * tmat[np.ix_(lower, upper)]  # zero for i = k
-    gen[:p, :p] = (tmat[np.ix_(upper, upper)] + mirror).T
+    pairs = pair_products(gmap, noise)
+    # row (a, b) of the block runs down the first axis, column (i, k) along the second
+    a, b, i, k = rows[:, None], cols[:, None], rows, cols
+    gen[:p, :p] = pairs[i, a, k, b]
+    mirror = pairs[k, a, i, b]
+    mirror *= rows != cols   # zero for i = k
+    gen[:p, :p] += mirror
     gen[np.diag_indices(p + n)] -= np.concatenate([lam[rows] + lam[cols], lam])
     return gen
 
@@ -111,31 +124,80 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
 # the largest 1-norm for which the [13/13] approximant's backward error
 # stays below the unit roundoff
 _THETA13 = 5.371920351148152
+# matrices of the propagator's size that _expm holds at once at most: the
+# argument, its scaled copy, a^2, a^4, a^6 and three work matrices
+_LIVE_MATRICES = 8
+
+
+def _add_terms(out: np.ndarray, scratch: np.ndarray, terms) -> None:
+    """out += c_1 x_1 + c_2 x_2 + ..., left to right, each product formed
+    in scratch: the bits of the expression out + c_1 * x_1 + c_2 * x_2."""
+    for coeff, x in terms:
+        np.multiply(x, coeff, out=scratch)
+        out += scratch
+
+
+def _add_identity(out: np.ndarray, coeff: float) -> None:
+    """out += coeff * I with the bits of adding the full matrix: its +0.0
+    entries off the diagonal turn every -0.0 there into +0.0."""
+    out += 0.0
+    diagonal = out.reshape(-1)[::len(out) + 1]
+    diagonal += coeff
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix by scaling and squaring.
 
     Scales a by 2^-s so that its 1-norm is at most theta_13, evaluates
-    the [13/13] Pade approximant r = (V - U)^-1 (V + U) from a^2, a^4
-    and a^6, and squares r s times.
+    the [13/13] Pade approximant r = (V - U)^-1 (V + U) with
+
+        U = a (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I),
+        V = a6 (b12 a6 + b10 a4 + b8 a2) + b6 a6 + b4 a4 + b2 a2 + b0 I,
+
+    and squares r s times. Every sum is accumulated in place, left to
+    right, so each entry is rounded as that expression rounds it, in
+    three work matrices; a2, a4 and a6 are freed before the solve. At
+    most _LIVE_MATRICES matrices of a's size are held at once.
     """
     norm = np.abs(a).sum(axis=0).max()
     s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = a * 2.0 ** -s
+    if s:
+        a = a * 2.0 ** -s
     b = _PADE13
-    ident = np.eye(a.shape[0])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
+    inner, scratch = np.empty_like(a), np.empty_like(a)
+    np.multiply(a6, b[12], out=inner)
+    _add_terms(inner, scratch, ((b[10], a4), (b[8], a2)))
+    v = a6 @ inner
+    _add_terms(v, scratch, ((b[6], a6), (b[4], a4), (b[2], a2)))
+    _add_identity(v, b[0])
+    np.multiply(a6, b[13], out=inner)
+    _add_terms(inner, scratch, ((b[11], a4), (b[9], a2)))
+    np.matmul(a6, inner, out=scratch)
+    _add_terms(scratch, inner, ((b[7], a6), (b[5], a4), (b[3], a2)))
+    _add_identity(scratch, b[1])
+    del a2, a4, a6
+    u = np.matmul(a, scratch, out=inner)
+    denominator = np.subtract(v, u, out=scratch)
+    v += u
+    del a, u, inner
+    r = np.linalg.solve(denominator, v)
     for _ in range(s):
         r = r @ r
     return r
+
+
+def propagator_bytes(n: int) -> int:
+    """Bytes that lyapunov_solve holds at once for N = n modes, beside
+    its grid values: the 8 N^4 bytes of the pair products, which the
+    generator frees before the exponential, plus _LIVE_MATRICES
+    matrices of the propagator's size, 8 (p + N + 1)^2 bytes each with
+    p = N (N + 1) / 2. The generator's two p x p gathers fit within the
+    latter."""
+    d = n * (n + 1) // 2 + n + 1
+    return 8 * n ** 4 + _LIVE_MATRICES * 8 * d * d
 
 
 def lyapunov_solve(

@@ -23,7 +23,13 @@ temporaries, the factored form that one matmul with the package's
 Kronecker matrix replaced. `unit_input_generator` builds the oracle's
 generator by applying the noise quadratic form to a stack of symmetric
 unit matrices, N inputs at a time, the construction that reading the
-columns off that matrix replaced.
+columns off that matrix replaced. `kronecker_generator` builds the same
+generator by reading its block off the matrix itself, by three np.ix_
+gathers; `fresh_temporaries_expm` evaluates the oracle's scaling and
+squaring with a fresh array for every term of its Pade sums. They are
+the forms that gathering straight from the pair products and
+accumulating in place replaced, and the package's must match them byte
+for byte.
 
 `choice_sample_increments` draws Levy increments with Generator.choice
 and np.add.at, the sampler whose random stream the package's cached
@@ -41,7 +47,8 @@ import numpy as np
 from scipy.linalg import svdvals
 
 import spde_moments.montecarlo as mc
-from spde_moments.noise_map import mean_form, multiplicative_form
+from spde_moments.noise_map import mean_form, multiplicative_form, multiplicative_matrix
+from spde_moments.oracle import _PADE13, _THETA13
 
 
 def tdelta_assemble(grid):
@@ -144,6 +151,48 @@ def unit_input_generator(model, noise, gmap):
         gen[p:p + n, s:s + n] = -(ms * lam).T
     gen[:, :-1] -= gen[:, -1:]
     return gen
+
+
+def kronecker_generator(model, noise, gmap):
+    """The oracle's generator A with its second-moment block read off the
+    (N^2, N^2) matrix T of multiplicative_matrix by np.ix_ gathers: the
+    column of entry (i, k) of z is T[(i, k)] + T[(k, i)] for i < k and
+    T[(i, i)] for i = k. Holds T, its unpermuted product and three p x p
+    gathers at once."""
+    n, lam = model.dim, model.eigenvalues
+    rows, cols = np.triu_indices(n)
+    p = rows.size
+    gen = np.zeros((p + n + 1, p + n + 1))
+    rates = mean_form(gmap, noise, np.eye(n + 1, n))[:, rows, cols]
+    gen[:p, p:] = rates.T
+    gen[:p, p:-1] -= rates[-1:].T
+    tmat = multiplicative_matrix(gmap, noise)
+    upper, lower = rows * n + cols, cols * n + rows
+    mirror = (rows != cols)[:, None] * tmat[np.ix_(lower, upper)]  # zero for i = k
+    gen[:p, :p] = (tmat[np.ix_(upper, upper)] + mirror).T
+    gen[np.diag_indices(p + n)] -= np.concatenate([lam[rows] + lam[cols], lam])
+    return gen
+
+
+def fresh_temporaries_expm(a):
+    """Scaling and squaring with the oracle's [13/13] Pade approximant,
+    every term of its sums a fresh array and the identity a full matrix."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a * 2.0 ** -s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def apply_tensor_operator(system, coeffs):

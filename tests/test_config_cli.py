@@ -20,6 +20,7 @@ from spde_moments import _fanout
 import spde_moments.montecarlo as mc
 import spde_moments.noise_map as noise_map
 import spde_moments.oracle as oracle
+import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     TimeGrid,
     assemble_per_mode,
@@ -49,6 +50,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def multimode_raw():
     return json.loads((ROOT / "configs" / "multimode.json").read_text())
+
+
+def wide_raw(n):
+    """configs/multimode.json at n modes and 8 steps, with two Monte Carlo
+    paths on one recording step; the noise and the initial mean extend the
+    shipped 2**-j and 1/j sequences."""
+    raw = multimode_raw()
+    raw["model"]["dimension"] = n
+    raw["time"]["steps"] = 8
+    raw["noise"]["q_eigenvalues"] = [2.0 ** -j for j in range(1, n + 1)]
+    raw["initial"]["mean"] = [1.0 / j for j in range(1, n + 1)]
+    raw["mc"] = {"paths": 2, "seed": 7, "grid_steps": 1}
+    return raw
 
 
 def numeric_leaves(node, path=()):
@@ -523,23 +537,42 @@ class TestCli:
         def not_built(*args):
             raise AssertionError("the Kronecker matrix was built")
 
-        monkeypatch.setattr(noise_map, "multiplicative_matrix", not_built)
-        monkeypatch.setattr(oracle, "multiplicative_matrix", not_built)
-        raw = multimode_raw()
+        # the pair products are the one product behind T and the oracle's
+        # generator alike
+        monkeypatch.setattr(noise_map, "pair_products", not_built)
+        monkeypatch.setattr(oracle, "pair_products", not_built)
+        monkeypatch.setattr(pg, "multiplicative_matrix", not_built)
         n = 8
-        raw["model"]["dimension"] = n
-        raw["time"]["steps"] = 8
-        raw["noise"]["q_eigenvalues"] = [2.0 ** -j for j in range(1, n + 1)]
-        raw["initial"]["mean"] = [1.0 / j for j in range(1, n + 1)]
-        raw["mc"] = {"paths": 2, "seed": 7, "grid_steps": 1}
-        # the matrix and its permuted copy take 16 N^4 bytes, one more than
-        # the machine has; validate's Monte Carlo buffers, 27 kB, still fit
+        # T and the pair products it is copied from take 16 N^4 bytes, one
+        # more than the machine has; validate's Monte Carlo buffers, 27 kB,
+        # still fit
         monkeypatch.setattr(config, "_physical_memory", lambda: 16 * n ** 4 - 1)
-        cfg = self.write_config(tmp_path, raw)
+        cfg = self.write_config(tmp_path, wide_raw(n))
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model.dimension:")
+        assert "physical memory" in err
+
+    def test_oracle_larger_than_memory_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("solve_mean", "picard_solve_second_moment", "lyapunov_solve", "_simulate"):
+            monkeypatch.setattr(cli, name, no_solve)
+        n = 8
+        # room for Picard's 16 N^4 bytes and the Monte Carlo buffers, but
+        # one byte short of the oracle's pair products and Pade matrices
+        need = oracle.propagator_bytes(n)
+        assert need > 16 * n ** 4
+        monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
+        cfg = self.write_config(tmp_path, wide_raw(n))
+        rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.dimension: the oracle's")
         assert "physical memory" in err
 
     @pytest.mark.parametrize("subcommand", ["solve-mean", "validate"])

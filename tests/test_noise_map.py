@@ -61,7 +61,7 @@ class TestImportGraph:
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
         for name in ("AffineNoiseMap", "g_apply_columns", "g1_v_to_hs_norm",
-                     "mean_form", "multiplicative_form", "multiplicative_matrix"):
+                     "mean_form", "multiplicative_form", "multiplicative_matrix", "pair_products"):
             assert homes.get(name) == ["noise_map"], name
 
     def test_public_surface_is_what_the_modules_list(self):

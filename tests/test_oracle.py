@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,13 @@ from spde_moments import (
 )
 
 from conftest import multimode_setup
-from dense_reference import rk4_second_moment, two_time_transpose_loop, unit_input_generator
+from dense_reference import (
+    fresh_temporaries_expm,
+    kronecker_generator,
+    rk4_second_moment,
+    two_time_transpose_loop,
+    unit_input_generator,
+)
 from spde_moments.config import build_gmap, build_model, build_noise, initial_law, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -197,7 +204,7 @@ class TestLyapunovSolve:
         # the generator is built and never per step
         model, noise, gmap, x0 = multimode_setup()
         calls = []
-        for name in ("mean_form", "multiplicative_matrix"):
+        for name in ("mean_form", "pair_products"):
             original = getattr(oracle, name)
 
             def counter(*args, name=name, original=original):
@@ -210,7 +217,20 @@ class TestLyapunovSolve:
             calls.clear()
             lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), steps)
             counts.append(sorted(calls))
-        assert counts[0] == counts[1] == ["mean_form", "multiplicative_matrix"]
+        assert counts[0] == counts[1] == ["mean_form", "pair_products"]
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_peak_memory_within_the_propagator_estimate(self, n):
+        # the pair products and the live Pade matrices bound what the solve
+        # holds beside its grid values, which are small at 4 steps
+        model, noise, gmap, x0 = multimode_setup(n, 4 * np.pi)
+        tracemalloc.start()
+        try:
+            lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle.propagator_bytes(n)
 
     def test_additive_matches_quadrature_formula(self):
         # explicit representation: M(t) = S(t) M0 S(t)
@@ -250,41 +270,64 @@ class TestLyapunovSolve:
         assert np.all(diff <= 3 * diag_se + slack)
 
 
+def generator_case(name):
+    """Model, noise and map of a shipped config, of the N=16 benchmark
+    (wide-n16, d = 153) or of one stiff mode with lambda = 100."""
+    if name == "wide-n16":
+        model, noise, gmap, _ = multimode_setup(16, 4 * np.pi)
+    elif name == "stiff":
+        model = SpectralModel(eigenvalues=[100.0])
+        noise = NoiseModel(q_eigenvalues=[1.0])
+        gmap = AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.ones((1, 1)))
+    else:
+        cfg = load_config(CONFIGS / f"{name}.json")
+        model, noise = build_model(cfg), build_noise(cfg)
+        gmap = build_gmap(cfg, model, noise)
+    return model, noise, gmap
+
+
 class TestGenerator:
     @pytest.mark.parametrize("name", [
         "scalar_ou", "scalar_multiplicative", "multimode", "wide-n16", "stiff"])
     def test_matches_unit_input_columns(self, name):
-        # the columns read off the Kronecker matrix against the rate at every
-        # unit input; the stiff case has lambda = 100
-        if name == "wide-n16":
-            model, noise, gmap, _ = multimode_setup(16, 4 * np.pi)
-        elif name == "stiff":
-            model = SpectralModel(eigenvalues=[100.0])
-            noise = NoiseModel(q_eigenvalues=[1.0])
-            gmap = AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.ones((1, 1)))
-        else:
-            cfg = load_config(CONFIGS / f"{name}.json")
-            model, noise = build_model(cfg), build_noise(cfg)
-            gmap = build_gmap(cfg, model, noise)
+        # the columns gathered from the pair products against the rate at
+        # every unit input; the stiff case has lambda = 100
+        model, noise, gmap = generator_case(name)
         gen = oracle._generator(model, noise, gmap)
         reference = unit_input_generator(model, noise, gmap)
         assert gen.shape == reference.shape
         assert np.max(np.abs(gen - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     def test_builds_the_multiplicative_matrix_once(self, monkeypatch):
-        # the mean and constant columns come from mean_form, which builds no T
+        # the pair products, the one product behind T, are formed once and
+        # T itself never; the mean and constant columns come from
+        # mean_form, which forms neither
         model, noise, gmap, _ = multimode_setup()
         calls = []
-        original = noise_map.multiplicative_matrix
+        original = noise_map.pair_products
 
         def counter(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(noise_map, "multiplicative_matrix", counter)
-        monkeypatch.setattr(oracle, "multiplicative_matrix", counter)
+        def not_built(*args):
+            raise AssertionError("the Kronecker matrix was built")
+
+        monkeypatch.setattr(noise_map, "pair_products", counter)
+        monkeypatch.setattr(oracle, "pair_products", counter)
+        monkeypatch.setattr(noise_map, "multiplicative_matrix", not_built)
         oracle._generator(model, noise, gmap)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", [
+        "scalar_ou", "scalar_multiplicative", "multimode", "wide-n16", "stiff"])
+    def test_equals_the_kronecker_gather_byte_for_byte(self, name):
+        # gathered from the pair products, with the same additions in the
+        # same order as reading the block off T; tobytes also tells -0.0
+        # from +0.0
+        model, noise, gmap = generator_case(name)
+        gen = oracle._generator(model, noise, gmap)
+        assert gen.tobytes() == kronecker_generator(model, noise, gmap).tobytes()
 
 
 class TestExpm:
@@ -309,6 +352,30 @@ class TestExpm:
         reference = expm(gen / steps)
         error = np.max(np.abs(oracle._expm(gen / steps) - reference))
         assert error <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("name, steps, scalings", [
+        (name, steps, scalings)
+        for name in ("scalar_ou", "scalar_multiplicative", "multimode", "wide-n16")
+        for steps, scalings in ((1, None), (256, 0))
+    ] + [("multimode", 4, 1), ("wide-n16", 32, 0), ("wide-n16", 4096, 0)])
+    def test_equals_fresh_temporaries_byte_for_byte(self, name, steps, scalings):
+        # the same approximant and association order, accumulated in place;
+        # tobytes also tells -0.0 from +0.0. At one step the two N=4
+        # generators need s = 3 squarings and the scalar ones none
+        model, noise, gmap = generator_case(name)
+        a = model.horizon / steps * oracle._generator(model, noise, gmap)
+        norm = np.abs(a).sum(axis=0).max()
+        s = int(np.ceil(np.log2(norm / oracle._THETA13))) if norm > oracle._THETA13 else 0
+        assert s == (scalings if scalings is not None else 0 if name.startswith("scalar") else 3)
+        assert oracle._expm(a).tobytes() == fresh_temporaries_expm(a).tobytes()
+
+    def test_identity_term_writes_positive_zeros_off_the_diagonal(self):
+        # adding b I adds +0.0 off the diagonal, which turns -0.0 into +0.0
+        out = np.array([[1.0, -0.0, -0.0], [-0.0, -0.0, 2.0], [-0.0, 0.0, -3.0]])
+        expected = out + 0.5 * np.eye(3)
+        oracle._add_identity(out, 0.5)
+        assert out.tobytes() == expected.tobytes()
+        assert not np.signbit(out[0, 1])
 
     def test_zero_matrix_gives_identity(self):
         np.testing.assert_array_equal(oracle._expm(np.zeros((5, 5))), np.eye(5))

@@ -56,3 +56,10 @@ def test_table_diff_exits_like_diff(tmp_path):
     (tmp_path / "new" / "extra.csv").unlink()
     (tmp_path / "new" / "mean.csv").write_text("time_index,mode,value\n0,0,3\n")
     assert run() == 1  # a table whose bytes differ
+
+
+def test_pipeline_memory_peaks_grow_stage_by_stage():
+    pipeline_memory = load_script(SCRIPTS_DIR / "pipeline_memory.py")
+    peaks = pipeline_memory.stages(4)
+    assert len(peaks) == len(pipeline_memory.STAGES)
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
