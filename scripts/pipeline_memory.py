@@ -3,42 +3,41 @@
 
     python scripts/pipeline_memory.py N [N ...]
 
-For each N, a fresh Python process runs the library pipeline of the
-benchmark's wide-n16 workload (`bench/pipeline.py`) on that workload's
-config with N modes in place of 16: Dirichlet modes on a domain of
-length 4 pi, K=32 steps, the `scaled_random` coupling of seed 12345 at
-norm 0.5, noise 2**-m and initial mean 1/k. The stages are the
-pipeline's: config (parse and build), assemble, mean, load, picard,
-inf_sup and oracle. The script prints one row per N with the process's
-peak RSS in MiB (`ru_maxrss`) after the imports and after each stage;
-the peak only grows, so a stage's rise is the difference from the
-column before. At N > 22 the fastest mode has lambda dt > 2, and the
-stiff-mode warning goes to stderr.
+For each N, a fresh Python process runs the benchmark's wide-n16
+library pipeline (`bench/pipeline.run`) on that workload's config
+(`bench/workloads.wide_config` at its default seed) with N modes in
+place of 16: `model.dimension`, the noise eigenvalues 2**-m and the
+initial mean 1/k are extended to N, everything else, K=32 steps
+included, is the workload's. The pipeline's functions are wrapped where
+it looks them up, so its stages run as the benchmark runs them: config
+(parse and build), assemble, mean, load, picard, inf_sup and oracle.
+The script prints one row per N with the process's peak RSS in MiB
+(`ru_maxrss`) after the imports and after each stage, and the process's
+wall time; the peak only grows, so a stage's rise is the difference
+from the column before. At N > 22 the fastest mode has lambda dt > 2,
+and the stiff-mode warning goes to stderr.
 """
 
-import math
+import functools
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-STAGES = ("import", "config", "assemble", "mean", "load", "picard", "inf_sup", "oracle")
-
-
-def wide_raw(n: int) -> dict:
-    """The wide-n16 workload's config at the default seed, with n modes."""
-    return {
-        "model": {"dimension": n, "horizon": 1.0,
-                  "eigenvalues": {"generator": "dirichlet_laplacian", "length": 4 * math.pi}},
-        "time": {"steps": 32},
-        "noise": {"q_eigenvalues": [2.0 ** -m for m in range(1, n + 1)],
-                  "wiener_fraction": 0.5, "jump_rate": 4.0},
-        "g": {"g1": {"preset": "scaled_random", "seed": 12345, "target_norm": 0.5},
-              "g2": {"preset": "diagonal", "value": 0.5}},
-        "initial": {"mean": [1.0 / k for k in range(1, n + 1)], "deterministic": True},
-        "mc": {"paths": 2, "seed": 0},
-        "solver": {"picard_tol": 1e-10, "picard_max_iter": 100},
-    }
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# the pipeline function that ends each stage after the imports
+STAGE_ENDS = {
+    "initial_law": "config",
+    "assemble_per_mode": "assemble",
+    "solve_mean": "mean",
+    "rhs_second_moment": "load",
+    "picard_solve_second_moment": "picard",
+    "discrete_inf_sup": "inf_sup",
+    "lyapunov_solve": "oracle",
+}
+STAGES = ("import", *STAGE_ENDS.values())
 
 
 def peak_mib() -> float:
@@ -48,35 +47,29 @@ def peak_mib() -> float:
 def stages(n: int) -> list[float]:
     """Run the pipeline at n modes in this process; the peak RSS after
     the imports and after each stage."""
-    from spde_moments.config import parse_config
-    from spde_moments.oracle import lyapunov_solve
-    from spde_moments.petrov_galerkin import (
-        TimeGrid,
-        assemble_per_mode,
-        discrete_inf_sup,
-        picard_solve_second_moment,
-        rhs_second_moment,
-        solve_mean,
-    )
+    sys.path.insert(0, str(BENCH))
+    import pipeline
+    from workloads import DEFAULT_SEED, wide_config
 
+    raw = wide_config(DEFAULT_SEED["wide-n16"], smoke=False)
+    raw["model"]["dimension"] = n
+    raw["noise"]["q_eigenvalues"] = [2.0 ** -m for m in range(1, n + 1)]
+    raw["initial"]["mean"] = [1.0 / k for k in range(1, n + 1)]
     peaks = [peak_mib()]
-    cfg = parse_config(wide_raw(n))
-    model, noise, gmap = cfg.model, cfg.noise, cfg.gmap
-    mean0, m2_0, _ = cfg.initial
-    peaks.append(peak_mib())
-    system = assemble_per_mode(model, TimeGrid(steps=cfg.time_steps, horizon=cfg.model_horizon))
-    peaks.append(peak_mib())
-    mean_coeffs = solve_mean(system, mean0)
-    peaks.append(peak_mib())
-    load = rhs_second_moment(system, noise, gmap, mean_coeffs, m2_0)
-    peaks.append(peak_mib())
-    picard_solve_second_moment(system, noise, gmap, load, tol=cfg.solver_picard_tol,
-                               max_iter=cfg.solver_picard_max_iter)
-    peaks.append(peak_mib())
-    discrete_inf_sup(system)
-    peaks.append(peak_mib())
-    lyapunov_solve(model, noise, gmap, mean0, m2_0, cfg.time_steps)
-    peaks.append(peak_mib())
+
+    def after(function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            peaks.append(peak_mib())
+            return result
+        return wrapper
+
+    for name in STAGE_ENDS:
+        setattr(pipeline, name, after(getattr(pipeline, name)))
+    with tempfile.TemporaryDirectory() as out:
+        if pipeline.run(raw, Path(out), {}) != 0:
+            sys.exit(f"the Picard iteration did not converge at N = {n}")
     return peaks
 
 

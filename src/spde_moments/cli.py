@@ -278,23 +278,25 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...]):
-    """Assemble a config's problem once, then solve one moment problem per
-    entry of `covariances`: the covariance for True, the second moment
-    for False. Returns the assembled system, the mean coefficients and
-    the solutions in order.
-
-    Refuses first, with a ConfigError, when what every such run holds
+def _check_moment_memory(cfg: ExperimentConfig) -> None:
+    """Refuse, with a ConfigError, when what every moment solve holds
     would not fit in memory (config._check_memory): naming
-    model.dimension for the noise map's (N^2, N^2) Kronecker matrix T,
-    built once a Picard solve, and the pair products it is copied from,
-    16 N^4 bytes, and time.steps for one field's three block diagonals,
-    24 K N^2 bytes."""
+    model.dimension for the noise map's (N^2, N^2) Kronecker matrix T
+    and the pair products it is copied from, 16 N^4 bytes, and
+    time.steps for one field's three block diagonals, 24 K N^2 bytes."""
     steps, n = cfg.time_steps, cfg.model_dimension
     _check_memory("model.dimension", 16 * n ** 4, "the noise map's Kronecker "
                   f"matrix of {n} modes and its pair products")
     _check_memory("time.steps", 24 * steps * n * n, "the block diagonals of a "
                   f"field of {steps} steps of {n} modes")
+
+
+def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...]):
+    """Assemble a config's problem once, then solve one moment problem per
+    entry of `covariances`: the covariance for True, the second moment
+    for False. Returns the assembled system, the mean coefficients and
+    the solutions in order. Callers refuse first by _check_moment_memory."""
+    steps = cfg.time_steps
     noise, gmap = cfg.noise, cfg.gmap
     system = assemble_per_mode(cfg.model, TimeGrid(steps=steps, horizon=cfg.model_horizon))
     mean0, m2_0, cov_0 = initial_law(cfg)
@@ -311,6 +313,7 @@ def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
     width = cfg.time_steps * cfg.model_dimension
     _check_table_space(out, "time.steps", [(cfg.time_steps, width * width, 5)])
+    _check_moment_memory(cfg)
     system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
     four = ["interval_1", "mode_1", "interval_2", "mode_2", "value"]
     procs = _write_field(out / f"{name}_coefficients.csv", four, solution.row,
@@ -357,6 +360,7 @@ def _relative_error(value: np.ndarray, reference: np.ndarray) -> float:
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     started = time.perf_counter()
     _check_mc_memory(cfg)
+    _check_moment_memory(cfg)
     n = cfg.model_dimension
     _check_memory("model.dimension", propagator_bytes(n), "the oracle's pair products "
                   f"and Pade matrices of {n} modes")

@@ -17,9 +17,9 @@ one (N^2, M) diag(gamma) (M, N^2) product, written here once
 (N^2, N^2) matrix T, the transpose of sum_m gamma_m G1_m (x) G1_m (Van
 Loan, J. Comput. Appl. Math. 123, 2000): P with its middle axes swapped,
 a second 8 N^4 bytes while it is copied out of P. The space-time solver
-builds T once a solve and applies it to a stack of second moments by
-one matmul; the oracle gathers its generator columns straight from P
-and builds no T. The terms with G2, the action at a mean with zero
+applies T to a stack of second moments by one matmul
+(multiplicative_form); the oracle gathers its generator columns
+straight from P and builds no T. The terms with G2, the action at a mean with zero
 fluctuation, are mean_form; they need neither.
 
 Applied to states and increments, G1(x) w is one matmul too, written

@@ -20,8 +20,9 @@ What it holds. The generator's second-moment block is gathered
 straight from the noise map's pair products, 8 N^4 bytes, which are
 freed before the exponential; the exponential accumulates its Pade sums
 in place and holds at most eight matrices of the propagator's size
-(p + N + 1)^2, p = N (N + 1) / 2, at once. propagator_bytes counts both,
-and validate refuses a dimension whose count would not fit in memory.
+(p + N + 1)^2, p = N (N + 1) / 2, at once. propagator_bytes counts the
+larger of the two phases, and validate refuses a dimension whose count
+would not fit in memory.
 
 Two-time values follow from the equal-time ones because the driver is a
 martingale: conditionally on time s, the stochastic convolution
@@ -78,6 +79,11 @@ def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndar
         raise ValueError("initial mean must be finite")
     t = np.linspace(0.0, model.horizon, steps + 1)
     return np.exp(-np.outer(t, model.eigenvalues)) * x0_mean
+
+
+# NumPy's buffered iteration over a gather's four broadcast index arrays:
+# up to 8192 elements of 8 bytes an array, and the iterator itself
+_GATHER_BUFFER_BYTES = 4 * 8192 * 8 + 4096
 
 
 def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) -> np.ndarray:
@@ -191,13 +197,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def propagator_bytes(n: int) -> int:
     """Bytes that lyapunov_solve holds at once for N = n modes, beside
-    its grid values: the 8 N^4 bytes of the pair products, which the
-    generator frees before the exponential, plus _LIVE_MATRICES
-    matrices of the propagator's size, 8 (p + N + 1)^2 bytes each with
-    p = N (N + 1) / 2. The generator's two p x p gathers fit within the
-    latter."""
-    d = n * (n + 1) // 2 + n + 1
-    return 8 * n ** 4 + _LIVE_MATRICES * 8 * d * d
+    its grid values: the larger of its two phases, since the pair
+    products are freed before the exponential. The generator holds the
+    8 N^4 bytes of the pair products, itself, its two p x p gathers,
+    p = N (N + 1) / 2, and _GATHER_BUFFER_BYTES; the exponential holds
+    _LIVE_MATRICES matrices of the propagator's size, 8 (p + N + 1)^2
+    bytes each."""
+    p = n * (n + 1) // 2
+    d = p + n + 1
+    generator = 8 * n ** 4 + 8 * d * d + 2 * 8 * p * p + _GATHER_BUFFER_BYTES
+    return max(generator, _LIVE_MATRICES * 8 * d * d)
 
 
 def lyapunov_solve(

@@ -21,8 +21,7 @@ Inf-sup. The discrete inf-sup value is the smallest singular value of
 the pairing normalized by the trial and test Grams. Its square is the
 smallest eigenvalue of a symmetric-definite tridiagonal pencil, found by
 multisection on inertia counts, O(K) per count; no K x K matrix is
-formed anywhere in this module. The diagnostic brackets the smallest
-end alone; per_mode_singular_range brackets both ends.
+formed anywhere in this module.
 
 Moment problems. The second moment (and the covariance) in the trial
 tensor basis solves a fixed-point equation: the tensorized parabolic
@@ -31,9 +30,7 @@ term that reads only the diagonal-in-time blocks of the unknown through
 the quadratic noise action. The coupling is contractive when the
 energy-to-Hilbert-Schmidt norm of the multiplicative part is below one,
 and the problems are solved by successive substitution starting from
-the zero-coupling solve. A solve holds the noise map's (N^2, N^2)
-matrix T, 8 N^4 bytes, built once and applied to each iterate's
-diagonal blocks by one matmul. The two problems differ only in their loads:
+the zero-coupling solve. The two problems differ only in their loads:
 the covariance load is the second-moment load, with the initial
 covariance in place of the initial second moment, plus the
 multiplicative noise action on the mean outer product.
@@ -69,7 +66,6 @@ from .noise_map import (
     g1_v_to_hs_norm,
     mean_form,
     multiplicative_form,
-    multiplicative_matrix,
 )
 from .spectral import SpectralModel
 
@@ -415,9 +411,7 @@ def picard_solve_second_moment(
     max-norm update drops below tol relative to the iterate scale, both
     max-norms over the whole field (_max_abs). With a purely additive
     noise operator the map is constant and a single iteration confirms
-    convergence. The multiplicative matrix T is built once a call, and
-    each iteration applies it to the time-diagonal blocks by the one
-    matmul of multiplicative_form.
+    convergence.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -436,12 +430,10 @@ def picard_solve_second_moment(
             stacklevel=2,
         )
 
-    tmat = multiplicative_matrix(gmap, noise)
     blocks = _causal_solve(system, load)
     trace: list[float] = []
     for _ in range(max_iter):
-        coupling = (blocks[0].reshape(K, n * n) @ tmat).reshape(K, n, n)
-        current = MomentLoad(load.initial, load.spatial + coupling)
+        current = MomentLoad(load.initial, load.spatial + multiplicative_form(gmap, noise, blocks[0]))
         new_blocks = _causal_solve(system, current)
         delta = _max_abs(new - old for new, old in zip(new_blocks, blocks))
         trace.append(delta)
@@ -502,20 +494,29 @@ def _count_below(lam_dt: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:
     return count
 
 
-def _singular_ends(system: PerModeSystem, targets: tuple[int, ...]) -> np.ndarray:
-    """Singular values at which each mode's inertia count first reaches
-    each target, shape (N, len(targets)): target 1 gives the smallest
-    singular value, K the largest.
+def per_mode_singular_range(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest singular value of each mode's Gram-normalized pairing.
 
-    Multisection on inertia counts (`_count_below`; Barth, Martin and
-    Wilkinson, Numer. Math. 9, 1967): each round counts the eigenvalues
+    The singular values of G_Y^-1/2 B^T D^-1/2 are the square roots of
+    the eigenvalues mu of the symmetric-definite tridiagonal pencil
+    (A, G_Y), A = B^T D^-1 B. Both ends are found by multisection on
+    inertia counts (`_count_below`; Barth, Martin and Wilkinson, Numer.
+    Math. 9, 1967): each round counts the eigenvalues
     below _CANDIDATES points inside every bracket, for every mode and
-    target at once, and keeps the subinterval where the count first
-    reaches the target. The points are spaced geometrically while a
-    bracket spans more than a factor 4 and evenly after, and the rounds
-    stop when every bracket is a few units in the last place wide. O(N K)
-    time per round and target and O(N) memory per candidate; no K x K
-    matrix is formed.
+    both ends at once, and keeps the subinterval where the count first
+    reaches 1 (smallest end) or K (largest end). The points are spaced
+    geometrically while a bracket spans more than a factor 4 and evenly
+    after, and the rounds stop when every bracket is a few units in the
+    last place wide. O(N K) time per round and O(N) memory per candidate;
+    no K x K matrix is formed.
+
+    Each count is exact for a matrix within a few rounding errors of
+    every entry, so an end is accurate to the unit roundoff times its
+    sensitivity to such errors. That is near 1e-16 relative for most
+    modes. It grows like K^2 for the largest end when lambda dt << 1 and
+    for the smallest end when lambda dt >> 1: about 1e-11 at K = 1024,
+    lambda dt = 1e-3, where the dense eigh and SVD of the Grams err by
+    about 1e-10.
 
     The brackets start from bounds that hold for every mode. The pairing
     is the exact integral of u (-v' + lambda v), and the two Grams are
@@ -529,9 +530,9 @@ def _singular_ends(system: PerModeSystem, targets: tuple[int, ...]) -> np.ndarra
     K, n = system.grid.steps, system.n_modes
     lam_dt = system.lambda_dt
     floor = 0.5 * np.minimum(lam_dt, 2.0) ** 2 / (lam_dt ** 2 + 4.0)
-    target = np.array(targets)
-    lo = np.repeat(floor[:, None], target.size, axis=1)     # (N, targets)
-    hi = np.full((n, target.size), 2.25)
+    lo = np.repeat(floor[:, None], 2, axis=1)     # (N, 2): smallest end, largest end
+    hi = np.full((n, 2), 2.25)
+    target = np.array([1, K])
     fractions = np.arange(1, _CANDIDATES + 1) / (_CANDIDATES + 1)
     eps = np.finfo(float).eps
     for _ in range(_MAX_ROUNDS):
@@ -547,28 +548,8 @@ def _singular_ends(system: PerModeSystem, targets: tuple[int, ...]) -> np.ndarra
         ends = np.concatenate([lo[..., None], mu, hi[..., None]], axis=-1)
         lo = np.take_along_axis(ends, first[..., None], axis=-1)[..., 0]
         hi = np.take_along_axis(ends, first[..., None] + 1, axis=-1)[..., 0]
-    return np.sqrt(0.5 * (lo + hi))
-
-
-def per_mode_singular_range(system: PerModeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest singular value of each mode's Gram-normalized pairing.
-
-    The singular values of G_Y^-1/2 B^T D^-1/2 are the square roots of
-    the eigenvalues mu of the symmetric-definite tridiagonal pencil
-    (A, G_Y), A = B^T D^-1 B. Both ends are found together by the
-    multisection of _singular_ends, where the count first reaches 1
-    (smallest end) or K (largest end).
-
-    Each count is exact for a matrix within a few rounding errors of
-    every entry, so an end is accurate to the unit roundoff times its
-    sensitivity to such errors. That is near 1e-16 relative for most
-    modes. It grows like K^2 for the largest end when lambda dt << 1 and
-    for the smallest end when lambda dt >> 1: about 1e-11 at K = 1024,
-    lambda dt = 1e-3, where the dense eigh and SVD of the Grams err by
-    about 1e-10.
-    """
-    ends = _singular_ends(system, (1, system.grid.steps))
-    return ends[:, 0], ends[:, 1]
+    singular = np.sqrt(0.5 * (lo + hi))
+    return singular[:, 0], singular[:, 1]
 
 
 def discrete_inf_sup(system: PerModeSystem) -> float:
@@ -576,8 +557,6 @@ def discrete_inf_sup(system: PerModeSystem) -> float:
 
     The pairing couples no distinct modes, so this is the per-mode
     minimum. Reported as a stability diagnostic; the continuous theory
-    guarantees a lower bound only for the undiscretized problem. Only
-    the smallest end is bracketed (_singular_ends), so the rounds stop
-    as soon as its brackets close.
+    guarantees a lower bound only for the undiscretized problem.
     """
-    return float(_singular_ends(system, (1,)).min())
+    return float(per_mode_singular_range(system)[0].min())

@@ -20,7 +20,6 @@ from spde_moments import _fanout
 import spde_moments.montecarlo as mc
 import spde_moments.noise_map as noise_map
 import spde_moments.oracle as oracle
-import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     TimeGrid,
     assemble_per_mode,
@@ -52,7 +51,7 @@ def multimode_raw():
     return json.loads((ROOT / "configs" / "multimode.json").read_text())
 
 
-def wide_raw(n):
+def multimode_raw_at(n):
     """configs/multimode.json at n modes and 8 steps, with two Monte Carlo
     paths on one recording step; the noise and the initial mean extend the
     shipped 2**-j and 1/j sequences."""
@@ -541,17 +540,16 @@ class TestCli:
         # generator alike
         monkeypatch.setattr(noise_map, "pair_products", not_built)
         monkeypatch.setattr(oracle, "pair_products", not_built)
-        monkeypatch.setattr(pg, "multiplicative_matrix", not_built)
         n = 8
         # T and the pair products it is copied from take 16 N^4 bytes, one
         # more than the machine has; validate's Monte Carlo buffers, 27 kB,
         # still fit
         monkeypatch.setattr(config, "_physical_memory", lambda: 16 * n ** 4 - 1)
-        cfg = self.write_config(tmp_path, wide_raw(n))
+        cfg = self.write_config(tmp_path, multimode_raw_at(n))
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: model.dimension:")
+        assert err.startswith("error: model.dimension: the noise map's Kronecker matrix")
         assert "physical memory" in err
 
     def test_oracle_larger_than_memory_refused_before_solving(
@@ -564,11 +562,11 @@ class TestCli:
             monkeypatch.setattr(cli, name, no_solve)
         n = 8
         # room for Picard's 16 N^4 bytes and the Monte Carlo buffers, but
-        # one byte short of the oracle's pair products and Pade matrices
+        # one byte short of the larger of the oracle's two phases
         need = oracle.propagator_bytes(n)
         assert need > 16 * n ** 4
         monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
-        cfg = self.write_config(tmp_path, wide_raw(n))
+        cfg = self.write_config(tmp_path, multimode_raw_at(n))
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err

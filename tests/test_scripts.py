@@ -58,8 +58,10 @@ def test_table_diff_exits_like_diff(tmp_path):
     assert run() == 1  # a table whose bytes differ
 
 
-def test_pipeline_memory_peaks_grow_stage_by_stage():
+def test_pipeline_memory_prints_a_peak_per_stage(capsys):
     pipeline_memory = load_script(SCRIPTS_DIR / "pipeline_memory.py")
-    peaks = pipeline_memory.stages(4)
-    assert len(peaks) == len(pipeline_memory.STAGES)
-    assert peaks == sorted(peaks) and peaks[0] > 0.0
+    pipeline_memory.main(["4"])
+    header, row = (line.split() for line in capsys.readouterr().out.splitlines())
+    assert header == ["N", *pipeline_memory.STAGES, "seconds"]
+    assert row[0] == "4" and len(row) == len(header)
+    assert all(float(value) > 0.0 for value in row[1:])
