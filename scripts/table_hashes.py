@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 of every CSV table the six subcommands write on the shipped configs.
+"""SHA-256 of every CSV table that `cli.COMMANDS` writes on the shipped configs.
 
     python scripts/table_hashes.py [out_dir]
 
@@ -19,10 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-from spde_moments.cli import main
+from spde_moments.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
-SUBCOMMANDS = ("simulate", "solve-mean", "solve-moment", "solve-covariance", "validate", "inf-sup")
 
 
 def multimode_variant(out: Path) -> Path:
@@ -41,7 +40,7 @@ def multimode_variant(out: Path) -> Path:
 
 def write_tables(out: Path) -> None:
     runs = [(config, sub) for config in sorted((ROOT / "configs").glob("*.json"))
-            for sub in SUBCOMMANDS]
+            for sub in COMMANDS]
     out.mkdir(parents=True, exist_ok=True)
     variant = multimode_variant(out)
     runs += [(variant, "solve-moment"), (variant, "solve-covariance")]

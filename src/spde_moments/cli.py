@@ -1,15 +1,17 @@
 """Command-line orchestration: simulate, solve, validate, report.
 
-Every subcommand reads one JSON configuration and writes CSV tables
-(one file per emitted field, 17 significant digits) plus a report.json
-with run metadata into the output directory. A field table is formatted
-by the array kernel of `_format`, byte-identical to `"%.17g" % v`, with
-`%` itself for each value outside the kernel's exact range. Identical
-configurations and seeds produce byte-identical tables. Monte Carlo
-batches and the rows of a field table are spread over one process per
-CPU of the process's affinity (`_fanout`), which changes no table; the
-report records that count as `workers`, and the peak resident set sizes
-of the process and of its workers. `--threads` is accepted and ignored.
+The subcommands are the keys of COMMANDS, which maps each to its
+handler. Every subcommand reads one JSON configuration and writes CSV
+tables (one file per emitted field, 17 significant digits) plus a
+report.json with run metadata into the output directory. A field table
+is formatted by the array kernel of `_format`, byte-identical to
+`"%.17g" % v` (FMT), with `%` itself for each value outside the
+kernel's exact range. Identical configurations and seeds produce
+byte-identical tables. Monte Carlo batches and the rows of a field table
+are spread over one process per CPU of the process's affinity
+(`_fanout`), which changes no table; the report records that count as
+`workers`, and the peak resident set sizes of the process and of its
+workers. `--threads` is accepted and ignored.
 
 Monte Carlo runs never hold their paths: each batch is reduced to its
 moment sums where it is simulated (`simulate_moments`), so a run with
@@ -22,13 +24,15 @@ validate's covariance identity check is covariance_identity_error.
 An input that could not run is refused before any solve, with a
 ConfigError naming its config key: model.dimension, time.steps,
 mc.grid_steps or mc.paths when what the run must hold would not fit in
-memory, and time.steps or mc.grid_steps when its tables would not fit
-in the free space under --out.
+memory (for time.steps, the peak of the mean and moment solves,
+petrov_galerkin.solve_bytes), and time.steps or mc.grid_steps when its
+tables would not fit in the free space under --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -41,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from ._fanout import fan_out, split, workers
+from ._format import FMT, RowText
 from .config import ConfigError, ExperimentConfig, _check_memory, initial_law, load_config
 from .montecarlo import BATCHES, estimate_bytes, simulate_moments
 from .noise_map import g1_v_to_hs_norm
@@ -56,10 +61,9 @@ from .petrov_galerkin import (
     picard_solve_second_moment,
     rhs_covariance,
     rhs_second_moment,
+    solve_bytes,
     solve_mean,
 )
-
-FMT = "%.17g"  # of a table's floats; field tables by _format.RowText, which reproduces it
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:
@@ -80,8 +84,6 @@ def _write_field(path: Path, header: list[str], row, rows: int) -> int:
     range straight into the table and each other into a part file beside
     it, which is then appended to the table and removed. Returns the
     number of processes."""
-    from ._format import RowText  # here, so that importing the CLI does not load the kernel
-
     ranges = split(rows, workers(rows))
     files = [path] + [path.with_name(f"{path.name}.part{w}") for w in range(1, len(ranges))]
 
@@ -251,8 +253,11 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
-    _check_memory("time.steps", 8 * cfg.time_steps * cfg.model_dimension, "the mean "
-                  f"coefficients of {cfg.time_steps} steps of {cfg.model_dimension} modes")
+    steps, n = cfg.time_steps, cfg.model_dimension
+    _check_memory("time.steps", solve_bytes(steps, n, 0),
+                  f"the mean coefficients of {steps} steps of {n} modes")
+    # both tables are written whole by one process: one leading index each
+    _check_table_space(out, "time.steps", [(1, steps * n, 4), (1, steps * n, 5)])
     grid = TimeGrid(steps=cfg.time_steps, horizon=cfg.model_horizon)
     system = assemble_per_mode(cfg.model, grid)
     mean0 = cfg.initial[0]
@@ -278,17 +283,17 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _check_moment_memory(cfg: ExperimentConfig) -> None:
-    """Refuse, with a ConfigError, when what every moment solve holds
+def _check_moment_memory(cfg: ExperimentConfig, fields: int) -> None:
+    """Refuse, with a ConfigError, when what `fields` moment solves hold
     would not fit in memory (config._check_memory): naming
     model.dimension for the noise map's (N^2, N^2) Kronecker matrix T
     and the pair products it is copied from, 16 N^4 bytes, and
-    time.steps for one field's three block diagonals, 24 K N^2 bytes."""
+    time.steps for the solves' peak, petrov_galerkin.solve_bytes."""
     steps, n = cfg.time_steps, cfg.model_dimension
     _check_memory("model.dimension", 16 * n ** 4, "the noise map's Kronecker "
                   f"matrix of {n} modes and its pair products")
-    _check_memory("time.steps", 24 * steps * n * n, "the block diagonals of a "
-                  f"field of {steps} steps of {n} modes")
+    _check_memory("time.steps", solve_bytes(steps, n, fields),
+                  f"the moment solves of {steps} steps of {n} modes")
 
 
 def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...]):
@@ -301,9 +306,9 @@ def _solve_moment_problems(cfg: ExperimentConfig, covariances: tuple[bool, ...])
     system = assemble_per_mode(cfg.model, TimeGrid(steps=steps, horizon=cfg.model_horizon))
     mean0, m2_0, cov_0 = initial_law(cfg)
     mean_coeffs = solve_mean(system, mean0)
-    loads = [rhs_covariance(system, noise, gmap, mean_coeffs, cov_0) if covariance
+    loads = (rhs_covariance(system, noise, gmap, mean_coeffs, cov_0) if covariance
              else rhs_second_moment(system, noise, gmap, mean_coeffs, m2_0)
-             for covariance in covariances]
+             for covariance in covariances)
     return system, mean_coeffs, [picard_solve_second_moment(
         system, noise, gmap, load, tol=cfg.solver_picard_tol,
         max_iter=cfg.solver_picard_max_iter) for load in loads]
@@ -313,7 +318,7 @@ def _emit_moment(cfg: ExperimentConfig, out: Path, covariance: bool) -> int:
     name = "covariance" if covariance else "moment"
     width = cfg.time_steps * cfg.model_dimension
     _check_table_space(out, "time.steps", [(cfg.time_steps, width * width, 5)])
-    _check_moment_memory(cfg)
+    _check_moment_memory(cfg, 1)
     system, _, (solution,) = _solve_moment_problems(cfg, (covariance,))
     four = ["interval_1", "mode_1", "interval_2", "mode_2", "value"]
     procs = _write_field(out / f"{name}_coefficients.csv", four, solution.row,
@@ -360,7 +365,7 @@ def _relative_error(value: np.ndarray, reference: np.ndarray) -> float:
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     started = time.perf_counter()
     _check_mc_memory(cfg)
-    _check_moment_memory(cfg)
+    _check_moment_memory(cfg, 2)
     n = cfg.model_dimension
     _check_memory("model.dimension", propagator_bytes(n), "the oracle's pair products "
                   f"and Pade matrices of {n} modes")
@@ -369,53 +374,43 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     mean0, m2_0, _ = cfg.initial
     steps = cfg.time_steps
 
-    checks: list[tuple[str, float, float, bool]] = []
-
     # covariance equals second moment minus the mean outer product, per solve
     identity_err = covariance_identity_error(m2_sol, cov_sol, mean_coeffs)
-    checks.append(("covariance_identity_max_abs_diff", identity_err,
-                   cfg.validate_identity_tol, identity_err <= cfg.validate_identity_tol))
-
     # equal-time second moment against the matrix differential equation
     oracle = lyapunov_solve(model, noise, gmap, mean0, m2_0, steps)
-    diag = m2_sol.time_diagonal()
-    diag_err = _relative_error(diag, oracle.diag_second_moment[1:])
-    checks.append(("variational_diag_vs_oracle_rel", diag_err,
-                   cfg.validate_oracle_rel_tol, diag_err <= cfg.validate_oracle_rel_tol))
-
+    diag_err = _relative_error(m2_sol.diagonal, oracle.diag_second_moment[1:])
     # solver mean against the exact semigroup mean, sup normalized
-    exact_mean = mean_exact(model, mean0, steps)[1:]
-    mean_err = _relative_error(mean_coeffs, exact_mean)
-    checks.append(("variational_mean_vs_exact_rel", mean_err,
-                   cfg.validate_oracle_rel_tol, mean_err <= cfg.validate_oracle_rel_tol))
+    mean_err = _relative_error(mean_coeffs, mean_exact(model, mean0, steps)[1:])
 
-    # Monte Carlo cross-checks on the recording grid
+    # Monte Carlo cross-checks on the recording grid: the fraction of
+    # entries within z standard errors of the estimate
     est, _, mc_procs = _simulate(cfg)
     stride = steps // cfg.mc_grid_steps
     idx = np.arange(1, cfg.mc_grid_steps + 1) * stride - 1  # intervals ending at the MC nodes
-    z = cfg.validate_z_threshold
 
-    cov_var = np.stack([cov_sol.row(k)[:, idx] for k in idx])
-    diff = np.abs(cov_var - est.covariance[1:, :, 1:, :])
-    within = diff <= z * est.covariance_se[1:, :, 1:, :]
-    frac_cov = float(within.mean())
-    checks.append(("mc_vs_variational_cov_within_z", frac_cov,
-                   cfg.validate_min_within_fraction,
-                   frac_cov >= cfg.validate_min_within_fraction))
+    def within_z(value: np.ndarray, mc: np.ndarray, se: np.ndarray) -> float:
+        return float(np.mean(np.abs(value - mc) <= cfg.validate_z_threshold * se))
 
+    frac_cov = within_z(np.stack([cov_sol.row(k)[:, idx] for k in idx]),
+                        est.covariance[1:, :, 1:, :], est.covariance_se[1:, :, 1:, :])
     # the exact propagator's values at the MC nodes are the solver grid's at a stride
     oracle_two = two_time_extend(model, MomentField(oracle.grid[::stride],
                                                     oracle.diag_second_moment[::stride]))
-    diff_o = np.abs(oracle_two - est.second_moment)
-    within_o = diff_o <= z * est.second_moment_se
-    frac_oracle = float(within_o.mean())
-    checks.append(("mc_vs_oracle_two_time_within_z", frac_oracle,
-                   cfg.validate_min_within_fraction,
-                   frac_oracle >= cfg.validate_min_within_fraction))
+    frac_oracle = within_z(oracle_two, est.second_moment, est.second_moment_se)
 
+    # errors pass at most their tolerance, Monte Carlo fractions at least theirs
+    tol, least = cfg.validate_oracle_rel_tol, cfg.validate_min_within_fraction
+    checks = [(name, value, threshold, "PASS" if ok else "FAIL")
+              for name, value, threshold, ok in (
+                  ("covariance_identity_max_abs_diff", identity_err, cfg.validate_identity_tol,
+                   identity_err <= cfg.validate_identity_tol),
+                  ("variational_diag_vs_oracle_rel", diag_err, tol, diag_err <= tol),
+                  ("variational_mean_vs_exact_rel", mean_err, tol, mean_err <= tol),
+                  ("mc_vs_variational_cov_within_z", frac_cov, least, frac_cov >= least),
+                  ("mc_vs_oracle_two_time_within_z", frac_oracle, least, frac_oracle >= least))]
     _write_table(out / "checks.csv", ["check", "value", "threshold", "status"],
-                 ((name, float(value), float(threshold), "PASS" if ok else "FAIL")
-                  for name, value, threshold, ok in checks))
+                 ((name, float(value), float(threshold), status)
+                  for name, value, threshold, status in checks))
     # regularity monitor: sup over the grid of the estimated root second
     # moment in the base and energy norms (no quantitative target exists)
     mc_diag = np.einsum("knkn->kn", est.second_moment)
@@ -428,7 +423,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
         mc_sup_grid_h0_moment_norm=sup_h0,
         mc_sup_grid_h1_moment_norm=sup_h1,
     )
-    all_pass = all(ok for _, _, _, ok in checks)
+    all_pass = all(status == "PASS" for *_, status in checks)
     _report(out, cfg, "validate", {
         "workers": mc_procs,
         "expected_jumps_per_path": cfg.noise.drawn_jump_rate * cfg.model_horizon,
@@ -436,16 +431,24 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
         "diagnostics": {**diagnostics, "elapsed_seconds": time.perf_counter() - started},
         "picard_trace_second_moment": [float(d) for d in m2_sol.trace],
         "picard_trace_covariance": [float(d) for d in cov_sol.trace],
-        "checks": [
-            {"check": name, "value": value, "threshold": threshold,
-             "status": "PASS" if ok else "FAIL"}
-            for name, value, threshold, ok in checks
-        ],
+        "checks": [{"check": name, "value": value, "threshold": threshold, "status": status}
+                   for name, value, threshold, status in checks],
         "status": "PASS" if all_pass else "FAIL",
     })
-    for name, value, threshold, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.6g} (threshold {threshold:.6g})")
+    for name, value, threshold, status in checks:
+        print(f"{status} {name}: {value:.6g} (threshold {threshold:.6g})")
     return 0 if all_pass else 2
+
+
+# subcommand name -> handler(cfg, out), returning the exit code
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "solve-mean": cmd_solve_mean,
+    "solve-moment": functools.partial(_emit_moment, covariance=False),
+    "solve-covariance": functools.partial(_emit_moment, covariance=True),
+    "validate": cmd_validate,
+    "inf-sup": cmd_inf_sup,
+}
 
 
 def main(argv=None) -> int:
@@ -454,11 +457,7 @@ def main(argv=None) -> int:
         description="Moment and covariance laboratory for parabolic equations "
                     "with affine multiplicative Levy noise",
     )
-    parser.add_argument(
-        "subcommand",
-        choices=["simulate", "solve-mean", "solve-moment", "solve-covariance",
-                 "validate", "inf-sup"],
-    )
+    parser.add_argument("subcommand", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--out", required=True, help="output directory (created if absent)")
     parser.add_argument("--threads", type=int, default=1,
@@ -467,30 +466,16 @@ def main(argv=None) -> int:
                              "that existing command lines still run)")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     out = Path(args.out)
     try:
+        cfg = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        if args.subcommand == "simulate":
-            return cmd_simulate(cfg, out)
-        if args.subcommand == "solve-mean":
-            return cmd_solve_mean(cfg, out)
-        if args.subcommand == "solve-moment":
-            return _emit_moment(cfg, out, covariance=False)
-        if args.subcommand == "solve-covariance":
-            return _emit_moment(cfg, out, covariance=True)
-        if args.subcommand == "inf-sup":
-            return cmd_inf_sup(cfg, out)
-        return cmd_validate(cfg, out)
+        return COMMANDS[args.subcommand](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,6 +80,7 @@ __all__ = [
     "rhs_second_moment",
     "rhs_covariance",
     "picard_solve_second_moment",
+    "solve_bytes",
     "covariance_identity_error",
     "per_mode_singular_range",
     "discrete_inf_sup",
@@ -274,7 +275,7 @@ def rhs_covariance(
 @dataclass(frozen=True)
 class SpaceTimeMoment:
     """Two-time moment field by its three block diagonals, with the
-    fixed-point trace and the load the returned iterate solves.
+    fixed-point trace.
 
     The trial coefficients U[k, n, l, m] are semi-separable: for
     l >= k + 2, U[k, :, l, :] = upper[k] * ratio**(l - k - 1) along the
@@ -290,7 +291,6 @@ class SpaceTimeMoment:
     lower: np.ndarray         # (K-1, N, N), U[k+1, :, k, :]
     ratio: np.ndarray         # (N,)
     trace: np.ndarray         # update max-norms per iteration
-    final_load: MomentLoad
 
     @property
     def iterations(self) -> int:
@@ -442,9 +442,34 @@ def picard_solve_second_moment(
         if delta <= tol * scale:
             if g1_norm < 1.0:
                 _contraction_report(trace, g1_norm ** 2 + 0.15, 1e3 * np.finfo(float).eps * scale)
-            # fields in order: grid, diagonal, upper, lower, ratio, trace, final_load
-            return SpaceTimeMoment(system.grid, *blocks, system.ratio, np.asarray(trace), current)
+            # fields in order: grid, diagonal, upper, lower, ratio, trace
+            return SpaceTimeMoment(system.grid, *blocks, system.ratio, np.asarray(trace))
     raise PicardNonConvergence(trace, max_iter)
+
+
+def solve_bytes(steps: int, n: int, fields: int) -> int:
+    """Bytes held at once by the mean solve on K = steps intervals of
+    N = n modes and then `fields` moment solves in turn, each field kept.
+
+    With no moment solve, the peak is the K N mean coefficients beside
+    at most three more arrays of their shape and two of the K nodes: the
+    solve's powers of r, or an exact mean compared with it. A moment
+    solve peaks in a Picard iteration at ten arrays of K N^2 values
+    beside the mean: its load, the previous iterate's three block
+    diagonals, the coupled load, and then either the causal sweep's two
+    outputs and three temporaries or the new iterate and its update's
+    difference and magnitude. Each earlier field adds its three block
+    diagonals, and the noise map's pair products and T, 2 N^4 values,
+    are counted beside them though they are freed before the sweep.
+    64 KiB more cover numpy's buffered iteration over an operand that a
+    product broadcasts, 8192 values, and 16 KiB the interpreter objects
+    of the calls.
+    """
+    if fields:
+        values = (3 * fields + 7) * steps * n * n + steps * n + 2 * n ** 4
+    else:
+        values = 4 * steps * n + 2 * steps
+    return 8 * values + 8192 * 8 + 16 * 1024
 
 
 def _count_below(lam_dt: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:

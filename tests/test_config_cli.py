@@ -39,7 +39,7 @@ from spde_moments.config import (
     load_config,
     parse_config,
 )
-from spde_moments.petrov_galerkin import covariance_identity_error
+from spde_moments.petrov_galerkin import covariance_identity_error, solve_bytes
 
 from conftest import multimode_setup
 from dense_reference import dense_coeffs
@@ -591,6 +591,66 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: time.steps:")
 
+    @pytest.mark.parametrize("subcommand, fields", [
+        ("solve-mean", 0), ("solve-moment", 1), ("solve-covariance", 1), ("validate", 2),
+    ])
+    def test_steps_past_the_solve_count_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, subcommand, fields
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        real = {name: getattr(cli, name) for name in (
+            "solve_mean", "mean_exact", "picard_solve_second_moment", "lyapunov_solve", "_simulate")}
+        for name in real:
+            monkeypatch.setattr(cli, name, no_solve)
+        n, steps = 4, 128
+        need = solve_bytes(steps, n, fields)
+        # the coefficients alone fit, 8 K N bytes of the mean or the 24 K N^2
+        # of a field's block diagonals, and so does validate's oracle
+        assert need > (24 * steps * n * n if fields else 8 * steps * n)
+        assert fields < 2 or need > oracle.propagator_bytes(n)
+        memory = {"bytes": need - 1}
+        monkeypatch.setattr(config, "_physical_memory", lambda: memory["bytes"])
+        raw = multimode_raw_at(n)
+        raw["time"]["steps"] = steps
+        cfg = self.write_config(tmp_path, raw)
+        rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: time.steps:")
+        assert "physical memory" in err
+        # with exactly the count in memory, the run goes ahead
+        memory["bytes"] = need
+        for name, solve in real.items():
+            monkeypatch.setattr(cli, name, solve)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) in (0, 2)
+
+    @pytest.mark.parametrize("n, steps", [(1, 8), (4, 64), (16, 8), (4, 4096)])
+    def test_solve_peaks_within_the_solve_count(self, tmp_path, n, steps):
+        # the mean alone, one solve of either load, and validate's two
+        # solves with the first field kept, at sizes where the K N^2
+        # fields, numpy's buffers or the N^4 pair products dominate; at
+        # 4096 steps numpy elides temporaries of 256 KiB and more
+        raw = multimode_raw_at(n)
+        raw["time"]["steps"] = steps
+        cfg = parse_config(raw)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # stiff modes at 8 steps
+            assert peak(lambda: cli.cmd_solve_mean(cfg, tmp_path)) <= solve_bytes(steps, n, 0)
+            for covariances in [(False,), (True,), (False, True)]:
+                assert peak(lambda: cli._solve_moment_problems(cfg, covariances)) <= solve_bytes(
+                    steps, n, len(covariances)), covariances
+
     def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
         # json.load itself refuses an integer literal of more than 4300 digits
         raw = minimal_config()
@@ -720,6 +780,8 @@ class TestCli:
         ("solve-moment", "time.steps", 640),
         ("solve-covariance", "time.steps", 640),
         ("simulate", "mc.grid_steps", 4 * 81 * 10 + 2 * 9 * 6),
+        # two tables of 8 steps x 1 mode rows, of four and five columns
+        ("solve-mean", "time.steps", 8 * 8 + 8 * 10),
     ])
     def test_tables_larger_than_free_space_refused_before_solving(
         self, tmp_path, capsys, monkeypatch, subcommand, key, need
@@ -731,9 +793,10 @@ class TestCli:
         free = {"bytes": need - 1}
         monkeypatch.setattr(cli.shutil, "disk_usage",
                             lambda path: SimpleNamespace(total=2 ** 40, used=0, free=free["bytes"]))
-        real = cli._solve_moment_problems, cli._simulate
-        monkeypatch.setattr(cli, "_solve_moment_problems", no_solve)
-        monkeypatch.setattr(cli, "_simulate", no_solve)
+        real = {name: getattr(cli, name)
+                for name in ("_solve_moment_problems", "_simulate", "solve_mean")}
+        for name in real:
+            monkeypatch.setattr(cli, name, no_solve)
         cfg = self.write_config(tmp_path, minimal_config())
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -742,8 +805,8 @@ class TestCli:
         assert "free under" in err
         # with exactly the shortest tables' size free, the run goes ahead
         free["bytes"] = need
-        monkeypatch.setattr(cli, "_solve_moment_problems", real[0])
-        monkeypatch.setattr(cli, "_simulate", real[1])
+        for name, solve in real.items():
+            monkeypatch.setattr(cli, name, solve)
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
 
     @pytest.mark.parametrize("subcommand, key, need", [

@@ -49,7 +49,7 @@ def swept_field(system, load):
     return pg.SpaceTimeMoment(
         grid=system.grid, diagonal=diagonal, upper=upper, lower=lower,
         ratio=-system.c / system.a,
-        trace=np.empty(0), final_load=load,
+        trace=np.empty(0),
     )
 
 
@@ -365,8 +365,18 @@ class TestPicard:
         mean = solve_mean(system, np.ones(1))
         load = rhs_second_moment(system, unit_noise, multiplicative_map, mean, np.ones((1, 1)))
         solution = picard_solve_second_moment(system, unit_noise, multiplicative_map, load)
+        # replay the iteration: the solution is its last iterate, bit for bit
+        blocks = pg._causal_solve(system, load)
+        for _ in range(solution.iterations):
+            last = MomentLoad(
+                initial=load.initial,
+                spatial=load.spatial + multiplicative_form(multiplicative_map, unit_noise, blocks[0]),
+            )
+            blocks = pg._causal_solve(system, last)
+        for got, replayed in zip((solution.diagonal, solution.upper, solution.lower), blocks):
+            assert got.tobytes() == replayed.tobytes()
         reproduced = apply_tensor_operator(system, dense_coeffs(solution))
-        final_load = dense_load(system.grid, solution.final_load)
+        final_load = dense_load(system.grid, last)
         scale = np.max(np.abs(final_load))
         assert np.max(np.abs(reproduced - final_load)) <= 10 * np.finfo(float).eps * scale
 
