@@ -6,9 +6,10 @@
 Prints one line per CSV path whose bytes differ between OLD and NEW (or
 that exists in only one of them), sorted by path. For each column that
 differs, usually the `value` column, the line gives the largest relative
-difference max|a - b| / max|a| over the rows, with a from OLD; index
-columns agree and are left out. Prints nothing when the two trees hold
-the same tables byte for byte.
+difference max|a - b| / max|a| over the rows, with a from OLD, and how
+many of the rows differ (`n of m rows`), so a change confined to some
+rows shows as such; index columns agree and are left out. Prints
+nothing when the two trees hold the same tables byte for byte.
 
 Exits 0 when the trees hold the same tables byte for byte and 1 when a
 table differs or exists on one side only, as diff(1) does.
@@ -42,14 +43,15 @@ def describe(old: Path, new: Path) -> str:
     for name, a_text, b_text in zip(header, old_cols, new_cols):
         if a_text == b_text:
             continue
+        rows = f"{sum(x != y for x, y in zip(a_text, b_text))} of {len(a_text)} rows"
         a, b = as_floats(a_text), as_floats(b_text)
         if a is None or b is None:
-            parts.append(f"{name}: text differs")
+            parts.append(f"{name}: text differs in {rows}")
             continue
         diff = max(abs(x - y) for x, y in zip(a, b))
         scale = max(abs(x) for x in a)
         rel = diff / scale if scale > 0.0 else float("inf")
-        parts.append(f"{name}: max|a-b|/max|a| = {rel:.3g}")
+        parts.append(f"{name}: max|a-b|/max|a| = {rel:.3g} in {rows}")
     return "; ".join(parts) if parts else "bytes differ, values agree"
 
 

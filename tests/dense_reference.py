@@ -1,7 +1,8 @@
 """Dense reference forms of the structured space-time objects.
 
 The package holds the pairing by its two diagonals, a load by its
-per-interval parts and a moment field by its three block diagonals.
+per-interval parts and a symmetric moment field by its diagonal and
+upper block diagonals.
 These helpers build the dense arrays those structures stand for, by the
 plain loops and quadratures the structured code replaced, so tests can
 compare the two. Each needs O(K^2) or O(K^3) memory; keep K small.
@@ -20,7 +21,8 @@ pencil replaced.
 `unblocked_multiplicative_form` contracts the noise map against a whole
 stack of second moments by two matmuls through (..., M, N, N)
 temporaries, the factored form that one matmul with the package's
-Kronecker matrix replaced. `unit_input_generator` builds the oracle's
+Kronecker matrix replaced; `kronecker_matrix` is that matrix, built as
+`multiplicative_form` builds it. `unit_input_generator` builds the oracle's
 generator by applying the noise quadratic form to a stack of symmetric
 unit matrices, N inputs at a time, the construction that reading the
 columns off that matrix replaced. `kronecker_generator` builds the same
@@ -47,7 +49,7 @@ import numpy as np
 from scipy.linalg import svdvals
 
 import spde_moments.montecarlo as mc
-from spde_moments.noise_map import mean_form, multiplicative_form, multiplicative_matrix
+from spde_moments.noise_map import mean_form, multiplicative_form, pair_products
 from spde_moments.oracle import _PADE13, _THETA13
 
 
@@ -79,6 +81,20 @@ def dense_pairing(system, mode=0):
     """Mode's dense K x K pairing B_n from its two diagonals."""
     K = system.grid.steps
     return np.diag(np.full(K, system.a[mode])) + np.diag(np.full(K - 1, system.c[mode]), 1)
+
+
+def dense_solve(system, load):
+    """Trial coefficients U of B_n^T U B_m = load for a dense (K, N, K, N)
+    load, by two dense solves per mode pair: the solve the causal sweep
+    replaced, which forms every block and assumes no symmetry."""
+    n = system.n_modes
+    pairings = [dense_pairing(system, mode) for mode in range(n)]
+    field = np.empty_like(load)
+    for i in range(n):
+        for j in range(n):
+            left = np.linalg.solve(pairings[i].T, load[:, i, :, j])
+            field[:, i, :, j] = np.linalg.solve(pairings[j].T, left.T).T
+    return field
 
 
 def mode_matrices(system, mode):
@@ -153,9 +169,17 @@ def unit_input_generator(model, noise, gmap):
     return gen
 
 
+def kronecker_matrix(gmap, noise):
+    """The (N^2, N^2) matrix T of the multiplicative form on flattened
+    second moments, (sum_m gamma_m G1_m M G1_m^T).ravel() == M.ravel() @ T:
+    the pair products with their middle axes swapped, copied."""
+    n = gmap.state_dim
+    return pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def kronecker_generator(model, noise, gmap):
     """The oracle's generator A with its second-moment block read off the
-    (N^2, N^2) matrix T of multiplicative_matrix by np.ix_ gathers: the
+    (N^2, N^2) matrix T of kronecker_matrix by np.ix_ gathers: the
     column of entry (i, k) of z is T[(i, k)] + T[(k, i)] for i < k and
     T[(i, i)] for i = k. Holds T, its unpermuted product and three p x p
     gathers at once."""
@@ -166,7 +190,7 @@ def kronecker_generator(model, noise, gmap):
     rates = mean_form(gmap, noise, np.eye(n + 1, n))[:, rows, cols]
     gen[:p, p:] = rates.T
     gen[:p, p:-1] -= rates[-1:].T
-    tmat = multiplicative_matrix(gmap, noise)
+    tmat = kronecker_matrix(gmap, noise)
     upper, lower = rows * n + cols, cols * n + rows
     mirror = (rows != cols)[:, None] * tmat[np.ix_(lower, upper)]  # zero for i = k
     gen[:p, :p] = (tmat[np.ix_(upper, upper)] + mirror).T
@@ -213,14 +237,16 @@ def apply_tensor_operator(system, coeffs):
 
 def dense_coeffs(field):
     """Dense trial coefficients U[k, n, l, m] of a SpaceTimeMoment, filled
-    one time offset at a time from its block diagonals."""
+    one time offset at a time from its block diagonals, the lower ones
+    the upper ones transposed."""
     K, n = field.diagonal.shape[:2]
     dense = np.zeros((K, n, K, n))
     idx = np.arange(K)
     dense[idx, :, idx, :] = field.diagonal
     for d in range(1, K):  # time offset l - k
         dense[idx[:-d], :, idx[d:], :] = field.upper[:K - d] * field.ratio ** (d - 1)
-        dense[idx[d:], :, idx[:-d], :] = field.ratio[:, None] ** (d - 1) * field.lower[:K - d]
+        lower = field.upper[:K - d].swapaxes(-1, -2)
+        dense[idx[d:], :, idx[:-d], :] = field.ratio[:, None] ** (d - 1) * lower
     return dense
 
 

@@ -604,10 +604,10 @@ class TestCli:
             "solve_mean", "mean_exact", "picard_solve_second_moment", "lyapunov_solve", "_simulate")}
         for name in real:
             monkeypatch.setattr(cli, name, no_solve)
-        n, steps = 4, 128
+        n, steps = 4, 256
         need = solve_bytes(steps, n, fields)
-        # the coefficients alone fit, 8 K N bytes of the mean or the 24 K N^2
-        # of a field's block diagonals, and so does validate's oracle
+        # the coefficients alone fit, 8 K N bytes of the mean or 24 K N^2,
+        # more than a field's block diagonals, and so does validate's oracle
         assert need > (24 * steps * n * n if fields else 8 * steps * n)
         assert fields < 2 or need > oracle.propagator_bytes(n)
         memory = {"bytes": need - 1}
@@ -650,6 +650,25 @@ class TestCli:
             for covariances in [(False,), (True,), (False, True)]:
                 assert peak(lambda: cli._solve_moment_problems(cfg, covariances)) <= solve_bytes(
                     steps, n, len(covariances)), covariances
+
+    @pytest.mark.parametrize("covariances", [(False,), (True,), (False, True)])
+    def test_solutions_hold_two_block_diagonals_a_field(self, covariances):
+        # after the solves, each field holds its diagonal and upper block
+        # diagonals, 2 K N^2 float64, beside the K N mean and 16 KiB of
+        # interpreter objects
+        n, steps = 4, 4096
+        raw = multimode_raw_at(n)
+        raw["time"]["steps"] = steps
+        cfg = parse_config(raw)
+        tracemalloc.start()
+        try:
+            solved = cli._solve_moment_problems(cfg, covariances)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(solved[2]) == len(covariances)
+        values = 2 * len(covariances) * steps * n * n + steps * n
+        assert held <= 8 * values + 16 * 1024
 
     def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
         # json.load itself refuses an integer literal of more than 4300 digits

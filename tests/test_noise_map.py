@@ -22,7 +22,7 @@ from spde_moments import (
     simulate_moments,
 )
 
-from dense_reference import unblocked_multiplicative_form
+from dense_reference import kronecker_matrix, unblocked_multiplicative_form
 
 PACKAGE = Path(spde_moments.__file__).resolve().parent
 ROUTES = ("montecarlo", "oracle", "petrov_galerkin")
@@ -61,8 +61,10 @@ class TestImportGraph:
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
         for name in ("AffineNoiseMap", "g_apply_columns", "g1_v_to_hs_norm",
-                     "mean_form", "multiplicative_form", "multiplicative_matrix", "pair_products"):
+                     "mean_form", "multiplicative_form", "pair_products"):
             assert homes.get(name) == ["noise_map"], name
+        # T is built inside multiplicative_form, its one user
+        assert "multiplicative_matrix" not in homes
 
     def test_public_surface_is_what_the_modules_list(self):
         # every name in a module's __all__ is defined at its top level, and
@@ -225,7 +227,7 @@ class TestMultiplicativeForm:
                     for b in range(n):
                         expected[i * n + k, a * n + b] = sum(
                             gamma[m] * g1[a, i, m] * g1[b, k, m] for m in range(modes))
-        tmat = noise_map.multiplicative_matrix(gmap, noise)
+        tmat = kronecker_matrix(gmap, noise)
         np.testing.assert_allclose(tmat, expected, rtol=1e-14, atol=0.0)
         second = rng.standard_normal((n, n))
         assert np.max(np.abs(second - second.T)) > 0.1

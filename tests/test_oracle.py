@@ -300,8 +300,9 @@ class TestGenerator:
 
     def test_builds_the_multiplicative_matrix_once(self, monkeypatch):
         # the pair products, the one product behind T, are formed once and
-        # T itself never; the mean and constant columns come from
-        # mean_form, which forms neither
+        # T itself never (multiplicative_form, which alone builds it, is
+        # not called); the mean and constant columns come from mean_form,
+        # which forms neither
         model, noise, gmap, _ = multimode_setup()
         calls = []
         original = noise_map.pair_products
@@ -315,7 +316,7 @@ class TestGenerator:
 
         monkeypatch.setattr(noise_map, "pair_products", counter)
         monkeypatch.setattr(oracle, "pair_products", counter)
-        monkeypatch.setattr(noise_map, "multiplicative_matrix", not_built)
+        monkeypatch.setattr(noise_map, "multiplicative_form", not_built)
         oracle._generator(model, noise, gmap)
         assert len(calls) == 1
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spde_moments import (
     rhs_second_moment,
     solve_mean,
 )
+from spde_moments.config import initial_law, load_config
 from spde_moments.noise_map import multiplicative_form
 
 from conftest import multimode_setup
@@ -33,9 +35,13 @@ from dense_reference import (
     dense_load,
     dense_pairing,
     dense_singular_range,
+    dense_solve,
     mode_matrices,
     tdelta_assemble,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scalar_system(steps, lam=1.0, horizon=1.0):
@@ -45,12 +51,19 @@ def scalar_system(steps, lam=1.0, horizon=1.0):
 
 def swept_field(system, load):
     """The structured field of one causal sweep against a load."""
-    diagonal, upper, lower = pg._causal_solve(system, load)
+    diagonal, upper = pg._causal_solve(system, load)
     return pg.SpaceTimeMoment(
-        grid=system.grid, diagonal=diagonal, upper=upper, lower=lower,
-        ratio=-system.c / system.a,
+        grid=system.grid, diagonal=diagonal, upper=upper, ratio=-system.c / system.a,
         trace=np.empty(0),
     )
+
+
+def symmetric_load(rng, steps, n):
+    """A random load with symmetric parts, (A + A^T) / 2 for standard
+    normal A."""
+    initial, spatial = rng.standard_normal((n, n)), rng.standard_normal((steps, n, n))
+    return MomentLoad(initial=(initial + initial.T) / 2,
+                      spatial=(spatial + spatial.swapaxes(-1, -2)) / 2)
 
 
 def hat(nodes, l, t):
@@ -211,14 +224,11 @@ class TestTemporalWeights:
 
     def test_structured_apply_equals_dense_contraction(self):
         # the swept field, materialized, solves the dense contraction of a
-        # random non-symmetric load against the temporal weights; the third
+        # random symmetric load against the temporal weights; the third
         # mode has lambda * dt > 2, so its ratio r is negative
         model = SpectralModel(eigenvalues=[1.0, 4.0, 30.0], horizon=1.3)
         system = assemble_per_mode(model, TimeGrid(steps=7, horizon=1.3))
-        rng = np.random.default_rng(23)
-        load = MomentLoad(
-            initial=rng.standard_normal((3, 3)), spatial=rng.standard_normal((7, 3, 3))
-        )
+        load = symmetric_load(np.random.default_rng(23), 7, 3)
         reproduced = apply_tensor_operator(system, dense_coeffs(swept_field(system, load)))
         np.testing.assert_allclose(reproduced, dense_load(system.grid, load), atol=1e-14)
 
@@ -288,18 +298,19 @@ class TestLoads:
 
     def test_second_moment_load_builds_no_multiplicative_matrix(self, monkeypatch):
         # its noise terms all involve G2 (mean_form); only the covariance
-        # load carries the multiplicative form of the mean outer product
+        # load carries the multiplicative form of the mean outer product,
+        # whose matrix T is copied out of the pair products
         model, noise, gmap, x0 = multimode_setup()
         system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
         mean = solve_mean(system, x0)
         calls = []
-        original = noise_map.multiplicative_matrix
+        original = noise_map.pair_products
 
         def counter(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(noise_map, "multiplicative_matrix", counter)
+        monkeypatch.setattr(noise_map, "pair_products", counter)
         rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
         assert calls == []
         rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4)))
@@ -319,6 +330,61 @@ class TestLoads:
         assert cov.initial.tobytes() == m2.initial.tobytes() == cov_0.tobytes()
 
 
+class Swept(Exception):
+    """Raised in place of the causal sweep: the load got past every refusal."""
+
+
+def no_sweep(*args):
+    raise Swept
+
+
+class TestLoadSymmetry:
+    @pytest.mark.parametrize("part", ["m2_initial", "cov_initial", "spatial"])
+    def test_asymmetric_load_refused_before_any_sweep(self, monkeypatch, part):
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=8, horizon=1.0))
+        mean = solve_mean(system, x0)
+
+        def load_with(asymmetry):
+            skew = np.zeros((4, 4))
+            skew[0, 1] = asymmetry
+            if part == "m2_initial":
+                return rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0) + skew)
+            if part == "cov_initial":
+                return rhs_covariance(system, noise, gmap, mean, np.diag(x0) + skew)
+            load = rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
+            return MomentLoad(load.initial, load.spatial + skew)
+
+        monkeypatch.setattr(pg, "_causal_solve", no_sweep)
+        name = "spatial" if part == "spatial" else "initial"
+        # past 1e-12 of the scale, which is 1 here
+        with pytest.raises(ValueError, match=f"load {name} part must be symmetric"):
+            picard_solve_second_moment(system, noise, gmap, load_with(1e-9))
+        # an asymmetry within the rule reaches the sweep
+        with pytest.raises(Swept):
+            picard_solve_second_moment(system, noise, gmap, load_with(1e-13))
+
+    @pytest.mark.parametrize("name", ["multimode", "scalar_multiplicative", "scalar_ou", "dense-g2"])
+    def test_built_loads_reach_the_sweep(self, monkeypatch, name):
+        if name == "dense-g2":
+            model, noise, gmap, x0 = multimode_setup()
+            g2 = np.random.default_rng(5).standard_normal((4, 4))
+            gmap = AffineNoiseMap(g1=gmap.g1, g2=g2)
+            m2_0, cov_0, steps = np.outer(x0, x0), np.zeros((4, 4)), 64
+        else:
+            cfg = load_config(CONFIGS / f"{name}.json")
+            model, noise, gmap = cfg.model, cfg.noise, cfg.gmap
+            x0, m2_0, cov_0 = initial_law(cfg)
+            steps = cfg.time_steps
+        system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=model.horizon))
+        mean = solve_mean(system, x0)
+        monkeypatch.setattr(pg, "_causal_solve", no_sweep)
+        for load in (rhs_second_moment(system, noise, gmap, mean, m2_0),
+                     rhs_covariance(system, noise, gmap, mean, cov_0)):
+            with pytest.raises(Swept):
+                picard_solve_second_moment(system, noise, gmap, load)
+
+
 class TestTimeRows:
     @pytest.mark.parametrize("eigenvalues, steps", [
         ([5.0], 2),
@@ -330,11 +396,7 @@ class TestTimeRows:
         model = SpectralModel(eigenvalues=eigenvalues, horizon=1.0)
         system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
         assert system.eigenvalues[-1] * system.grid.dt > 2.0
-        n = len(eigenvalues)
-        rng = np.random.default_rng(steps)
-        load = MomentLoad(
-            initial=rng.standard_normal((n, n)), spatial=rng.standard_normal((steps, n, n))
-        )
+        load = symmetric_load(np.random.default_rng(steps), steps, len(eigenvalues))
         field = swept_field(system, load)
         expected = dense_coeffs(field)
         np.testing.assert_array_equal(np.stack([field.row(k) for k in range(steps)]), expected)
@@ -373,7 +435,7 @@ class TestPicard:
                 spatial=load.spatial + multiplicative_form(multiplicative_map, unit_noise, blocks[0]),
             )
             blocks = pg._causal_solve(system, last)
-        for got, replayed in zip((solution.diagonal, solution.upper, solution.lower), blocks):
+        for got, replayed in zip((solution.diagonal, solution.upper), blocks, strict=True):
             assert got.tobytes() == replayed.tobytes()
         reproduced = apply_tensor_operator(system, dense_coeffs(solution))
         final_load = dense_load(system.grid, last)
@@ -381,21 +443,39 @@ class TestPicard:
         assert np.max(np.abs(reproduced - final_load)) <= 10 * np.finfo(float).eps * scale
 
     def test_iterates_stay_symmetric_for_symmetric_loads(self):
+        # the property that lets the lower blocks go: in the dense solve of
+        # each iterate's load, U[k+1, :, k, :] is the stored upper[k]^T
         model, noise, gmap, x0 = multimode_setup()
         system = assemble_per_mode(model, TimeGrid(steps=8, horizon=1.0))
         mean = solve_mean(system, x0)
         load = rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
-        blocks = pg._causal_solve(system, load)
+        current = load
+        idx = np.arange(8)
         for _ in range(3):
-            diagonal, upper, lower = blocks
-            tol = 1e-12 * max(1.0, *(np.max(np.abs(b)) for b in blocks))
+            diagonal, upper = pg._causal_solve(system, current)
+            tol = 1e-12 * max(1.0, np.max(np.abs(diagonal)), np.max(np.abs(upper)))
             assert np.max(np.abs(diagonal - diagonal.transpose(0, 2, 1))) <= tol
-            assert np.max(np.abs(lower - upper.transpose(0, 2, 1))) <= tol
-            coupled = MomentLoad(
+            dense = dense_solve(system, dense_load(system.grid, current))
+            lower = dense[idx[1:], :, idx[:-1], :]
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(lower - upper.transpose(0, 2, 1))) <= 10 * np.finfo(float).eps * scale
+            current = MomentLoad(
                 initial=load.initial,
                 spatial=load.spatial + multiplicative_form(gmap, noise, diagonal),
             )
-            blocks = pg._causal_solve(system, coupled)
+
+    def test_rows_are_symmetric_off_the_diagonal_blocks(self):
+        # bit for bit on multimode: U[k, :, l, :] == U[l, :, k, :]^T, k != l
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
+        mean = solve_mean(system, x0)
+        load = rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
+        field = picard_solve_second_moment(system, noise, gmap, load)
+        rows = np.stack([field.row(k) for k in range(16)])
+        for k in range(16):
+            for l in range(16):
+                if k != l:
+                    assert rows[k, :, l, :].tobytes() == rows[l, :, k, :].T.copy().tobytes()
 
     def test_mode_pairs_do_not_couple(self):
         model = SpectralModel(eigenvalues=[1.0, 4.0])

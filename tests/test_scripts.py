@@ -36,8 +36,29 @@ def test_table_diff_names_the_changed_table_and_its_value_difference(tmp_path, c
 
     (tmp_path / "new" / "b" / "covariance.csv").write_text("time_index,mode,value\n0,0,2\n1,0,-3\n")
     table_diff.main(str(tmp_path / "old"), str(tmp_path / "new"))
-    # max|a - b| / max|a| = 1 / 4
-    assert capsys.readouterr().out == "b/covariance.csv  value: max|a-b|/max|a| = 0.25\n"
+    # max|a - b| / max|a| = 1 / 4, in the second of the two rows
+    assert capsys.readouterr().out == (
+        "b/covariance.csv  value: max|a-b|/max|a| = 0.25 in 1 of 2 rows\n")
+
+
+def test_table_diff_counts_the_rows_of_a_change_confined_to_some(tmp_path, capsys):
+    # a rounding-level change in two of six rows: one ulp of 3 and of 6
+    table_diff = load_script(SCRIPTS_DIR / "table_diff.py")
+    header = "interval_1,mode_1,value\n"
+    old = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    new = [1.0, 2.0, 3.0000000000000004, 4.0, 5.0, 6.000000000000001]
+    for tree, values in (("old", old), ("new", new)):
+        path = tmp_path / tree / "moment_coefficients.csv"
+        path.parent.mkdir()
+        path.write_text(header + "".join(f"{k},0,{v!r}\n" for k, v in enumerate(values)))
+    assert table_diff.main(str(tmp_path / "old"), str(tmp_path / "new")) == 1
+    # max|a - b| / max|a| = 2^-50 / 6
+    assert capsys.readouterr().out == (
+        "moment_coefficients.csv  value: max|a-b|/max|a| = 1.48e-16 in 2 of 6 rows\n")
+    (tmp_path / "new" / "moment_coefficients.csv").write_text(
+        header + "".join(f"{k},0,x\n" for k in range(6)))
+    table_diff.main(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert capsys.readouterr().out == "moment_coefficients.csv  value: text differs in 6 of 6 rows\n"
 
 
 def test_table_diff_exits_like_diff(tmp_path):
