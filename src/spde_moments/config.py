@@ -37,7 +37,7 @@ import numpy as np
 
 from .levy import NoiseModel
 from .noise_map import AffineNoiseMap, scaled_random_coupling
-from .spectral import SpectralModel, dirichlet_laplacian
+from .spectral import SpectralModel, dirichlet_laplacian, moment_matrix
 
 __all__ = [
     "ConfigError",
@@ -406,12 +406,10 @@ def _initial(section: dict, n: int) -> tuple[np.ndarray, np.ndarray, Optional[np
     else:
         cov = _dense_array(covariance, (n, n), "initial.covariance")
         m2 = cov + np.outer(mean, mean)
-    scale = max(1.0, float(np.abs(cov).max()))
-    if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
-        raise ConfigError("initial: covariance implied by the config is not symmetric")
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs.min() < -1e-10 * max(1.0, float(eigs.max(initial=0.0))):
-        raise ConfigError("initial: covariance implied by the config is not positive semidefinite")
+    try:
+        moment_matrix(cov, (n, n), "covariance implied by the config", psd=True)
+    except ValueError as exc:
+        raise ConfigError(f"initial: {exc}") from exc
     for array in (mean, m2, cov):
         array.setflags(write=False)
     return mean, m2, None if deterministic else cov

@@ -57,7 +57,7 @@ import numpy as np
 from ._fanout import fan_out, split, workers
 from .levy import NoiseModel, sample_increments
 from .noise_map import AffineNoiseMap, check_compatible, g_apply_columns
-from .spectral import SpectralModel
+from .spectral import SpectralModel, moment_matrix, state_vector
 
 __all__ = [
     "MomentEstimate",
@@ -153,6 +153,10 @@ def _batch_stepper(
 ):
     """Check the arguments of a simulation and return its group stepper.
 
+    The initial mean and covariance are checked by spectral.state_vector
+    and spectral.moment_matrix with psd; the covariance's
+    eigendecomposition then gives the factor that samples x0.
+
     step(first, last, block) fills `block`, a (count, steps + 1, N)
     array, with the count paths of batches first to last - 1 on the
     recording grid, batch b's rows drawn from the stream [seed, b]; each
@@ -174,23 +178,11 @@ def _batch_stepper(
     if paths < 1:
         raise ValueError("path count must be positive")
     check_compatible(gmap, noise, model.dim)
-    x0_mean = np.asarray(x0_mean, dtype=float)
-    if x0_mean.shape != (model.dim,):
-        raise ValueError(f"initial mean must have length {model.dim}")
-    if not np.all(np.isfinite(x0_mean)):
-        raise ValueError("initial mean must be finite")
+    x0_mean = state_vector(x0_mean, model.dim, "initial mean")
     factor = None
     if x0_cov is not None:
-        cov = np.asarray(x0_cov, dtype=float)
-        if cov.shape != (model.dim, model.dim):
-            raise ValueError(f"initial covariance must be {model.dim}x{model.dim}")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("initial covariance must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
-            raise ValueError("initial covariance must be symmetric")
+        cov = moment_matrix(x0_cov, (model.dim, model.dim), "initial covariance", psd=True)
         w, v = np.linalg.eigh(cov)
-        if np.any(w < -1e-10 * max(1.0, float(w.max(initial=0.0)))):
-            raise ValueError("initial covariance must be positive semidefinite")
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     dt = model.horizon / (steps * substeps)
     decay = np.exp(-model.eigenvalues * dt)[:, None]

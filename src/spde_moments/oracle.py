@@ -41,7 +41,7 @@ import numpy as np
 
 from .levy import NoiseModel
 from .noise_map import AffineNoiseMap, check_compatible, mean_form, pair_products
-from .spectral import SpectralModel
+from .spectral import SpectralModel, moment_matrix, state_vector
 
 __all__ = [
     "MomentField",
@@ -72,11 +72,7 @@ def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndar
     """
     if steps < 1:
         raise ValueError(f"step count must be positive, got {steps}")
-    x0_mean = np.asarray(x0_mean, dtype=float)
-    if x0_mean.shape != (model.dim,):
-        raise ValueError(f"initial mean must have length {model.dim}")
-    if not np.all(np.isfinite(x0_mean)):
-        raise ValueError("initial mean must be finite")
+    x0_mean = state_vector(x0_mean, model.dim, "initial mean")
     t = np.linspace(0.0, model.horizon, steps + 1)
     return np.exp(-np.outer(t, model.eigenvalues)) * x0_mean
 
@@ -222,25 +218,15 @@ def lyapunov_solve(
     Forms the one-step propagator expm(dt A) of the augmented linear
     equation once and applies it `steps` times. Returns the equal-time
     second moment on the grid; the initial law enters through the mean
-    m0 and second moment M0.
+    m0 and second moment M0, checked by spectral.state_vector and
+    spectral.moment_matrix before any work.
     """
     if steps < 1:
         raise ValueError(f"step count must be positive, got {steps}")
     check_compatible(gmap, noise, model.dim)
-    m0 = np.asarray(m0, dtype=float)
-    M0 = np.asarray(M0, dtype=float)
     n = model.dim
-    if m0.shape != (n,):
-        raise ValueError(f"initial mean must have length {n}")
-    if M0.shape != (n, n):
-        raise ValueError(f"initial second moment must be {n}x{n}")
-    if not np.all(np.isfinite(m0)):
-        raise ValueError("initial mean must be finite")
-    if not np.all(np.isfinite(M0)):
-        raise ValueError("initial second moment must be finite")
-    scale = max(1.0, float(np.abs(M0).max()))
-    if np.max(np.abs(M0 - M0.T)) > 1e-12 * scale:
-        raise ValueError("initial second moment must be symmetric")
+    m0 = state_vector(m0, n, "initial mean")
+    M0 = moment_matrix(M0, (n, n), "initial second moment")
 
     rows, cols = np.triu_indices(n)
     step = _expm(model.horizon / steps * _generator(model, noise, gmap))

@@ -51,7 +51,8 @@ the intervals; callers read the two-time field one time row at a time,
 and this module never forms the dense field. Its max-norm is the max
 over the two block diagonals (_max_abs), which both the Picard update
 and the covariance identity check (covariance_identity_error) read.
-picard_solve_second_moment refuses a load that is not symmetric.
+picard_solve_second_moment refuses a load that is not finite and
+symmetric.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .noise_map import (
     mean_form,
     multiplicative_form,
 )
-from .spectral import SpectralModel
+from .spectral import SpectralModel, moment_matrix, state_vector
 
 __all__ = [
     "TimeGrid",
@@ -203,11 +204,9 @@ def solve_mean(system: PerModeSystem, x0_mean: np.ndarray) -> np.ndarray:
     The load pairs the initial mean against the test hats at time zero,
     which places it in the first test row only, so the transposed
     bidiagonal solve is the recursion x_k = x0 / a * r**k. Returns (K, N).
+    Refuses a mean of the wrong length or not finite (spectral.state_vector).
     """
-    x0_mean = np.asarray(x0_mean, dtype=float)
-    n = system.n_modes
-    if x0_mean.shape != (n,):
-        raise ValueError(f"initial mean must have length {n}")
+    x0_mean = state_vector(x0_mean, system.n_modes, "initial mean")
     return x0_mean / system.a * system.ratio ** np.arange(system.grid.steps)[:, None]
 
 
@@ -248,10 +247,7 @@ def rhs_second_moment(
     mean_coeffs = np.asarray(mean_coeffs, dtype=float)
     if mean_coeffs.shape != (K, n):
         raise ValueError(f"mean coefficients must be ({K}, {n}), got {mean_coeffs.shape}")
-    m2_initial = np.asarray(m2_initial, dtype=float)
-    if m2_initial.shape != (n, n):
-        raise ValueError(f"initial matrix must be {n}x{n}, got {m2_initial.shape}")
-    return MomentLoad(initial=m2_initial, spatial=mean_form(gmap, noise, mean_coeffs))
+    return MomentLoad(np.asarray(m2_initial, dtype=float), mean_form(gmap, noise, mean_coeffs))
 
 
 def rhs_covariance(
@@ -416,8 +412,9 @@ def picard_solve_second_moment(
     successive substitution.
 
     Refuses, before any sweep, a load whose initial or spatial part is
-    asymmetric beyond 1e-12 of its max-norm (at least 1), the rule the
-    oracle applies to its initial second moment. Starts from the
+    not finite, or asymmetric beyond 1e-12 of its max-norm (at least
+    1): spectral.moment_matrix, the rule every route applies to its
+    initial second moment. Starts from the
     zero-coupling solve, then repeatedly re-solves with the coupling
     term evaluated at the previous iterate. Stops when the
     max-norm update drops below tol relative to the iterate scale, both
@@ -429,13 +426,8 @@ def picard_solve_second_moment(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     check_compatible(gmap, noise, system.n_modes)
     K, n = system.grid.steps, system.n_modes
-    shapes = np.shape(load.initial), np.shape(load.spatial)
-    if shapes != ((n, n), (K, n, n)):
-        raise ValueError(f"load parts must have shapes {(n, n)} and {(K, n, n)}, got {shapes}")
-    for part, matrix in (("initial", load.initial), ("spatial", load.spatial)):
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2))) > 1e-12 * scale:
-            raise ValueError(f"load {part} part must be symmetric")
+    moment_matrix(load.initial, (n, n), "load initial part")
+    moment_matrix(load.spatial, (K, n, n), "load spatial part")
     model = SpectralModel(eigenvalues=system.eigenvalues, horizon=system.grid.horizon)
     g1_norm = g1_v_to_hs_norm(gmap, model, noise)
     if g1_norm >= 1.0:

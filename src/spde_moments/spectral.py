@@ -5,7 +5,9 @@ eigenbasis, so a state is just the array of its eigenmode coefficients,
 and the model is its eigenvalues and the time horizon. Each route
 applies the heat semigroup itself, as the componentwise factors
 exp(-lambda_n t); the smoothing integral of one mode is a closed form in
-its eigenvalue.
+its eigenvalue. The rules for valid initial data, a state vector and a
+symmetric second moment of such states, live here too (state_vector,
+moment_matrix), and every entry point applies them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 __all__ = [
     "SpectralModel",
     "dirichlet_laplacian",
+    "moment_matrix",
     "smoothing_integral",
+    "state_vector",
 ]
 
 
@@ -75,3 +79,36 @@ def smoothing_integral(model: SpectralModel, mode: int, upper: float) -> float:
         raise ValueError(f"upper limit must lie in (0, {model.horizon}], got {upper!r}")
     lam = model.eigenvalues[int(mode) - 1]
     return float(-np.expm1(-2.0 * lam * upper) / 2.0)
+
+
+def state_vector(x, n: int, what: str) -> np.ndarray:
+    """x as a float64 array of N = n finite mode coefficients; refuses,
+    naming `what`, any other length or a coefficient that is not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{what} must have length {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
+def moment_matrix(m, shape: tuple[int, ...], what: str, psd: bool = False) -> np.ndarray:
+    """m as a float64 stack (..., N, N) of symmetric matrices of the given shape.
+
+    Refuses, naming `what`, another shape, an entry that is not finite,
+    or an asymmetry beyond 1e-12 of the max-norm (at least 1); with
+    `psd`, also an eigenvalue below -1e-10 max(1, largest eigenvalue).
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must be finite")
+    scale = max(1.0, float(np.abs(m).max()))
+    if np.abs(m - np.swapaxes(m, -1, -2)).max() > 1e-12 * scale:
+        raise ValueError(f"{what} must be symmetric")
+    if psd:
+        eigs = np.linalg.eigvalsh(m)
+        if eigs.min() < -1e-10 * max(1.0, float(eigs.max())):
+            raise ValueError(f"{what} must be positive semidefinite")
+    return m

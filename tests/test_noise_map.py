@@ -66,6 +66,21 @@ class TestImportGraph:
         # T is built inside multiplicative_form, its one user
         assert "multiplicative_matrix" not in homes
 
+    def test_input_rules_have_one_home(self):
+        # the rules for a mean and a second moment, and the words of their
+        # refusals, live in spectral; every other module calls them
+        homes = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef):
+                    homes.setdefault(node.name, []).append(path.stem)
+                elif (path.stem != "spectral" and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    for words in ("must be symmetric", "semidefinite"):
+                        assert words not in node.value, (path.stem, node.value)
+        for name in ("state_vector", "moment_matrix"):
+            assert homes.get(name) == ["spectral"], name
+
     def test_public_surface_is_what_the_modules_list(self):
         # every name in a module's __all__ is defined at its top level, and
         # the package re-exports only names some module lists

@@ -86,3 +86,26 @@ def test_pipeline_memory_prints_a_peak_per_stage(capsys):
     assert header == ["N", *pipeline_memory.STAGES, "seconds"]
     assert row[0] == "4" and len(row) == len(header)
     assert all(float(value) > 0.0 for value in row[1:])
+
+
+def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "import os  # a comment after code\n"
+        "\n"
+        "# a comment-only line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    total = (x\n"
+        "             + os.sep.count('/')\n"
+        "             + 2)\n"
+        "    return total\n")
+    # import, def, the three lines of the continued statement, and return
+    assert load_script(SCRIPTS_DIR / "code_lines.py").code_lines(tmp_path / "mod.py") == 6
+    out = subprocess.run([sys.executable, str(SCRIPTS_DIR / "code_lines.py"), str(tmp_path)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "     6  mod.py\n     6  total\n"

@@ -1,15 +1,27 @@
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import spde_moments.montecarlo as mc
+import spde_moments.oracle as oracle
+import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     SpectralModel,
     dirichlet_laplacian,
     smoothing_integral,
 )
+from spde_moments.config import parse_config
+
+from conftest import multimode_setup
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STEPS = 8
 
 
 class TestDirichletLaplacian:
@@ -79,3 +91,86 @@ class TestSmoothingIntegral:
     def test_never_exceeds_one_half(self, lam, frac):
         model = SpectralModel(eigenvalues=[lam], horizon=2.0)
         assert smoothing_integral(model, 1, 2.0 * frac) <= 0.5
+
+
+def spoil(matrix, how):
+    """A copy of the matrix, or of each matrix of a stack, made bad in one way."""
+    bad = np.array(matrix, dtype=float)
+    if how == "shape":
+        return bad[..., :3, :3]
+    if how == "nan":
+        bad[..., 1, 2] = bad[..., 2, 1] = np.nan
+    elif how == "asymmetric":
+        bad[..., 0, 1] += 1e-9  # past 1e-12 of the max-norm, at most about 1.5 here
+    elif how == "asymmetric_4e-6":
+        bad[..., 0, 1] *= 1 + 4e-6  # within np.allclose's default rtol of 1e-5
+    else:  # indefinite
+        bad[..., 0, 0] = -0.5
+    return bad
+
+
+def mean_entry(entry, how):
+    model, noise, gmap, x0 = multimode_setup()
+    mean = np.array([1.0, np.nan, 0.5, 0.25]) if how == "nan" else np.ones(3)
+    if entry == "solve_mean":
+        pg.solve_mean(pg.assemble_per_mode(model, pg.TimeGrid(STEPS, model.horizon)), mean)
+    elif entry == "mean_exact":
+        oracle.mean_exact(model, mean, STEPS)
+    elif entry == "lyapunov_solve":
+        oracle.lyapunov_solve(model, noise, gmap, mean, np.outer(x0, x0), STEPS)
+    else:
+        mc.simulate_moments(model, noise, gmap, mean, STEPS, 64, 0, np.diag(x0))
+
+
+def moment_entry(entry, how):
+    model, noise, gmap, x0 = multimode_setup()
+    cov = 0.5 * (np.diag(x0) + np.outer(x0, x0))  # positive definite, no zero entry
+    if entry == "lyapunov_solve":
+        oracle.lyapunov_solve(model, noise, gmap, x0, spoil(cov + np.outer(x0, x0), how), STEPS)
+    elif entry.startswith("picard"):
+        system = pg.assemble_per_mode(model, pg.TimeGrid(STEPS, model.horizon))
+        load = pg.rhs_second_moment(system, noise, gmap, pg.solve_mean(system, x0), cov)
+        if entry == "picard_initial":
+            load = pg.MomentLoad(spoil(load.initial, how), load.spatial)
+        else:
+            load = pg.MomentLoad(load.initial, spoil(load.spatial, how))
+        pg.picard_solve_second_moment(system, noise, gmap, load)
+    elif entry == "simulate_moments":
+        mc.simulate_moments(model, noise, gmap, x0, STEPS, 64, 0, spoil(cov, how))
+    else:
+        raw = json.loads((CONFIGS / "multimode.json").read_text())
+        raw["initial"] = {"mean": x0.tolist(), "covariance": spoil(cov, how).tolist()}
+        parse_config(raw)
+
+
+MEAN_ROUTES = ["solve_mean", "mean_exact", "lyapunov_solve", "simulate_moments"]
+MOMENT_ROUTES = ["lyapunov_solve", "picard_initial", "picard_spatial", "simulate_moments",
+                 "parse_config"]
+CASES = (
+    [(mean_entry, entry, how, fragment) for entry in MEAN_ROUTES
+     for how, fragment in (("nan", "initial mean must be finite"),
+                           ("length", "initial mean must have length 4"))]
+    + [(moment_entry, entry, how, fragment) for entry in MOMENT_ROUTES
+       for how, fragment in (("nan", "must be finite"), ("shape", "shape"),
+                             ("asymmetric", "must be symmetric"))]
+    + [(moment_entry, entry, "indefinite", "must be positive semidefinite")
+       for entry in ("simulate_moments", "parse_config")]
+    + [(moment_entry, "simulate_moments", "asymmetric_4e-6", "must be symmetric")]
+)
+
+
+@pytest.mark.parametrize("call, entry, how, fragment", CASES,
+                         ids=[f"{call.__name__.split('_')[0]}-{entry}-{how}"
+                              for call, entry, how, _ in CASES])
+def test_every_route_refuses_bad_initial_data_before_any_work(
+        monkeypatch, call, entry, how, fragment):
+    # one rule, spectral's state_vector and moment_matrix, in the same words
+    # on every route; the sweep, the propagator and the paths are never reached
+    def work(*args, **kwargs):
+        raise AssertionError(f"{entry} began its work on bad input")
+
+    for module, name in ((pg, "_causal_solve"), (oracle, "_generator"), (oracle, "_expm"),
+                         (mc, "fan_out")):
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(ValueError, match=fragment):
+        call(entry, how)
