@@ -3,11 +3,13 @@
 
     python scripts/mc_timing.py [runs]
 
-Three problems, each simulated as `validate` simulates it (`cli._simulate`:
+Four problems, each simulated as `validate` simulates it (`cli._simulate`:
 its paths, recording grid and scheme steps): `configs/multimode.json`,
 the same problem at N=16 modes on a domain of length 4 pi, with 2000
-paths on 16 recording steps of 256 scheme steps each, and
-`configs/scalar_multiplicative.json`. For each, the script prints the
+paths on 16 recording steps of 256 scheme steps each, the same problem
+at its N=4 modes with 2000 paths on a fine recording grid of 128 steps
+(D = 516 recorded values a path, where the moment sums dominate the
+memory), and `configs/scalar_multiplicative.json`. For each, the script prints the
 group size G, the median and range of `runs` timed calls (default 5),
 and the tracemalloc peak of one more call against
 `montecarlo.estimate_bytes`. The timed calls fan out over the CPUs of
@@ -35,11 +37,14 @@ def shipped_raw(name: str) -> dict:
     return json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def multimode_raw(n: int | None = None) -> dict:
+def multimode_raw(n: int | None = None, grid_steps: int | None = None) -> dict:
     """`configs/multimode.json`, or with n modes on a domain of length 4 pi,
-    2000 paths and 16 recording steps of 256 scheme steps; the noise and
-    the initial mean extend the shipped 2**-j and 1/j sequences."""
+    2000 paths and 16 recording steps of 256 scheme steps (the noise and
+    the initial mean extend the shipped 2**-j and 1/j sequences), or with
+    2000 paths on `grid_steps` recording steps."""
     raw = shipped_raw("multimode")
+    if grid_steps is not None:
+        raw["mc"].update(paths=2000, grid_steps=grid_steps)
     if n is not None:
         raw["model"]["dimension"] = n
         raw["model"]["eigenvalues"]["length"] = 4 * math.pi
@@ -89,4 +94,5 @@ if __name__ == "__main__":
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     report("multimode", multimode_raw(), runs)
     report("multimode N=16", multimode_raw(16), runs)
+    report("multimode grid_steps=128", multimode_raw(grid_steps=128), runs)
     report("scalar_multiplicative", shipped_raw("scalar_multiplicative"), runs)

@@ -63,15 +63,16 @@ def _tables():
     norm = np.array([p << (64 - b) for p, b in zip(pow5, bits)], dtype=np.uint64)
     shift = 16 - e + bits - 1075  # plus the biased binary exponent
 
-    group = np.arange(10**4)
-    chars = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    digit = np.arange(48, 58, dtype=np.uint8)  # the characters 0..9
+    chars = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
     tails = np.zeros((_CLASSES, 8), dtype=np.uint8)
     tails[:, 0] = ord("\n")
     expo = e < -4  # exponent notation
     tails[expo, :5] = np.frombuffer(b"e-00\n", dtype=np.uint8)
     tails[expo, 2:4] += (-e[expo, None] // np.array([10, 1]) % 10).astype(np.uint8)
     lut = np.concatenate([chars.reshape(-1), tails.reshape(-1)]).view(np.uint32)
-    zeros = (group[:, None] % np.array([10, 100, 1000, 10**4]) == 0).sum(axis=1)
+    zeros = np.cumprod(chars.reshape(-1, 4)[:, ::-1] == 48, axis=1, dtype=np.uint8).sum(
+        axis=1, dtype=np.int64)
 
     p = np.where(expo, 1, e + 1)[:, None, None]  # digits before the point; -3..0 is 0.000ddd
     dot, start = 6 + p, np.where(p > 0, 6, 5 + p)  # columns of `.` and of the first kept byte

@@ -16,7 +16,7 @@ workers. `--threads` is accepted and ignored.
 Monte Carlo runs never hold their paths: each batch is reduced to its
 moment sums where it is simulated (`simulate_moments`), so a run with
 nb batches of P paths on a recording grid of D values a path holds
-O(nb D^2 + (P / nb) D) float64, with no P D term.
+nb D (D + 3) / 2 + O(D^2 + (P / nb) D) float64, with no P D term.
 
 The structure of a moment field is petrov_galerkin's alone: a field
 table is written one time row at a time (SpaceTimeMoment.row), and

@@ -37,12 +37,15 @@ budget, G = 1.
 The moments are functions of the per-batch sums of the paths and of
 their outer products alone. simulate_moments, the one Monte Carlo
 entry point, reduces each batch to those sums in the process that
-simulates it and drops its paths, so with nb batches of P paths of D
-recorded values it holds O(nb D^2 + G (P / nb) D) float64, with no P D
-term; a group's buffers take at most GROUP_BYTES, or one batch's
-where that is more. No path outlives its group. Every batch is summed,
-and a path that is not finite leaves its batch's sum not finite, which
-refuses the run.
+simulates it and drops its paths. A sum of outer products is
+symmetric, bit for bit as numpy forms it, and is held by its upper
+triangle, so with nb batches of P paths of D recorded values the run
+holds nb D (D + 3) / 2 float64 of sums and O(D^2 + G (P / nb) D) more,
+with no P D term; a group's buffers take at most GROUP_BYTES, or one
+batch's where that is more. The reduction forms the (D, D) fields
+from the triangles, a chunk of rows at a time. No path outlives its
+group. Every batch is summed, and a path that is not finite leaves its
+batch's sum not finite, which refuses the run.
 """
 
 from __future__ import annotations
@@ -104,40 +107,50 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
     `paths` paths of `width` recorded values of `dim` modes each, driven
     by `noise_dim` noise modes.
 
-    With nb batches and D = width, the per-batch sums (nb D^2 + nb D
-    float64) are held throughout, and the peak falls in one of three
-    phases:
-    - stepping a group: G batches of at most ceil(paths / nb) paths
-      (_group_size), each path taking _path_words in the buffers, N
-      words for the G2 part of the noise term, M for its normals as
-      drawn, before they are copied into the increments, and 9 for the
-      sampler's jump draws (the Poisson counts twice, the jumping rows
-      and, at one jump a path, six words a jump);
-    - summing a group's batches: its block, one D x D product and a D
-      sum of a batch;
+    With nb batches, D = width and T = D (D + 1) / 2, the per-batch sums
+    (nb T + nb D float64: each batch's sum of outer products by its
+    upper triangle) are held throughout, and the peak falls in one of
+    three phases:
+    - stepping a group: the T flat positions of the triangle (_upper),
+      and G batches of at most ceil(paths / nb) paths (_group_size), each
+      path taking _path_words in the buffers, N words for the G2 part of
+      the noise term, M for its normals as drawn, before they are copied
+      into the increments, and 9 for the sampler's jump draws (the
+      Poisson counts twice, the jumping rows and, at one jump a path, six
+      words a jump);
+    - summing a group's batches: the positions, its block, one D x D
+      product and a D sum of a batch;
     - the reduction: the D x D moment, covariance and covariance error,
-      and either two D x D temporaries of a batch error or a row chunk
-      of the per-batch covariances, (nb + 2) D floor(D / (nb + 2))
-      values and at least (nb + 2) D, beside the mean and its error.
-    4 KiB and 256 bytes a batch more cover the interpreter objects of
-    the call, the batch bounds among them. No term grows with paths x D.
-    numpy's buffered iteration is not counted: on a grid so small that
-    nb D^2 falls below its 8192-element buffer, and in the broadcast
-    multiply of the outer products while a group holds fewer than some
-    5000 paths, its buffers can add up to some 120 kB (traced: 41 kB
-    beyond the count at 64 scalar paths and K = 8, 13 kB at G = 1 with
-    20000 multimode paths and K = 2).
+      beside the mean and its error, and either a chunk of the
+      per-batch covariances, nb x rows x D values with rows = max(1,
+      floor(D / (nb + 2))), and 3 rows x D more for its batch error or
+      for one batch's products; or, at the end, the second moment's
+      error as a triangle and as a D x D matrix and the positions of a
+      span of rows, which with numpy's buffers for their broadcast
+      operations take 5 rows x D values and a row and a column of
+      indices.
+    8 KiB and 256 bytes a batch more cover the interpreter objects of
+    the call: the batch bounds, the row spans and the like. No term grows
+    with paths x D. numpy's buffered iteration is not counted elsewhere:
+    on a grid so small that nb D^2 falls below its 8192-element buffer,
+    and in the broadcast multiply of the outer products while a group
+    holds fewer than some 5000 paths, its buffers can add up to some
+    120 kB (traced: 15 kB beyond the count at 64 scalar paths and K = 8,
+    41 kB at 40 multimode paths and K = 8, 9 kB at G = 1 with 20000
+    multimode paths and K = 2).
     """
     nb = min(BATCHES, paths)
     batch = -(-paths // nb)
     group = _group_size(paths, width, dim, noise_dim) * batch
-    sums = nb * (width + 1) * width
+    tri = width * (width + 1) // 2
+    sums = nb * (tri + width)
     words = _path_words(width, dim, noise_dim)
-    stepping = max(group * (words + dim + noise_dim + 9),
-                   group * width + width * width + width)
-    chunk = max(1, width // (nb + 2)) * (nb + 2) * width
-    reduction = 3 * width * width + max(2 * width * width, chunk) + 2 * width
-    return (sums + max(stepping, reduction)) * 8 + 2**12 + 256 * nb
+    stepping = tri + max(group * (words + dim + noise_dim + 9),
+                         group * width + width * width + width)
+    rows = max(1, width // (nb + 2))
+    reduction = 3 * width * width + 2 * width + max(
+        width * width + tri + (5 * rows + 1) * width + rows, (nb + 3) * rows * width)
+    return (sums + max(stepping, reduction)) * 8 + 2**13 + 256 * nb
 
 
 def _batch_stepper(
@@ -245,44 +258,88 @@ def _batch_error(stats: np.ndarray) -> np.ndarray:
     return np.sqrt(spread, out=spread) / np.sqrt(nb)
 
 
-def _sum_batch(block: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+def _upper(width: int) -> np.ndarray:
+    """Flat positions of the upper triangle of a (width, width) array, in
+    np.triu_indices order: row by row, each from its diagonal entry on."""
+    i, j = np.triu_indices(width)
+    i *= width
+    i += j
+    return i
+
+
+def _positions(lo: int, hi: int, width: int) -> np.ndarray:
+    """Positions in an upper triangle, in np.triu_indices order, of the
+    entries of rows lo..hi-1 of the symmetric (width, width) matrix it
+    holds: entry (i, j) is held at (min(i, j), max(i, j))."""
+    i, j = np.arange(lo, hi)[:, None], np.arange(width)
+    low = np.minimum(i, j)
+    pos = 2 * width - 1 - low
+    pos *= low
+    pos //= 2
+    pos += np.maximum(i, j)
+    return pos
+
+
+def _unpack(tri: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    """The symmetric (D, D) matrix whose upper triangle is `tri`, filled
+    a span of rows [lo, hi) at a time."""
+    width = spans[-1][1]
+    out = np.empty((width, width))
+    for lo, hi in spans:
+        np.take(tri, _positions(lo, hi, width), out=out[lo:hi], mode="clip")
+    return out
+
+
+def _sum_batch(block: np.ndarray, s1: np.ndarray, s2: np.ndarray, upper: np.ndarray) -> None:
     """Write the sum of the rows of a (count, D) block of paths to s1 and
-    the sum of their outer products to s2."""
+    the upper triangle of the sum of their outer products, read at the
+    flat positions `upper` (_upper(D)), to s2. numpy forms block.T @ block
+    by a symmetric rank-k update and mirrors it, so the triangle holds
+    the whole sum bit for bit."""
     s1[...] = block.sum(axis=0)
-    s2[...] = block.T @ block
+    np.take(block.T @ block, upper, out=s2, mode="clip")
 
 
 def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes: int,
             dim: int) -> MomentEstimate:
     """The moments of paths from their per-batch sums: s1[b] and s2[b]
-    are _sum_batch of the rows bounds[b]. Both are overwritten: divided
-    by the batch counts, they are the per-batch means and second moments
-    (chunk.mean(axis=0) and chunk.T @ chunk / count bit for bit), and
-    then their deviations. The totals are the sums over the batches, in
-    batch order, divided by the path count. The per-batch covariances
-    are formed a chunk of rows at a time, each chunk's spread taken
-    before the next, so that no nb x D x D array is held beside s2; the
-    batches are summed in the same order either way."""
+    are _sum_batch of the rows bounds[b], s2[b] an upper triangle. Both
+    are overwritten: divided by the batch counts, they are the per-batch
+    means and second moments (chunk.mean(axis=0) and the triangle of
+    chunk.T @ chunk / count bit for bit), and then their deviations. The
+    totals are the sums over the batches, in batch order, divided by the
+    path count. Totals, quotients and the second moment's batch error
+    are taken on the triangles, entry by entry as on whole matrices, and
+    each (D, D) output is unpacked once. The per-batch covariances are
+    formed a chunk of rows at a time, their second moments gathered from
+    the triangles, and each chunk's spread is taken before the next, so
+    that no nb x D x D array is held. The chunks keep their shape,
+    (nb, rows, D): numpy rounds a reduction over a single column, as in
+    (nb, 1), by another order."""
     paths = bounds[-1][1]
     nb, width = s1.shape
     counts = np.array([hi - lo for lo, hi in bounds], dtype=float)
+    # a chunk and the two temporaries of its batch error, (nb + 2) rows of D, fit in D^2
+    rows = max(1, width // (nb + 2))
+    spans = [(r, min(r + rows, width)) for r in range(0, width, rows)]
     mean = np.add.reduce(s1, axis=0)
     mean /= paths
     m2 = np.add.reduce(s2, axis=0)
     m2 /= paths
-    cov = m2 - np.outer(mean, mean)
+    m2 = _unpack(m2, spans)
+    cov = np.outer(mean, mean)
+    np.subtract(m2, cov, out=cov)
     s1 /= counts[:, None]
-    s2 /= counts[:, None, None]
+    s2 /= counts[:, None]
     cov_se = np.empty((width, width))
-    # a chunk and the two temporaries of its batch error, (nb + 2) rows of D, fit in D^2
-    rows = max(1, width // (nb + 2))
-    for r in range(0, width, rows):
-        b_cov = s1[:, r:r + rows, None] * s1[:, None, :]
-        np.subtract(s2[:, r:r + rows], b_cov, out=b_cov)
-        cov_se[r:r + rows] = _batch_error(b_cov)
+    for lo, hi in spans:
+        b_cov = np.take(s2, _positions(lo, hi, width), axis=1)
+        for b in range(nb):  # a batch's products at a time: no second chunk is held
+            b_cov[b] -= np.multiply.outer(s1[b, lo:hi], s1[b])
+        cov_se[lo:hi] = _batch_error(b_cov)
         del b_cov  # freed before the next chunk is formed
     mean_se = _batch_error(s1)
-    m2_se = _batch_error(s2)
+    m2_se = _unpack(_batch_error(s2), spans)
 
     shape2 = (nodes, dim, nodes, dim)
     return MomentEstimate(
@@ -316,11 +373,12 @@ def simulate_moments(
 
     Each process steps its batches in groups of G consecutive batches
     (_group_size), each group into a block of its own; every batch of the
-    group is reduced at once to its sum and its sum of outer products,
-    and the block is dropped. The processes of the fan-out write these
-    sums into shared (nb, D) and (nb, D, D) arrays, so none holds more
-    than one group of paths, and the memory is O(nb D^2 + G (paths / nb)
-    D) float64 (estimate_bytes), with no paths x D term. The standard
+    group is reduced at once to its sum and the upper triangle of its
+    sum of outer products, and the block is dropped. The processes of
+    the fan-out write these sums into shared (nb, D) and (nb, D (D + 1)
+    / 2) arrays, so none holds more than one group of paths, and the
+    memory is nb D (D + 3) / 2 + O(D^2 + G (paths / nb) D) float64
+    (estimate_bytes), with no paths x D term. The standard
     errors come from the spread of the per-batch statistics. The
     two-time fields hold ((K+1) N)^2 entries each; keep recording grids
     coarse and refine the stepping through substeps instead. Raises
@@ -334,9 +392,10 @@ def simulate_moments(
     group = _group_size(paths, width, model.dim, noise.dim)
     procs = workers(len(bounds))
     empty = _shared_empty if procs > 1 else np.empty
-    s1, s2 = empty((len(bounds), width)), empty((len(bounds), width, width))
+    s1, s2 = empty((len(bounds), width)), empty((len(bounds), width * (width + 1) // 2))
 
     def run(batches: tuple[int, int]) -> None:
+        upper = _upper(width)
         for first in range(batches[0], batches[1], group):
             last = min(first + group, batches[1])
             start = bounds[first][0]
@@ -347,7 +406,7 @@ def simulate_moments(
                 rows = block[lo - start:hi - start].reshape(hi - lo, width)
                 # inf - inf and overflow leave nan or inf quietly; such a sum is refused below
                 with np.errstate(invalid="ignore", over="ignore"):
-                    _sum_batch(rows, s1[b], s2[b])
+                    _sum_batch(rows, s1[b], s2[b], upper)
             del block, rows
 
     fan_out(run, split(len(bounds), procs))

@@ -219,7 +219,8 @@ def lyapunov_solve(
     equation once and applies it `steps` times. Returns the equal-time
     second moment on the grid; the initial law enters through the mean
     m0 and second moment M0, checked by spectral.state_vector and
-    spectral.moment_matrix before any work.
+    spectral.moment_matrix before any work, M0 - m0 m0^T with psd: it is
+    the covariance of the initial law, which has no negative eigenvalue.
     """
     if steps < 1:
         raise ValueError(f"step count must be positive, got {steps}")
@@ -227,6 +228,7 @@ def lyapunov_solve(
     n = model.dim
     m0 = state_vector(m0, n, "initial mean")
     M0 = moment_matrix(M0, (n, n), "initial second moment")
+    moment_matrix(M0 - np.outer(m0, m0), (n, n), "initial covariance M0 - m0 m0^T", psd=True)
 
     rows, cols = np.triu_indices(n)
     step = _expm(model.horizon / steps * _generator(model, noise, gmap))

@@ -414,7 +414,10 @@ def picard_solve_second_moment(
     Refuses, before any sweep, a load whose initial or spatial part is
     not finite, or asymmetric beyond 1e-12 of its max-norm (at least
     1): spectral.moment_matrix, the rule every route applies to its
-    initial second moment. Starts from the
+    initial second moment. The initial part is asked for psd as well: in
+    every load that rhs_second_moment and rhs_covariance build it is an
+    initial second moment or covariance, with no negative eigenvalue.
+    Starts from the
     zero-coupling solve, then repeatedly re-solves with the coupling
     term evaluated at the previous iterate. Stops when the
     max-norm update drops below tol relative to the iterate scale, both
@@ -426,7 +429,7 @@ def picard_solve_second_moment(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     check_compatible(gmap, noise, system.n_modes)
     K, n = system.grid.steps, system.n_modes
-    moment_matrix(load.initial, (n, n), "load initial part")
+    moment_matrix(load.initial, (n, n), "load initial part", psd=True)
     moment_matrix(load.spatial, (K, n, n), "load spatial part")
     model = SpectralModel(eigenvalues=system.eigenvalues, horizon=system.grid.horizon)
     g1_norm = g1_v_to_hs_norm(gmap, model, noise)

@@ -40,15 +40,22 @@ jump law reproduces draw for draw.
 `simulate_paths` keeps every path of a Monte Carlo run, with its
 increments, in one process: it fills each batch with the package's own
 batch stepper. `estimate_paths` reduces such paths to their moments
-through the package's per-batch sums, so for the same arguments
+through whole per-batch sums of outer products (`dense_sum_batch`,
+`dense_reduce`, nb D^2 float64), the form that the package's upper
+triangles replaced, so for the same arguments
 `estimate_paths(simulate_paths(...)[0])` is `simulate_moments(...)` bit
 for bit. Both hold P (K+1) N float64; keep P K small.
+
+`format_tables` builds the tables of `_format` from int64 digit
+arithmetic on the groups 0..9999, the construction that the uint8 grid
+of digit characters replaced.
 """
 
 import numpy as np
 from scipy.linalg import svdvals
 
 import spde_moments.montecarlo as mc
+from spde_moments._format import _32, _CLASSES, _E_MAX, _E_MIN, _M32, _NUM
 from spde_moments.noise_map import mean_form, multiplicative_form, pair_products
 from spde_moments.oracle import _PADE13, _THETA13
 
@@ -353,5 +360,80 @@ def estimate_paths(paths):
     s1 = np.empty((len(bounds), nodes * dim))
     s2 = np.empty((len(bounds), nodes * dim, nodes * dim))
     for b, (lo, hi) in enumerate(bounds):
-        mc._sum_batch(flat[lo:hi], s1[b], s2[b])
-    return mc._reduce(s1, s2, bounds, nodes, dim)
+        dense_sum_batch(flat[lo:hi], s1[b], s2[b])
+    return dense_reduce(s1, s2, bounds, nodes, dim)
+
+
+def dense_sum_batch(block, s1, s2):
+    """Write the sum of the rows of a (count, D) block of paths to s1 and
+    the sum of their outer products, the whole D x D matrix, to s2."""
+    s1[...] = block.sum(axis=0)
+    s2[...] = block.T @ block
+
+
+def dense_reduce(s1, s2, bounds, nodes, dim):
+    """The moments of paths from their per-batch sums, s2 of shape
+    (nb, D, D): s1[b] and s2[b] are dense_sum_batch of the rows
+    bounds[b]. Both are overwritten. The per-batch covariances are formed
+    a chunk of (nb, max(1, D // (nb + 2)), D) rows at a time, read
+    straight from s2."""
+    paths = bounds[-1][1]
+    nb, width = s1.shape
+    counts = np.array([hi - lo for lo, hi in bounds], dtype=float)
+    mean = np.add.reduce(s1, axis=0)
+    mean /= paths
+    m2 = np.add.reduce(s2, axis=0)
+    m2 /= paths
+    cov = m2 - np.outer(mean, mean)
+    s1 /= counts[:, None]
+    s2 /= counts[:, None, None]
+    cov_se = np.empty((width, width))
+    rows = max(1, width // (nb + 2))
+    for r in range(0, width, rows):
+        b_cov = s1[:, r:r + rows, None] * s1[:, None, :]
+        np.subtract(s2[:, r:r + rows], b_cov, out=b_cov)
+        cov_se[r:r + rows] = mc._batch_error(b_cov)
+    mean_se = mc._batch_error(s1)
+    m2_se = mc._batch_error(s2)
+    shape2 = (nodes, dim, nodes, dim)
+    return mc.MomentEstimate(
+        mean=mean.reshape(nodes, dim),
+        second_moment=m2.reshape(shape2),
+        covariance=cov.reshape(shape2),
+        mean_se=mean_se.reshape(nodes, dim),
+        second_moment_se=m2_se.reshape(shape2),
+        covariance_se=cov_se.reshape(shape2),
+    )
+
+
+def format_tables():
+    """The tables of _format._tables, in its order, with the digit
+    characters and trailing zeros of the groups 0..9999 taken by int64
+    arithmetic on the groups."""
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    pow5 = [5 ** int(16 - k) for k in e]
+    bits = np.array([p.bit_length() for p in pow5])
+    norm = np.array([p << (64 - b) for p, b in zip(pow5, bits)], dtype=np.uint64)
+    shift = 16 - e + bits - 1075
+
+    group = np.arange(10**4)
+    chars = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    tails = np.zeros((_CLASSES, 8), dtype=np.uint8)
+    tails[:, 0] = ord("\n")
+    expo = e < -4
+    tails[expo, :5] = np.frombuffer(b"e-00\n", dtype=np.uint8)
+    tails[expo, 2:4] += (-e[expo, None] // np.array([10, 1]) % 10).astype(np.uint8)
+    lut = np.concatenate([chars.reshape(-1), tails.reshape(-1)]).view(np.uint32)
+    zeros = (group[:, None] % np.array([10, 100, 1000, 10**4]) == 0).sum(axis=1)
+
+    p = np.where(expo, 1, e + 1)[:, None, None]
+    dot, start = 6 + p, np.where(p > 0, 6, 5 + p)
+    n = np.arange(1, 18)[:, None]
+    col = np.arange(_NUM)
+    body = (((col >= start) & (col < dot))
+            | ((col == dot) & (n > p))
+            | ((col > dot) & (col <= 6 + n))
+            | ((col >= 24) & (col < 25 + 4 * expo[:, None, None])))
+    keep = np.stack([body, body | (col == start - 1)])
+    return (norm >> _32, norm & _M32, shift, lut, zeros, p.ravel(), dot.ravel(),
+            start.ravel() - 1, keep.reshape(-1, _NUM))

@@ -350,6 +350,36 @@ class TestEstimateMoments:
                           (est.covariance_se, b_cov)):
             assert np.array_equal(se.ravel(), (stats.std(axis=0, ddof=1) / root).ravel())
 
+    @pytest.mark.parametrize("paths, nodes, dim", [
+        (64, 17, 4), (2, 65, 4), (20, 13, 1), (3, 2, 1),
+        (2000, 65, 4),  # 32 batches of 63 or 62 paths, D = 260: chunks of 7 rows
+    ])
+    def test_triangle_sums_reduce_as_the_whole_sums_bitwise(self, paths, nodes, dim):
+        # the package's per-batch upper triangles against the whole D x D
+        # sums that they replaced, through the reference's reduction
+        sample = np.random.default_rng(3).standard_normal((paths, nodes, dim))
+        flat, width = sample.reshape(paths, -1), nodes * dim
+        bounds = mc._batch_bounds(paths)
+        s1 = np.empty((len(bounds), width))
+        s2 = np.empty((len(bounds), width * (width + 1) // 2))
+        upper = mc._upper(width)
+        for b, (lo, hi) in enumerate(bounds):
+            mc._sum_batch(flat[lo:hi], s1[b], s2[b], upper)
+        est, ref = mc._reduce(s1, s2, bounds, nodes, dim), estimate_paths(sample)
+        for name in TestSimulateMoments.FIELDS:
+            assert getattr(est, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("count, width", [(313, 68), (625, 17), (625, 9), (63, 260)])
+    def test_a_batch_sum_of_outer_products_is_symmetric_bitwise(self, count, width):
+        # the premise of holding a batch's sum by its upper triangle: numpy
+        # forms block.T @ block by a symmetric rank-k update and mirrors it.
+        # The (count, D) shapes are a batch of multimode's 10000 paths, of
+        # the scalar configs' 20000 at 16 and at 8 recording steps, and of
+        # 2000 paths at D = 260
+        block = np.random.default_rng(count).standard_normal((count, width))
+        product = block.T @ block
+        assert np.array_equal(product, product.T)
+
     def test_deterministic_ensemble(self, scalar_model, additive_map):
         # no noise: covariance vanishes, second moment is the mean outer product
         silent = NoiseModel(q_eigenvalues=[0.0])

@@ -410,7 +410,9 @@ class TestTwoTimeExtend:
         model = SpectralModel(eigenvalues=[1.0, 2.0])
         noise = NoiseModel(q_eigenvalues=[0.5])
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.ones((2, 1)))
-        field = lyapunov_solve(model, noise, gmap, np.ones(2), np.eye(2), 6)
+        # the law of mean 1 and covariance I: M0 = I alone beside that mean
+        # would have the indefinite covariance I - 1 1^T, which is refused
+        field = lyapunov_solve(model, noise, gmap, np.ones(2), np.eye(2) + np.ones((2, 2)), 6)
         two = two_time_extend(model, field)
         for k in range(7):
             np.testing.assert_allclose(

@@ -143,6 +143,19 @@ def moment_entry(entry, how):
         parse_config(raw)
 
 
+def law_entry(entry, how):
+    """An initial second moment that no initial law has: M0 = I beside the
+    mean m0 = 1 for the oracle, where M0 - m0 m0^T = I - 1 1^T has the
+    eigenvalue 1 - N, and a load whose initial part is -I for Picard."""
+    model, noise, gmap, x0 = multimode_setup()
+    if entry == "lyapunov_solve":
+        oracle.lyapunov_solve(model, noise, gmap, np.ones(4), np.eye(4), STEPS)
+    else:
+        system = pg.assemble_per_mode(model, pg.TimeGrid(STEPS, model.horizon))
+        load = pg.rhs_second_moment(system, noise, gmap, pg.solve_mean(system, x0), -np.eye(4))
+        pg.picard_solve_second_moment(system, noise, gmap, load)
+
+
 MEAN_ROUTES = ["solve_mean", "mean_exact", "lyapunov_solve", "simulate_moments"]
 MOMENT_ROUTES = ["lyapunov_solve", "picard_initial", "picard_spatial", "simulate_moments",
                  "parse_config"]
@@ -156,6 +169,8 @@ CASES = (
     + [(moment_entry, entry, "indefinite", "must be positive semidefinite")
        for entry in ("simulate_moments", "parse_config")]
     + [(moment_entry, "simulate_moments", "asymmetric_4e-6", "must be symmetric")]
+    + [(law_entry, entry, "indefinite", "must be positive semidefinite")
+       for entry in ("lyapunov_solve", "picard_initial")]
 )
 
 
