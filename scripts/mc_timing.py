@@ -9,12 +9,17 @@ the same problem at N=16 modes on a domain of length 4 pi, with 2000
 paths on 16 recording steps of 256 scheme steps each, the same problem
 at its N=4 modes with 2000 paths on a fine recording grid of 128 steps
 (D = 516 recorded values a path, where the moment sums dominate the
-memory), and `configs/scalar_multiplicative.json`. For each, the script prints the
-group size G, the median and range of `runs` timed calls (default 5),
-and the tracemalloc peak of one more call against
-`montecarlo.estimate_bytes`. The timed calls fan out over the CPUs of
-the process's affinity; the traced call runs on one CPU, so that it
-forks no worker and every allocation is traced.
+memory), and `configs/scalar_multiplicative.json`. For each, the
+script prints the group size G; the median and range of `runs` timed
+calls (default 5) that fan out over the CPUs of the process's affinity;
+the median of `runs` calls held to one process (`_fanout._cpus` -> 1:
+nothing is forked, but BLAS may still use every CPU), alternated with
+the first; and the tracemalloc peak of one more call against
+`montecarlo.estimate_bytes`. The traced call runs on one CPU, so that
+it forks no worker and every allocation is traced. With
+OPENBLAS_NUM_THREADS=1 in the environment every process uses one BLAS
+thread, which times the fan-out without BLAS threads competing for
+the CPUs.
 """
 
 import json
@@ -26,7 +31,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from spde_moments import cli, montecarlo
+from spde_moments import _fanout, cli, montecarlo
 from spde_moments.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,16 +82,31 @@ def traced_peak(call) -> int:
         os.sched_setaffinity(0, cpus)
 
 
+def timed(call) -> float:
+    """Wall time of one call of call()."""
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def one_process(call) -> None:
+    """call() with the fan-out held to one process, as the tests hold it."""
+    cpus = _fanout._cpus
+    _fanout._cpus = lambda: 1
+    try:
+        call()
+    finally:
+        _fanout._cpus = cpus
+
+
 def report(name: str, raw: dict, runs: int) -> None:
     call, sizes = simulation(raw)
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
+    # alternated, so that the host's drift falls on both medians alike
+    times, alone = zip(*[(timed(call), timed(lambda: one_process(call))) for _ in range(runs)])
     peak, count = traced_peak(call), montecarlo.estimate_bytes(*sizes)
     print(f"{name}: G = {montecarlo._group_size(*sizes)}, median {statistics.median(times):.3f} s "
-          f"over {runs} runs (min {min(times):.3f}, max {max(times):.3f}); "
+          f"over {runs} runs (min {min(times):.3f}, max {max(times):.3f}), "
+          f"{statistics.median(alone):.3f} s on one process; "
           f"traced peak {peak / 2**20:.3f} MiB of estimate_bytes {count / 2**20:.3f} MiB")
 
 

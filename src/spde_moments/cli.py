@@ -9,7 +9,10 @@ is formatted by the array kernel of `_format`, byte-identical to
 kernel's exact range. Identical configurations and seeds produce
 byte-identical tables. Monte Carlo batches and the rows of a field table
 are spread over one process per CPU of the process's affinity
-(`_fanout`), which changes no table; the report records that count as
+(`_fanout`). That changes no table as long as every process's BLAS
+rounds a Monte Carlo batch's `block.T @ block` alike, as on the shipped
+configs (D <= 68 recorded values a path) but not at D = 260 under a
+threaded OpenBLAS (montecarlo); the report records that count as
 `workers`, and the peak resident set sizes of the process and of its
 workers. `--threads` is accepted and ignored.
 

@@ -12,8 +12,12 @@ Paths are generated in fixed batches. Batch b always draws from the
 generator seeded with [seed, b], so results are reproducible bit for
 bit, and the same batches feed the batch-means standard errors.
 Contiguous runs of batches go to one process per CPU of the process's
-affinity (`_fanout`), and the results are the same bit for bit whatever
-the number of processes.
+affinity (`_fanout`). The results are the same bit for bit whatever the
+number of processes as long as every process's BLAS rounds a batch's
+block.T @ block alike: so on the shipped configs (D <= 68 recorded
+values a path), but not at D = 260 on a 2-CPU x86 host with OpenBLAS,
+which threads that product in a process whose affinity holds both
+CPUs and rounds it otherwise.
 
 A process steps its batches in lockstep groups of G consecutive
 batches, as many of the largest batch as fit the fixed byte budget
@@ -42,10 +46,11 @@ symmetric, bit for bit as numpy forms it, and is held by its upper
 triangle, so with nb batches of P paths of D recorded values the run
 holds nb D (D + 3) / 2 float64 of sums and O(D^2 + G (P / nb) D) more,
 with no P D term; a group's buffers take at most GROUP_BYTES, or one
-batch's where that is more. The reduction forms the (D, D) fields
-from the triangles, a chunk of rows at a time. No path outlives its
-group. Every batch is summed, and a path that is not finite leaves its
-batch's sum not finite, which refuses the run.
+batch's where that is more. The reduction takes every statistic on the
+triangles, the per-batch covariances a span of triangle rows at a time,
+and unpacks each (D, D) field once. No path outlives its group. Every
+batch is summed, and a path that is not finite leaves its batch's sum
+not finite, which refuses the run.
 """
 
 from __future__ import annotations
@@ -120,17 +125,16 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
       words a jump);
     - summing a group's batches: the positions, its block, one D x D
       product and a D sum of a batch;
-    - the reduction: the D x D moment, covariance and covariance error,
-      beside the mean and its error, and either a chunk of the
-      per-batch covariances, nb x rows x D values with rows = max(1,
-      floor(D / (nb + 2))), and 3 rows x D more for its batch error or
-      for one batch's products; or, at the end, the second moment's
-      error as a triangle and as a D x D matrix and the positions of a
-      span of rows, which with numpy's buffers for their broadcast
-      operations take 5 rows x D values and a row and a column of
-      indices.
+    - the reduction: the D x D moment and covariance beside the mean,
+      and either the covariance error as a triangle and one span of the
+      per-batch covariances, nb x entries with entries at most rows x D,
+      rows = max(2, floor(D / (nb + 2))), with 2 x entries more for the
+      span's batch error; or, at the end, the covariance error, the
+      second moment's error as a triangle and as a D x D matrix, and the
+      mean's error: T + 2 D + max(4 D^2, 2 D^2 + (nb + 2) rows D) values,
+      about 4.5 D^2 whatever nb once D >= nb + 2.
     8 KiB and 256 bytes a batch more cover the interpreter objects of
-    the call: the batch bounds, the row spans and the like. No term grows
+    the call: the batch bounds and the like. No term grows
     with paths x D. numpy's buffered iteration is not counted elsewhere:
     on a grid so small that nb D^2 falls below its 8192-element buffer,
     and in the broadcast multiply of the outer products while a group
@@ -147,9 +151,8 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
     words = _path_words(width, dim, noise_dim)
     stepping = tri + max(group * (words + dim + noise_dim + 9),
                          group * width + width * width + width)
-    rows = max(1, width // (nb + 2))
-    reduction = 3 * width * width + 2 * width + max(
-        width * width + tri + (5 * rows + 1) * width + rows, (nb + 3) * rows * width)
+    rows = max(2, width // (nb + 2))
+    reduction = tri + 2 * width + max(4 * width * width, 2 * width * width + (nb + 2) * rows * width)
     return (sums + max(stepping, reduction)) * 8 + 2**13 + 256 * nb
 
 
@@ -267,26 +270,14 @@ def _upper(width: int) -> np.ndarray:
     return i
 
 
-def _positions(lo: int, hi: int, width: int) -> np.ndarray:
-    """Positions in an upper triangle, in np.triu_indices order, of the
-    entries of rows lo..hi-1 of the symmetric (width, width) matrix it
-    holds: entry (i, j) is held at (min(i, j), max(i, j))."""
-    i, j = np.arange(lo, hi)[:, None], np.arange(width)
-    low = np.minimum(i, j)
-    pos = 2 * width - 1 - low
-    pos *= low
-    pos //= 2
-    pos += np.maximum(i, j)
-    return pos
-
-
-def _unpack(tri: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
-    """The symmetric (D, D) matrix whose upper triangle is `tri`, filled
-    a span of rows [lo, hi) at a time."""
-    width = spans[-1][1]
+def _unpack(tri: np.ndarray, width: int) -> np.ndarray:
+    """The symmetric (width, width) matrix whose upper triangle, in
+    np.triu_indices order, is `tri`, filled one triangle row at a time."""
     out = np.empty((width, width))
-    for lo, hi in spans:
-        np.take(tri, _positions(lo, hi, width), out=out[lo:hi], mode="clip")
+    start = 0
+    for r in range(width):
+        out[r, r:] = out[r:, r] = tri[start:start + width - r]
+        start += width - r
     return out
 
 
@@ -308,38 +299,48 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
     means and second moments (chunk.mean(axis=0) and the triangle of
     chunk.T @ chunk / count bit for bit), and then their deviations. The
     totals are the sums over the batches, in batch order, divided by the
-    path count. Totals, quotients and the second moment's batch error
-    are taken on the triangles, entry by entry as on whole matrices, and
-    each (D, D) output is unpacked once. The per-batch covariances are
-    formed a chunk of rows at a time, their second moments gathered from
-    the triangles, and each chunk's spread is taken before the next, so
-    that no nb x D x D array is held. The chunks keep their shape,
-    (nb, rows, D): numpy rounds a reduction over a single column, as in
-    (nb, 1), by another order."""
+    path count. Every statistic of the second moment and the covariance
+    is taken on the (nb, D (D + 1) / 2) triangles, entry by entry as on
+    whole matrices, and each (D, D) output is unpacked once. The
+    per-batch covariances are formed a span of whole triangle rows at a
+    time, into a C-ordered (nb, entries) array, and each span's spread
+    is taken before the next, so that no nb x D x D array is held. numpy
+    reduces such an array over its batches in batch order only when a
+    row holds two entries or more, so every span does: they are cut from
+    the last triangle row back, and only the one at row 0, whose D
+    entries alone are two or more, can be short. A span gathered by
+    fancy indexing would come out F-ordered and be reduced in another
+    order."""
     paths = bounds[-1][1]
     nb, width = s1.shape
     counts = np.array([hi - lo for lo, hi in bounds], dtype=float)
-    # a chunk and the two temporaries of its batch error, (nb + 2) rows of D, fit in D^2
-    rows = max(1, width // (nb + 2))
-    spans = [(r, min(r + rows, width)) for r in range(0, width, rows)]
     mean = np.add.reduce(s1, axis=0)
     mean /= paths
     m2 = np.add.reduce(s2, axis=0)
     m2 /= paths
-    m2 = _unpack(m2, spans)
+    m2 = _unpack(m2, width)
     cov = np.outer(mean, mean)
     np.subtract(m2, cov, out=cov)
     s1 /= counts[:, None]
     s2 /= counts[:, None]
-    cov_se = np.empty((width, width))
-    for lo, hi in spans:
-        b_cov = np.take(s2, _positions(lo, hi, width), axis=1)
-        for b in range(nb):  # a batch's products at a time: no second chunk is held
-            b_cov[b] -= np.multiply.outer(s1[b, lo:hi], s1[b])
-        cov_se[lo:hi] = _batch_error(b_cov)
-        del b_cov  # freed before the next chunk is formed
+    cov_se = np.empty(s2.shape[1])
+    # a span and the two temporaries of its batch error, (nb + 2) rows of D, fit in D^2
+    # once D >= 2 (nb + 2)
+    rows = max(2, width // (nb + 2))
+    for hi in range(width, 0, -rows):
+        lo = max(hi - rows, 0)
+        first, end = (r * (2 * width + 1 - r) // 2 for r in (lo, hi))  # where rows lo, hi start
+        span = np.empty((nb, end - first))
+        at = 0
+        for r in range(lo, hi):
+            np.multiply(s1[:, r, None], s1[:, r:], out=span[:, at:at + width - r])
+            at += width - r
+        np.subtract(s2[:, first:end], span, out=span)
+        cov_se[first:end] = _batch_error(span)
+        del span  # freed before the next span is formed
+    cov_se = _unpack(cov_se, width)
     mean_se = _batch_error(s1)
-    m2_se = _unpack(_batch_error(s2), spans)
+    m2_se = _unpack(_batch_error(s2), width)
 
     shape2 = (nodes, dim, nodes, dim)
     return MomentEstimate(
@@ -378,7 +379,8 @@ def simulate_moments(
     the fan-out write these sums into shared (nb, D) and (nb, D (D + 1)
     / 2) arrays, so none holds more than one group of paths, and the
     memory is nb D (D + 3) / 2 + O(D^2 + G (paths / nb) D) float64
-    (estimate_bytes), with no paths x D term. The standard
+    (estimate_bytes), with no paths x D term; the reduction (_reduce)
+    stays on the triangles and adds some 4.5 D^2. The standard
     errors come from the spread of the per-batch statistics. The
     two-time fields hold ((K+1) N)^2 entries each; keep recording grids
     coarse and refine the stepping through substeps instead. Raises

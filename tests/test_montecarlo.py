@@ -352,7 +352,9 @@ class TestEstimateMoments:
 
     @pytest.mark.parametrize("paths, nodes, dim", [
         (64, 17, 4), (2, 65, 4), (20, 13, 1), (3, 2, 1),
-        (2000, 65, 4),  # 32 batches of 63 or 62 paths, D = 260: chunks of 7 rows
+        (2000, 65, 4),  # 32 batches of 63 or 62 paths, D = 260: spans of 7 rows
+        (2, 129, 4),    # two batches of one path, D = 516: spans of 129 rows
+        (40, 33, 4),    # 32 batches of 2 or 1 paths, D = 132: spans of 3 rows
     ])
     def test_triangle_sums_reduce_as_the_whole_sums_bitwise(self, paths, nodes, dim):
         # the package's per-batch upper triangles against the whole D x D
@@ -368,6 +370,16 @@ class TestEstimateMoments:
         est, ref = mc._reduce(s1, s2, bounds, nodes, dim), estimate_paths(sample)
         for name in TestSimulateMoments.FIELDS:
             assert getattr(est, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("width", [2, 3, 68])
+    def test_unpack_inverts_the_triangle_packing_bitwise(self, width):
+        # np.triu_indices order, with -0.0, inf and nan among the entries
+        full = np.random.default_rng(width).standard_normal((width, width))
+        full[0, -1], full[-1, -1], full[0, 0] = -0.0, np.inf, np.nan
+        full = np.where(np.tri(width, dtype=bool), full.T, full)  # the upper half mirrored
+        assert np.signbit(full[-1, 0])
+        tri = full[np.triu_indices(width)]
+        assert mc._unpack(tri, width).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("count, width", [(313, 68), (625, 17), (625, 9), (63, 260)])
     def test_a_batch_sum_of_outer_products_is_symmetric_bitwise(self, count, width):
@@ -574,24 +586,29 @@ class TestSimulateMoments:
         with pytest.raises(ValueError, match="at least two paths"):
             simulate_moments(scalar_model, unit_noise, additive_map, np.zeros(1), 4, 1, seed=0)
 
-    @pytest.mark.parametrize("paths", [2, 4000])
-    def test_peak_memory_within_the_count(self, monkeypatch, paths):
-        # 65 nodes of 4 modes: D = 260. At 4000 paths the (P, D) float64
-        # paths, 8.3 MB, exceed the count's slack of one D x D field,
-        # 0.54 MB, so a run that held them would fail the bound
+    @pytest.mark.parametrize("paths, steps", [
+        pytest.param(2, 64, id="2"), pytest.param(4000, 64, id="4000"),
+        pytest.param(2, 128, id="2-D516"),
+    ])
+    def test_peak_memory_within_the_count(self, monkeypatch, paths, steps):
+        # 65 nodes of 4 modes: D = 260, and 129 nodes: D = 516. At 4000
+        # paths the (P, D) float64 paths, 8.3 MB, exceed the count's slack
+        # of one D x D field, 0.54 MB, so a run that held them would fail
+        # the bound
         model, noise, gmap, x0 = multimode_setup()
         monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
-        count = mc.estimate_bytes(paths, 260, 4, 4)
+        width = (steps + 1) * model.dim
+        count = mc.estimate_bytes(paths, width, 4, 4)
         # numpy keeps small freed blocks in caches that tracemalloc still
         # counts; a first call fills them
-        simulate_moments(model, noise, gmap, x0, 64, paths, seed=1)
+        simulate_moments(model, noise, gmap, x0, steps, paths, seed=1)
         tracemalloc.start()
         try:
-            simulate_moments(model, noise, gmap, x0, 64, paths, seed=1)
+            simulate_moments(model, noise, gmap, x0, steps, paths, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count - 260 * 260 * 8 < peak <= count
+        assert count - width * width * 8 < peak <= count
 
 
 class TestWeakIdentity:
