@@ -16,10 +16,10 @@ the median of `runs` calls held to one process (`_fanout._cpus` -> 1:
 nothing is forked, but BLAS may still use every CPU), alternated with
 the first; and the tracemalloc peak of one more call against
 `montecarlo.estimate_bytes`. The traced call runs on one CPU, so that
-it forks no worker and every allocation is traced. With
-OPENBLAS_NUM_THREADS=1 in the environment every process uses one BLAS
-thread, which times the fan-out without BLAS threads competing for
-the CPUs.
+it forks no worker and every allocation is traced. The fan-out holds
+numpy's OpenBLAS to one thread in each of its processes; with
+OPENBLAS_NUM_THREADS=1 in the environment the one-process calls use
+one BLAS thread too.
 """
 
 import json
@@ -31,10 +31,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from spde_moments import _fanout, cli, montecarlo
-from spde_moments.config import parse_config
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this tree's package, whatever PYTHONPATH holds
+
+from spde_moments import _fanout, cli, montecarlo  # noqa: E402
+from spde_moments.config import parse_config  # noqa: E402
 
 
 def shipped_raw(name: str) -> dict:

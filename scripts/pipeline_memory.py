@@ -47,7 +47,7 @@ def peak_mib() -> float:
 def stages(n: int) -> list[float]:
     """Run the pipeline at n modes in this process; the peak RSS after
     the imports and after each stage."""
-    sys.path.insert(0, str(BENCH))
+    sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
     import pipeline
     from workloads import DEFAULT_SEED, wide_config
 

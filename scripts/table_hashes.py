@@ -19,9 +19,10 @@ import json
 import sys
 from pathlib import Path
 
-from spde_moments.cli import COMMANDS, main
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this tree's package, whatever PYTHONPATH holds
+
+from spde_moments.cli import COMMANDS, main  # noqa: E402
 
 
 def multimode_variant(out: Path) -> Path:

@@ -10,10 +10,17 @@ process's affinity, at most one per part. It is 1, and the work runs in
 process, where `os.fork` or `os.sched_getaffinity` is missing or other
 threads are running (a fork would copy the locks they hold). No setting
 selects it; `taskset -c 0` runs in process.
+
+While more than one process runs, numpy's bundled OpenBLAS is held to
+one thread, so the processes do not compete for the CPUs with BLAS
+threads, and every process rounds a product as a process on one CPU
+does; the thread count it had is restored afterwards. Where numpy's
+BLAS has no OpenBLAS thread calls, BLAS is left as it is.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import threading
@@ -40,14 +47,40 @@ def split(count: int, ranges: int) -> list[tuple[int, int]]:
     return [(r * base + min(r, rem), (r + 1) * base + min(r + 1, rem)) for r in range(ranges)]
 
 
+@functools.cache
+def _openblas_threads():
+    """The get and set thread-count calls of the OpenBLAS that numpy
+    bundles, found through numpy's core extension, which links it; None
+    where they are missing."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def fan_out(work, parts: list) -> None:
     """Call work(part) for every part, parts[0] in this process and each
-    other in a worker forked for it. Every worker has been reaped when the
-    call returns or raises: on an exception here, including an interrupt,
-    the workers are killed first. A worker that raises prints its
-    traceback and exits 1, and the call then raises ChildProcessError."""
+    other in a worker forked for it, with BLAS held to one thread in
+    every process when there is more than one part. Every worker has been
+    reaped when the call returns or raises: on an exception here,
+    including an interrupt, the workers are killed first. A worker that
+    raises prints its traceback and exits 1, and the call then raises
+    ChildProcessError."""
     pids = []
     finished = False
+    blas = _openblas_threads() if len(parts) > 1 else None
+    if blas:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
     try:
         for part in parts[1:]:
             pid = os.fork()
@@ -58,6 +91,8 @@ def fan_out(work, parts: list) -> None:
         finished = True
     finally:
         failed = _reap(pids, kill=not finished)
+        if blas:
+            set_threads(threads)
     if failed:
         raise ChildProcessError(f"{failed} of {len(pids)} worker processes failed")
 

@@ -9,12 +9,11 @@ is formatted by the array kernel of `_format`, byte-identical to
 kernel's exact range. Identical configurations and seeds produce
 byte-identical tables. Monte Carlo batches and the rows of a field table
 are spread over one process per CPU of the process's affinity
-(`_fanout`). That changes no table as long as every process's BLAS
-rounds a Monte Carlo batch's `block.T @ block` alike, as on the shipped
-configs (D <= 68 recorded values a path) but not at D = 260 under a
-threaded OpenBLAS (montecarlo); the report records that count as
-`workers`, and the peak resident set sizes of the process and of its
-workers. `--threads` is accepted and ignored.
+(`_fanout`), with numpy's OpenBLAS held to one thread in each while
+more than one runs, so that every process rounds a Monte Carlo batch's
+`block.T @ block` alike and the count changes no table (montecarlo);
+the report records that count as `workers`, and the peak resident set
+sizes of the process and of its workers. `--threads` is accepted and ignored.
 
 Monte Carlo runs never hold their paths: each batch is reduced to its
 moment sums where it is simulated (`simulate_moments`), so a run with
@@ -51,7 +50,7 @@ from ._fanout import fan_out, split, workers
 from ._format import FMT, RowText
 from .config import ConfigError, ExperimentConfig, _check_memory, initial_law, load_config
 from .montecarlo import BATCHES, estimate_bytes, simulate_moments
-from .noise_map import g1_v_to_hs_norm
+from .noise_map import action_bytes, g1_v_to_hs_norm
 from .oracle import MomentField, lyapunov_solve, mean_exact, propagator_bytes, two_time_extend
 from .petrov_galerkin import (
     PerModeSystem,
@@ -289,12 +288,12 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
 def _check_moment_memory(cfg: ExperimentConfig, fields: int) -> None:
     """Refuse, with a ConfigError, when what `fields` moment solves hold
     would not fit in memory (config._check_memory): naming
-    model.dimension for the noise map's (N^2, N^2) Kronecker matrix T
-    and the pair products it is copied from, 16 N^4 bytes, and
-    time.steps for the solves' peak, petrov_galerkin.solve_bytes."""
+    model.dimension for the noise map's symmetric action and the pair
+    products it is built from (noise_map.action_bytes), and time.steps
+    for the solves' peak, petrov_galerkin.solve_bytes."""
     steps, n = cfg.time_steps, cfg.model_dimension
-    _check_memory("model.dimension", 16 * n ** 4, "the noise map's Kronecker "
-                  f"matrix of {n} modes and its pair products")
+    _check_memory("model.dimension", action_bytes(n), "the noise map's symmetric "
+                  f"action of {n} modes and its pair products")
     _check_memory("time.steps", solve_bytes(steps, n, fields),
                   f"the moment solves of {steps} steps of {n} modes")
 

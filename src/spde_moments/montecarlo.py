@@ -13,11 +13,11 @@ generator seeded with [seed, b], so results are reproducible bit for
 bit, and the same batches feed the batch-means standard errors.
 Contiguous runs of batches go to one process per CPU of the process's
 affinity (`_fanout`). The results are the same bit for bit whatever the
-number of processes as long as every process's BLAS rounds a batch's
-block.T @ block alike: so on the shipped configs (D <= 68 recorded
-values a path), but not at D = 260 on a 2-CPU x86 host with OpenBLAS,
-which threads that product in a process whose affinity holds both
-CPUs and rounds it otherwise.
+number of processes: while more than one runs, fan_out holds numpy's
+OpenBLAS to one thread in each, so every process rounds a batch's
+block.T @ block as a process on one CPU does, where a threaded OpenBLAS
+rounds it otherwise, as at D = 260 recorded values a path. One process
+on several CPUs, as when other threads run, keeps BLAS's threads.
 
 A process steps its batches in lockstep groups of G consecutive
 batches, as many of the largest batch as fit the fixed byte budget

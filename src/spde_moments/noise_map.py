@@ -13,14 +13,21 @@ a linear map of M. Its coefficients are the pair products
     P[i, a, k, b] = sum_m gamma_m g1[a, i, m] g1[b, k, m],
 
 one (N^2, M) diag(gamma) (M, N^2) product, written here once
-(pair_products), 8 N^4 bytes. On the flattened M the map is one
-(N^2, N^2) matrix T, the transpose of sum_m gamma_m G1_m (x) G1_m (Van
-Loan, J. Comput. Appl. Math. 123, 2000): P with its middle axes swapped.
-multiplicative_form alone builds T, a second 8 N^4 bytes copied out of
-P, for its one matmul over a stack of second moments, and frees both
-after it; the oracle gathers its generator columns straight from P and
-builds no T. The terms with G2, the action at a mean with zero
-fluctuation, are mean_form; they need neither.
+(pair_products), 8 N^4 bytes. Every second moment the map meets is
+symmetric, so entry (i, k) of its upper triangle, i <= k, stands for
+both M[i, k] and M[k, i]; with p = N (N + 1) / 2 the map is then the
+(p, N^2) matrix S of symmetric_action,
+
+    S[(i, k), (a, b)] = P[i, a, k, b] + [i != k] P[k, a, i, b],
+
+so that Phi(M).ravel() = M[triu] @ S. It is built once per solve, a
+block of rows at a time out of P, which is freed after it: about half
+the size of P, and the one home of the multiplicative action. The oracle
+reads its generator block off S, and multiplicative_form applies S to
+a stack of second moments by one gather of their upper triangles and
+one matmul. action_bytes counts what building it holds. The terms with
+G2, the action at a mean with zero fluctuation, are mean_form; they
+need no S.
 
 Applied to states and increments, G1(x) w is one matmul too, written
 once in g_apply_columns, the one kernel for it: with the P paths on the
@@ -34,6 +41,7 @@ rounding (about 1e-15 relative), not bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,7 @@ from .spectral import SpectralModel
 
 __all__ = [
     "AffineNoiseMap",
+    "action_bytes",
     "check_compatible",
     "g_apply_columns",
     "g1_v_to_hs_norm",
@@ -50,6 +59,7 @@ __all__ = [
     "multiplicative_form",
     "pair_products",
     "scaled_random_coupling",
+    "symmetric_action",
 ]
 
 @dataclass(frozen=True)
@@ -169,21 +179,55 @@ def pair_products(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
     return ((pairs * noise.q_eigenvalues) @ pairs.T).reshape(n, n, n, n)
 
 
-def multiplicative_form(gmap: AffineNoiseMap, noise: NoiseModel, Mmat: np.ndarray) -> np.ndarray:
-    """sum_m gamma_m G1_m M G1_m^T for a second moment M of shape (..., N, N).
+def symmetric_action(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
+    """The (p, N^2) matrix S of the multiplicative form on symmetric
+    second moments, p = N (N + 1) / 2: sum_m gamma_m G1_m M G1_m^T, raveled,
+    is M[np.triu_indices(N)] @ S for every symmetric M.
 
-    The leading axes of M are batch axes; the whole batch, flattened to
-    rows of N^2 entries, goes through one matmul with the (N^2, N^2)
-    matrix T: entry ((i, k), (a, b)) is pair_products' P[i, a, k, b], so
-    T is P with its middle axes swapped, copied. M need not be symmetric.
+    Row (i, k), i <= k, is P[i, :, k, :] + [i != k] P[k, :, i, :] of the
+    pair products P, since M[i, k] and M[k, i] are one entry. The rows of
+    one i are contiguous, and are written a block at a time: P[i, :, i:, :]
+    plus its mirror P[i:, :, i, :], zeroed on the row k = i by a multiply,
+    so no mirror of the whole of P is held beside it.
     """
-    Mmat = np.asarray(Mmat, dtype=float)
-    if Mmat.ndim < 2 or Mmat.shape[-2] != Mmat.shape[-1]:
-        raise ValueError(f"second-moment matrices must be square, got shape {Mmat.shape}")
-    check_compatible(gmap, noise, Mmat.shape[-1])
     n = gmap.state_dim
-    tmat = pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return (Mmat.reshape(-1, n * n) @ tmat).reshape(Mmat.shape)
+    pairs = pair_products(gmap, noise)
+    action = np.empty((n * (n + 1) // 2, n, n))
+    for i in range(n):
+        lo = i * n - i * (i - 1) // 2   # rows of S before those of this i
+        mirror = pairs[i:, :, i, :].copy()
+        mirror[0] *= 0.0   # row k = i has no mirror; zero it with the signs of a product
+        np.add(pairs[i, :, i:, :].transpose(1, 0, 2), mirror, out=action[lo:lo + n - i])
+    return action.reshape(-1, n * n)
+
+
+def action_bytes(n: int) -> int:
+    """Bytes that symmetric_action holds at once for N = n modes: the
+    pair products, 8 N^4, the action, 8 p N^2 with p = N (N + 1) / 2, two
+    blocks' mirrors, at most 16 N^3, as one block's is made while the
+    last one's is still held, and 4 KiB of interpreter objects. The
+    action alone, about half the pair products, is what a caller keeps.
+    pair_products' two (N^2, M) temporaries are freed before, and are
+    fewer bytes while the noise has at most N (N + 3) / 4 modes."""
+    return 8 * (n ** 4 + n * (n + 1) // 2 * n * n + 2 * n ** 3) + 4096
+
+
+def multiplicative_form(action: np.ndarray, Mmat: np.ndarray) -> np.ndarray:
+    """sum_m gamma_m G1_m M G1_m^T for second moments M of shape (..., N, N),
+    by the matrix S of symmetric_action.
+
+    The leading axes of M are batch axes. Only the upper triangle of
+    each M is read, as eigh reads one triangle: the whole batch's
+    triangles are one np.take and go through one matmul with S, so the
+    form of any M is that of its upper triangle mirrored. Raises
+    ValueError unless M's last two axes are (N, N) for the action's N.
+    """
+    n, Mmat = math.isqrt(action.shape[-1]), np.asarray(Mmat, dtype=float)
+    if Mmat.shape[-2:] != (n, n):
+        raise ValueError(f"noise map state dimension {n} != second-moment shape {Mmat.shape}")
+    rows, cols = np.triu_indices(n)
+    upper = np.take(Mmat.reshape(-1, n * n), rows * n + cols, axis=1)
+    return (upper @ action).reshape(Mmat.shape)
 
 
 def mean_form(gmap: AffineNoiseMap, noise: NoiseModel, mvec: np.ndarray) -> np.ndarray:
@@ -192,7 +236,7 @@ def mean_form(gmap: AffineNoiseMap, noise: NoiseModel, mvec: np.ndarray) -> np.n
     Entry (a, b) is sum_m gamma_m [ (G1 m)_a g2_{bm} + g2_{am} (G1 m)_b
     + g2_{am} g2_{bm} ]: of the four terms that expanding G(m +
     fluctuation) twice gives, the three that involve G2, so no
-    multiplicative matrix is built. With multiplicative_form of the
+    multiplicative action is needed. With multiplicative_form of the
     fluctuation second moment it makes the whole quadratic noise action.
     Accepts a stack m of shape (..., N).
     """

@@ -16,13 +16,15 @@ approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005). The grid
 values carry no time-stepping error, and stiff modes need no step-size
 restriction.
 
-What it holds. The generator's second-moment block is gathered
-straight from the noise map's pair products, 8 N^4 bytes, which are
-freed before the exponential; the exponential accumulates its Pade sums
-in place and holds at most eight matrices of the propagator's size
-(p + N + 1)^2, p = N (N + 1) / 2, at once. propagator_bytes counts the
-larger of the two phases, and validate refuses a dimension whose count
-would not fit in memory.
+What it holds. The generator's second-moment block is read off the
+noise map's symmetric action (noise_map.symmetric_action), the (p, N^2)
+matrix, p = N (N + 1) / 2, that Picard applies too: its columns at the
+upper triangle, transposed. The action and the pair products it is
+built from are freed before the exponential, which accumulates its
+Pade sums in place and holds at most eight matrices of the propagator's
+size (p + N + 1)^2 at once. propagator_bytes counts the larger of the
+two phases, and validate refuses a dimension whose count would not fit
+in memory.
 
 Two-time values follow from the equal-time ones because the driver is a
 martingale: conditionally on time s, the stochastic convolution
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import NoiseModel
-from .noise_map import AffineNoiseMap, check_compatible, mean_form, pair_products
+from .noise_map import AffineNoiseMap, action_bytes, check_compatible, mean_form, symmetric_action
 from .spectral import SpectralModel, moment_matrix, state_vector
 
 __all__ = [
@@ -77,23 +79,16 @@ def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndar
     return np.exp(-np.outer(t, model.eigenvalues)) * x0_mean
 
 
-# NumPy's buffered iteration over a gather's four broadcast index arrays:
-# up to 8192 elements of 8 bytes an array, and the iterator itself
-_GATHER_BUFFER_BYTES = 4 * 8192 * 8 + 4096
-
-
 def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) -> np.ndarray:
     """Matrix A of z' = A z for z = (M[np.triu_indices(N)], m, 1), the
     upper triangle of the symmetric second moment M, the mean m and a
     constant.
 
-    The rate is affine in z. Its multiplicative part is gathered
-    straight from the pair products P of pair_products: entry (i, k) of
-    z stands for both M[i, k] and M[k, i], so its rate on entry (a, b)
-    of M is P[i, a, k, b] + P[k, a, i, b] for i < k and P[i, a, i, b]
-    for i = k. Each of the two terms is one p x p gather, the second
-    zeroed on the columns i = k, so no (N^2, N^2) matrix is built beside
-    P. The mean and constant columns come from one mean_form call, the
+    The rate is affine in z. Its multiplicative part is the noise map's
+    symmetric action S: entry (i, k) of z stands for both M[i, k] and
+    M[k, i], and its rate on entry (a, b) of M is S[(i, k), (a, b)], so
+    the block is S's columns at the upper triangle, transposed. The
+    mean and constant columns come from one mean_form call, the
     rate at zero fluctuation, against each unit mean and the zero mean:
     the rate at a unit mean less the rate at zero, and the rate at zero.
     The diagonal carries the decay, -(lambda_i + lambda_k) for M[i, k]
@@ -103,16 +98,10 @@ def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) ->
     rows, cols = np.triu_indices(n)
     p = rows.size
     gen = np.zeros((p + n + 1, p + n + 1))
+    gen[:p, :p] = symmetric_action(gmap, noise)[:, rows * n + cols].T
     rates = mean_form(gmap, noise, np.eye(n + 1, n))[:, rows, cols]
     gen[:p, p:] = rates.T
     gen[:p, p:-1] -= rates[-1:].T
-    pairs = pair_products(gmap, noise)
-    # row (a, b) of the block runs down the first axis, column (i, k) along the second
-    a, b, i, k = rows[:, None], cols[:, None], rows, cols
-    gen[:p, :p] = pairs[i, a, k, b]
-    mirror = pairs[k, a, i, b]
-    mirror *= rows != cols   # zero for i = k
-    gen[:p, :p] += mirror
     gen[np.diag_indices(p + n)] -= np.concatenate([lam[rows] + lam[cols], lam])
     return gen
 
@@ -193,16 +182,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def propagator_bytes(n: int) -> int:
     """Bytes that lyapunov_solve holds at once for N = n modes, beside
-    its grid values: the larger of its two phases, since the pair
-    products are freed before the exponential. The generator holds the
-    8 N^4 bytes of the pair products, itself, its two p x p gathers,
-    p = N (N + 1) / 2, and _GATHER_BUFFER_BYTES; the exponential holds
-    _LIVE_MATRICES matrices of the propagator's size, 8 (p + N + 1)^2
-    bytes each."""
+    its grid values: the larger of its two phases, since the noise map's
+    action is freed before the exponential. The generator phase holds at
+    most what building the action holds (noise_map.action_bytes), the
+    generator itself and its p x p gather off the action,
+    p = N (N + 1) / 2; the exponential holds _LIVE_MATRICES matrices of
+    the propagator's size, 8 (p + N + 1)^2 bytes each, and 4 KiB of
+    interpreter objects."""
     p = n * (n + 1) // 2
     d = p + n + 1
-    generator = 8 * n ** 4 + 8 * d * d + 2 * 8 * p * p + _GATHER_BUFFER_BYTES
-    return max(generator, _LIVE_MATRICES * 8 * d * d)
+    return max(action_bytes(n) + 8 * (d * d + p * p), _LIVE_MATRICES * 8 * d * d + 4096)
 
 
 def lyapunov_solve(

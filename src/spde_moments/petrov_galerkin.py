@@ -66,10 +66,12 @@ import numpy as np
 from .levy import NoiseModel
 from .noise_map import (
     AffineNoiseMap,
+    action_bytes,
     check_compatible,
     g1_v_to_hs_norm,
     mean_form,
     multiplicative_form,
+    symmetric_action,
 )
 from .spectral import SpectralModel, moment_matrix, state_vector
 
@@ -263,12 +265,14 @@ def rhs_covariance(
     plus the multiplicative noise action on the mean outer product: the
     covariance problem has the same operator, and the noise acting on
     the mean moves into its load. picard_solve_second_moment solves it
-    as it solves the second-moment problem.
+    as it solves the second-moment problem. The noise map's symmetric
+    action is built once for the call.
     """
     load = rhs_second_moment(system, noise, gmap, mean_coeffs, cov_initial)
     mean = np.asarray(mean_coeffs, dtype=float)
     quadratic = mean[:, :, None] * mean[:, None, :]
-    return MomentLoad(load.initial, load.spatial + multiplicative_form(gmap, noise, quadratic))
+    product = multiplicative_form(symmetric_action(gmap, noise), quadratic)
+    return MomentLoad(load.initial, load.spatial + product)
 
 
 @dataclass(frozen=True)
@@ -421,7 +425,9 @@ def picard_solve_second_moment(
     zero-coupling solve, then repeatedly re-solves with the coupling
     term evaluated at the previous iterate. Stops when the
     max-norm update drops below tol relative to the iterate scale, both
-    max-norms over the whole field (_max_abs). With a purely additive
+    max-norms over the whole field (_max_abs). The coupling reads the
+    upper triangle of each diagonal block through the noise map's
+    symmetric action, built once for the call. With a purely additive
     noise operator the map is constant and a single iteration confirms
     convergence.
     """
@@ -441,10 +447,11 @@ def picard_solve_second_moment(
             stacklevel=2,
         )
 
+    action = symmetric_action(gmap, noise)
     blocks = _causal_solve(system, load)
     trace: list[float] = []
     for _ in range(max_iter):
-        current = MomentLoad(load.initial, load.spatial + multiplicative_form(gmap, noise, blocks[0]))
+        current = MomentLoad(load.initial, load.spatial + multiplicative_form(action, blocks[0]))
         new_blocks = _causal_solve(system, current)
         delta = _max_abs(new - old for new, old in zip(new_blocks, blocks))
         trace.append(delta)
@@ -470,19 +477,21 @@ def solve_bytes(steps: int, n: int, fields: int) -> int:
     diagonals, the coupled load, and then either the causal sweep's
     diagonal, off-diagonal load and two temporaries or the new iterate's
     two block diagonals and its update's difference and magnitude. Each
-    earlier field adds its two block diagonals, and the noise map's pair
-    products and T, 2 N^4 values, are counted beside them though they
-    are freed before the sweep. 64 KiB more cover numpy's buffered
-    iteration over an operand that a product broadcasts, 8192 values,
-    and 16 KiB the interpreter objects of the calls. At 4096 steps of 4
-    modes (numpy 2.4.6) tracemalloc peaks at 8.39 K N^2 values for one
-    solve and 10.39 for two, against counts of 8.41 and 10.41.
+    earlier field adds its two block diagonals. The noise map's
+    symmetric action, kept through the solve, is counted beside them at
+    what building it holds (noise_map.action_bytes), though the pair
+    products it is built from are freed before the first sweep. 64 KiB
+    more cover numpy's buffered iteration over an operand that a product
+    broadcasts, 8192 values, and 16 KiB the interpreter objects of the
+    calls. At 4096 steps of 4 modes (numpy 2.4.6) tracemalloc peaks at
+    8.40 K N^2 values for one solve and 10.40 for two, against counts of
+    8.42 and 10.42.
     """
     if fields:
-        values = (2 * fields + 6) * steps * n * n + steps * n + 2 * n ** 4
+        held = 8 * ((2 * fields + 6) * steps * n * n + steps * n) + action_bytes(n)
     else:
-        values = 4 * steps * n + 2 * steps
-    return 8 * values + 8192 * 8 + 16 * 1024
+        held = 8 * (4 * steps * n + 2 * steps)
+    return held + 8192 * 8 + 16 * 1024
 
 
 def _count_below(lam_dt: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:

@@ -20,18 +20,20 @@ pencil replaced.
 
 `unblocked_multiplicative_form` contracts the noise map against a whole
 stack of second moments by two matmuls through (..., M, N, N)
-temporaries, the factored form that one matmul with the package's
-Kronecker matrix replaced; `kronecker_matrix` is that matrix, built as
-`multiplicative_form` builds it. `unit_input_generator` builds the oracle's
-generator by applying the noise quadratic form to a stack of symmetric
-unit matrices, N inputs at a time, the construction that reading the
-columns off that matrix replaced. `kronecker_generator` builds the same
-generator by reading its block off the matrix itself, by three np.ix_
-gathers; `fresh_temporaries_expm` evaluates the oracle's scaling and
-squaring with a fresh array for every term of its Pade sums. They are
-the forms that gathering straight from the pair products and
-accumulating in place replaced, and the package's must match them byte
-for byte.
+temporaries, the factored form that the package's symmetric action
+replaced; it reads no pair products, so the tests that build on it do
+not check the action against itself. `kronecker_matrix` is the
+(N^2, N^2) matrix T of the form on flattened second moments, the pair
+products with their middle axes swapped, which the package no longer
+builds. `unit_input_generator` builds the oracle's generator by
+applying the factored form to a stack of symmetric unit matrices, N
+inputs at a time, the construction that reading the columns off the
+action replaced. `kronecker_generator` builds the same generator by
+reading its block off T, by three np.ix_ gathers;
+`fresh_temporaries_expm` evaluates the oracle's scaling and squaring
+with a fresh array for every term of its Pade sums. They are the forms
+that the symmetric action's gathers and accumulating in place replaced,
+and the package's must match them byte for byte.
 
 `choice_sample_increments` draws Levy increments with Generator.choice
 and np.add.at, the sampler whose random stream the package's cached
@@ -56,7 +58,7 @@ from scipy.linalg import svdvals
 
 import spde_moments.montecarlo as mc
 from spde_moments._format import _32, _CLASSES, _E_MAX, _E_MIN, _M32, _NUM
-from spde_moments.noise_map import mean_form, multiplicative_form, pair_products
+from spde_moments.noise_map import mean_form, pair_products
 from spde_moments.oracle import _PADE13, _THETA13
 
 
@@ -168,7 +170,7 @@ def unit_input_generator(model, noise, gmap):
     gen = np.zeros((d, d))
     for s in range(0, d, n):  # n inputs at a time keep the stacked noise forms small
         Ms, ms = units[s:s + n], vecs[s:s + n]
-        rate = -(lam[:, None] * Ms + Ms * lam) + (multiplicative_form(gmap, noise, Ms)
+        rate = -(lam[:, None] * Ms + Ms * lam) + (unblocked_multiplicative_form(gmap, noise, Ms)
                                                    + mean_form(gmap, noise, ms))
         gen[:p, s:s + n] = rate[:, rows, cols].T
         gen[p:p + n, s:s + n] = -(ms * lam).T
@@ -271,8 +273,8 @@ def rk4_second_moment(model, noise, gmap, m0, M0, steps, substeps):
 
     def rate(t, M):
         m_t = np.exp(-lam * t) * m0
-        return -(lam[:, None] * M + M * lam[None, :]) + (multiplicative_form(gmap, noise, M)
-                                                        + mean_form(gmap, noise, m_t))
+        return -(lam[:, None] * M + M * lam[None, :]) + (
+            unblocked_multiplicative_form(gmap, noise, M) + mean_form(gmap, noise, m_t))
 
     h = model.horizon / (steps * substeps)
     diag = np.empty((steps + 1,) + np.shape(M0))

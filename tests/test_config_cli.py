@@ -534,22 +534,21 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, subcommand
     ):
         def not_built(*args):
-            raise AssertionError("the Kronecker matrix was built")
+            raise AssertionError("the noise map's action was built")
 
-        # the pair products are the one product behind T and the oracle's
-        # generator alike
+        # the pair products are the one product behind the symmetric action
+        # that Picard and the oracle's generator read alike
         monkeypatch.setattr(noise_map, "pair_products", not_built)
-        monkeypatch.setattr(oracle, "pair_products", not_built)
         n = 8
-        # T and the pair products it is copied from take 16 N^4 bytes, one
-        # more than the machine has; validate's Monte Carlo buffers, 27 kB,
+        # building the action takes noise_map.action_bytes, one byte more
+        # than the machine has; validate's Monte Carlo buffers, 27 kB,
         # still fit
-        monkeypatch.setattr(config, "_physical_memory", lambda: 16 * n ** 4 - 1)
+        monkeypatch.setattr(config, "_physical_memory", lambda: noise_map.action_bytes(n) - 1)
         cfg = self.write_config(tmp_path, multimode_raw_at(n))
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: model.dimension: the noise map's Kronecker matrix")
+        assert err.startswith("error: model.dimension: the noise map's symmetric action")
         assert "physical memory" in err
 
     def test_oracle_larger_than_memory_refused_before_solving(
@@ -560,11 +559,12 @@ class TestCli:
 
         for name in ("solve_mean", "picard_solve_second_moment", "lyapunov_solve", "_simulate"):
             monkeypatch.setattr(cli, name, no_solve)
-        n = 8
-        # room for Picard's 16 N^4 bytes and the Monte Carlo buffers, but
-        # one byte short of the larger of the oracle's two phases
+        n = 16
+        # room for Picard's action, the two solves of 8 steps and the Monte
+        # Carlo buffers, but one byte short of the larger of the oracle's
+        # two phases
         need = oracle.propagator_bytes(n)
-        assert need > 16 * n ** 4
+        assert need > solve_bytes(8, n, 2) > noise_map.action_bytes(n)
         monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
         cfg = self.write_config(tmp_path, multimode_raw_at(n))
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])

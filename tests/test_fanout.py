@@ -99,3 +99,44 @@ class TestFanOut:
         seen = []
         _fanout.fan_out(seen.append, ["only"])
         assert seen == ["only"]
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(_fanout._openblas_threads() is None, reason="no OpenBLAS thread calls")
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_held_to_one_while_processes_run_then_restored(self, parts):
+        get, set_threads = _fanout._openblas_threads()
+        before = get()
+        set_threads(2)
+        seen = shared_pids(parts)
+
+        def work(part):
+            seen[part] = get()
+
+        def stop(part):
+            if part == 0:
+                raise ValueError("stop")
+
+        try:
+            _fanout.fan_out(work, list(range(parts)))
+            assert get() == 2
+            # one part runs alone in this process with BLAS as it was
+            assert seen.tolist() == ([2] if parts == 1 else [1] * parts)
+            # the count is restored when the call raises too
+            with pytest.raises(ValueError, match="stop"):
+                _fanout.fan_out(stop, list(range(parts)))
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert_no_child_left()
+
+    def test_missing_thread_calls_leave_blas_as_it_is(self, monkeypatch):
+        monkeypatch.setattr(_fanout, "_openblas_threads", lambda: None)
+        pids = shared_pids(2)
+
+        def work(part):
+            pids[part] = os.getpid()
+
+        _fanout.fan_out(work, [0, 1])
+        assert len(set(pids.tolist())) == 2
+        assert_no_child_left()

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,23 @@ from spde_moments.noise_map import g_apply_columns
 
 from conftest import multimode_setup
 from dense_reference import estimate_paths, simulate_paths
+
+ROOT = Path(__file__).resolve().parent.parent
+# multimode's Monte Carlo run at 2000 paths on 64 recording steps, D = 260,
+# in a fresh process, on the first CPU of its affinity alone when asked to
+# ("pinned") before numpy starts its BLAS threads; prints the worker count
+# and the bytes of the six moment arrays in hex
+AFFINITY_RUN = """
+import json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from spde_moments import cli
+from spde_moments.config import parse_config
+raw = json.loads(open(sys.argv[2]).read())
+raw["mc"].update(paths=2000, grid_steps=64)
+est, _, procs = cli._simulate(parse_config(raw))
+print(procs, *(getattr(est, name).tobytes().hex() for name in sys.argv[3:]))
+"""
 
 
 def brute_force_g(gmap, state, increment):
@@ -585,6 +606,22 @@ class TestSimulateMoments:
     def test_requires_two_paths(self, scalar_model, unit_noise, additive_map):
         with pytest.raises(ValueError, match="at least two paths"):
             simulate_moments(scalar_model, unit_noise, additive_map, np.zeros(1), 4, 1, seed=0)
+
+    @pytest.mark.skipif(_fanout._cpus() < 2, reason="needs two CPUs of the affinity")
+    def test_two_processes_round_as_one_cpu_at_d260(self):
+        # OpenBLAS threads a batch's block.T @ block at D = 260 and rounds it
+        # otherwise; fan_out holds it to one thread in each of its
+        # processes, as a process pinned to one CPU starts. BLAS threads
+        # are left at their default, whatever the environment asks
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        runs = [subprocess.run(
+            [sys.executable, "-c", AFFINITY_RUN, affinity, str(ROOT / "configs" / "multimode.json"),
+             *self.FIELDS], env=env, capture_output=True, text=True, check=True,
+        ).stdout.split() for affinity in ("all", "pinned")]
+        assert [run[0] for run in runs] == ["2", "1"]
+        assert len(runs[0]) == 1 + len(self.FIELDS)
+        assert runs[0][1:] == runs[1][1:]
 
     @pytest.mark.parametrize("paths, steps", [
         pytest.param(2, 64, id="2"), pytest.param(4000, 64, id="4000"),

@@ -28,6 +28,12 @@ PACKAGE = Path(spde_moments.__file__).resolve().parent
 ROUTES = ("montecarlo", "oracle", "petrov_galerkin")
 
 
+def imported_names(path):
+    """Names that a source file imports from other modules."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def imported_modules(path):
     """Modules of the package that a source file imports, by short name."""
     names = set()
@@ -60,11 +66,14 @@ class TestImportGraph:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
-        for name in ("AffineNoiseMap", "g_apply_columns", "g1_v_to_hs_norm",
-                     "mean_form", "multiplicative_form", "pair_products"):
+        for name in ("AffineNoiseMap", "action_bytes", "g_apply_columns", "g1_v_to_hs_norm",
+                     "mean_form", "multiplicative_form", "pair_products", "symmetric_action"):
             assert homes.get(name) == ["noise_map"], name
-        # T is built inside multiplicative_form, its one user
+        # the symmetric action is the one matrix of the multiplicative form:
+        # no module builds the (N^2, N^2) one or gathers a block of its own
         assert "multiplicative_matrix" not in homes
+        for route in ("oracle", "petrov_galerkin"):
+            assert "pair_products" not in imported_names(PACKAGE / f"{route}.py"), route
 
     def test_input_rules_have_one_home(self):
         # the rules for a mean and a second moment, and the words of their
@@ -155,8 +164,11 @@ MISMATCHED = {
 }
 ENTRY_POINTS = {
     "noise_quadratic_form":  # the whole quadratic action: multiplicative plus mean part
-        lambda g: (noise_map.multiplicative_form(g, NOISE, np.eye(2))
+        lambda g: (noise_map.multiplicative_form(noise_map.symmetric_action(g, NOISE), np.eye(2))
                    + noise_map.mean_form(g, NOISE, np.ones(2))),
+    # the action refuses the noise, and the form a moment of another state
+    "symmetric_action":
+        lambda g: noise_map.multiplicative_form(noise_map.symmetric_action(g, NOISE), np.eye(2)),
     "mean_form": lambda g: noise_map.mean_form(g, NOISE, np.ones(2)),
     "g1_v_to_hs_norm": lambda g: g1_v_to_hs_norm(g, MODEL, NOISE),
     "lyapunov_solve":
@@ -179,6 +191,11 @@ ENTRY_POINTS = {
 def test_dimension_mismatch_raises(entry, kind):
     with pytest.raises(ValueError, match=f"noise map {kind} dimension"):
         ENTRY_POINTS[entry](MISMATCHED[kind])
+
+
+def symmetric(rng_draw):
+    """A draw made symmetric: the draw plus its transpose over the last two axes."""
+    return rng_draw + np.swapaxes(rng_draw, -1, -2)
 
 
 class TestMultiplicativeForm:
@@ -204,34 +221,52 @@ class TestMultiplicativeForm:
                               g2=np.zeros((n, modes)))
         noise = NoiseModel(q_eigenvalues=np.array([0.5, 1.0, 2.0]), wiener_fraction=0.5,
                            jump_rate=2.0)
-        second = rng.integers(-4, 5, lead + (n, n)).astype(float)
+        action = noise_map.symmetric_action(gmap, noise)
+        second = symmetric(rng.integers(-4, 5, lead + (n, n)).astype(float))
         if block_bytes is None:
-            blocked = noise_map.multiplicative_form(gmap, noise, second)
+            blocked = noise_map.multiplicative_form(action, second)
         else:
             block = block_bytes // (8 * modes * n * n)
             flat = second.reshape(-1, n, n)
             blocked = np.empty(flat.shape)
             for start in range(0, len(flat), block):
                 blocked[start:start + block] = noise_map.multiplicative_form(
-                    gmap, noise, flat[start:start + block])
+                    action, flat[start:start + block])
             blocked = blocked.reshape(second.shape)
         assert blocked.shape == second.shape
         assert np.array_equal(blocked, unblocked_multiplicative_form(gmap, noise, second))
 
     @pytest.mark.parametrize("lead", [(), (1,), (7,), (0,), (4, 3)])
     def test_matches_two_matmul_contraction(self, lead):
-        # nonsymmetric second moments: the form is linear on every square M
+        # symmetric second moments, the only ones the routes meet
         gmap, noise, rng = self.coupling(5, 3)
-        second = rng.standard_normal(lead + (5, 5))
-        form = noise_map.multiplicative_form(gmap, noise, second)
+        second = symmetric(rng.standard_normal(lead + (5, 5)))
+        form = noise_map.multiplicative_form(noise_map.symmetric_action(gmap, noise), second)
         reference = unblocked_multiplicative_form(gmap, noise, second)
         assert form.shape == second.shape
         assert np.max(np.abs(form - reference), initial=0.0) <= (
             1e-13 * np.max(np.abs(reference), initial=0.0))
 
+    def test_reads_the_upper_triangle_alone(self):
+        # a nonsymmetric M gives the form of its upper triangle mirrored,
+        # bit for bit; NaN below the diagonal is never read
+        gmap, noise, rng = self.coupling(5, 3)
+        action = noise_map.symmetric_action(gmap, noise)
+        second = rng.standard_normal((6, 5, 5))
+        mirrored = np.triu(second) + np.swapaxes(np.triu(second, 1), -1, -2)
+        expected = noise_map.multiplicative_form(action, mirrored)
+        assert np.array_equal(noise_map.multiplicative_form(action, second), expected)
+        rows, cols = np.tril_indices(5, -1)
+        unread = second.copy()
+        unread[:, rows, cols] = np.nan
+        assert np.array_equal(noise_map.multiplicative_form(action, unread), expected)
+        assert np.max(np.abs(second - np.swapaxes(second, -1, -2))) > 0.1
+
     def test_matrix_matches_index_loop(self):
         # T[(i, k), (a, b)] = sum_m gamma_m g1[a, i, m] g1[b, k, m], and the
-        # form of a nonsymmetric M is M.ravel() @ T
+        # form of a nonsymmetric M is M.ravel() @ T; the symmetric action's
+        # row (i, k), i <= k, is T's row (i, k) plus, for i < k, row (k, i),
+        # and the form of a symmetric M is M[triu] @ S
         n, modes = 3, 2
         gmap, noise, rng = self.coupling(n, modes)
         gamma, g1 = noise.q_eigenvalues, gmap.g1
@@ -244,11 +279,19 @@ class TestMultiplicativeForm:
                             gamma[m] * g1[a, i, m] * g1[b, k, m] for m in range(modes))
         tmat = kronecker_matrix(gmap, noise)
         np.testing.assert_allclose(tmat, expected, rtol=1e-14, atol=0.0)
+        rows, cols = np.triu_indices(n)
+        folded = expected[rows * n + cols] + (rows != cols)[:, None] * expected[cols * n + rows]
+        action = noise_map.symmetric_action(gmap, noise)
+        assert action.shape == (n * (n + 1) // 2, n * n)
+        np.testing.assert_allclose(action, folded, rtol=1e-14, atol=0.0)
         second = rng.standard_normal((n, n))
         assert np.max(np.abs(second - second.T)) > 0.1
         brute = sum(gamma[m] * g1[:, :, m] @ second @ g1[:, :, m].T for m in range(modes))
         np.testing.assert_allclose(second.ravel() @ tmat, brute.ravel(), rtol=1e-13)
-        np.testing.assert_allclose(noise_map.multiplicative_form(gmap, noise, second), brute,
+        second = symmetric(second)
+        brute = sum(gamma[m] * g1[:, :, m] @ second @ g1[:, :, m].T for m in range(modes))
+        np.testing.assert_allclose(second[rows, cols] @ action, brute.ravel(), rtol=1e-13)
+        np.testing.assert_allclose(noise_map.multiplicative_form(action, second), brute,
                                    rtol=1e-13)
 
     def test_mean_form_is_the_quadratic_form_at_zero_fluctuation(self):
@@ -259,20 +302,37 @@ class TestMultiplicativeForm:
         means = rng.standard_normal((6, 4))
         mean_terms = noise_map.mean_form(gmap, noise, means)
         assert mean_terms.shape == (6, 4, 4)
+        action = noise_map.symmetric_action(gmap, noise)
         np.testing.assert_array_equal(
-            mean_terms, noise_map.multiplicative_form(gmap, noise, np.zeros((4, 4)))
+            mean_terms, noise_map.multiplicative_form(action, np.zeros((4, 4)))
             + noise_map.mean_form(gmap, noise, means))
+
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_action_peak_within_its_count(self, n):
+        # the pair products, the action and two blocks' mirrors
+        gmap, noise, _ = self.coupling(n, n)
+        tracemalloc.start()
+        try:
+            action = noise_map.symmetric_action(gmap, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert action.nbytes < peak <= noise_map.action_bytes(n)
 
     def test_peak_memory_bounded_at_scale(self):
         # K = 4096 intervals of N = 16 modes against M = 16 noise modes: the
         # two-matmul contraction holds two (K, M, N, N) temporaries of
-        # 128 MiB; one matmul with T holds the 8 MiB result and T's 0.5 MiB
-        gmap, noise, rng = self.coupling(16, 16)
-        second = rng.standard_normal((4096, 16, 16))
+        # 128 MiB; here building the action holds its count, and applying
+        # it the action, the (K, p) gathered triangles and the (K, N^2)
+        # result
+        n, steps = 16, 4096
+        gmap, noise, rng = self.coupling(n, n)
+        second = rng.standard_normal((steps, n, n))
         tracemalloc.start()
         try:
-            noise_map.multiplicative_form(gmap, noise, second)
+            noise_map.multiplicative_form(noise_map.symmetric_action(gmap, noise), second)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        p = n * (n + 1) // 2
+        assert peak <= noise_map.action_bytes(n) + 8 * steps * (p + n * n)

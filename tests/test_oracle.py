@@ -53,13 +53,20 @@ class TestMeanExact:
             mean_exact(model, np.array([bad, 1.0]), 4)
 
 
+def multiplicative_form(gmap, noise, second):
+    """The package's multiplicative form of second moments, through the
+    noise map's symmetric action."""
+    return noise_map.multiplicative_form(noise_map.symmetric_action(gmap, noise), second)
+
+
 class TestNoiseQuadraticForm:
     def test_additive_only(self):
         rng = np.random.default_rng(0)
         g2 = rng.standard_normal((3, 2))
         gmap = AffineNoiseMap(g1=np.zeros((3, 3, 2)), g2=g2)
         noise = NoiseModel(q_eigenvalues=[0.5, 0.2])
-        out = (noise_map.multiplicative_form(gmap, noise, rng.standard_normal((3, 3)))
+        second = rng.standard_normal((3, 3))
+        out = (multiplicative_form(gmap, noise, second + second.T)
                + noise_map.mean_form(gmap, noise, rng.standard_normal(3)))
         np.testing.assert_allclose(out, g2 @ np.diag([0.5, 0.2]) @ g2.T, rtol=1e-13)
 
@@ -69,7 +76,7 @@ class TestNoiseQuadraticForm:
         g2 = rng.standard_normal((2, 2))
         gmap = AffineNoiseMap(g1=g1, g2=g2)
         noise = NoiseModel(q_eigenvalues=[1.0, 2.0])
-        out = (noise_map.multiplicative_form(gmap, noise, np.zeros((2, 2)))
+        out = (multiplicative_form(gmap, noise, np.zeros((2, 2)))
                + noise_map.mean_form(gmap, noise, np.zeros(2)))
         np.testing.assert_allclose(out, g2 @ np.diag([1.0, 2.0]) @ g2.T, rtol=1e-13)
 
@@ -79,7 +86,7 @@ class TestNoiseQuadraticForm:
         a, b, M, m = 0.5, 0.25, 1.7, -0.3
         gmap = AffineNoiseMap(g1=np.full((1, 1, 1), a), g2=np.full((1, 1), b))
         noise = NoiseModel(q_eigenvalues=[1.0])
-        out = (noise_map.multiplicative_form(gmap, noise, np.array([[M]]))
+        out = (multiplicative_form(gmap, noise, np.array([[M]]))
                + noise_map.mean_form(gmap, noise, np.array([m])))
         assert out[0, 0] == pytest.approx(a * a * M + 2 * a * b * m + b * b)
 
@@ -95,7 +102,7 @@ class TestNoiseQuadraticForm:
         mvecs = rng.standard_normal(lead + (n,))
         gmap = AffineNoiseMap(g1=g1, g2=g2)
         noise = NoiseModel(q_eigenvalues=gamma)
-        out = (noise_map.multiplicative_form(gmap, noise, Mmats)
+        out = (multiplicative_form(gmap, noise, Mmats)
                + noise_map.mean_form(gmap, noise, mvecs))
         assert out.shape == Mmats.shape
         for idx in np.ndindex(lead):
@@ -204,7 +211,7 @@ class TestLyapunovSolve:
         # the generator is built and never per step
         model, noise, gmap, x0 = multimode_setup()
         calls = []
-        for name in ("mean_form", "pair_products"):
+        for name in ("mean_form", "symmetric_action"):
             original = getattr(oracle, name)
 
             def counter(*args, name=name, original=original):
@@ -217,12 +224,12 @@ class TestLyapunovSolve:
             calls.clear()
             lyapunov_solve(model, noise, gmap, x0, np.outer(x0, x0), steps)
             counts.append(sorted(calls))
-        assert counts[0] == counts[1] == ["mean_form", "pair_products"]
+        assert counts[0] == counts[1] == ["mean_form", "symmetric_action"]
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_peak_memory_within_the_propagator_estimate(self, n):
-        # the pair products and the live Pade matrices bound what the solve
-        # holds beside its grid values, which are small at 4 steps
+        # building the noise map's action and the live Pade matrices bound
+        # what the solve holds beside its grid values, small at 4 steps
         model, noise, gmap, x0 = multimode_setup(n, 4 * np.pi)
         tracemalloc.start()
         try:
@@ -299,10 +306,10 @@ class TestGenerator:
         assert np.max(np.abs(gen - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     def test_builds_the_multiplicative_matrix_once(self, monkeypatch):
-        # the pair products, the one product behind T, are formed once and
-        # T itself never (multiplicative_form, which alone builds it, is
-        # not called); the mean and constant columns come from mean_form,
-        # which forms neither
+        # the pair products, the one product behind the symmetric action,
+        # are formed once, for the action the block is read off, and no
+        # moment goes through multiplicative_form; the mean and constant
+        # columns come from mean_form, which forms neither
         model, noise, gmap, _ = multimode_setup()
         calls = []
         original = noise_map.pair_products
@@ -312,10 +319,9 @@ class TestGenerator:
             return original(*args)
 
         def not_built(*args):
-            raise AssertionError("the Kronecker matrix was built")
+            raise AssertionError("the multiplicative form was applied")
 
         monkeypatch.setattr(noise_map, "pair_products", counter)
-        monkeypatch.setattr(oracle, "pair_products", counter)
         monkeypatch.setattr(noise_map, "multiplicative_form", not_built)
         oracle._generator(model, noise, gmap)
         assert len(calls) == 1

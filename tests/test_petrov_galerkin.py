@@ -26,7 +26,7 @@ from spde_moments import (
     solve_mean,
 )
 from spde_moments.config import initial_law, load_config
-from spde_moments.noise_map import multiplicative_form
+from spde_moments.noise_map import multiplicative_form, symmetric_action
 
 from conftest import multimode_setup
 from dense_reference import (
@@ -299,7 +299,7 @@ class TestLoads:
     def test_second_moment_load_builds_no_multiplicative_matrix(self, monkeypatch):
         # its noise terms all involve G2 (mean_form); only the covariance
         # load carries the multiplicative form of the mean outer product,
-        # whose matrix T is copied out of the pair products
+        # through the symmetric action built once from the pair products
         model, noise, gmap, x0 = multimode_setup()
         system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
         mean = solve_mean(system, x0)
@@ -325,7 +325,8 @@ class TestLoads:
         cov_0 = np.diag(x0)
         cov = rhs_covariance(system, noise, gmap, mean, cov_0)
         m2 = rhs_second_moment(system, noise, gmap, mean, cov_0)
-        product = multiplicative_form(gmap, noise, mean[:, :, None] * mean[:, None, :])
+        product = multiplicative_form(symmetric_action(gmap, noise),
+                                      mean[:, :, None] * mean[:, None, :])
         assert cov.spatial.tobytes() == (m2.spatial + product).tobytes()
         assert cov.initial.tobytes() == m2.initial.tobytes() == cov_0.tobytes()
 
@@ -413,6 +414,28 @@ class TestTimeRows:
 
 
 class TestPicard:
+    def test_builds_the_action_once_whatever_the_iterations(self, monkeypatch):
+        # the pair products, and the symmetric action from them, are formed
+        # once per solve, not once per iteration
+        model, noise, gmap, x0 = multimode_setup()
+        system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
+        load = rhs_second_moment(system, noise, gmap, solve_mean(system, x0), np.outer(x0, x0))
+        calls = []
+        original = noise_map.pair_products
+
+        def counter(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(noise_map, "pair_products", counter)
+        iterations = []
+        for tol in (1e-2, 1e-12):
+            calls.clear()
+            solution = picard_solve_second_moment(system, noise, gmap, load, tol=tol)
+            iterations.append(solution.iterations)
+            assert calls == [1]
+        assert iterations[1] > iterations[0] > 1
+
     def test_additive_case_converges_in_one_iteration(self):
         system = scalar_system(8)
         noise = NoiseModel(q_eigenvalues=[1.0])
@@ -428,11 +451,12 @@ class TestPicard:
         load = rhs_second_moment(system, unit_noise, multiplicative_map, mean, np.ones((1, 1)))
         solution = picard_solve_second_moment(system, unit_noise, multiplicative_map, load)
         # replay the iteration: the solution is its last iterate, bit for bit
+        action = symmetric_action(multiplicative_map, unit_noise)
         blocks = pg._causal_solve(system, load)
         for _ in range(solution.iterations):
             last = MomentLoad(
                 initial=load.initial,
-                spatial=load.spatial + multiplicative_form(multiplicative_map, unit_noise, blocks[0]),
+                spatial=load.spatial + multiplicative_form(action, blocks[0]),
             )
             blocks = pg._causal_solve(system, last)
         for got, replayed in zip((solution.diagonal, solution.upper), blocks, strict=True):
@@ -451,6 +475,7 @@ class TestPicard:
         load = rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
         current = load
         idx = np.arange(8)
+        action = symmetric_action(gmap, noise)
         for _ in range(3):
             diagonal, upper = pg._causal_solve(system, current)
             tol = 1e-12 * max(1.0, np.max(np.abs(diagonal)), np.max(np.abs(upper)))
@@ -461,7 +486,7 @@ class TestPicard:
             assert np.max(np.abs(lower - upper.transpose(0, 2, 1))) <= 10 * np.finfo(float).eps * scale
             current = MomentLoad(
                 initial=load.initial,
-                spatial=load.spatial + multiplicative_form(gmap, noise, diagonal),
+                spatial=load.spatial + multiplicative_form(action, diagonal),
             )
 
     def test_rows_are_symmetric_off_the_diagonal_blocks(self):

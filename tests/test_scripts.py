@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,27 @@ def load_script(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=[path.stem for path in SCRIPTS])
 def test_script_imports(path):
     load_script(path)
+
+
+@pytest.mark.parametrize("name", ["table_hashes", "mc_timing", "pipeline_memory"])
+def test_script_finds_its_own_tree_without_pythonpath(name, tmp_path):
+    # a fresh interpreter, outside the tree and with PYTHONPATH unset,
+    # loads the script and the package it names from the script's tree;
+    # pipeline_memory imports the package only when it runs a stage
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    path = str(SCRIPTS_DIR / f"{name}.py")
+    source = ("import importlib.util\n"
+              f"spec = importlib.util.spec_from_file_location('script', {path!r})\n"
+              "module = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(module)\n"
+              "if hasattr(module, 'stages'):\n"
+              "    module.stages(2)\n"
+              "import spde_moments\n"
+              "print(spde_moments.__file__)\n")
+    run = subprocess.run([sys.executable, "-c", source], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == str(SCRIPTS_DIR.parent / "src" / "spde_moments" / "__init__.py")
 
 
 def test_table_diff_names_the_changed_table_and_its_value_difference(tmp_path, capsys):
