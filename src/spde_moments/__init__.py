@@ -7,7 +7,11 @@ other: a space-time Petrov-Galerkin solver for the tensorized moment
 problems, a matrix differential equation solved exactly on its grid by
 one matrix-exponential propagator, and Monte Carlo simulation of the
 mild solution. The routes share the model definitions (spectral, levy,
-noise_map) and never import one another.
+noise_map) and never import one another; spectral also holds the
+packed upper-triangle layout of a symmetric matrix that three modules
+read. The package holds the routes and what they share: the quantities
+that only the acceptance criteria measure, such as tensor cross norms
+and the Ito isometry, live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -18,9 +22,7 @@ from .levy import (
 )
 from .montecarlo import (
     MomentEstimate,
-    ito_isometry_check,
     simulate_moments,
-    weak_identity_residual,
 )
 from .noise_map import (
     AffineNoiseMap,
@@ -50,12 +52,4 @@ from .petrov_galerkin import (
 from .spectral import (
     SpectralModel,
     dirichlet_laplacian,
-    smoothing_integral,
-)
-from .tensors import (
-    Tensor2,
-    dual_pair,
-    hilbert_norm,
-    injective_norm,
-    projective_norm,
 )

@@ -43,14 +43,15 @@ their outer products alone. simulate_moments, the one Monte Carlo
 entry point, reduces each batch to those sums in the process that
 simulates it and drops its paths. A sum of outer products is
 symmetric, bit for bit as numpy forms it, and is held by its upper
-triangle, so with nb batches of P paths of D recorded values the run
-holds nb D (D + 3) / 2 float64 of sums and O(D^2 + G (P / nb) D) more,
-with no P D term; a group's buffers take at most GROUP_BYTES, or one
-batch's where that is more. The reduction takes every statistic on the
-triangles, the per-batch covariances a span of triangle rows at a time,
-and unpacks each (D, D) field once. No path outlives its group. Every
-batch is summed, and a path that is not finite leaves its batch's sum
-not finite, which refuses the run.
+triangle, packed as spectral lays out every triangle, so with nb
+batches of P paths of D recorded values the run holds nb D (D + 3) / 2
+float64 of sums and O(D^2 + G (P / nb) D) more, with no P D term; a
+group's buffers take at most GROUP_BYTES, or one batch's where that is
+more. The reduction takes every statistic on the triangles, the
+per-batch covariances a span of triangle rows at a time, and unpacks
+each (D, D) field once. No path outlives its group. Every batch is
+summed, and a path that is not finite leaves its batch's sum not
+finite, which refuses the run.
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ import numpy as np
 from ._fanout import fan_out, split, workers
 from .levy import NoiseModel, sample_increments
 from .noise_map import AffineNoiseMap, check_compatible, g_apply_columns
-from .spectral import SpectralModel, moment_matrix, state_vector
+from .spectral import (SpectralModel, moment_matrix, state_vector, triangle_positions,
+                       triangle_start, unpack_triangle)
 
 __all__ = [
     "MomentEstimate",
     "simulate_moments",
-    "weak_identity_residual",
-    "ito_isometry_check",
 ]
 
 BATCHES = 32  # batch count of every run of at least that many paths
@@ -116,13 +116,13 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
     (nb T + nb D float64: each batch's sum of outer products by its
     upper triangle) are held throughout, and the peak falls in one of
     three phases:
-    - stepping a group: the T flat positions of the triangle (_upper),
-      and G batches of at most ceil(paths / nb) paths (_group_size), each
-      path taking _path_words in the buffers, N words for the G2 part of
-      the noise term, M for its normals as drawn, before they are copied
-      into the increments, and 9 for the sampler's jump draws (the
-      Poisson counts twice, the jumping rows and, at one jump a path, six
-      words a jump);
+    - stepping a group: the T flat positions of the triangle
+      (spectral.triangle_positions), and G batches of at most
+      ceil(paths / nb) paths (_group_size), each path taking _path_words
+      in the buffers, N words for the G2 part of the noise term, M for
+      its normals as drawn, before they are copied into the increments,
+      and 9 for the sampler's jump draws (the Poisson counts twice, the
+      jumping rows and, at one jump a path, six words a jump);
     - summing a group's batches: the positions, its block, one D x D
       product and a D sum of a batch;
     - the reduction: the D x D moment and covariance beside the mean,
@@ -261,32 +261,12 @@ def _batch_error(stats: np.ndarray) -> np.ndarray:
     return np.sqrt(spread, out=spread) / np.sqrt(nb)
 
 
-def _upper(width: int) -> np.ndarray:
-    """Flat positions of the upper triangle of a (width, width) array, in
-    np.triu_indices order: row by row, each from its diagonal entry on."""
-    i, j = np.triu_indices(width)
-    i *= width
-    i += j
-    return i
-
-
-def _unpack(tri: np.ndarray, width: int) -> np.ndarray:
-    """The symmetric (width, width) matrix whose upper triangle, in
-    np.triu_indices order, is `tri`, filled one triangle row at a time."""
-    out = np.empty((width, width))
-    start = 0
-    for r in range(width):
-        out[r, r:] = out[r:, r] = tri[start:start + width - r]
-        start += width - r
-    return out
-
-
 def _sum_batch(block: np.ndarray, s1: np.ndarray, s2: np.ndarray, upper: np.ndarray) -> None:
     """Write the sum of the rows of a (count, D) block of paths to s1 and
     the upper triangle of the sum of their outer products, read at the
-    flat positions `upper` (_upper(D)), to s2. numpy forms block.T @ block
-    by a symmetric rank-k update and mirrors it, so the triangle holds
-    the whole sum bit for bit."""
+    flat positions `upper` (triangle_positions(D)), to s2. numpy forms
+    block.T @ block by a symmetric rank-k update and mirrors it, so the
+    triangle holds the whole sum bit for bit."""
     s1[...] = block.sum(axis=0)
     np.take(block.T @ block, upper, out=s2, mode="clip")
 
@@ -318,7 +298,7 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
     mean /= paths
     m2 = np.add.reduce(s2, axis=0)
     m2 /= paths
-    m2 = _unpack(m2, width)
+    m2 = unpack_triangle(m2, width)
     cov = np.outer(mean, mean)
     np.subtract(m2, cov, out=cov)
     s1 /= counts[:, None]
@@ -329,7 +309,7 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
     rows = max(2, width // (nb + 2))
     for hi in range(width, 0, -rows):
         lo = max(hi - rows, 0)
-        first, end = (r * (2 * width + 1 - r) // 2 for r in (lo, hi))  # where rows lo, hi start
+        first, end = triangle_start(lo, width), triangle_start(hi, width)
         span = np.empty((nb, end - first))
         at = 0
         for r in range(lo, hi):
@@ -338,9 +318,9 @@ def _reduce(s1: np.ndarray, s2: np.ndarray, bounds: list[tuple[int, int]], nodes
         np.subtract(s2[:, first:end], span, out=span)
         cov_se[first:end] = _batch_error(span)
         del span  # freed before the next span is formed
-    cov_se = _unpack(cov_se, width)
+    cov_se = unpack_triangle(cov_se, width)
     mean_se = _batch_error(s1)
-    m2_se = _unpack(_batch_error(s2), width)
+    m2_se = unpack_triangle(_batch_error(s2), width)
 
     shape2 = (nodes, dim, nodes, dim)
     return MomentEstimate(
@@ -397,7 +377,7 @@ def simulate_moments(
     s1, s2 = empty((len(bounds), width)), empty((len(bounds), width * (width + 1) // 2))
 
     def run(batches: tuple[int, int]) -> None:
-        upper = _upper(width)
+        upper = triangle_positions(width)
         for first in range(batches[0], batches[1], group):
             last = min(first + group, batches[1])
             start = bounds[first][0]
@@ -415,93 +395,3 @@ def simulate_moments(
     if not np.isfinite(s1).all():
         raise ValueError("paths must be finite")
     return _reduce(s1, s2, bounds, nodes, model.dim)
-
-
-def weak_identity_residual(
-    path: np.ndarray,
-    v: np.ndarray,
-    model: SpectralModel,
-    gmap: AffineNoiseMap,
-    increments: np.ndarray,
-) -> float:
-    """Residual of the weak form of the mild solution along one path.
-
-    The left side integrates the path against the test function under
-    the adjoint parabolic operator; the right side carries the initial
-    pairing plus the stochastic integral. Both use quadratures aligned
-    with the simulation grid: left endpoints for the path and the
-    stochastic integrand, trapezoids for the operator term. The residual
-    shrinks as the grid refines.
-    """
-    path = np.asarray(path, dtype=float)
-    v = np.asarray(v, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if path.ndim != 2 or path.shape[1] != model.dim:
-        raise ValueError(f"path must be (K+1, {model.dim})")
-    K = path.shape[0] - 1
-    if K < 1:
-        raise ValueError("path must have at least two nodes")
-    if v.shape != path.shape:
-        raise ValueError(f"test function shape {v.shape} != path shape {path.shape}")
-    if increments.shape != (K, gmap.noise_dim):
-        raise ValueError(f"increments must be (K, {gmap.noise_dim})")
-    if np.max(np.abs(v[-1])) > 1e-12:
-        raise ValueError("test function must vanish at the final node")
-
-    dt = model.horizon / K
-    lam = model.eigenvalues
-    x_left = path[:-1]
-    v_mid = 0.5 * (v[:-1] + v[1:])
-    dv = (v[1:] - v[:-1]) / dt
-    lhs = dt * float(np.sum(x_left * (lam * v_mid - dv)))
-    # (K, N), the left-point integrand
-    noise_term = g_apply_columns(gmap, x_left.T, increments.T).T
-    rhs = float(path[0] @ v[0]) + float(np.sum(v[:-1] * noise_term))
-    return lhs - rhs
-
-
-def ito_isometry_check(
-    noise: NoiseModel,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    phi: np.ndarray,
-    samples: int,
-    rng: np.random.Generator,
-    horizon: float = 1.0,
-) -> tuple[float, float, float]:
-    """Monte Carlo check of the isometry for weak stochastic integrals.
-
-    v1, v2 are deterministic time-nodal (K+1, N) test functions and phi
-    a deterministic (K+1, N, M) integrand. The left side estimates the
-    expected product of the two weak integrals by simulation with
-    left-point quadrature; the right side is the matching quadrature of
-    sum_m gamma_m <v1, phi e_m> <v2, phi e_m>. Returns (lhs, rhs, z).
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if v1.shape != v2.shape or v1.ndim != 2:
-        raise ValueError("v1 and v2 must be (K+1, N) arrays of equal shape")
-    if v1.shape[0] < 2:
-        raise ValueError("test functions must have at least two nodes")
-    if phi.shape != (v1.shape[0], v1.shape[1], noise.dim):
-        raise ValueError(f"phi must have shape {(v1.shape[0], v1.shape[1], noise.dim)}")
-    if samples < 2:
-        raise ValueError("at least two samples are required")
-    K = v1.shape[0] - 1
-    dt = horizon / K
-
-    a1 = np.einsum("kn,knm->km", v1[:-1], phi[:-1])  # (K, M) left-point integrands
-    a2 = np.einsum("kn,knm->km", v2[:-1], phi[:-1])
-    i1 = np.zeros(samples)
-    i2 = np.zeros(samples)
-    for k in range(K):
-        dL = sample_increments(noise, dt, samples, rng)
-        i1 += dL @ a1[k]
-        i2 += dL @ a2[k]
-    product = i1 * i2
-    lhs = float(product.mean())
-    rhs = float(dt * np.einsum("km,km,m->", a1, a2, noise.q_eigenvalues))
-    se = float(product.std(ddof=1) / np.sqrt(samples))
-    z = (lhs - rhs) / se if se > 0.0 else 0.0
-    return lhs, rhs, z

@@ -16,7 +16,8 @@ one (N^2, M) diag(gamma) (M, N^2) product, written here once
 (pair_products), 8 N^4 bytes. Every second moment the map meets is
 symmetric, so entry (i, k) of its upper triangle, i <= k, stands for
 both M[i, k] and M[k, i]; with p = N (N + 1) / 2 the map is then the
-(p, N^2) matrix S of symmetric_action,
+(p, N^2) matrix S of symmetric_action, one row per entry of the
+triangle in spectral's packed order,
 
     S[(i, k), (a, b)] = P[i, a, k, b] + [i != k] P[k, a, i, b],
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import NoiseModel
-from .spectral import SpectralModel
+from .spectral import SpectralModel, triangle_positions, triangle_start
 
 __all__ = [
     "AffineNoiseMap",
@@ -182,19 +183,21 @@ def pair_products(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
 def symmetric_action(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
     """The (p, N^2) matrix S of the multiplicative form on symmetric
     second moments, p = N (N + 1) / 2: sum_m gamma_m G1_m M G1_m^T, raveled,
-    is M[np.triu_indices(N)] @ S for every symmetric M.
+    is M's packed upper triangle (spectral.triangle_positions) @ S for
+    every symmetric M.
 
     Row (i, k), i <= k, is P[i, :, k, :] + [i != k] P[k, :, i, :] of the
     pair products P, since M[i, k] and M[k, i] are one entry. The rows of
-    one i are contiguous, and are written a block at a time: P[i, :, i:, :]
-    plus its mirror P[i:, :, i, :], zeroed on the row k = i by a multiply,
-    so no mirror of the whole of P is held beside it.
+    one i are contiguous, from spectral.triangle_start(i, N) on, and are
+    written a block at a time: P[i, :, i:, :] plus its mirror
+    P[i:, :, i, :], zeroed on the row k = i by a multiply, so no mirror
+    of the whole of P is held beside it.
     """
     n = gmap.state_dim
     pairs = pair_products(gmap, noise)
     action = np.empty((n * (n + 1) // 2, n, n))
     for i in range(n):
-        lo = i * n - i * (i - 1) // 2   # rows of S before those of this i
+        lo = triangle_start(i, n)   # rows of S before those of this i
         mirror = pairs[i:, :, i, :].copy()
         mirror[0] *= 0.0   # row k = i has no mirror; zero it with the signs of a product
         np.add(pairs[i, :, i:, :].transpose(1, 0, 2), mirror, out=action[lo:lo + n - i])
@@ -225,8 +228,7 @@ def multiplicative_form(action: np.ndarray, Mmat: np.ndarray) -> np.ndarray:
     n, Mmat = math.isqrt(action.shape[-1]), np.asarray(Mmat, dtype=float)
     if Mmat.shape[-2:] != (n, n):
         raise ValueError(f"noise map state dimension {n} != second-moment shape {Mmat.shape}")
-    rows, cols = np.triu_indices(n)
-    upper = np.take(Mmat.reshape(-1, n * n), rows * n + cols, axis=1)
+    upper = np.take(Mmat.reshape(-1, n * n), triangle_positions(n), axis=1)
     return (upper @ action).reshape(Mmat.shape)
 
 

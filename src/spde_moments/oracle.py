@@ -8,7 +8,7 @@ second moment matrix solves the matrix differential equation
 where Lam = diag(lambda) and Phi collects the four quadratic noise
 terms of the affine operator against the covariance eigenvalues. With
 the mean m' = -Lam m, the rate is affine in (M, m), so the state
-z = (upper triangle of M, m, 1) solves a linear autonomous equation
+z = (packed upper triangle of M, m, 1) solves a linear autonomous equation
 z' = A z. Its exact one-step propagator is expm(dt A), Van Loan's
 augmented-matrix construction (IEEE Trans. Autom. Control 23, 1978),
 computed in numpy by scaling and squaring with the [13/13] Pade
@@ -19,7 +19,9 @@ restriction.
 What it holds. The generator's second-moment block is read off the
 noise map's symmetric action (noise_map.symmetric_action), the (p, N^2)
 matrix, p = N (N + 1) / 2, that Picard applies too: its columns at the
-upper triangle, transposed. The action and the pair products it is
+upper triangle, transposed. The triangle is packed, and the grid
+values unpacked, by spectral's triangle helpers, the one layout that
+the action's rows follow too. The action and the pair products it is
 built from are freed before the exponential, which accumulates its
 Pade sums in place and holds at most eight matrices of the propagator's
 size (p + N + 1)^2 at once. propagator_bytes counts the larger of the
@@ -43,7 +45,8 @@ import numpy as np
 
 from .levy import NoiseModel
 from .noise_map import AffineNoiseMap, action_bytes, check_compatible, mean_form, symmetric_action
-from .spectral import SpectralModel, moment_matrix, state_vector
+from .spectral import (SpectralModel, moment_matrix, state_vector, triangle_positions,
+                       unpack_triangle)
 
 __all__ = [
     "MomentField",
@@ -80,9 +83,9 @@ def mean_exact(model: SpectralModel, x0_mean: np.ndarray, steps: int) -> np.ndar
 
 
 def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) -> np.ndarray:
-    """Matrix A of z' = A z for z = (M[np.triu_indices(N)], m, 1), the
-    upper triangle of the symmetric second moment M, the mean m and a
-    constant.
+    """Matrix A of z' = A z for z = (M's packed upper triangle, m, 1):
+    the symmetric second moment M held as spectral lays out a triangle
+    (triangle_positions), the mean m and a constant.
 
     The rate is affine in z. Its multiplicative part is the noise map's
     symmetric action S: entry (i, k) of z stands for both M[i, k] and
@@ -95,14 +98,14 @@ def _generator(model: SpectralModel, noise: NoiseModel, gmap: AffineNoiseMap) ->
     and -lambda_j for m_j.
     """
     n, lam = model.dim, model.eigenvalues
-    rows, cols = np.triu_indices(n)
-    p = rows.size
+    upper = triangle_positions(n)
+    p = upper.size
     gen = np.zeros((p + n + 1, p + n + 1))
-    gen[:p, :p] = symmetric_action(gmap, noise)[:, rows * n + cols].T
-    rates = mean_form(gmap, noise, np.eye(n + 1, n))[:, rows, cols]
+    gen[:p, :p] = symmetric_action(gmap, noise)[:, upper].T
+    rates = mean_form(gmap, noise, np.eye(n + 1, n)).reshape(n + 1, n * n)[:, upper]
     gen[:p, p:] = rates.T
     gen[:p, p:-1] -= rates[-1:].T
-    gen[np.diag_indices(p + n)] -= np.concatenate([lam[rows] + lam[cols], lam])
+    gen[np.diag_indices(p + n)] -= np.concatenate([np.take(lam[:, None] + lam, upper), lam])
     return gen
 
 
@@ -219,14 +222,12 @@ def lyapunov_solve(
     M0 = moment_matrix(M0, (n, n), "initial second moment")
     moment_matrix(M0 - np.outer(m0, m0), (n, n), "initial covariance M0 - m0 m0^T", psd=True)
 
-    rows, cols = np.triu_indices(n)
     step = _expm(model.horizon / steps * _generator(model, noise, gmap))
     z = np.empty((steps + 1, len(step)))
-    z[0] = np.concatenate([M0[rows, cols], m0, [1.0]])
+    z[0] = np.concatenate([np.take(M0, triangle_positions(n)), m0, [1.0]])
     for k in range(steps):
         z[k + 1] = step @ z[k]
-    diag = np.empty((steps + 1, n, n))
-    diag[:, rows, cols] = diag[:, cols, rows] = z[:, :rows.size]
+    diag = unpack_triangle(z[:, :-n - 1], n)   # z less its mean and constant
 
     grid = np.linspace(0.0, model.horizon, steps + 1)
     return MomentField(grid=grid, diag_second_moment=diag)

@@ -421,9 +421,9 @@ def picard_solve_second_moment(
     initial second moment. The initial part is asked for psd as well: in
     every load that rhs_second_moment and rhs_covariance build it is an
     initial second moment or covariance, with no negative eigenvalue.
-    Starts from the
-    zero-coupling solve, then repeatedly re-solves with the coupling
-    term evaluated at the previous iterate. Stops when the
+
+    Starts from the zero-coupling solve, then repeatedly re-solves with
+    the coupling term evaluated at the previous iterate. Stops when the
     max-norm update drops below tol relative to the iterate scale, both
     max-norms over the whole field (_max_abs). The coupling reads the
     upper triangle of each diagonal block through the noise map's

@@ -4,10 +4,18 @@ The operator is self-adjoint, positive definite, and diagonal in its
 eigenbasis, so a state is just the array of its eigenmode coefficients,
 and the model is its eigenvalues and the time horizon. Each route
 applies the heat semigroup itself, as the componentwise factors
-exp(-lambda_n t); the smoothing integral of one mode is a closed form in
-its eigenvalue. The rules for valid initial data, a state vector and a
-symmetric second moment of such states, live here too (state_vector,
+exp(-lambda_n t). The rules for valid initial data, a state vector and
+a symmetric second moment of such states, live here too (state_vector,
 moment_matrix), and every entry point applies them.
+
+So does the one layout in which a symmetric (N, N) matrix is held by
+its upper triangle: the p = N (N + 1) / 2 entries in np.triu_indices
+order, row by row, each row from its diagonal entry on. Monte Carlo
+holds its sums of outer products so, the noise map's symmetric action
+has one row per entry, and the oracle's state is a second moment so
+packed. triangle_positions gives the entries' flat positions in the
+matrix, triangle_start where a row begins, and unpack_triangle the
+symmetric matrices of a stack of packed triangles.
 """
 
 from __future__ import annotations
@@ -20,8 +28,10 @@ __all__ = [
     "SpectralModel",
     "dirichlet_laplacian",
     "moment_matrix",
-    "smoothing_integral",
     "state_vector",
+    "triangle_positions",
+    "triangle_start",
+    "unpack_triangle",
 ]
 
 
@@ -67,20 +77,6 @@ def dirichlet_laplacian(dim: int, length: float, horizon: float = 1.0) -> Spectr
     return SpectralModel(eigenvalues=(modes * np.pi / length) ** 2, horizon=horizon)
 
 
-def smoothing_integral(model: SpectralModel, mode: int, upper: float) -> float:
-    """Integral of lambda_n * exp(-2 lambda_n t) over (0, upper] for mode n.
-
-    Equals (1 - exp(-2 lambda_n upper)) / 2, hence never exceeds 1/2; the
-    bound is attained in the limit of large lambda_n * upper.
-    """
-    if int(mode) != mode or not 1 <= mode <= model.dim:
-        raise ValueError(f"mode index must lie in 1..{model.dim}, got {mode!r}")
-    if not 0.0 < upper <= model.horizon:
-        raise ValueError(f"upper limit must lie in (0, {model.horizon}], got {upper!r}")
-    lam = model.eigenvalues[int(mode) - 1]
-    return float(-np.expm1(-2.0 * lam * upper) / 2.0)
-
-
 def state_vector(x, n: int, what: str) -> np.ndarray:
     """x as a float64 array of N = n finite mode coefficients; refuses,
     naming `what`, any other length or a coefficient that is not finite."""
@@ -112,3 +108,30 @@ def moment_matrix(m, shape: tuple[int, ...], what: str, psd: bool = False) -> np
         if eigs.min() < -1e-10 * max(1.0, float(eigs.max())):
             raise ValueError(f"{what} must be positive semidefinite")
     return m
+
+
+def triangle_positions(n: int) -> np.ndarray:
+    """Flat positions of the packed upper triangle in an (n, n) array:
+    entry t of the triangle is entry triangle_positions(n)[t] of the
+    raveled matrix."""
+    i, j = np.triu_indices(n)
+    i *= n
+    i += j
+    return i
+
+
+def triangle_start(r: int, n: int) -> int:
+    """Where row r of the packed upper triangle of an (n, n) matrix
+    starts: after the r n - r (r - 1) / 2 entries of rows 0 to r - 1.
+    triangle_start(n, n) is the triangle's length p."""
+    return r * (2 * n + 1 - r) // 2
+
+
+def unpack_triangle(tri: np.ndarray, n: int) -> np.ndarray:
+    """The stack (..., n, n) of symmetric matrices whose packed upper
+    triangles are `tri`, shape (..., p), filled one triangle row at a
+    time: each value is copied as it is to both of its places."""
+    out = np.empty(tri.shape[:-1] + (n, n))
+    for r in range(n):
+        out[..., r, r:] = out[..., r:, r] = tri[..., triangle_start(r, n):triangle_start(r + 1, n)]
+    return out

@@ -15,29 +15,31 @@ from spde_moments import (
     AffineNoiseMap,
     NoiseModel,
     SpectralModel,
-    Tensor2,
     TimeGrid,
     assemble_per_mode,
     dirichlet_laplacian,
-    dual_pair,
     g1_v_to_hs_norm,
-    hilbert_norm,
-    injective_norm,
-    ito_isometry_check,
     lyapunov_solve,
     mean_exact,
     per_mode_singular_range,
     picard_solve_second_moment,
-    projective_norm,
     rhs_covariance,
     rhs_second_moment,
     scaled_random_coupling,
     simulate_moments,
-    smoothing_integral,
     solve_mean,
-    weak_identity_residual,
 )
 
+from criteria_helpers import (
+    Tensor2,
+    dual_pair,
+    hilbert_norm,
+    injective_norm,
+    ito_isometry_check,
+    projective_norm,
+    smoothing_integral,
+    weak_identity_residual,
+)
 from dense_reference import dense_coeffs, simulate_paths
 
 

@@ -15,16 +15,16 @@ from spde_moments import (
     NoiseModel,
     SpectralModel,
     g1_v_to_hs_norm,
-    ito_isometry_check,
     lyapunov_solve,
     sample_increments,
     simulate_moments,
     two_time_extend,
-    weak_identity_residual,
 )
 from spde_moments.noise_map import g_apply_columns
+from spde_moments.spectral import triangle_positions, unpack_triangle
 
 from conftest import multimode_setup
+from criteria_helpers import ito_isometry_check, weak_identity_residual
 from dense_reference import estimate_paths, simulate_paths
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -385,7 +385,7 @@ class TestEstimateMoments:
         bounds = mc._batch_bounds(paths)
         s1 = np.empty((len(bounds), width))
         s2 = np.empty((len(bounds), width * (width + 1) // 2))
-        upper = mc._upper(width)
+        upper = triangle_positions(width)
         for b, (lo, hi) in enumerate(bounds):
             mc._sum_batch(flat[lo:hi], s1[b], s2[b], upper)
         est, ref = mc._reduce(s1, s2, bounds, nodes, dim), estimate_paths(sample)
@@ -400,7 +400,15 @@ class TestEstimateMoments:
         full = np.where(np.tri(width, dtype=bool), full.T, full)  # the upper half mirrored
         assert np.signbit(full[-1, 0])
         tri = full[np.triu_indices(width)]
-        assert mc._unpack(tri, width).tobytes() == full.tobytes()
+        assert unpack_triangle(tri, width).tobytes() == full.tobytes()
+        # a stack (K+1, p) of triangles, as the oracle's grid values, fills
+        # the stack as a fill by fancy indexing does, bit for bit
+        z = np.random.default_rng(width + 1).standard_normal((5, tri.size))
+        z[1, 0], z[2, -1], z[3, 1 % tri.size] = -0.0, np.inf, np.nan
+        rows, cols = np.triu_indices(width)
+        diag = np.empty((5, width, width))
+        diag[:, rows, cols] = diag[:, cols, rows] = z
+        assert unpack_triangle(z, width).tobytes() == diag.tobytes()
 
     @pytest.mark.parametrize("count, width", [(313, 68), (625, 17), (625, 9), (63, 260)])
     def test_a_batch_sum_of_outer_products_is_symmetric_bitwise(self, count, width):

@@ -14,11 +14,11 @@ import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     SpectralModel,
     dirichlet_laplacian,
-    smoothing_integral,
 )
 from spde_moments.config import parse_config
 
 from conftest import multimode_setup
+from criteria_helpers import smoothing_integral
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STEPS = 8

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spde_moments import (
+from criteria_helpers import (
     Tensor2,
     dual_pair,
     hilbert_norm,
