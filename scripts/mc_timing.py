@@ -13,13 +13,12 @@ memory), and `configs/scalar_multiplicative.json`. For each, the
 script prints the group size G; the median and range of `runs` timed
 calls (default 5) that fan out over the CPUs of the process's affinity;
 the median of `runs` calls held to one process (`_fanout._cpus` -> 1:
-nothing is forked, but BLAS may still use every CPU), alternated with
-the first; and the tracemalloc peak of one more call against
-`montecarlo.estimate_bytes`. The traced call runs on one CPU, so that
-it forks no worker and every allocation is traced. The fan-out holds
-numpy's OpenBLAS to one thread in each of its processes; with
-OPENBLAS_NUM_THREADS=1 in the environment the one-process calls use
-one BLAS thread too.
+nothing is forked), alternated with the first; and the tracemalloc
+peak of one more call against `montecarlo.estimate_bytes`. The traced
+call runs on one CPU, so that it forks no worker and every allocation
+is traced. The fan-out holds numpy's OpenBLAS to one thread in each of
+its processes, however many, so the one-process calls run one BLAS
+thread too, as the fan-out's processes do.
 """
 
 import json

@@ -11,11 +11,12 @@ process, where `os.fork` or `os.sched_getaffinity` is missing or other
 threads are running (a fork would copy the locks they hold). No setting
 selects it; `taskset -c 0` runs in process.
 
-While more than one process runs, numpy's bundled OpenBLAS is held to
-one thread, so the processes do not compete for the CPUs with BLAS
-threads, and every process rounds a product as a process on one CPU
-does; the thread count it had is restored afterwards. Where numpy's
-BLAS has no OpenBLAS thread calls, BLAS is left as it is.
+While the parts run, numpy's bundled OpenBLAS is held to one thread,
+however many processes run them, so the processes do not compete for
+the CPUs with BLAS threads, and every process rounds a product as a
+process on one CPU does, a lone process on several CPUs too; the
+thread count it had is restored afterwards. Where numpy's BLAS has no
+OpenBLAS thread calls, BLAS is left as it is.
 """
 
 from __future__ import annotations
@@ -69,14 +70,14 @@ def _openblas_threads():
 def fan_out(work, parts: list) -> None:
     """Call work(part) for every part, parts[0] in this process and each
     other in a worker forked for it, with BLAS held to one thread in
-    every process when there is more than one part. Every worker has been
+    every process, whatever the number of parts. Every worker has been
     reaped when the call returns or raises: on an exception here,
     including an interrupt, the workers are killed first. A worker that
     raises prints its traceback and exits 1, and the call then raises
     ChildProcessError."""
     pids = []
     finished = False
-    blas = _openblas_threads() if len(parts) > 1 else None
+    blas = _openblas_threads()
     if blas:
         get_threads, set_threads = blas
         threads = get_threads()

@@ -9,8 +9,8 @@ is formatted by the array kernel of `_format`, byte-identical to
 kernel's exact range. Identical configurations and seeds produce
 byte-identical tables. Monte Carlo batches and the rows of a field table
 are spread over one process per CPU of the process's affinity
-(`_fanout`), with numpy's OpenBLAS held to one thread in each while
-more than one runs, so that every process rounds a Monte Carlo batch's
+(`_fanout`), with numpy's OpenBLAS held to one thread in each however
+many run, so that every process rounds a Monte Carlo batch's
 `block.T @ block` alike and the count changes no table (montecarlo);
 the report records that count as `workers`, and the peak resident set
 sizes of the process and of its workers. `--threads` is accepted and ignored.
@@ -256,7 +256,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
     steps, n = cfg.time_steps, cfg.model_dimension
-    _check_memory("time.steps", solve_bytes(steps, n, 0),
+    _check_memory("time.steps", solve_bytes(steps, n, cfg.noise.dim, 0),
                   f"the mean coefficients of {steps} steps of {n} modes")
     # both tables are written whole by one process: one leading index each
     _check_table_space(out, "time.steps", [(1, steps * n, 4), (1, steps * n, 5)])
@@ -288,13 +288,13 @@ def cmd_solve_mean(cfg: ExperimentConfig, out: Path) -> int:
 def _check_moment_memory(cfg: ExperimentConfig, fields: int) -> None:
     """Refuse, with a ConfigError, when what `fields` moment solves hold
     would not fit in memory (config._check_memory): naming
-    model.dimension for the noise map's symmetric action and the pair
-    products it is built from (noise_map.action_bytes), and time.steps
-    for the solves' peak, petrov_galerkin.solve_bytes."""
-    steps, n = cfg.time_steps, cfg.model_dimension
-    _check_memory("model.dimension", action_bytes(n), "the noise map's symmetric "
-                  f"action of {n} modes and its pair products")
-    _check_memory("time.steps", solve_bytes(steps, n, fields),
+    model.dimension for what building the noise map's symmetric action
+    holds (noise_map.action_bytes), and time.steps for the solves' peak,
+    petrov_galerkin.solve_bytes."""
+    steps, n, modes = cfg.time_steps, cfg.model_dimension, cfg.noise.dim
+    _check_memory("model.dimension", action_bytes(n, modes), "the noise map's symmetric "
+                  f"action of {n} modes and its build from {modes} noise modes")
+    _check_memory("time.steps", solve_bytes(steps, n, modes, fields),
                   f"the moment solves of {steps} steps of {n} modes")
 
 
@@ -369,8 +369,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     _check_mc_memory(cfg)
     _check_moment_memory(cfg, 2)
     n = cfg.model_dimension
-    _check_memory("model.dimension", propagator_bytes(n), "the oracle's pair products "
-                  f"and Pade matrices of {n} modes")
+    _check_memory("model.dimension", propagator_bytes(n, cfg.noise.dim), "the oracle's "
+                  f"noise action and Pade matrices of {n} modes")
     system, mean_coeffs, (m2_sol, cov_sol) = _solve_moment_problems(cfg, (False, True))
     model, noise, gmap = cfg.model, cfg.noise, cfg.gmap
     mean0, m2_0, _ = cfg.initial

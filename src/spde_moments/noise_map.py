@@ -8,27 +8,24 @@ multiplicative part of that action on a second moment M is
 
     sum_m gamma_m G1_m M G1_m^T,
 
-a linear map of M. Its coefficients are the pair products
+a linear map of M. Every second moment the map meets is symmetric, so
+entry (i, k) of its upper triangle, i <= k, stands for both M[i, k] and
+M[k, i]; with p = N (N + 1) / 2 the map is then the (p, N^2) matrix S
+of symmetric_action, one row per entry of the triangle in spectral's
+packed order,
 
-    P[i, a, k, b] = sum_m gamma_m g1[a, i, m] g1[b, k, m],
+    S[(i, k), (a, b)] = sum_m gamma_m (g1[a, i, m] g1[b, k, m]
+                                       + [i != k] g1[a, k, m] g1[b, i, m]),
 
-one (N^2, M) diag(gamma) (M, N^2) product, written here once
-(pair_products), 8 N^4 bytes. Every second moment the map meets is
-symmetric, so entry (i, k) of its upper triangle, i <= k, stands for
-both M[i, k] and M[k, i]; with p = N (N + 1) / 2 the map is then the
-(p, N^2) matrix S of symmetric_action, one row per entry of the
-triangle in spectral's packed order,
-
-    S[(i, k), (a, b)] = P[i, a, k, b] + [i != k] P[k, a, i, b],
-
-so that Phi(M).ravel() = M[triu] @ S. It is built once per solve, a
-block of rows at a time out of P, which is freed after it: about half
-the size of P, and the one home of the multiplicative action. The oracle
-reads its generator block off S, and multiplicative_form applies S to
-a stack of second moments by one gather of their upper triangles and
-one matmul. action_bytes counts what building it holds. The terms with
-G2, the action at a mean with zero fluctuation, are mean_form; they
-need no S.
+so that Phi(M).ravel() = M[triu] @ S. It is built once per solve,
+straight from g1, a block of rows at a time out of small products of
+g1's slices, so no (N^2, N^2) array is ever formed. S, 8 p N^2
+bytes, about 4 N^4, is the one home of the multiplicative action. The
+oracle reads its generator block off S, and multiplicative_form applies
+S to a stack of second moments by one gather of their upper triangles
+and one matmul. action_bytes counts what building it holds. The terms
+with G2, the action at a mean with zero fluctuation, are mean_form;
+they need no S.
 
 Applied to states and increments, G1(x) w is one matmul too, written
 once in g_apply_columns, the one kernel for it: with the P paths on the
@@ -58,7 +55,6 @@ __all__ = [
     "g1_v_to_hs_norm",
     "mean_form",
     "multiplicative_form",
-    "pair_products",
     "scaled_random_coupling",
     "symmetric_action",
 ]
@@ -166,53 +162,45 @@ def g1_v_to_hs_norm(gmap: AffineNoiseMap, model: SpectralModel, noise: NoiseMode
     return float(s[0]) if s.size else 0.0
 
 
-def pair_products(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
-    """The (N, N, N, N) coefficients of the multiplicative form,
-    P[i, a, k, b] = sum_m gamma_m g1[a, i, m] g1[b, k, m].
-
-    One (N^2, M) diag(gamma) (M, N^2) product over the pairs (i, a) and
-    (k, b); the result is that product's (N^2, N^2) array, viewed with
-    four axes.
-    """
-    check_compatible(gmap, noise, gmap.state_dim)
-    n, modes = gmap.state_dim, gmap.noise_dim
-    pairs = gmap.g1.transpose(1, 0, 2).reshape(n * n, modes)            # row (i, a): g1[a, i, :]
-    return ((pairs * noise.q_eigenvalues) @ pairs.T).reshape(n, n, n, n)
-
-
 def symmetric_action(gmap: AffineNoiseMap, noise: NoiseModel) -> np.ndarray:
     """The (p, N^2) matrix S of the multiplicative form on symmetric
     second moments, p = N (N + 1) / 2: sum_m gamma_m G1_m M G1_m^T, raveled,
     is M's packed upper triangle (spectral.triangle_positions) @ S for
     every symmetric M.
 
-    Row (i, k), i <= k, is P[i, :, k, :] + [i != k] P[k, :, i, :] of the
-    pair products P, since M[i, k] and M[k, i] are one entry. The rows of
-    one i are contiguous, from spectral.triangle_start(i, N) on, and are
-    written a block at a time: P[i, :, i:, :] plus its mirror
-    P[i:, :, i, :], zeroed on the row k = i by a multiply, so no mirror
-    of the whole of P is held beside it.
+    Row (i, k), i <= k, holds sum_m gamma_m g1[a, i, m] g1[b, k, m] at
+    column (a, b), plus for i < k its mirror sum_m gamma_m g1[a, k, m]
+    g1[b, i, m], since M[i, k] and M[k, i] are one entry. The rows of one
+    i are contiguous, from spectral.triangle_start(i, N) on, and are
+    written a block at a time from (N, M) @ (M, N) products of g1's
+    slices, the gamma-weighted slice on the left: the direct terms, one
+    product for each k >= i, go straight into the block, and the mirrors,
+    as many products, are zeroed on the row k = i by a multiply and
+    added to it.
     """
+    check_compatible(gmap, noise, gmap.state_dim)
     n = gmap.state_dim
-    pairs = pair_products(gmap, noise)
+    pairs = gmap.g1.transpose(1, 0, 2).copy()            # pairs[i, a] = g1[a, i, :]
+    weighted = pairs * noise.q_eigenvalues
     action = np.empty((n * (n + 1) // 2, n, n))
     for i in range(n):
-        lo = triangle_start(i, n)   # rows of S before those of this i
-        mirror = pairs[i:, :, i, :].copy()
+        block = action[triangle_start(i, n):triangle_start(i + 1, n)]   # rows (i, k), k >= i
+        np.matmul(weighted[i], pairs[i:].transpose(0, 2, 1), out=block)   # [k, a, b]
+        mirror = weighted[i:] @ pairs[i].T                                 # [k, a, b]
         mirror[0] *= 0.0   # row k = i has no mirror; zero it with the signs of a product
-        np.add(pairs[i, :, i:, :].transpose(1, 0, 2), mirror, out=action[lo:lo + n - i])
+        block += mirror
+        del mirror   # one block's mirrors at a time
     return action.reshape(-1, n * n)
 
 
-def action_bytes(n: int) -> int:
-    """Bytes that symmetric_action holds at once for N = n modes: the
-    pair products, 8 N^4, the action, 8 p N^2 with p = N (N + 1) / 2, two
-    blocks' mirrors, at most 16 N^3, as one block's is made while the
-    last one's is still held, and 4 KiB of interpreter objects. The
-    action alone, about half the pair products, is what a caller keeps.
-    pair_products' two (N^2, M) temporaries are freed before, and are
-    fewer bytes while the noise has at most N (N + 3) / 4 modes."""
-    return 8 * (n ** 4 + n * (n + 1) // 2 * n * n + 2 * n ** 3) + 4096
+def action_bytes(n: int, modes: int) -> int:
+    """Bytes that symmetric_action holds at once for N = n modes and M =
+    `modes` noise modes: the action, 8 p N^2 with p = N (N + 1) / 2, g1's
+    slices in pair order and their gamma-weighted copy, 16 N^2 M, one
+    block's mirrors, at most 8 N^3, 64 KiB of numpy's buffered iteration
+    over the gamma that the weighting broadcasts, 8192 values, and 4 KiB
+    of interpreter objects. The action alone is what a caller keeps."""
+    return 8 * (n * (n + 1) // 2 * n * n + 2 * n * n * modes + n ** 3 + 8192) + 4096
 
 
 def multiplicative_form(action: np.ndarray, Mmat: np.ndarray) -> np.ndarray:

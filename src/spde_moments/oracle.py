@@ -21,8 +21,8 @@ noise map's symmetric action (noise_map.symmetric_action), the (p, N^2)
 matrix, p = N (N + 1) / 2, that Picard applies too: its columns at the
 upper triangle, transposed. The triangle is packed, and the grid
 values unpacked, by spectral's triangle helpers, the one layout that
-the action's rows follow too. The action and the pair products it is
-built from are freed before the exponential, which accumulates its
+the action's rows follow too. The action, and what building it holds,
+are freed before the exponential, which accumulates its
 Pade sums in place and holds at most eight matrices of the propagator's
 size (p + N + 1)^2 at once. propagator_bytes counts the larger of the
 two phases, and validate refuses a dimension whose count would not fit
@@ -183,18 +183,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def propagator_bytes(n: int) -> int:
-    """Bytes that lyapunov_solve holds at once for N = n modes, beside
-    its grid values: the larger of its two phases, since the noise map's
-    action is freed before the exponential. The generator phase holds at
-    most what building the action holds (noise_map.action_bytes), the
-    generator itself and its p x p gather off the action,
-    p = N (N + 1) / 2; the exponential holds _LIVE_MATRICES matrices of
-    the propagator's size, 8 (p + N + 1)^2 bytes each, and 4 KiB of
-    interpreter objects."""
+def propagator_bytes(n: int, modes: int) -> int:
+    """Bytes that lyapunov_solve holds at once for N = n modes and M =
+    `modes` noise modes, beside its grid values: the larger of its two
+    phases, since the noise map's action is freed before the exponential.
+    The generator phase holds at most what building the action holds
+    (noise_map.action_bytes), the generator itself and its p x p gather
+    off the action, p = N (N + 1) / 2; the exponential holds
+    _LIVE_MATRICES matrices of the propagator's size, 8 (p + N + 1)^2
+    bytes each, and 4 KiB of interpreter objects."""
     p = n * (n + 1) // 2
     d = p + n + 1
-    return max(action_bytes(n) + 8 * (d * d + p * p), _LIVE_MATRICES * 8 * d * d + 4096)
+    return max(action_bytes(n, modes) + 8 * (d * d + p * p), _LIVE_MATRICES * 8 * d * d + 4096)
 
 
 def lyapunov_solve(

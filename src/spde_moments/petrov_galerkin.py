@@ -465,9 +465,10 @@ def picard_solve_second_moment(
     raise PicardNonConvergence(trace, max_iter)
 
 
-def solve_bytes(steps: int, n: int, fields: int) -> int:
+def solve_bytes(steps: int, n: int, modes: int, fields: int) -> int:
     """Bytes held at once by the mean solve on K = steps intervals of
-    N = n modes and then `fields` moment solves in turn, each field kept.
+    N = n modes and then `fields` moment solves in turn, each field kept,
+    against M = `modes` noise modes.
 
     With no moment solve, the peak is the K N mean coefficients beside
     at most three more arrays of their shape and two of the K nodes: the
@@ -479,16 +480,16 @@ def solve_bytes(steps: int, n: int, fields: int) -> int:
     two block diagonals and its update's difference and magnitude. Each
     earlier field adds its two block diagonals. The noise map's
     symmetric action, kept through the solve, is counted beside them at
-    what building it holds (noise_map.action_bytes), though the pair
-    products it is built from are freed before the first sweep. 64 KiB
-    more cover numpy's buffered iteration over an operand that a product
+    what building it holds (noise_map.action_bytes), though only the
+    action itself is still held at the first sweep. 64 KiB more cover
+    numpy's buffered iteration over an operand that a product
     broadcasts, 8192 values, and 16 KiB the interpreter objects of the
     calls. At 4096 steps of 4 modes (numpy 2.4.6) tracemalloc peaks at
     8.40 K N^2 values for one solve and 10.40 for two, against counts of
     8.42 and 10.42.
     """
     if fields:
-        held = 8 * ((2 * fields + 6) * steps * n * n + steps * n) + action_bytes(n)
+        held = 8 * ((2 * fields + 6) * steps * n * n + steps * n) + action_bytes(n, modes)
     else:
         held = 8 * (4 * steps * n + 2 * steps)
     return held + 8192 * 8 + 16 * 1024

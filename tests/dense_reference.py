@@ -24,11 +24,13 @@ temporaries, the factored form that the package's symmetric action
 replaced; it reads no pair products, so the tests that build on it do
 not check the action against itself. `kronecker_matrix` is the
 (N^2, N^2) matrix T of the form on flattened second moments, the pair
-products with their middle axes swapped, which the package no longer
-builds. `unit_input_generator` builds the oracle's generator by
-applying the factored form to a stack of symmetric unit matrices, N
-inputs at a time, the construction that reading the columns off the
-action replaced. `kronecker_generator` builds the same generator by
+products P[i, a, k, b] = sum_m gamma_m g1[a, i, m] g1[b, k, m], one
+(N^2, M) diag(gamma) (M, N^2) product, with their middle axes swapped;
+the package no longer forms P or T, and builds its action from g1's
+slices by the same products, block by block. `unit_input_generator`
+builds the oracle's generator by applying the factored form to a stack
+of symmetric unit matrices, N inputs at a time, the construction that
+reading the columns off the action replaced. `kronecker_generator` builds the same generator by
 reading its block off T, by three np.ix_ gathers;
 `fresh_temporaries_expm` evaluates the oracle's scaling and squaring
 with a fresh array for every term of its Pade sums. They are the forms
@@ -58,7 +60,7 @@ from scipy.linalg import svdvals
 
 import spde_moments.montecarlo as mc
 from spde_moments._format import _32, _CLASSES, _E_MAX, _E_MIN, _M32, _NUM
-from spde_moments.noise_map import mean_form, pair_products
+from spde_moments.noise_map import check_compatible, mean_form
 from spde_moments.oracle import _PADE13, _THETA13
 
 
@@ -183,7 +185,17 @@ def kronecker_matrix(gmap, noise):
     second moments, (sum_m gamma_m G1_m M G1_m^T).ravel() == M.ravel() @ T:
     the pair products with their middle axes swapped, copied."""
     n = gmap.state_dim
-    return pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return _pair_products(gmap, noise).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _pair_products(gmap, noise):
+    """The (N, N, N, N) pair products P[i, a, k, b] = sum_m gamma_m
+    g1[a, i, m] g1[b, k, m], one (N^2, M) diag(gamma) (M, N^2) product
+    over the pairs (i, a) and (k, b), viewed with four axes."""
+    check_compatible(gmap, noise, gmap.state_dim)
+    n, modes = gmap.state_dim, gmap.noise_dim
+    pairs = gmap.g1.transpose(1, 0, 2).reshape(n * n, modes)            # row (i, a): g1[a, i, :]
+    return ((pairs * noise.q_eigenvalues) @ pairs.T).reshape(n, n, n, n)
 
 
 def kronecker_generator(model, noise, gmap):

@@ -39,6 +39,7 @@ from spde_moments.config import (
     load_config,
     parse_config,
 )
+import spde_moments.petrov_galerkin as pg
 from spde_moments.petrov_galerkin import covariance_identity_error, solve_bytes
 
 from conftest import multimode_setup
@@ -536,14 +537,15 @@ class TestCli:
         def not_built(*args):
             raise AssertionError("the noise map's action was built")
 
-        # the pair products are the one product behind the symmetric action
-        # that Picard and the oracle's generator read alike
-        monkeypatch.setattr(noise_map, "pair_products", not_built)
+        # the symmetric action that Picard and the oracle's generator read
+        # alike, where each route looks it up
+        for route in (pg, oracle):
+            monkeypatch.setattr(route, "symmetric_action", not_built)
         n = 8
         # building the action takes noise_map.action_bytes, one byte more
         # than the machine has; validate's Monte Carlo buffers, 27 kB,
         # still fit
-        monkeypatch.setattr(config, "_physical_memory", lambda: noise_map.action_bytes(n) - 1)
+        monkeypatch.setattr(config, "_physical_memory", lambda: noise_map.action_bytes(n, n) - 1)
         cfg = self.write_config(tmp_path, multimode_raw_at(n))
         rc = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -563,8 +565,8 @@ class TestCli:
         # room for Picard's action, the two solves of 8 steps and the Monte
         # Carlo buffers, but one byte short of the larger of the oracle's
         # two phases
-        need = oracle.propagator_bytes(n)
-        assert need > solve_bytes(8, n, 2) > noise_map.action_bytes(n)
+        need = oracle.propagator_bytes(n, n)
+        assert need > solve_bytes(8, n, n, 2) > noise_map.action_bytes(n, n)
         monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
         cfg = self.write_config(tmp_path, multimode_raw_at(n))
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -605,11 +607,11 @@ class TestCli:
         for name in real:
             monkeypatch.setattr(cli, name, no_solve)
         n, steps = 4, 256
-        need = solve_bytes(steps, n, fields)
+        need = solve_bytes(steps, n, n, fields)
         # the coefficients alone fit, 8 K N bytes of the mean or 24 K N^2,
         # more than a field's block diagonals, and so does validate's oracle
         assert need > (24 * steps * n * n if fields else 8 * steps * n)
-        assert fields < 2 or need > oracle.propagator_bytes(n)
+        assert fields < 2 or need > oracle.propagator_bytes(n, n)
         memory = {"bytes": need - 1}
         monkeypatch.setattr(config, "_physical_memory", lambda: memory["bytes"])
         raw = multimode_raw_at(n)
@@ -630,7 +632,7 @@ class TestCli:
     def test_solve_peaks_within_the_solve_count(self, tmp_path, n, steps):
         # the mean alone, one solve of either load, and validate's two
         # solves with the first field kept, at sizes where the K N^2
-        # fields, numpy's buffers or the N^4 pair products dominate; at
+        # fields, numpy's buffers or the N^4 noise action dominate; at
         # 4096 steps numpy elides temporaries of 256 KiB and more
         raw = multimode_raw_at(n)
         raw["time"]["steps"] = steps
@@ -646,10 +648,10 @@ class TestCli:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # stiff modes at 8 steps
-            assert peak(lambda: cli.cmd_solve_mean(cfg, tmp_path)) <= solve_bytes(steps, n, 0)
+            assert peak(lambda: cli.cmd_solve_mean(cfg, tmp_path)) <= solve_bytes(steps, n, n, 0)
             for covariances in [(False,), (True,), (False, True)]:
                 assert peak(lambda: cli._solve_moment_problems(cfg, covariances)) <= solve_bytes(
-                    steps, n, len(covariances)), covariances
+                    steps, n, n, len(covariances)), covariances
 
     @pytest.mark.parametrize("covariances", [(False,), (True,), (False, True)])
     def test_solutions_hold_two_block_diagonals_a_field(self, covariances):

@@ -36,7 +36,9 @@ AFFINITY_RUN = """
 import json, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from spde_moments import cli
+from spde_moments import _fanout, cli
+if sys.argv[1] == "one":
+    _fanout._cpus = lambda: 1
 from spde_moments.config import parse_config
 raw = json.loads(open(sys.argv[2]).read())
 raw["mc"].update(paths=2000, grid_steps=64)
@@ -619,17 +621,18 @@ class TestSimulateMoments:
     def test_two_processes_round_as_one_cpu_at_d260(self):
         # OpenBLAS threads a batch's block.T @ block at D = 260 and rounds it
         # otherwise; fan_out holds it to one thread in each of its
-        # processes, as a process pinned to one CPU starts. BLAS threads
-        # are left at their default, whatever the environment asks
+        # processes, as a process pinned to one CPU starts, and in the one
+        # process of a run held to it (_cpus -> 1) on both CPUs. BLAS
+        # threads are left at their default, whatever the environment asks
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = str(ROOT / "src")
         runs = [subprocess.run(
             [sys.executable, "-c", AFFINITY_RUN, affinity, str(ROOT / "configs" / "multimode.json"),
              *self.FIELDS], env=env, capture_output=True, text=True, check=True,
-        ).stdout.split() for affinity in ("all", "pinned")]
-        assert [run[0] for run in runs] == ["2", "1"]
+        ).stdout.split() for affinity in ("all", "pinned", "one")]
+        assert [run[0] for run in runs] == ["2", "1", "1"]
         assert len(runs[0]) == 1 + len(self.FIELDS)
-        assert runs[0][1:] == runs[1][1:]
+        assert runs[0][1:] == runs[1][1:] == runs[2][1:]
 
     @pytest.mark.parametrize("paths, steps", [
         pytest.param(2, 64, id="2"), pytest.param(4000, 64, id="4000"),

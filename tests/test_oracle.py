@@ -237,7 +237,7 @@ class TestLyapunovSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= oracle.propagator_bytes(n)
+        assert peak <= oracle.propagator_bytes(n, noise.dim)
 
     def test_additive_matches_quadrature_formula(self):
         # explicit representation: M(t) = S(t) M0 S(t)
@@ -297,7 +297,7 @@ class TestGenerator:
     @pytest.mark.parametrize("name", [
         "scalar_ou", "scalar_multiplicative", "multimode", "wide-n16", "stiff"])
     def test_matches_unit_input_columns(self, name):
-        # the columns gathered from the pair products against the rate at
+        # the columns read off the symmetric action against the rate at
         # every unit input; the stiff case has lambda = 100
         model, noise, gmap = generator_case(name)
         gen = oracle._generator(model, noise, gmap)
@@ -306,13 +306,12 @@ class TestGenerator:
         assert np.max(np.abs(gen - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     def test_builds_the_multiplicative_matrix_once(self, monkeypatch):
-        # the pair products, the one product behind the symmetric action,
-        # are formed once, for the action the block is read off, and no
-        # moment goes through multiplicative_form; the mean and constant
-        # columns come from mean_form, which forms neither
+        # the symmetric action is built once, and the block read off it,
+        # and no moment goes through multiplicative_form; the mean and
+        # constant columns come from mean_form, which forms neither
         model, noise, gmap, _ = multimode_setup()
         calls = []
-        original = noise_map.pair_products
+        original = oracle.symmetric_action
 
         def counter(*args):
             calls.append(1)
@@ -321,7 +320,7 @@ class TestGenerator:
         def not_built(*args):
             raise AssertionError("the multiplicative form was applied")
 
-        monkeypatch.setattr(noise_map, "pair_products", counter)
+        monkeypatch.setattr(oracle, "symmetric_action", counter)
         monkeypatch.setattr(noise_map, "multiplicative_form", not_built)
         oracle._generator(model, noise, gmap)
         assert len(calls) == 1

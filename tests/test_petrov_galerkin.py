@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
-import spde_moments.noise_map as noise_map
 import spde_moments.petrov_galerkin as pg
 from spde_moments import (
     AffineNoiseMap,
@@ -299,18 +298,18 @@ class TestLoads:
     def test_second_moment_load_builds_no_multiplicative_matrix(self, monkeypatch):
         # its noise terms all involve G2 (mean_form); only the covariance
         # load carries the multiplicative form of the mean outer product,
-        # through the symmetric action built once from the pair products
+        # through the symmetric action, built once
         model, noise, gmap, x0 = multimode_setup()
         system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
         mean = solve_mean(system, x0)
         calls = []
-        original = noise_map.pair_products
+        original = pg.symmetric_action
 
         def counter(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(noise_map, "pair_products", counter)
+        monkeypatch.setattr(pg, "symmetric_action", counter)
         rhs_second_moment(system, noise, gmap, mean, np.outer(x0, x0))
         assert calls == []
         rhs_covariance(system, noise, gmap, mean, np.zeros((4, 4)))
@@ -415,19 +414,19 @@ class TestTimeRows:
 
 class TestPicard:
     def test_builds_the_action_once_whatever_the_iterations(self, monkeypatch):
-        # the pair products, and the symmetric action from them, are formed
-        # once per solve, not once per iteration
+        # the symmetric action is built once per solve, not once per
+        # iteration
         model, noise, gmap, x0 = multimode_setup()
         system = assemble_per_mode(model, TimeGrid(steps=16, horizon=1.0))
         load = rhs_second_moment(system, noise, gmap, solve_mean(system, x0), np.outer(x0, x0))
         calls = []
-        original = noise_map.pair_products
+        original = pg.symmetric_action
 
         def counter(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(noise_map, "pair_products", counter)
+        monkeypatch.setattr(pg, "symmetric_action", counter)
         iterations = []
         for tol in (1e-2, 1e-12):
             calls.clear()

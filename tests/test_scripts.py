@@ -1,9 +1,11 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -43,6 +45,21 @@ def test_script_finds_its_own_tree_without_pythonpath(name, tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == str(SCRIPTS_DIR.parent / "src" / "spde_moments" / "__init__.py")
+
+
+def test_table_hashes_hash_each_wide_pipeline_array(tmp_path):
+    # one line per array the wide-n16 pipeline saves, in a fixed order,
+    # each the sha256 of the saved array's bytes; a second run prints the
+    # same lines
+    table_hashes = load_script(SCRIPTS_DIR / "table_hashes.py")
+    lines = table_hashes.pipeline_hashes(tmp_path / "first")
+    names = ("pg_diag", "oracle_diag", "picard_trace")
+    assert [line.split("  ")[1] for line in lines] == [f"wide-n16/{name}" for name in names]
+    with np.load(tmp_path / "first" / "wide-n16" / "fields.npz") as fields:
+        assert [line.split("  ")[0] for line in lines] == [
+            hashlib.sha256(fields[name].tobytes()).hexdigest() for name in names]
+        assert fields["picard_trace"].size > 1
+    assert table_hashes.pipeline_hashes(tmp_path / "again") == lines
 
 
 def test_table_diff_names_the_changed_table_and_its_value_difference(tmp_path, capsys):
