@@ -29,7 +29,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # this tree's package, whatever PYTHONPATH holds
 
-from spde_moments.cli import COMMANDS, main as cli_main  # noqa: E402
+from spde_moments.cli import COMMANDS, main  # noqa: E402
 
 PIPELINE_ARRAYS = ("pg_diag", "oracle_diag", "picard_trace")
 
@@ -56,7 +56,7 @@ def write_tables(out: Path) -> None:
     runs += [(variant, "solve-moment"), (variant, "solve-covariance")]
     for config, sub in runs:
         with contextlib.redirect_stdout(sys.stderr):
-            cli_main([sub, "--config", str(config), "--out", str(out / config.stem / sub)])
+            main([sub, "--config", str(config), "--out", str(out / config.stem / sub)])
 
 
 def pipeline_hashes(out: Path) -> list[str]:
@@ -76,13 +76,9 @@ def pipeline_hashes(out: Path) -> list[str]:
                 for name in PIPELINE_ARRAYS]
 
 
-def main(args: list[str]) -> None:
-    out = Path(args[0] if args else ROOT / "out" / "table_hashes").resolve()
+if __name__ == "__main__":
+    out = Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "out" / "table_hashes").resolve()
     write_tables(out)
     for path in sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv")):
         print(f"{hashlib.sha256((out / path).read_bytes()).hexdigest()}  {path}")
     print("\n".join(pipeline_hashes(out)))
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

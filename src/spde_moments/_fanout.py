@@ -14,9 +14,12 @@ selects it; `taskset -c 0` runs in process.
 While the parts run, numpy's bundled OpenBLAS is held to one thread,
 however many processes run them, so the processes do not compete for
 the CPUs with BLAS threads, and every process rounds a product as a
-process on one CPU does, a lone process on several CPUs too; the
-thread count it had is restored afterwards. Where numpy's BLAS has no
-OpenBLAS thread calls, BLAS is left as it is.
+process on one CPU does, a lone process on several CPUs too. The
+thread count is process-wide: while calls made from several threads
+overlap, the first one in sets it to 1 and the last one out restores
+the count it had, and other threads' BLAS calls run on one thread
+meanwhile. Where numpy's BLAS has no OpenBLAS thread calls, BLAS is
+left as it is.
 """
 
 from __future__ import annotations
@@ -67,21 +70,36 @@ def _openblas_threads():
     return get, set_
 
 
+# fan_out calls now holding BLAS to one thread, and the count the first found
+_blas_hold = {"lock": threading.Lock(), "calls": 0, "threads": 1}
+
+
+def _hold_blas(step: int) -> None:
+    """Count a fan_out call in (step 1) or out (step -1) of holding
+    OpenBLAS to one thread: the first call in saves the thread count and
+    sets one, the last one out restores the count."""
+    blas = _openblas_threads()
+    with _blas_hold["lock"]:
+        _blas_hold["calls"] += step
+        if blas and step == 1 and _blas_hold["calls"] == 1:
+            _blas_hold["threads"] = blas[0]()
+            blas[1](1)
+        elif blas and _blas_hold["calls"] == 0:
+            blas[1](_blas_hold["threads"])
+
+
 def fan_out(work, parts: list) -> None:
     """Call work(part) for every part, parts[0] in this process and each
     other in a worker forked for it, with BLAS held to one thread in
-    every process, whatever the number of parts. Every worker has been
+    every process, whatever the number of parts, until the last of the
+    calls that overlap it in other threads returns. Every worker has been
     reaped when the call returns or raises: on an exception here,
     including an interrupt, the workers are killed first. A worker that
     raises prints its traceback and exits 1, and the call then raises
     ChildProcessError."""
     pids = []
     finished = False
-    blas = _openblas_threads()
-    if blas:
-        get_threads, set_threads = blas
-        threads = get_threads()
-        set_threads(1)
+    _hold_blas(1)
     try:
         for part in parts[1:]:
             pid = os.fork()
@@ -92,8 +110,7 @@ def fan_out(work, parts: list) -> None:
         finished = True
     finally:
         failed = _reap(pids, kill=not finished)
-        if blas:
-            set_threads(threads)
+        _hold_blas(-1)
     if failed:
         raise ChildProcessError(f"{failed} of {len(pids)} worker processes failed")
 
@@ -115,15 +132,11 @@ def _run_worker(work, part) -> None:
 
 
 def _reap(pids: list[int], kill: bool) -> int:
-    """Wait for every worker, killing each first when `kill`. Returns the
-    number that exited other than with 0."""
+    """Wait for every worker, after killing them all when `kill`. Returns
+    the number that exited other than with 0."""
     if kill:
         import signal  # only a failed call needs it
 
-    failed = 0
-    for pid in pids:
-        if kill:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-        failed += os.waitstatus_to_exitcode(status) != 0
-    return failed
+    return sum(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0 for pid in pids)

@@ -130,6 +130,44 @@ class TestBlasThreads:
             set_threads(before)
         assert_no_child_left()
 
+    @pytest.mark.skipif(_fanout._openblas_threads() is None, reason="no OpenBLAS thread calls")
+    def test_overlapping_calls_from_two_threads_restore_the_count(self):
+        # A enters, B enters, A leaves, B leaves: B is still held to one
+        # thread after A has left, and the count A found is back at the end
+        get, set_threads = _fanout._openblas_threads()
+        before = get()
+        set_threads(2)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first(part):
+            a_in.set()
+            assert b_in.wait(30)
+            seen["a"] = get()
+
+        def second(part):
+            b_in.set()
+            assert a_out.wait(30)
+            seen["b"] = get()
+
+        def run_first():
+            _fanout.fan_out(first, [0])
+            a_out.set()
+
+        threads = [threading.Thread(target=run_first),
+                   threading.Thread(target=_fanout.fan_out, args=(second, [0]))]
+        try:
+            threads[0].start()
+            assert a_in.wait(30)
+            threads[1].start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == {"a": 1, "b": 1}
+            assert get() == 2
+        finally:
+            set_threads(before)
+
     def test_missing_thread_calls_leave_blas_as_it_is(self, monkeypatch):
         monkeypatch.setattr(_fanout, "_openblas_threads", lambda: None)
         pids = shared_pids(2)
