@@ -10,7 +10,8 @@ paths on 16 recording steps of 256 scheme steps each, the same problem
 at its N=4 modes with 2000 paths on a fine recording grid of 128 steps
 (D = 516 recorded values a path, where the moment sums dominate the
 memory), and `configs/scalar_multiplicative.json`. For each, the
-script prints the group size G; the median and range of `runs` timed
+script prints the scheme steps A whose increments a batch of the
+largest size draws ahead; the median and range of `runs` timed
 calls (default 5) that fan out over the CPUs of the process's affinity;
 the median of `runs` calls held to one process (`_fanout._cpus` -> 1:
 nothing is forked), alternated with the first; and the tracemalloc
@@ -62,10 +63,12 @@ def multimode_raw(n: int | None = None, grid_steps: int | None = None) -> dict:
 
 def simulation(raw: dict):
     """The config's Monte Carlo run as `validate` makes it, as a call of no
-    arguments, with the paths, width, modes and noise modes of the run."""
+    arguments, with the paths, width, modes, noise modes and scheme steps
+    per recording step of the run."""
     cfg = parse_config(raw)
     width = (cfg.mc_grid_steps + 1) * cfg.model.dim
-    return lambda: cli._simulate(cfg), (cfg.mc_paths, width, cfg.model.dim, cfg.noise.dim)
+    sizes = (cfg.mc_paths, width, cfg.model.dim, cfg.noise.dim, cli._substeps(cfg))
+    return lambda: cli._simulate(cfg), sizes
 
 
 def traced_peak(call) -> int:
@@ -101,10 +104,13 @@ def one_process(call) -> None:
 
 def report(name: str, raw: dict, runs: int) -> None:
     call, sizes = simulation(raw)
+    paths, width, dim, noise_dim, substeps = sizes
+    batch = -(-paths // min(montecarlo.BATCHES, paths))
+    ahead = montecarlo._draw_steps((width // dim - 1) * substeps, batch, noise_dim)
     # alternated, so that the host's drift falls on both medians alike
     times, alone = zip(*[(timed(call), timed(lambda: one_process(call))) for _ in range(runs)])
     peak, count = traced_peak(call), montecarlo.estimate_bytes(*sizes)
-    print(f"{name}: G = {montecarlo._group_size(*sizes)}, median {statistics.median(times):.3f} s "
+    print(f"{name}: A = {ahead}, median {statistics.median(times):.3f} s "
           f"over {runs} runs (min {min(times):.3f}, max {max(times):.3f}), "
           f"{statistics.median(alone):.3f} s on one process; "
           f"traced peak {peak / 2**20:.3f} MiB of estimate_bytes {count / 2**20:.3f} MiB")

@@ -157,20 +157,21 @@ def _check_mc_memory(cfg: ExperimentConfig) -> None:
     """Refuse with a ConfigError when what a Monte Carlo run holds at once
     on the config's recording grid would not fit in the machine's
     physical memory. With D = (mc.grid_steps + 1) N, the peak of
-    simulate_moments, montecarlo.estimate_bytes, names mc.grid_steps when
-    even one path a batch would not fit, and mc.paths when the buffers of
-    a group of the largest batches, of ceil(paths / nb) paths each, are
-    what does not. The run never holds all paths x D values at once.
+    simulate_moments, montecarlo.estimate_bytes of the run's scheme steps
+    (mc.grid_steps x _substeps), names mc.grid_steps when even one path a
+    batch would not fit, and mc.paths when one batch of ceil(paths / nb)
+    paths, with the increments it draws ahead, is what does not. The run
+    never holds all paths x D values at once.
     """
     grid_steps, paths = cfg.mc_grid_steps, cfg.mc_paths
-    dims = (cfg.model_dimension, cfg.noise.dim)
     width = (grid_steps + 1) * cfg.model_dimension
+    dims = (cfg.model_dimension, cfg.noise.dim, _substeps(cfg))
     batches = min(BATCHES, paths)
     _check_memory("mc.grid_steps", estimate_bytes(batches, width, *dims), f"the moment buffers "
                   f"of {grid_steps} recording steps of {cfg.model_dimension} modes")
     _check_memory("mc.paths", estimate_bytes(paths, width, *dims),
-                  f"the moment buffers and batches of {-(-paths // batches)} paths of {width} "
-                  "recorded values")
+                  f"the moment buffers and a batch of {-(-paths // batches)} paths of {width} "
+                  "recorded values with its drawn-ahead increments")
 
 
 def _check_table_space(out: Path, key: str, tables: list[tuple[int, int, int]]) -> None:
@@ -214,13 +215,18 @@ def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
     return diagnostics
 
 
+def _substeps(cfg: ExperimentConfig) -> int:
+    """Scheme steps of the config's Monte Carlo run per recording step."""
+    return cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
+
+
 def _simulate(cfg: ExperimentConfig):
     """Estimate the moments of the config's ensemble on its recording grid
     of mc.grid_steps steps, batch by batch, without holding the paths.
     Returns the estimate, the scheme steps per recording step and the
     number of processes the batches were spread over."""
     mean0, _, x0_cov = cfg.initial  # no covariance: a deterministic initial value
-    substeps = cfg.mc_substeps * (cfg.time_steps // cfg.mc_grid_steps)
+    substeps = _substeps(cfg)
     est = simulate_moments(
         cfg.model, cfg.noise, cfg.gmap, mean0, cfg.mc_grid_steps, cfg.mc_paths, cfg.mc_seed,
         x0_cov=x0_cov, substeps=substeps,

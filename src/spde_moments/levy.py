@@ -18,20 +18,16 @@ the random stream, and every increment drawn from it, is the one
 choice would give. The jump law is read only where jumps are drawn: at
 rho = 1 with nu = 0 the jump size would divide by zero.
 
-sample_increments also draws for several generators at once, each
-making the calls of its own draw in the same order, and stacks their
-rows. Monte Carlo steps its batches in lockstep groups this way: the
-draws of a batch are its own, but the scaling and the jump placement,
-each with a fixed cost per call, run once a group. Each generator's
-normals are drawn into an array of their own and copied into the
-result by one concatenate, whatever the result's layout, so that one
-path serves every caller.
+sample_increments also draws a run of steps at once, into a (steps,
+count, M) array: each step makes the calls of a call of its own, in
+the same order, so the run is bit for bit those calls' increments and
+leaves the generator where they leave it, while the scaling and the
+placing of the jumps run once a run. Monte Carlo draws each batch's
+increments a run of steps ahead this way.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,14 +100,8 @@ class NoiseModel:
 
     def wiener_scale(self, dt: float) -> np.ndarray:
         """Standard deviations sqrt(dt rho gamma_m) of the Wiener part's
-        increments over a step of length dt. The scale of the last dt
-        asked for is kept, as Monte Carlo asks for one dt on every step."""
-        last = self.__dict__.get("_wiener_scale")
-        if last is None or last[0] != dt:
-            scale = np.sqrt(dt * self.wiener_fraction * self.q_eigenvalues)
-            scale.setflags(write=False)
-            last = self.__dict__["_wiener_scale"] = dt, scale
-        return last[1]
+        increments over a step of length dt."""
+        return np.sqrt(dt * self.wiener_fraction * self.q_eigenvalues)
 
     @cached_property
     def jump_size(self) -> float:
@@ -120,68 +110,54 @@ class NoiseModel:
 
 
 def sample_increments(
-    noise: NoiseModel, dt: float, count: int | Sequence[int],
-    rng: np.random.Generator | Sequence[np.random.Generator], out: np.ndarray | None = None,
+    noise: NoiseModel, dt: float, count: int, rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `count` independent increments over a step of length dt.
 
     Returns a (count, M) array with zero mean and covariance
     dt * diag(gamma) per row. dt must be positive and finite.
 
-    count and rng may also be sequences of equal length: counts[i] rows
-    then come from rngs[i], stacked in order into one (sum(counts), M)
-    array. Each generator makes the calls a call of its own would make,
-    in the same order (its normals and Poisson counts, then, where its
-    paths jump, its jump uniforms and signs), so its rows are bit for bit
-    those of its own call and it is left in the same state; the scaling
-    and the placing of the jumps run once for all rows. out, when given,
-    is a float64 array of the result's shape that receives the
-    increments and is returned; it may be the transpose of an (M, rows)
-    buffer, whose rows the scaling then runs along. The normals reach
-    `out` by one copy, in any layout.
+    out, when given, is a C-ordered float64 (steps, count, M) array that
+    receives the increments of a run of steps and is returned. Step s of
+    the run is bit for bit what the s-th of as many one-step calls
+    returns, and rng is left in the same state: each step draws its
+    normals, then its Poisson counts, then, where its paths jump, its
+    jump uniforms and signs, as one call does. The scaling and the
+    placing of the jumps run once for the run, and without a jump part
+    one standard_normal call fills it.
     """
     if not 0.0 < dt < np.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if isinstance(rng, np.random.Generator):
-        count, rng = [count], [rng]
-    if len(count) != len(rng) or not rng:
-        raise ValueError(f"{len(count)} counts for {len(rng)} generators")
-    if min(count) < 1:
-        raise ValueError(f"count must be positive, got {min(count)}")
-    total, dim = sum(count), noise.dim
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
     if out is None:
-        out = np.empty((total, dim))
-    elif out.shape != (total, dim):
-        raise ValueError(f"out must have shape {(total, dim)}, got {out.shape}")
-    jumping = noise.drawn_jump_rate > 0.0
-    normals, hits = [], []  # per generator: normals to copy, Poisson jump counts
-    for r, c in zip(rng, count):
-        normals.append(r.standard_normal((c, dim)))
-        if jumping:
-            hits.append(r.poisson(noise.jump_rate * dt, size=c))
-    np.concatenate(normals, out=out)
+        return sample_increments(noise, dt, count, rng, np.empty((1, count, noise.dim)))[0]
+    if (out.ndim != 3 or out.shape[1:] != (count, noise.dim) or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-ordered float64 array of shape (steps, {count}, "
+                         f"{noise.dim}), got {out.dtype} {out.shape}")
+    uniforms, signs = [], []
+    if noise.drawn_jump_rate > 0.0:
+        rate = noise.jump_rate * dt
+        hits = np.empty(out.shape[:2], dtype=np.int64)  # Poisson jump counts, steps by paths
+        for normals, hit in zip(out, hits):
+            rng.standard_normal(out=normals)
+            hit[...] = rng.poisson(rate, size=count)
+            jumps = int(hit.sum())
+            if jumps:
+                uniforms.append(rng.random(jumps))
+                signs.append(rng.integers(0, 2, size=jumps))
+    else:
+        rng.standard_normal(out=out)
     out *= noise.wiener_scale(dt)
-    if jumping:
-        hits = _stacked(hits)
+    if uniforms:
+        hits = hits.ravel()  # row step * count + path of out taken as (steps * count, M)
         rows = hits.nonzero()[0]
-        if rows.size:
-            totals = np.add.reduceat(hits, [0, *itertools.accumulate(count[:-1])]).tolist()
-            if sum(totals) > rows.size:  # some path jumps more than once in this step
-                rows = rows.repeat(hits[rows])
-            uniforms, signs = [], []
-            for r, jumps in zip(rng, totals):
-                if jumps:
-                    uniforms.append(r.random(jumps))
-                    signs.append(r.integers(0, 2, size=jumps))
-            modes = noise.jump_cdf.searchsorted(_stacked(uniforms), side="right")
-            size = noise.jump_size
-            jumps = np.array((-size, size)).take(_stacked(signs))
-            # a (row, mode) pair hit twice takes its jumps in sequence
-            np.add.at(out, (rows, modes), jumps)
+        rows = rows.repeat(hits[rows])  # a path's row once for each of its jumps in the step
+        modes = noise.jump_cdf.searchsorted(np.concatenate(uniforms), side="right")
+        size = noise.jump_size
+        jumps = np.array((-size, size)).take(np.concatenate(signs))
+        # a (row, mode) pair hit twice takes its jumps in sequence
+        np.add.at(out.reshape(-1, noise.dim), (rows, modes), jumps)
     return out
-
-
-def _stacked(parts: list[np.ndarray]) -> np.ndarray:
-    """The draws of several generators end to end; the one generator's
-    own array, not a copy, when there is one."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)

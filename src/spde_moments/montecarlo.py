@@ -18,24 +18,23 @@ each, however many run, so every process rounds a batch's
 block.T @ block as a process on one CPU does, where a threaded OpenBLAS
 rounds it otherwise, as at D = 260 recorded values a path.
 
-A process steps its batches in lockstep groups of G consecutive
-batches, as many of the largest batch as fit the fixed byte budget
-GROUP_BYTES (four batches of 313 paths at N = 4 and 17 recorded nodes,
-nine of 625 paths in the scalar configs). A group's state is one (N,
-count) array and its increments one (M, count) array, modes by paths,
-so that the noise map is one contraction over the contiguous paths
-(g_apply_columns) and the update is done in place; each recording node
-is written back to the group's (count, K+1, N) block of paths. Stepped
-alone, a 313-path batch at N = 4 costs some 55-85 us a scheme step on
-a 2-CPU x86 host, about half of it the draws themselves and the rest a
-dozen small numpy operations, each with a fixed cost per call. A group
-draws every batch's increments from the batch's own generator in one
-sampler call and makes those operations once for all its batches, for
-some 15-20% less a batch at G = 4; only the noise map's two matmuls go
-a batch at a time, since BLAS rounds the columns of a wider product
-differently. The paths are therefore those of the batches stepped one
-at a time, bit for bit, whatever G. Where one batch's buffers fill the
-budget, G = 1.
+A process steps its batches one at a time. A batch's state is one (N,
+count) array, modes by paths, so that the noise map is one contraction
+over the contiguous paths (g_apply_bound) and the update is done in
+place; each recording node is written back to the batch's (count, K+1,
+N) block of paths. The increments are drawn ahead, a run of scheme
+steps at a time, by one sample_increments call into a (steps, count,
+M) buffer of at most DRAW_BYTES (26 steps of 313 paths at M = 4, 52 of
+625 paths in the scalar configs): the call makes, step by step, the
+generator calls that one call a step makes, so the paths are bit for
+bit those of increments drawn a step at a time, whatever the run's
+length, while the scaling and the jump placement, each with a fixed
+cost per call, run once a run. Each step's increments are copied into
+one paths-last (M, count) array before the noise map, which is cheaper
+than handing it a transposed view. A scheme step is bound by the
+generator's own draws: a 313-path step at N = 4 costs some 50 us on one
+CPU of a 2-CPU x86 host, two thirds of it in the sampler, where the
+normal, Poisson, uniform and sign draws take most of the time.
 
 The moments are functions of the per-batch sums of the paths and of
 their outer products alone. simulate_moments, the one Monte Carlo
@@ -44,11 +43,11 @@ simulates it and drops its paths. A sum of outer products is
 symmetric, bit for bit as numpy forms it, and is held by its upper
 triangle, packed as spectral lays out every triangle, so with nb
 batches of P paths of D recorded values the run holds nb D (D + 3) / 2
-float64 of sums and O(D^2 + G (P / nb) D) more, with no P D term; a
-group's buffers take at most GROUP_BYTES, or one batch's where that is
-more. The reduction takes every statistic on the triangles, the
+float64 of sums and O(D^2 + (P / nb) D) more, with no P D term; the
+increments drawn ahead take at most DRAW_BYTES, or one step's where
+that is more. The reduction takes every statistic on the triangles, the
 per-batch covariances a span of triangle rows at a time, and unpacks
-each (D, D) field once. No path outlives its group. Every batch is
+each (D, D) field once. No path outlives its batch. Every batch is
 summed, and a path that is not finite leaves its batch's sum not
 finite, which refuses the run.
 """
@@ -64,7 +63,7 @@ import numpy as np
 
 from ._fanout import fan_out, split, workers
 from .levy import NoiseModel, sample_increments
-from .noise_map import AffineNoiseMap, check_compatible, g_apply_columns
+from .noise_map import AffineNoiseMap, check_compatible, g_apply_bound
 from .spectral import (SpectralModel, moment_matrix, state_vector, triangle_positions,
                        triangle_start, unpack_triangle)
 
@@ -74,7 +73,7 @@ __all__ = [
 ]
 
 BATCHES = 32  # batch count of every run of at least that many paths
-GROUP_BYTES = 2**20  # buffer budget of one group of batches stepped in lockstep
+DRAW_BYTES = 2**18  # budget of the increments a batch draws ahead
 
 
 def _batch_bounds(paths: int) -> list[tuple[int, int]]:
@@ -90,68 +89,64 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
-def _path_words(width: int, dim: int, noise_dim: int) -> int:
-    """float64 a path takes while its group is stepped: its row of the
-    block (width values), its state column (N), its decay factors (N),
-    its increment (M), its outer products (N M) and its noise term
-    (N)."""
-    return width + dim * (noise_dim + 3) + noise_dim
+def _draw_steps(scheme_steps: int, count: int, noise_dim: int) -> int:
+    """Scheme steps whose increments a batch of `count` paths draws at
+    once: as many as fit DRAW_BYTES, at least one and at most all
+    `scheme_steps`."""
+    return max(1, min(scheme_steps, DRAW_BYTES // (8 * count * noise_dim)))
 
 
-def _group_size(paths: int, width: int, dim: int, noise_dim: int) -> int:
-    """Batches G of a group: as many as fit the buffers of groups of the
-    largest batch in GROUP_BYTES; at least one and at most nb."""
-    nb = min(BATCHES, paths)
-    batch = 8 * -(-paths // nb) * _path_words(width, dim, noise_dim)
-    return max(1, min(nb, GROUP_BYTES // batch))
-
-
-def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int) -> int:
+def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int, substeps: int = 1) -> int:
     """Peak bytes that simulate_moments allocates in one process for
     `paths` paths of `width` recorded values of `dim` modes each, driven
-    by `noise_dim` noise modes.
+    by `noise_dim` noise modes, each recording step taking `substeps`
+    scheme steps.
 
-    With nb batches, D = width and T = D (D + 1) / 2, the per-batch sums
-    (nb T + nb D float64: each batch's sum of outer products by its
-    upper triangle) are held throughout, and the peak falls in one of
-    three phases:
-    - stepping a group: the T flat positions of the triangle
-      (spectral.triangle_positions), and G batches of at most
-      ceil(paths / nb) paths (_group_size), each path taking _path_words
-      in the buffers, N words for the G2 part of the noise term, M for
-      its normals as drawn, before they are copied into the increments,
-      and 9 for the sampler's jump draws (the Poisson counts twice, the
-      jumping rows and, at one jump a path, six words a jump);
-    - summing a group's batches: the positions, its block, one D x D
-      product and a D sum of a batch;
+    With nb batches of at most P = ceil(paths / nb) paths, D = width and
+    T = D (D + 1) / 2, the per-batch sums (nb T + nb D float64: each
+    batch's sum of outer products by its upper triangle) are held
+    throughout, and the peak falls in one of three phases:
+    - stepping a batch: the T flat positions of the triangle
+      (spectral.triangle_positions), its block (P D), state and decay
+      factors (2 N P), outer products (N M P), paths-last increments
+      (M P) and the increments of the A scheme steps it draws ahead
+      (A M P, A = _draw_steps of the run's scheme steps); beside them
+      either the sampler's Poisson counts (A P), a step's Poisson draw
+      (P), its jump draws, six words a jump at one jump a path in a run,
+      and the buffer of its broadcast scaling, at most min(8192, A M P)
+      values; or the noise term with its G2 part (2 N P) and the two
+      buffers of the broadcast multiply that forms the outer products,
+      at most min(8192, N M P) values each;
+    - summing a batch: the positions, its block, one D x D product and a
+      D sum;
     - the reduction: the D x D moment and covariance beside the mean,
-      and either the covariance error as a triangle and one span of the
-      per-batch covariances, nb x entries with entries at most rows x D,
-      rows = max(2, floor(D / (nb + 2))), with 2 x entries more for the
-      span's batch error; or, at the end, the covariance error, the
-      second moment's error as a triangle and as a D x D matrix, and the
-      mean's error: T + 2 D + max(4 D^2, 2 D^2 + (nb + 2) rows D) values,
-      about 4.5 D^2 whatever nb once D >= nb + 2.
-    8 KiB and 256 bytes a batch more cover the interpreter objects of
-    the call: the batch bounds and the like. No term grows
-    with paths x D. numpy's buffered iteration is not counted elsewhere:
-    on a grid so small that nb D^2 falls below its 8192-element buffer,
-    and in the broadcast multiply of the outer products while a group
-    holds fewer than some 5000 paths, its buffers can add up to some
-    120 kB (traced: 15 kB beyond the count at 64 scalar paths and K = 8,
-    41 kB at 40 multimode paths and K = 8, 9 kB at G = 1 with 20000
-    multimode paths and K = 2).
+      the buffer of the in-place broadcasts over the per-batch
+      statistics, at most min(8192, nb T) values, and either the
+      covariance error as a triangle and one span of the per-batch
+      covariances, nb x entries with entries at most rows x D, rows =
+      max(2, floor(D / (nb + 2))), with 2 x entries more for the span's
+      batch error; or, at the end, the covariance error, the second
+      moment's error as a triangle and as a D x D matrix, and the mean's
+      error: T + 2 D + max(4 D^2, 2 D^2 + (nb + 2) rows D) values, about
+      4.5 D^2 whatever nb once D >= nb + 2.
+    numpy's buffers are those of its buffered iteration, which it uses
+    for these broadcasts; each holds at most 8192 values. 8 KiB and 256
+    bytes a batch more cover the interpreter objects of the call: the
+    batch bounds and the like. No term grows with paths x D. The
+    Poisson counts are counted whether or not the noise has a jump part.
     """
     nb = min(BATCHES, paths)
     batch = -(-paths // nb)
-    group = _group_size(paths, width, dim, noise_dim) * batch
+    ahead = _draw_steps((width // dim - 1) * substeps, batch, noise_dim)
     tri = width * (width + 1) // 2
     sums = nb * (tri + width)
-    words = _path_words(width, dim, noise_dim)
-    stepping = tri + max(group * (words + dim + noise_dim + 9),
-                         group * width + width * width + width)
+    held = batch * (width + dim * (noise_dim + 2) + noise_dim * (ahead + 1))
+    sampling = batch * (ahead + 7) + min(8192, ahead * noise_dim * batch)
+    noise_term = 2 * batch * dim + 2 * min(8192, dim * noise_dim * batch)
+    stepping = tri + max(held + max(sampling, noise_term), batch * width + width * width + width)
     rows = max(2, width // (nb + 2))
-    reduction = tri + 2 * width + max(4 * width * width, 2 * width * width + (nb + 2) * rows * width)
+    reduction = tri + 2 * width + min(8192, nb * tri) + max(
+        4 * width * width, 2 * width * width + (nb + 2) * rows * width)
     return (sums + max(stepping, reduction)) * 8 + 2**13 + 256 * nb
 
 
@@ -166,27 +161,21 @@ def _batch_stepper(
     x0_cov: Optional[np.ndarray],
     substeps: int,
 ):
-    """Check the arguments of a simulation and return its group stepper.
+    """Check the arguments of a simulation and return its batch stepper.
 
     The initial mean and covariance are checked by spectral.state_vector
     and spectral.moment_matrix with psd; the covariance's
     eigendecomposition then gives the factor that samples x0.
 
-    step(first, last, block) fills `block`, a (count, steps + 1, N)
-    array, with the count paths of batches first to last - 1 on the
-    recording grid, batch b's rows drawn from the stream [seed, b]; each
-    recording step takes `substeps` scheme steps. The batches go in
-    lockstep: the group's state is one (N, count) array, its increments
-    one (M, count) array and its outer products x (x) dL one (N, M,
+    step(b, block) fills `block`, a (count, steps + 1, N) array, with the
+    count paths of batch b on the recording grid, drawn from the stream
+    [seed, b]: x0 first, where it is sampled, then the increments, a run
+    of _draw_steps scheme steps at a time by one sample_increments call;
+    each recording step takes `substeps` scheme steps. The state is one
+    (N, count) array, each step's increments are copied into one (M,
+    count) array and the outer products x (x) dL go into one (N, M,
     count) buffer, all reused for every step, so that every elementwise
-    operation runs along the contiguous paths. On a scheme step one
-    sample_increments call draws every batch's increments from its own
-    generator, and the scaling, the jumps, the decay and the noise map
-    run once for the group, which pays numpy's per-call cost once for G
-    batches. Only the noise map's matmuls run a batch at a time
-    (g_apply_columns' parts), so that every batch is rounded as when it
-    was stepped alone: a group's paths are bit for bit those of its
-    batches stepped one by one.
+    operation and the noise map's matmuls run along the contiguous paths.
     """
     if steps < 1 or substeps < 1:
         raise ValueError("steps and substeps must be positive")
@@ -199,33 +188,32 @@ def _batch_stepper(
         cov = moment_matrix(x0_cov, (model.dim, model.dim), "initial covariance", psd=True)
         w, v = np.linalg.eigh(cov)
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    dt = model.horizon / (steps * substeps)
+    total = steps * substeps
+    dt = model.horizon / total
     decay = np.exp(-model.eigenvalues * dt)[:, None]
-    bounds = _batch_bounds(paths)
 
-    def step(first: int, last: int, block: np.ndarray) -> None:
-        start = bounds[first][0]
-        parts = [(lo - start, hi - start) for lo, hi in bounds[first:last]]
-        counts = [hi - lo for lo, hi in parts]
-        rngs = [np.random.default_rng([seed, b]) for b in range(first, last)]
+    def step(b: int, block: np.ndarray) -> None:
+        rng = np.random.default_rng([seed, b])
         count = block.shape[0]
         if factor is None:
             x = np.repeat(x0_mean[:, None], count, axis=1)
         else:
-            x = np.empty((model.dim, count))
-            for rng, (lo, hi) in zip(rngs, parts):
-                x[:, lo:hi] = (x0_mean + rng.standard_normal((hi - lo, model.dim)) @ factor.T).T
+            x = np.ascontiguousarray((x0_mean + rng.standard_normal((count, model.dim))
+                                      @ factor.T).T)
+        draws = np.empty((_draw_steps(total, count, noise.dim), count, noise.dim))
         incs = np.empty((noise.dim, count))
-        work = np.empty((model.dim, noise.dim, count))
         # one factor a path: numpy copies x for an in-place product broadcast along it
         decays = np.repeat(decay, count, axis=1)
+        noise_term = g_apply_bound(gmap, x, incs)  # reads x and incs as they are updated in place
         block[:, 0] = x.T
-        for k in range(steps):
-            for _ in range(substeps):
-                sample_increments(noise, dt, counts, rngs, out=incs.T)
-                x += g_apply_columns(gmap, x, incs, work, parts)
+        for first in range(0, total, len(draws)):
+            run = sample_increments(noise, dt, count, rng, out=draws[:total - first])
+            for s, increments in enumerate(run, first + 1):
+                incs[...] = increments.T
+                x += noise_term()
                 x *= decays
-            block[:, k + 1] = x.T
+                if s % substeps == 0:
+                    block[:, s // substeps] = x.T
 
     return step
 
@@ -351,13 +339,12 @@ def simulate_moments(
     Gaussian initial values with that covariance around x0_mean;
     otherwise the initial value is the deterministic vector x0_mean.
 
-    Each process steps its batches in groups of G consecutive batches
-    (_group_size), each group into a block of its own; every batch of the
-    group is reduced at once to its sum and the upper triangle of its
-    sum of outer products, and the block is dropped. The processes of
+    Each process steps its batches one at a time, each into a block of
+    its own, reduces the batch at once to its sum and the upper triangle
+    of its sum of outer products, and drops the block. The processes of
     the fan-out write these sums into shared (nb, D) and (nb, D (D + 1)
-    / 2) arrays, so none holds more than one group of paths, and the
-    memory is nb D (D + 3) / 2 + O(D^2 + G (paths / nb) D) float64
+    / 2) arrays, so none holds more than one batch of paths, and the
+    memory is nb D (D + 3) / 2 + O(D^2 + (paths / nb) D) float64
     (estimate_bytes), with no paths x D term; the reduction (_reduce)
     stays on the triangles and adds some 4.5 D^2. The standard
     errors come from the spread of the per-batch statistics. The
@@ -370,25 +357,20 @@ def simulate_moments(
         raise ValueError(f"at least two paths are required, got {paths}")
     bounds = _batch_bounds(paths)
     nodes, width = steps + 1, (steps + 1) * model.dim
-    group = _group_size(paths, width, model.dim, noise.dim)
     procs = workers(len(bounds))
     empty = _shared_empty if procs > 1 else np.empty
     s1, s2 = empty((len(bounds), width)), empty((len(bounds), width * (width + 1) // 2))
 
     def run(batches: tuple[int, int]) -> None:
         upper = triangle_positions(width)
-        for first in range(batches[0], batches[1], group):
-            last = min(first + group, batches[1])
-            start = bounds[first][0]
-            block = np.empty((bounds[last - 1][1] - start, nodes, model.dim))
-            step(first, last, block)
-            for b in range(first, last):
-                lo, hi = bounds[b]
-                rows = block[lo - start:hi - start].reshape(hi - lo, width)
-                # inf - inf and overflow leave nan or inf quietly; such a sum is refused below
-                with np.errstate(invalid="ignore", over="ignore"):
-                    _sum_batch(rows, s1[b], s2[b], upper)
-            del block, rows
+        for b in range(*batches):
+            lo, hi = bounds[b]
+            block = np.empty((hi - lo, nodes, model.dim))
+            step(b, block)
+            # inf - inf and overflow leave nan or inf quietly; such a sum is refused below
+            with np.errstate(invalid="ignore", over="ignore"):
+                _sum_batch(block.reshape(hi - lo, width), s1[b], s2[b], upper)
+            del block  # freed before the next batch's block is allocated
 
     fan_out(run, split(len(bounds), procs))
     if not np.isfinite(s1).all():

@@ -12,6 +12,8 @@
   (criterion 6, weak_identity_residual).
 - The smoothing integral of one eigenmode, a closed form in its
   eigenvalue (criterion 9, smoothing_integral).
+- The noise map applied once to states and increments held as columns
+  (g_apply_columns), the package's bound kernel evaluated once.
 
 They read the package's model definitions and noise map, and nothing in
 the package calls them.
@@ -24,8 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from spde_moments.levy import NoiseModel, sample_increments
-from spde_moments.noise_map import AffineNoiseMap, g_apply_columns
+from spde_moments.noise_map import AffineNoiseMap, g_apply_bound
 from spde_moments.spectral import SpectralModel
+
+
+def g_apply_columns(gmap: AffineNoiseMap, state: np.ndarray, increment: np.ndarray) -> np.ndarray:
+    """G(x) w for the P paths of state (N, P) and increment (M, P), paths
+    last: noise_map.g_apply_bound evaluated once. increment may be a
+    transposed view, such as the .T of (P, M) draws."""
+    return g_apply_bound(gmap, state, increment)()
 
 
 @dataclass(frozen=True)

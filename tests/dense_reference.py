@@ -43,8 +43,9 @@ jump law reproduces draw for draw.
 
 `simulate_paths` keeps every path of a Monte Carlo run, with its
 increments, in one process: it fills each batch with the package's own
-batch stepper. `estimate_paths` reduces such paths to their moments
-through whole per-batch sums of outer products (`dense_sum_batch`,
+batch stepper and records the runs of increments it draws ahead.
+`estimate_paths` reduces such paths to their moments through whole
+per-batch sums of outer products (`dense_sum_batch`,
 `dense_reduce`, nb D^2 float64), the form that the package's upper
 triangles replaced, so for the same arguments
 `estimate_paths(simulate_paths(...)[0])` is `simulate_moments(...)` bit
@@ -338,25 +339,25 @@ def simulate_paths(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov=None,
     """Every path of simulate_moments' run for the same arguments, as a
     (P, steps + 1, N) array, with the (P, steps * substeps, M) increments
     that drove them: batch b of mc._batch_bounds fills its own rows from
-    the stream [seed, b], stepped alone, as a group of one batch. The
-    stepper looks up mc.sample_increments on every scheme step and draws
-    into a buffer it reuses, so the increments are recorded by wrapping
-    it and copying each draw while the batches are stepped."""
+    the stream [seed, b] by the package's own step(b, block). The stepper
+    looks up mc.sample_increments for every run of steps it draws ahead
+    and draws into a buffer it reuses, so the increments are recorded by
+    wrapping it and copying each run while the batches are stepped."""
     step = mc._batch_stepper(model, noise, gmap, x0_mean, steps, paths, seed, x0_cov, substeps)
     out = np.empty((paths, steps + 1, model.dim))
     incs = np.empty((paths, steps * substeps, noise.dim))
-    sample, draws = mc.sample_increments, []
+    sample, runs = mc.sample_increments, []
 
     def recorded(*args, **kwargs):
-        draws.append(sample(*args, **kwargs).copy())
-        return draws[-1]
+        runs.append(sample(*args, **kwargs).copy())
+        return runs[-1]
 
     mc.sample_increments = recorded
     try:
         for b, (lo, hi) in enumerate(mc._batch_bounds(paths)):
-            draws.clear()
-            step(b, b + 1, out[lo:hi])
-            incs[lo:hi] = np.stack(draws, axis=1)
+            runs.clear()
+            step(b, out[lo:hi])
+            incs[lo:hi] = np.concatenate(runs).transpose(1, 0, 2)
     finally:
         mc.sample_increments = sample
     return out, incs

@@ -708,13 +708,17 @@ class TestCli:
         assert peak < 2 ** 20
 
     def test_paths_beyond_memory_run_in_batches_that_fit(self, tmp_path, capsys, monkeypatch):
-        # 64 paths of 9 recorded values in 32 batches of 2: the run needs
-        # the moment buffers and one group of 2-path batches,
-        # estimate_bytes(64, 9, 1, 1); a byte less would still hold the
-        # buffers with one path a batch, so it is the path count that
-        # does not fit
-        need = mc.estimate_bytes(64, 9, 1, 1)
-        cfg = self.write_config(tmp_path, minimal_config())
+        # 2048 paths of 9 recorded values in 32 batches of 64: the run
+        # needs the moment buffers and one 64-path batch with the
+        # increments it draws ahead, estimate_bytes(2048, 9, 1, 1); a byte
+        # less would still hold the buffers with one path a batch, so it
+        # is the path count that does not fit. At two paths a batch the
+        # reduction of the sums, not the batch, would set the peak
+        need = mc.estimate_bytes(2048, 9, 1, 1)
+        assert mc.estimate_bytes(32, 9, 1, 1) == mc.estimate_bytes(64, 9, 1, 1) < need
+        raw = minimal_config()
+        raw["mc"]["paths"] = 2048
+        cfg = self.write_config(tmp_path, raw)
         monkeypatch.setattr(config, "_physical_memory", lambda: need)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)

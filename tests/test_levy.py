@@ -103,7 +103,7 @@ class TestSampling:
 
 
     def test_scale_follows_the_step_length(self):
-        # the model keeps the Wiener scale of the last dt; a new dt must not reuse it
+        # every dt has its own Wiener scale, whatever dt came before
         noise = NoiseModel(q_eigenvalues=[0.5, 0.25], wiener_fraction=0.5, jump_rate=4.0)
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for dt in (0.1, 0.05, 0.05, 0.1, 0.025):
@@ -148,34 +148,38 @@ class TestStreamPin:
             assert rng.random() == ref_rng.random()
 
 
-class TestGroupedSampling:
-    """A call with several generators is their one-generator calls made in
-    the same order: the same rows, stacked, bit for bit, and every
+class TestRunSampling:
+    """A run of steps drawn by one call is the one-step calls made in the
+    same order: the same increments, step by step, bit for bit, and the
     generator left in the same state."""
 
+    RUNS = (1, 2, 5)
+
     @staticmethod
-    def assert_grouped_is_separate(noise, dt, counts, seed, calls=3):
-        rows = sum(counts)
-        # a buffer of rows, and the transpose of one of modes, as Monte Carlo passes it
-        for out in (np.full((rows, noise.dim), np.nan), np.full((noise.dim, rows), np.nan).T):
-            rngs = [np.random.default_rng([seed, b]) for b in range(len(counts))]
-            refs = [np.random.default_rng([seed, b]) for b in range(len(counts))]
-            for _ in range(calls):
-                grouped = sample_increments(noise, dt, counts, rngs, out=out)
-                assert grouped is out
-                separate = [sample_increments(noise, dt, c, r) for c, r in zip(counts, refs)]
-                np.testing.assert_array_equal(grouped, np.concatenate(separate))
-            for rng, ref in zip(rngs, refs):
+    def assert_run_is_steps(noise, dt, counts, seed, calls=3, runs=RUNS):
+        # each count is a batch of paths on its own stream [seed, b]
+        for b, count in enumerate(counts):
+            for steps in runs:
+                out = np.full((steps, count, noise.dim), np.nan)
+                rng, ref = np.random.default_rng([seed, b]), np.random.default_rng([seed, b])
+                for _ in range(calls):
+                    run = sample_increments(noise, dt, count, rng, out=out)
+                    assert run is out
+                    separate = [sample_increments(noise, dt, count, ref) for _ in range(steps)]
+                    np.testing.assert_array_equal(run, np.stack(separate))
                 assert rng.bit_generator.state == ref.bit_generator.state
 
     @staticmethod
-    def first_step_jumps(noise, dt, counts, seed):
-        """Jumps each generator [seed, b] draws on the first step."""
-        jumps = []
-        for b, count in enumerate(counts):
-            rng = np.random.default_rng([seed, b])
+    def step_jumps(noise, dt, count, seed, steps):
+        """Jumps the generator [seed, 0] draws on each of `steps` steps of
+        one call a step."""
+        rng, jumps = np.random.default_rng([seed, 0]), []
+        for _ in range(steps):
             rng.standard_normal((count, noise.dim))
             jumps.append(int(rng.poisson(noise.jump_rate * dt, size=count).sum()))
+            if jumps[-1]:
+                rng.random(jumps[-1])
+                rng.integers(0, 2, size=jumps[-1])
         return jumps
 
     @pytest.mark.parametrize("gamma, rho, rate, dt, counts", [
@@ -183,50 +187,52 @@ class TestGroupedSampling:
         ([0.5, 0.25, 0.125], 0.0, 40.0, 0.05, [3, 2, 4]),     # jumps only
         ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.05, [1, 1, 1, 1]),  # one-path batches
         ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313, 313, 312]),
-        ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313]),     # a group of one
-        ([1.0], 0.5, 40.0, 0.05, [3, 2]),     # one mode: a transposed buffer's rows are in order
+        ([0.5, 0.25, 0.125, 0.0625], 0.5, 4.0, 0.0625, [313]),     # one batch
+        ([1.0], 0.5, 40.0, 0.05, [3, 2]),     # one mode
         ([1.0], 0.5, 40.0, 0.05, [1]),        # one mode, one path
-        ([0.5, 0.25, 0.125], 0.5, 40.0, 0.05, [1]),  # a one-path group: both buffers are rows
+        ([0.5, 0.25, 0.125], 0.5, 40.0, 0.05, [1]),  # one path
     ], ids=["wiener", "pure-jump", "one-path-batches", "multimode", "one-generator", "one-mode",
             "one-mode-one-path", "one-path-group"])
-    def test_matches_the_calls_of_its_generators(self, gamma, rho, rate, dt, counts):
+    def test_matches_one_call_a_step(self, gamma, rho, rate, dt, counts):
         noise = NoiseModel(q_eigenvalues=gamma, wiener_fraction=rho, jump_rate=rate)
         for seed in range(40):
-            self.assert_grouped_is_separate(noise, dt, counts, seed)
+            self.assert_run_is_steps(noise, dt, counts, seed)
 
     def test_wiener_only_never_reads_the_jump_law(self):
         # rho = 1 with nu = 0: the jump size would divide by nu = 0
         noise = NoiseModel(q_eigenvalues=[0.5, 0.25], wiener_fraction=1.0, jump_rate=0.0)
         with pytest.raises(ZeroDivisionError):
             noise.jump_size
-        self.assert_grouped_is_separate(noise, 0.1, [2, 1], seed=0)
+        self.assert_run_is_steps(noise, 0.1, [2, 1], seed=0)
 
-    def test_a_batch_without_jumps_beside_one_that_jumps(self):
+    def test_a_step_without_jumps_beside_one_that_jumps(self):
         noise = NoiseModel(q_eigenvalues=[0.5, 0.25], wiener_fraction=0.5, jump_rate=4.0)
-        dt, counts = 0.05, [2, 2]
+        dt, count = 0.05, 2
         seen = set()
         for seed in range(200):
-            jumps = self.first_step_jumps(noise, dt, counts, seed)
+            jumps = self.step_jumps(noise, dt, count, seed, steps=2)
             if (jumps[0] == 0) != (jumps[1] == 0):
                 seen.add(jumps[0] == 0)
-                self.assert_grouped_is_separate(noise, dt, counts, seed, calls=1)
-        assert seen == {True, False}  # either batch without jumps
+                self.assert_run_is_steps(noise, dt, [count], seed, calls=1, runs=(2,))
+        assert seen == {True, False}  # either step without jumps
 
     def test_a_path_that_jumps_twice_in_one_step(self):
         # about 40 jumps a path per step, so rows repeat and (row, mode)
         # pairs are hit more than once
         noise = NoiseModel(q_eigenvalues=[0.7, 0.3], wiener_fraction=0.2, jump_rate=4000.0)
-        counts = [2, 1, 3]
-        for seed in range(20):
-            assert min(self.first_step_jumps(noise, 0.01, counts, seed)) > max(counts)
-            self.assert_grouped_is_separate(noise, 0.01, counts, seed)
+        for count in (2, 1, 3):
+            for seed in range(20):
+                assert min(self.step_jumps(noise, 0.01, count, seed, steps=3)) > count
+                self.assert_run_is_steps(noise, 0.01, [count], seed, calls=1, runs=(3,))
 
-    def test_rejects_mismatched_generators_and_buffers(self):
+    def test_rejects_a_misshaped_or_strided_buffer(self):
         noise = NoiseModel(q_eigenvalues=[1.0, 0.5])
-        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-        with pytest.raises(ValueError, match="3 counts for 2 generators"):
-            sample_increments(noise, 0.1, [1, 2, 3], rngs)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="count must be positive"):
-            sample_increments(noise, 0.1, [1, 0], rngs)
-        with pytest.raises(ValueError, match=r"out must have shape \(3, 2\)"):
-            sample_increments(noise, 0.1, [1, 2], rngs, out=np.empty((3, 3)))
+            sample_increments(noise, 0.1, 0, rng)
+        for out in (np.empty((3, 2)), np.empty((3, 2, 2)), np.empty((1, 2, 3, 2)),
+                    np.empty((1, 2, 3)).transpose(0, 2, 1), np.empty((2, 6, 2))[:, ::2],
+                    np.empty((2, 3, 2), dtype=np.float32)):
+            with pytest.raises(ValueError, match=r"out must be a C-ordered float64 array of "
+                                                 r"shape \(steps, 3, 2\)"):
+                sample_increments(noise, 0.1, 3, rng, out=out)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import spde_moments.montecarlo as mc
-from spde_moments import _fanout
+from spde_moments import _fanout, cli
 from spde_moments import (
     AffineNoiseMap,
     NoiseModel,
@@ -20,11 +21,12 @@ from spde_moments import (
     simulate_moments,
     two_time_extend,
 )
-from spde_moments.noise_map import g_apply_columns
+from spde_moments.config import parse_config
+from spde_moments.noise_map import g_apply_bound
 from spde_moments.spectral import triangle_positions, unpack_triangle
 
 from conftest import multimode_setup
-from criteria_helpers import ito_isometry_check, weak_identity_residual
+from criteria_helpers import g_apply_columns, ito_isometry_check, weak_identity_residual
 from dense_reference import estimate_paths, simulate_paths
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,11 +109,15 @@ class TestGApply:
         gmap = AffineNoiseMap(g1=rng.random((n, n, modes)), g2=rng.random((n, modes)))
         states, incs = rng.random((n, 9)), rng.random((9, modes))
         expected = np.transpose([brute_force_g(gmap, x, w) for x, w in zip(states.T, incs)])
-        # the increments as the stepper passes them: the .T view of (P, M) draws
+        # the increments as rows hold them: the .T view of (P, M) draws
         out = g_apply_columns(gmap, states, incs.T)
         np.testing.assert_allclose(out, expected, rtol=1e-13)
-        work = np.empty((n, modes, 9))
-        np.testing.assert_array_equal(g_apply_columns(gmap, states, incs.T, work), out)
+        # bound to its arrays, the kernel reads what they hold at each call
+        held_states, held_incs = np.zeros((n, 9)), np.zeros((9, modes)).T
+        apply = g_apply_bound(gmap, held_states, held_incs)
+        np.testing.assert_array_equal(apply(), np.zeros((n, 9)))
+        held_states[...], held_incs[...] = states, incs.T
+        np.testing.assert_array_equal(apply(), out)
 
     def test_columns_kernel_shape_mismatch(self):
         gmap = AffineNoiseMap(g1=np.zeros((2, 2, 1)), g2=np.zeros((2, 1)))
@@ -202,14 +208,19 @@ class TestSimulatePath:
         noise = NoiseModel(q_eigenvalues=[1.0])
         gmap = AffineNoiseMap(g1=np.zeros((1, 1, 1)), g2=np.ones((1, 1)))
         seen = []
-        original = mc.g_apply_columns
+        original = mc.g_apply_bound
 
-        def recorder(gm, state, increment, *buffers):
-            # the stepper's state is (N, paths); record it as rows of paths
-            seen.append(np.array(state.T, copy=True))
-            return original(gm, state, increment, *buffers)
+        def recorder(gm, state, increment):
+            apply = original(gm, state, increment)
 
-        monkeypatch.setattr(mc, "g_apply_columns", recorder)
+            def recorded():
+                # the stepper's state is (N, paths); record it as rows of paths
+                seen.append(np.array(state.T, copy=True))
+                return apply()
+
+            return recorded
+
+        monkeypatch.setattr(mc, "g_apply_bound", recorder)
         path = simulate_paths(model, noise, gmap, np.array([1.0]), 6, 1, seed=2)[0][0]
         np.testing.assert_array_equal(np.concatenate(seen), path[:-1])
 
@@ -526,25 +537,27 @@ class TestSimulateMoments:
             for name in self.FIELDS:
                 assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
 
-    @pytest.mark.parametrize("group", [None, 2, 3], ids=["budget", "G2", "G3"])
+    @pytest.mark.parametrize("ahead", [None, 1, 2, 3], ids=["budget", "A1", "A2", "A3"])
     @pytest.mark.parametrize("x0_cov", [False, True])
     @pytest.mark.parametrize("paths", [45, 63, 1251])
-    def test_groups_change_no_bit(self, monkeypatch, paths, x0_cov, group):
-        # the reference steps every batch alone. 45 paths make 13 batches
-        # of two paths and 19 of one, 63 make 31 of two and one of one, and
-        # 1251 three of 40 and 29 of 39, so that groups of two put a 40-
-        # and a 39-path batch together; the budget's group holds more
-        # batches than either
+    def test_draw_ahead_changes_no_bit(self, monkeypatch, paths, x0_cov, ahead):
+        # the reference draws every batch's increments a step at a time.
+        # 45 paths make 13 batches of two paths and 19 of one, 63 make 31
+        # of two and one of one, and 1251 three of 40 and 29 of 39; the 8
+        # scheme steps go in runs of one, two, three (the last run short)
+        # or, within the budget, all eight at once
         model, noise, gmap, x0 = multimode_setup()
         cov = np.diag(np.linspace(0.1, 0.4, model.dim)) + 0.05 if x0_cov else None
-        ref = estimate_paths(simulate_paths(model, noise, gmap, x0, 4, paths, seed=4,
-                                            x0_cov=cov, substeps=2)[0])
-        width = 5 * model.dim
-        if group is not None:
-            words = mc._path_words(width, model.dim, noise.dim)
-            monkeypatch.setattr(mc, "GROUP_BYTES", group * 8 * -(-paths // 32) * words)
-        size = mc._group_size(paths, width, model.dim, noise.dim)
-        assert size == group if group else size > 3
+        budget = mc._draw_steps
+        with monkeypatch.context() as one_step:
+            one_step.setattr(mc, "_draw_steps", lambda steps, count, noise_dim: 1)
+            ref = estimate_paths(simulate_paths(model, noise, gmap, x0, 4, paths, seed=4,
+                                                x0_cov=cov, substeps=2)[0])
+        if ahead is not None:
+            monkeypatch.setattr(mc, "_draw_steps",
+                                lambda steps, count, noise_dim: min(ahead, steps))
+        assert mc._draw_steps(8, -(-paths // 32), noise.dim) == (ahead or 8)
+        assert budget(8, -(-paths // 32), noise.dim) == 8
         for procs in (1, 2, 3):
             monkeypatch.setattr(_fanout, "_cpus", lambda: procs)
             est = simulate_moments(model, noise, gmap, x0, 4, paths, seed=4, x0_cov=cov,
@@ -552,15 +565,18 @@ class TestSimulateMoments:
             for name in self.FIELDS:
                 assert np.array_equal(getattr(est, name), getattr(ref, name)), (procs, name)
 
-    def test_group_size_reads_the_budget_alone(self):
-        # 20000 paths make 32 batches of 625. A path takes 22 words at 17
-        # recorded values of one mode and at 9 of three modes driven by
-        # one, so a batch's buffers, 8 * 625 * 22 bytes, fit GROUP_BYTES
-        # nine times in either case, whatever the D^2 of the reduction
-        assert mc._path_words(17, 1, 1) == mc._path_words(9, 3, 1) == 22
-        assert mc._group_size(20000, 17, 1, 1) > 1
-        assert (mc._group_size(20000, 17, 1, 1) == mc._group_size(20000, 9, 3, 1)
-                == mc.GROUP_BYTES // (8 * 625 * 22))
+    def test_draw_steps_read_the_budget_alone(self):
+        # 20000 paths make 32 batches of 625: at one noise mode a step's
+        # increments take 8 * 625 bytes, so DRAW_BYTES holds 52 steps of
+        # them, whatever the state or the recording grid; the run's
+        # scheme steps clamp it from above, and a batch whose one step
+        # exceeds the budget still draws one
+        assert mc._draw_steps(64, 625, 1) == mc.DRAW_BYTES // (8 * 625) == 52
+        assert mc._draw_steps(10**6, 625, 1) == 52
+        assert mc._draw_steps(10, 625, 1) == 10
+        assert mc._draw_steps(64, 313, 4) == mc.DRAW_BYTES // (8 * 313 * 4) == 26
+        assert mc._draw_steps(64, mc.DRAW_BYTES, 4) == 1
+        assert mc._draw_steps(1, 1, 1) == 1
 
     @pytest.mark.parametrize("procs", [1, 3])
     def test_nonfinite_path_raises_without_a_warning(
@@ -572,9 +588,9 @@ class TestSimulateMoments:
         def poisoned_stepper(*args):
             step = real(*args)
 
-            def poisoned(first, last, block):
-                step(first, last, block)
-                if last == 32:
+            def poisoned(b, block):
+                step(b, block)
+                if b == 31:
                     block[-2:, -1] = [[np.inf], [-np.inf]]
 
             return poisoned
@@ -595,14 +611,11 @@ class TestSimulateMoments:
         # 63 paths: batches 0-30 hold two paths, and batch 31, the last
         # worker's at three processes, holds the one path that draws an
         # infinite increment
-        def infinite_for_one_path(noise, dt, counts, rngs, out):
-            # a grouped call stacks its batches' rows in order
-            draws = real(noise, dt, counts, rngs, out=out)
-            lo = 0
-            for count in counts:
-                if count == 1:
-                    draws[lo:lo + count] = np.inf
-                lo += count
+        def infinite_for_one_path(noise, dt, count, rng, out):
+            # a run of steps of one batch's paths
+            draws = real(noise, dt, count, rng, out=out)
+            if count == 1:
+                draws[...] = np.inf
             return draws
 
         real = mc.sample_increments
@@ -657,6 +670,39 @@ class TestSimulateMoments:
         finally:
             tracemalloc.stop()
         assert count - width * width * 8 < peak <= count
+
+    @pytest.mark.parametrize("problem", [
+        "scalar-64-K8", "multimode-40-K8", "multimode-20000-K2", "multimode-config",
+    ])
+    def test_peak_memory_within_the_count_with_numpys_buffers(self, monkeypatch, problem):
+        # small grids and batches, where numpy's buffered iteration of the
+        # broadcast multiplies adds most to the arrays: the outer products
+        # at 40 and 20000 multimode paths (one to 625 paths a batch), the
+        # statistics of 32 batches at D = 9 and 36; and the shipped
+        # multimode run, 313 paths a batch over 512 scheme steps
+        if problem == "scalar-64-K8":
+            model, noise = SpectralModel(eigenvalues=[1.0]), NoiseModel(q_eigenvalues=[1.0])
+            gmap = AffineNoiseMap(g1=np.full((1, 1, 1), 0.5), g2=np.full((1, 1), 0.5))
+            run = model, noise, gmap, np.ones(1), 8, 64, 1
+        elif problem == "multimode-config":
+            cfg = parse_config(json.loads((ROOT / "configs" / "multimode.json").read_text()))
+            run = (cfg.model, cfg.noise, cfg.gmap, cfg.initial[0], cfg.mc_grid_steps,
+                   cfg.mc_paths, cli._substeps(cfg))
+        else:
+            paths, steps = {"multimode-40-K8": (40, 8), "multimode-20000-K2": (20000, 2)}[problem]
+            run = (*multimode_setup(), steps, paths, 1)
+        model, noise, gmap, x0, steps, paths, substeps = run
+        monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
+        count = mc.estimate_bytes(paths, (steps + 1) * model.dim, model.dim, noise.dim, substeps)
+        # a first call fills numpy's caches of small freed blocks
+        simulate_moments(model, noise, gmap, x0, steps, paths, seed=1, substeps=substeps)
+        tracemalloc.start()
+        try:
+            simulate_moments(model, noise, gmap, x0, steps, paths, seed=1, substeps=substeps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= count
 
 
 class TestWeakIdentity:

@@ -60,7 +60,7 @@ class TestImportGraph:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                     homes.setdefault(node.name, []).append(path.stem)
-        for name in ("AffineNoiseMap", "action_bytes", "g_apply_columns", "g1_v_to_hs_norm",
+        for name in ("AffineNoiseMap", "action_bytes", "g_apply_bound", "g1_v_to_hs_norm",
                      "mean_form", "multiplicative_form", "symmetric_action"):
             assert homes.get(name) == ["noise_map"], name
         # the symmetric action is the one matrix of the multiplicative form:
