@@ -63,11 +63,11 @@ def multimode_raw(n: int | None = None, grid_steps: int | None = None) -> dict:
 
 def simulation(raw: dict):
     """The config's Monte Carlo run as `validate` makes it, as a call of no
-    arguments, with the paths, width, modes, noise modes and scheme steps
+    arguments, with the paths, width, modes, noise model and scheme steps
     per recording step of the run."""
     cfg = parse_config(raw)
     width = (cfg.mc_grid_steps + 1) * cfg.model.dim
-    sizes = (cfg.mc_paths, width, cfg.model.dim, cfg.noise.dim, cli._substeps(cfg))
+    sizes = (cfg.mc_paths, width, cfg.model.dim, cfg.noise, cli._substeps(cfg))
     return lambda: cli._simulate(cfg), sizes
 
 
@@ -104,9 +104,9 @@ def one_process(call) -> None:
 
 def report(name: str, raw: dict, runs: int) -> None:
     call, sizes = simulation(raw)
-    paths, width, dim, noise_dim, substeps = sizes
+    paths, width, dim, noise, substeps = sizes
     batch = -(-paths // min(montecarlo.BATCHES, paths))
-    ahead = montecarlo._draw_steps((width // dim - 1) * substeps, batch, noise_dim)
+    ahead = montecarlo._draw_steps((width // dim - 1) * substeps, batch, noise.dim)
     # alternated, so that the host's drift falls on both medians alike
     times, alone = zip(*[(timed(call), timed(lambda: one_process(call))) for _ in range(runs)])
     peak, count = traced_peak(call), montecarlo.estimate_bytes(*sizes)

@@ -158,18 +158,20 @@ def _check_mc_memory(cfg: ExperimentConfig) -> None:
     on the config's recording grid would not fit in the machine's
     physical memory. With D = (mc.grid_steps + 1) N, the peak of
     simulate_moments, montecarlo.estimate_bytes of the run's scheme steps
-    (mc.grid_steps x _substeps), names mc.grid_steps when even one path a
-    batch would not fit, and mc.paths when one batch of ceil(paths / nb)
-    paths, with the increments it draws ahead, is what does not. The run
-    never holds all paths x D values at once.
+    (mc.grid_steps x _substeps) and noise model, which counts the
+    sampler's Poisson counts only where jumps are drawn, names
+    mc.grid_steps when even one path a batch would not fit, and mc.paths
+    when one batch of ceil(paths / nb) paths, with the increments it
+    draws ahead, is what does not. The run never holds all paths x D
+    values at once.
     """
     grid_steps, paths = cfg.mc_grid_steps, cfg.mc_paths
     width = (grid_steps + 1) * cfg.model_dimension
-    dims = (cfg.model_dimension, cfg.noise.dim, _substeps(cfg))
+    run = (cfg.model_dimension, cfg.noise, _substeps(cfg))
     batches = min(BATCHES, paths)
-    _check_memory("mc.grid_steps", estimate_bytes(batches, width, *dims), f"the moment buffers "
+    _check_memory("mc.grid_steps", estimate_bytes(batches, width, *run), f"the moment buffers "
                   f"of {grid_steps} recording steps of {cfg.model_dimension} modes")
-    _check_memory("mc.paths", estimate_bytes(paths, width, *dims),
+    _check_memory("mc.paths", estimate_bytes(paths, width, *run),
                   f"the moment buffers and a batch of {-(-paths // batches)} paths of {width} "
                   "recorded values with its drawn-ahead increments")
 

@@ -96,11 +96,11 @@ def _draw_steps(scheme_steps: int, count: int, noise_dim: int) -> int:
     return max(1, min(scheme_steps, DRAW_BYTES // (8 * count * noise_dim)))
 
 
-def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int, substeps: int = 1) -> int:
+def estimate_bytes(paths: int, width: int, dim: int, noise: NoiseModel, substeps: int = 1) -> int:
     """Peak bytes that simulate_moments allocates in one process for
     `paths` paths of `width` recorded values of `dim` modes each, driven
-    by `noise_dim` noise modes, each recording step taking `substeps`
-    scheme steps.
+    by `noise`'s M modes, each recording step taking `substeps` scheme
+    steps.
 
     With nb batches of at most P = ceil(paths / nb) paths, D = width and
     T = D (D + 1) / 2, the per-batch sums (nb T + nb D float64: each
@@ -111,12 +111,13 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int, substeps: i
       factors (2 N P), outer products (N M P), paths-last increments
       (M P) and the increments of the A scheme steps it draws ahead
       (A M P, A = _draw_steps of the run's scheme steps); beside them
-      either the sampler's Poisson counts (A P), a step's Poisson draw
-      (P), its jump draws, six words a jump at one jump a path in a run,
-      and the buffer of its broadcast scaling, at most min(8192, A M P)
-      values; or the noise term with its G2 part (2 N P) and the two
-      buffers of the broadcast multiply that forms the outer products,
-      at most min(8192, N M P) values each;
+      either the sampler's buffer of its broadcast scaling, at most
+      min(8192, A M P) values, with, where jumps are drawn, its Poisson
+      counts (A P), a step's Poisson draw (P) and its jump draws, six
+      words a jump at one jump a path in a run; or the noise term with
+      its G2 part (2 N P) and the two buffers of the broadcast multiply
+      that forms the outer products, at most min(8192, N M P) values
+      each;
     - summing a batch: the positions, its block, one D x D product and a
       D sum;
     - the reduction: the D x D moment and covariance beside the mean,
@@ -132,17 +133,19 @@ def estimate_bytes(paths: int, width: int, dim: int, noise_dim: int, substeps: i
     numpy's buffers are those of its buffered iteration, which it uses
     for these broadcasts; each holds at most 8192 values. 8 KiB and 256
     bytes a batch more cover the interpreter objects of the call: the
-    batch bounds and the like. No term grows with paths x D. The
-    Poisson counts are counted whether or not the noise has a jump part.
+    batch bounds and the like. No term grows with paths x D. A run
+    without a jump part (noise.drawn_jump_rate = 0) draws no Poisson
+    counts, and none are counted.
     """
     nb = min(BATCHES, paths)
     batch = -(-paths // nb)
-    ahead = _draw_steps((width // dim - 1) * substeps, batch, noise_dim)
+    ahead = _draw_steps((width // dim - 1) * substeps, batch, noise.dim)
     tri = width * (width + 1) // 2
     sums = nb * (tri + width)
-    held = batch * (width + dim * (noise_dim + 2) + noise_dim * (ahead + 1))
-    sampling = batch * (ahead + 7) + min(8192, ahead * noise_dim * batch)
-    noise_term = 2 * batch * dim + 2 * min(8192, dim * noise_dim * batch)
+    held = batch * (width + dim * (noise.dim + 2) + noise.dim * (ahead + 1))
+    jumps = batch * (ahead + 7) if noise.drawn_jump_rate > 0.0 else 0  # Poisson counts, draws
+    sampling = jumps + min(8192, ahead * noise.dim * batch)
+    noise_term = 2 * batch * dim + 2 * min(8192, dim * noise.dim * batch)
     stepping = tri + max(held + max(sampling, noise_term), batch * width + width * width + width)
     rows = max(2, width // (nb + 2))
     reduction = tri + 2 * width + min(8192, nb * tri) + max(

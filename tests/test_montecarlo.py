@@ -659,7 +659,7 @@ class TestSimulateMoments:
         model, noise, gmap, x0 = multimode_setup()
         monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
         width = (steps + 1) * model.dim
-        count = mc.estimate_bytes(paths, width, 4, 4)
+        count = mc.estimate_bytes(paths, width, 4, noise)
         # numpy keeps small freed blocks in caches that tracemalloc still
         # counts; a first call fills them
         simulate_moments(model, noise, gmap, x0, steps, paths, seed=1)
@@ -693,12 +693,37 @@ class TestSimulateMoments:
             run = (*multimode_setup(), steps, paths, 1)
         model, noise, gmap, x0, steps, paths, substeps = run
         monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
-        count = mc.estimate_bytes(paths, (steps + 1) * model.dim, model.dim, noise.dim, substeps)
+        count = mc.estimate_bytes(paths, (steps + 1) * model.dim, model.dim, noise, substeps)
         # a first call fills numpy's caches of small freed blocks
         simulate_moments(model, noise, gmap, x0, steps, paths, seed=1, substeps=substeps)
         tracemalloc.start()
         try:
             simulate_moments(model, noise, gmap, x0, steps, paths, seed=1, substeps=substeps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= count
+
+    def test_a_wiener_only_count_holds_no_poisson_counts(self, monkeypatch):
+        # configs/scalar_ou.json draws no jumps, so its run allocates no
+        # Poisson counts: its count is below that of the same sizes with a
+        # jump part, and still bounds its traced peak
+        cfg = parse_config(json.loads((ROOT / "configs" / "scalar_ou.json").read_text()))
+        assert cfg.noise.drawn_jump_rate == 0.0
+        jumps = NoiseModel(q_eigenvalues=cfg.noise.q_eigenvalues, wiener_fraction=0.5,
+                           jump_rate=4.0)
+        substeps = cli._substeps(cfg)
+        sizes = (cfg.mc_paths, (cfg.mc_grid_steps + 1) * cfg.model.dim, cfg.model.dim)
+        count = mc.estimate_bytes(*sizes, cfg.noise, substeps)
+        assert count < mc.estimate_bytes(*sizes, jumps, substeps)
+        monkeypatch.setattr(_fanout, "_cpus", lambda: 1)  # every allocation in this process
+        run = (cfg.model, cfg.noise, cfg.gmap, cfg.initial[0], cfg.mc_grid_steps, cfg.mc_paths)
+        # a first call imports numpy.random, which the g1 preset has not
+        # drawn from, and fills numpy's caches of small freed blocks
+        simulate_moments(*run, seed=cfg.mc_seed, substeps=substeps)
+        tracemalloc.start()
+        try:
+            simulate_moments(*run, seed=cfg.mc_seed, substeps=substeps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

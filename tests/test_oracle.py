@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -226,7 +227,7 @@ class TestLyapunovSolve:
             counts.append(sorted(calls))
         assert counts[0] == counts[1] == ["mean_form", "symmetric_action"]
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_peak_memory_within_the_propagator_estimate(self, n):
         # building the noise map's action and the live Pade matrices bound
         # what the solve holds beside its grid values, small at 4 steps
@@ -382,6 +383,27 @@ class TestExpm:
         oracle._add_identity(out, 0.5)
         assert out.tobytes() == expected.tobytes()
         assert not np.signbit(out[0, 1])
+
+    @pytest.mark.parametrize("name, steps", [("wide-n16", 32), ("multimode", 1), ("wide-n32", 32)])
+    def test_peak_within_six_matrices(self, name, steps):
+        # U is finished, and a dropped, before V is built, so at most six
+        # matrices of a's size are live, and a seventh on Python 3.10,
+        # which keeps the argument alive through the call: at 32 steps the
+        # wide generators need no scaling, and multimode at one step three
+        # squarings
+        if name == "wide-n32":
+            model, noise, gmap, _ = multimode_setup(32, 4 * np.pi)
+        else:
+            model, noise, gmap = generator_case(name)
+        gen = model.horizon / steps * oracle._generator(model, noise, gmap)
+        oracle._expm(gen.copy())  # numpy's caches of small freed blocks
+        tracemalloc.start()
+        try:
+            oracle._expm(gen.copy())  # a fresh argument, which the call may free
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (6 if sys.version_info >= (3, 11) else 7) * gen.nbytes + 8192
 
     def test_zero_matrix_gives_identity(self):
         np.testing.assert_array_equal(oracle._expm(np.zeros((5, 5))), np.eye(5))
