@@ -8,7 +8,11 @@ Runs each subcommand on each `configs/*.json` into
 `<out_dir>/<config>/<subcommand>/` (default `out/table_hashes` at the
 repository root), then `solve-moment` and `solve-covariance` on
 `multimode_n8_k64`, a variant of `configs/multimode.json` with N=8 modes
-and K=64 steps that the script writes to `<out_dir>` itself. It prints
+and K=64 steps that the script writes to `<out_dir>` itself, and
+`solve-mean`, `solve-moment`, `solve-covariance` and `inf-sup` on
+`multimode_n8_k16`, the same variant at K=16 steps: its top three modes
+have lambda dt = 2.25, 3.06 and 4, so it hashes stiff modes, whose
+ratio is negative. It prints
 one `sha256  path` line per table, sorted by path relative to `out_dir`.
 It then runs the benchmark's wide-n16 pipeline (`bench/pipeline.run`,
 N=16 modes and K=32 steps, at `bench/workloads.DEFAULT_SEED`) into
@@ -34,16 +38,16 @@ from spde_moments.cli import COMMANDS, main  # noqa: E402
 PIPELINE_ARRAYS = ("pg_diag", "oracle_diag", "picard_trace")
 
 
-def multimode_variant(out: Path) -> Path:
-    """Write `configs/multimode.json` with N=8 modes and K=64 steps to
-    `out` and return its path; the noise and the initial mean extend the
-    shipped 2**-j and 1/j sequences."""
+def multimode_variant(out: Path, steps: int = 64) -> Path:
+    """Write `configs/multimode.json` with N=8 modes and K=`steps` steps
+    to `out` and return its path; the noise and the initial mean extend
+    the shipped 2**-j and 1/j sequences."""
     raw = json.loads((ROOT / "configs" / "multimode.json").read_text(encoding="utf-8"))
     raw["model"]["dimension"] = 8
-    raw["time"]["steps"] = 64
+    raw["time"]["steps"] = steps
     raw["noise"]["q_eigenvalues"] = [2.0 ** -j for j in range(1, 9)]
     raw["initial"]["mean"] = [1.0 / j for j in range(1, 9)]
-    path = out / "multimode_n8_k64.json"
+    path = out / f"multimode_n8_k{steps}.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
 
@@ -52,8 +56,9 @@ def write_tables(out: Path) -> None:
     runs = [(config, sub) for config in sorted((ROOT / "configs").glob("*.json"))
             for sub in COMMANDS]
     out.mkdir(parents=True, exist_ok=True)
-    variant = multimode_variant(out)
+    variant, stiff = multimode_variant(out), multimode_variant(out, steps=16)
     runs += [(variant, "solve-moment"), (variant, "solve-covariance")]
+    runs += [(stiff, sub) for sub in ("solve-mean", "solve-moment", "solve-covariance", "inf-sup")]
     for config, sub in runs:
         with contextlib.redirect_stdout(sys.stderr):
             main([sub, "--config", str(config), "--out", str(out / config.stem / sub)])

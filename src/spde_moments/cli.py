@@ -201,9 +201,9 @@ def _check_table_space(out: Path, key: str, tables: list[tuple[int, int, int]]) 
 def _write_diagnostics(out: Path, cfg: ExperimentConfig, system: PerModeSystem,
                        **rows) -> dict:
     """Write diagnostics.csv: the norm of G1, the discrete inf-sup value,
-    the largest lambda dt and the smallest Crank-Nicolson ratio over the
-    modes (negative past lambda dt = 2), the trace of Q, then `rows`.
-    Returns the diagnostics for the report."""
+    the largest lambda dt and the smallest ratio of the pairing over the
+    modes (PerModeSystem.ratio, negative for a stiff mode), the trace of
+    Q, then `rows`. Returns the diagnostics for the report."""
     diagnostics = {
         "g1_v_to_hs_norm": g1_v_to_hs_norm(cfg.gmap, cfg.model, cfg.noise),
         "discrete_inf_sup": discrete_inf_sup(system),

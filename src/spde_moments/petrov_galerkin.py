@@ -2,20 +2,22 @@
 covariance problems.
 
 Discretization. Trial functions are indicators of the K uniform time
-intervals crossed with the spectral modes; test functions are the
-continuous piecewise-linear hats at the nodes t_0 .. t_{K-1}, all of
-which vanish at the final time. The parabolic pairing of one trial
-indicator against one test hat gives, per spatial mode n, the K x K
-matrix
+intervals crossed with the spectral modes; test functions are
+continuous hats at the nodes t_0 .. t_{K-1}, all of which vanish at the
+final time. The parabolic pairing of one trial indicator against one
+test hat gives, per spatial mode n, the K x K matrix
 
     B_n[k, l] = [hat_l(t_{k-1}) - hat_l(t_k)] + lambda_n int_{I_k} hat_l,
 
-an invertible upper bidiagonal matrix with diagonal a_n = 1 + lambda_n dt/2
-and superdiagonal c_n = -1 + lambda_n dt/2. The pairing couples no
-distinct spatial modes, and each mode's mean solve is the Crank-Nicolson
-recursion with factor r_n = -c_n / a_n, |r_n| < 1. The system holds each
-B_n by a_n and c_n alone. Beyond lambda_n dt = 2 a mode is stiff: r_n
-turns negative and the discrete inf-sup value falls with lambda_n dt.
+an invertible upper bidiagonal matrix with diagonal a_n and
+superdiagonal c_n, a_n > |c_n|. The pairing couples no distinct
+spatial modes, and each mode's mean solve is the recursion with ratio
+r_n = -c_n / a_n, |r_n| < 1. PerModeSystem is the one place that knows
+the test space: it holds a_n, c_n, r_n, the load weights, the inertia
+count's pencil and its floor, and the rest of this module reads only
+those members. Its linear hats give the Crank-Nicolson pairing; a mode
+whose ratio is negative is stiff, and its discrete inf-sup value falls
+with lambda_n dt.
 
 Inf-sup. The discrete inf-sup value is the smallest singular value of
 the pairing normalized by the trial and test Grams. Its square is the
@@ -132,13 +134,25 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PerModeSystem:
-    """The space-time pairing of every spatial mode, by its two diagonals.
+    """The space-time pairing of every spatial mode: the one place that
+    knows the test space.
 
-    B_n (rows: trial intervals, columns: test hats) is upper bidiagonal
-    with diagonal a[n] = 1 + lambda_n dt/2 and superdiagonal
-    c[n] = -1 + lambda_n dt/2, so the grid and the eigenvalues determine
-    it, and a and c are derived from them on access. No K x K matrix is
-    held.
+    Trial functions are the indicators of the K intervals; test functions
+    are the hats at t_0 .. t_{K-1}, piecewise linear, 1 at their node, 0
+    at the other nodes and at T. Every number the test space fixes is a
+    member here: the two diagonals a and c of the pairing B_n, the three
+    load weights on one interval, the entries of the inertia count's
+    pencil and a floor under that pencil's spectrum. The causal sweep,
+    the mean solve and the inertia count read only these members, and
+    hold for any upper bidiagonal pairing with a tridiagonal test Gram.
+    Each member is dt times a function of lambda dt, or a function of
+    lambda dt alone, so the grid and the eigenvalues determine them and
+    no K x K matrix is held.
+
+    With linear hats B_n (rows: trial intervals, columns: test hats)
+    has diagonal a[n] = 1 + lambda_n dt/2 and superdiagonal
+    c[n] = -1 + lambda_n dt/2, and its mean solve is the Crank-Nicolson
+    recursion with ratio r_n = -c_n / a_n.
     """
 
     grid: TimeGrid
@@ -160,34 +174,86 @@ class PerModeSystem:
 
     @property
     def lambda_dt(self) -> np.ndarray:
-        """lambda_n dt of every mode, shape (N,); above 2 the mode is stiff."""
+        """lambda_n dt of every mode, shape (N,)."""
         return self.eigenvalues * self.grid.dt
 
     @property
     def ratio(self) -> np.ndarray:
-        """Crank-Nicolson factor r_n = -c_n / a_n of every mode, shape (N,).
+        """Ratio r_n = -c_n / a_n of every mode, shape (N,).
 
-        |r_n| < 1, and r_n < 0 exactly when lambda_n dt > 2.
+        |r_n| < 1 because a_n > |c_n|. With linear hats r_n < 0 exactly
+        when lambda_n dt > 2: such a mode is stiff.
         """
         return -self.c / self.a
+
+    @property
+    def load_weights(self) -> tuple:
+        """Integrals over one interval of (left hat)^2, (right hat)^2 and
+        their product, the hats at its left and right node.
+
+        Scalars, or arrays that broadcast against (N, N) and are
+        symmetric in the mode pair. With linear hats they are dt/3, dt/3
+        and dt/6.
+        """
+        dt = self.grid.dt
+        return dt / 3.0, dt / 3.0, dt / 6.0
+
+    def pencil_entries(self, mu: np.ndarray) -> tuple:
+        """Entries (first, diagonal, off) of h (A - mu G_Y) for every
+        mode, h = lambda dt, each of the shape (N, C) of mu.
+
+        A = B^T D^-1 B, with the trial Gram D = h I, is tridiagonal:
+        (a^2 + c^2) / h on the diagonal, except a^2 / h first, and a c / h
+        off it. The test Gram G_Y of the hats in the graph norm,
+        lambda * mass + stiffness / lambda with the exact hat mass and
+        stiffness, is tridiagonal too: 2 (h/3 + 1/h) on the diagonal,
+        except h/3 + 1/h first (the hat at t_0 has one interval under
+        it), and h/6 - 1/h off it. So h (A - mu G_Y) has
+
+            first entry     (1 - mu) + h + h^2 (1/4 - mu/3),
+            diagonal        2 (1 - mu) + h^2 (1/2 - 2 mu/3),
+            off-diagonal    (mu - 1) + h^2 (1/4 - mu/6),
+
+        written so that no entry cancels: near mu = 1, where the
+        smallest end sits when h is small, 1 - mu is exact and the h^2
+        terms survive.
+        """
+        lam_dt = self.lambda_dt
+        h2 = (lam_dt * lam_dt)[:, None]
+        first = (1.0 - mu) + lam_dt[:, None] + h2 * (0.25 - mu / 3.0)
+        diag = 2.0 * (1.0 - mu) + h2 * (0.5 - 2.0 * mu / 3.0)
+        off = (mu - 1.0) + h2 * (0.25 - mu / 6.0)
+        return first, diag, off
+
+    @property
+    def pencil_floor(self) -> np.ndarray:
+        """A lower bound on every eigenvalue mu of each mode's pencil
+        (A, G_Y), shape (N,).
+
+        sigma_min(B) >= a - |c| = min(lambda dt, 2), and Gershgorin bounds
+        the largest eigenvalue of h G_Y by (lambda dt)^2 + 4, which bounds
+        mu below by min(lambda dt, 2)^2 / ((lambda dt)^2 + 4).
+        """
+        return np.minimum(self.lambda_dt, 2.0) ** 2 / (self.lambda_dt ** 2 + 4.0)
 
 
 def assemble_per_mode(model: SpectralModel, grid: TimeGrid) -> PerModeSystem:
     """The per-mode pairing of a model on a grid, in O(N) memory.
 
-    Raises ValueError when the two horizons differ. Every pairing is
-    invertible: lambda_n > 0 and dt > 0 give a_n > 1. Warns
-    (RuntimeWarning) when a mode is stiff, lambda_n dt > 2: its ratio
-    r_n is negative, so its two-time field alternates in sign from one
-    interval to the next, and its discrete inf-sup value falls with
-    lambda_n dt.
+    Raises ValueError when the two horizons differ at all: the grid's
+    dt is the model's horizon over K, not a horizon near it. Every
+    pairing is invertible: lambda_n > 0 and dt > 0 give a_n > 1. Warns
+    (RuntimeWarning) when a mode's ratio r_n is negative (with linear
+    hats exactly when lambda_n dt > 2), so its two-time field alternates
+    in sign from one interval to the next, and its discrete inf-sup
+    value falls with lambda_n dt.
     """
-    if not np.isclose(grid.horizon, model.horizon):
+    if grid.horizon != model.horizon:
         raise ValueError(
             f"grid horizon {grid.horizon} differs from model horizon {model.horizon}"
         )
     system = PerModeSystem(grid=grid, eigenvalues=model.eigenvalues)
-    stiff = int(np.count_nonzero(system.lambda_dt > 2.0))
+    stiff = int(np.count_nonzero(system.ratio < 0.0))
     if stiff:
         warnings.warn(
             f"{stiff} of {system.n_modes} modes have lambda*dt > 2 (at most "
@@ -217,12 +283,13 @@ class MomentLoad:
     """Test-side load of a moment problem, by its per-interval parts.
 
     On interval I_k only the hats at t_k and t_{k+1} are nonzero, and
-    the exact integrals of their products are dt/3 for a hat with itself
-    and dt/6 for the two together. So the dense (K, N, K, N) load this
-    stands for is block-tridiagonal in time: block (k, k) is
-    dt/3 (spatial[k] + spatial[k-1]), with spatial[-1] = 0 and `initial`
-    added in block (0, 0) (the only hat that is nonzero at t = 0), and
-    blocks (k, k+1) and (k+1, k) are dt/6 spatial[k].
+    the integrals of their products are the pairing's load weights
+    (left, right, cross) (PerModeSystem.load_weights). So the dense
+    (K, N, K, N) load this stands for is block-tridiagonal in time:
+    block (k, k) is left spatial[k] + right spatial[k-1], with
+    spatial[-1] = 0 and `initial` added in block (0, 0) (the only hat
+    that is nonzero at t = 0), and blocks (k, k+1) and (k+1, k) are
+    cross spatial[k].
     """
 
     initial: np.ndarray   # (N, N)
@@ -282,9 +349,10 @@ class SpaceTimeMoment:
 
     The trial coefficients U[k, n, l, m] are semi-separable: for
     l >= k + 2, U[k, :, l, :] = upper[k] * ratio**(l - k - 1) along the
-    second mode index, where ratio[n] = r_n is the Crank-Nicolson
-    factor. The field is symmetric, U[l, :, k, :] = U[k, :, l, :]^T, so
-    the lower blocks are not stored: U[k+1, :, k, :] = upper[k]^T. This
+    second mode index, where ratio[n] = r_n is the pairing's ratio
+    (PerModeSystem.ratio). The field is symmetric,
+    U[l, :, k, :] = U[k, :, l, :]^T, so the lower blocks are not
+    stored: U[k+1, :, k, :] = upper[k]^T. This
     expansion lives in `row` alone: callers read the field one time row
     at a time, or on the block diagonals.
     """
@@ -339,21 +407,23 @@ def _causal_solve(system: PerModeSystem, load: MomentLoad) -> tuple[np.ndarray, 
         aa E_k = off_k - ac D_k
         aa F_k = off_k - ca D_k
 
-    where on_k = dt/3 (S_k + S_{k-1}) plus the initial term at k = 0, and
-    off_k = dt/6 S_k, for the load's spatial matrices S_k. Substituting
+    where on_k = left S_k + right S_{k-1} plus the initial term at k = 0,
+    and off_k = cross S_k, for the load's spatial matrices S_k and the
+    pairing's load weights (PerModeSystem.load_weights). Substituting
     the last two into the first (ac ca = aa cc) leaves the recursion
 
         D_k = (on_k - (ac + ca) / aa off_{k-1}) / aa + r_n r_m D_{k-1}.
 
     For a symmetric load D_k is symmetric, and F_k = E_k^T (ca is ac
-    transposed), so F is not formed.
+    transposed), so F is not formed. Only the system's a, c and load
+    weights are read: the sweep holds for any upper bidiagonal pairing.
     """
     a, c = system.a, system.c
     aa, ac, ca = np.outer(a, a), np.outer(a, c), np.outer(c, a)
-    dt, spatial = system.grid.dt, load.spatial
-    off = dt / 6.0 * spatial[:-1]
-    diagonal = dt / 3.0 * spatial
-    diagonal[1:] += dt / 3.0 * spatial[:-1] - (ac + ca) / aa * off
+    left, right, cross = system.load_weights
+    off = cross * load.spatial[:-1]
+    diagonal = left * load.spatial
+    diagonal[1:] += right * load.spatial[:-1] - (ac + ca) / aa * off
     diagonal[0] += load.initial
     diagonal /= aa
     rr = np.outer(c, c) / aa
@@ -495,24 +565,13 @@ def solve_bytes(steps: int, n: int, modes: int, fields: int) -> int:
     return held + 8192 * 8 + 16 * 1024
 
 
-def _count_below(lam_dt: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:
+def _count_below(system: PerModeSystem, mu: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below mu of each mode's pencil (A, G_Y).
 
-    lam_dt has shape (N,) and mu shape (N, C), one row of candidates per
-    mode. With h = lambda dt, a = 1 + h/2 and c = -1 + h/2, the trial
-    Gram is D = h I, so A = B^T D^-1 B is tridiagonal: (a^2 + c^2) / h on
-    the diagonal, except a^2 / h first, and a c / h off it. The test Gram
-    G_Y of the hats in the graph norm, lambda * mass + stiffness / lambda
-    with the exact hat mass and stiffness, is tridiagonal too: 2 (h/3 +
-    1/h) on the diagonal, except h/3 + 1/h first (the hat at t_0 has one
-    interval under it), and h/6 - 1/h off it. So h (A - mu G_Y) has
-
-        first entry     (1 - mu) + h + h^2 (1/4 - mu/3),
-        diagonal        2 (1 - mu) + h^2 (1/2 - 2 mu/3),
-        off-diagonal    (mu - 1) + h^2 (1/4 - mu/6),
-
-    written so that no entry cancels: near mu = 1, where the smallest
-    end sits when h is small, 1 - mu is exact and the h^2 terms survive.
+    mu has shape (N, C), one row of candidates per mode. The count reads
+    the tridiagonal entries of h (A - mu G_Y) from the system
+    (PerModeSystem.pencil_entries), which is all it knows of the
+    pairing.
 
     G_Y is positive definite, so by Sylvester's law of inertia the count
     is the number of negative pivots of the LDL^T factorization of this
@@ -523,10 +582,8 @@ def _count_below(lam_dt: np.ndarray, mu: np.ndarray, steps: int) -> np.ndarray:
     pair (0, -e^2 / 0) then counts exactly one, as does any perturbation
     of the zero.
     """
-    h2 = (lam_dt * lam_dt)[:, None]
-    first = (1.0 - mu) + lam_dt[:, None] + h2 * (0.25 - mu / 3.0)
-    diag = 2.0 * (1.0 - mu) + h2 * (0.5 - 2.0 * mu / 3.0)
-    off = (mu - 1.0) + h2 * (0.25 - mu / 6.0)
+    first, diag, off = system.pencil_entries(mu)
+    steps = system.grid.steps
     off2 = np.maximum(off * off, np.finfo(float).tiny)
     count = np.signbit(first).astype(np.intp)
     pivot = first
@@ -569,16 +626,13 @@ def per_mode_singular_range(system: PerModeSystem) -> tuple[np.ndarray, np.ndarr
     The brackets start from bounds that hold for every mode. The pairing
     is the exact integral of u (-v' + lambda v), and the two Grams are
     exactly lambda ||u||^2 and lambda ||v||^2 + ||v'||^2 / lambda, so
-    Cauchy-Schwarz bounds every singular value by sqrt(2). Below,
-    sigma_min(B) >= a - |c| = min(lambda dt, 2) and Gershgorin bounds
-    the largest eigenvalue of G_Y by lambda dt + 4 / (lambda dt), which
-    bounds mu below by min(lambda dt, 2)^2 / ((lambda dt)^2 + 4). The
-    brackets start at half that floor and at 2.25, clear of rounding.
+    Cauchy-Schwarz bounds every singular value by sqrt(2) for any test
+    space. Below, the system bounds mu by its pencil floor
+    (PerModeSystem.pencil_floor). The brackets start at half that floor
+    and at 2.25, clear of rounding.
     """
     K, n = system.grid.steps, system.n_modes
-    lam_dt = system.lambda_dt
-    floor = 0.5 * np.minimum(lam_dt, 2.0) ** 2 / (lam_dt ** 2 + 4.0)
-    lo = np.repeat(floor[:, None], 2, axis=1)     # (N, 2): smallest end, largest end
+    lo = np.repeat(0.5 * system.pencil_floor[:, None], 2, axis=1)  # (N, 2): smallest, largest end
     hi = np.full((n, 2), 2.25)
     target = np.array([1, K])
     fractions = np.arange(1, _CANDIDATES + 1) / (_CANDIDATES + 1)
@@ -590,7 +644,7 @@ def per_mode_singular_range(system: PerModeSystem) -> tuple[np.ndarray, np.ndarr
         mu = np.where(geometric,
                       lo[..., None] * (hi / lo)[..., None] ** fractions,
                       lo[..., None] + (hi - lo)[..., None] * fractions)
-        reached = _count_below(lam_dt, mu.reshape(n, -1), K).reshape(mu.shape) >= target[:, None]
+        reached = _count_below(system, mu.reshape(n, -1)).reshape(mu.shape) >= target[:, None]
         # first candidate whose count reaches the target, _CANDIDATES if none does
         first = np.where(reached.any(axis=-1), np.argmax(reached, axis=-1), _CANDIDATES)
         ends = np.concatenate([lo[..., None], mu, hi[..., None]], axis=-1)

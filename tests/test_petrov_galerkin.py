@@ -79,6 +79,10 @@ class TestAssembly:
         model = SpectralModel(eigenvalues=[1.0], horizon=2.0)
         with pytest.raises(ValueError):
             assemble_per_mode(model, TimeGrid(steps=4, horizon=1.0))
+        # a horizon within np.isclose's rtol of the model's is refused too
+        model = SpectralModel(eigenvalues=[1.0], horizon=1.0)
+        with pytest.raises(ValueError, match="differs from model horizon"):
+            assemble_per_mode(model, TimeGrid(steps=4, horizon=1.000005))
 
     def test_two_step_hand_values(self):
         # hand quadrature, lam = 1, dt = 1/2: pairing of the two interval
@@ -641,7 +645,7 @@ class TestInfSup:
         with pytest.warns(RuntimeWarning):
             system = assemble_per_mode(model, TimeGrid(steps=steps, horizon=1.0))
         mu = np.linspace(0.0, 2.1, 400)
-        counts = pg._count_below(system.lambda_dt, np.tile(mu, (3, 1)), steps)
+        counts = pg._count_below(system, np.tile(mu, (3, 1)))
         for n in range(3):
             pairing, trial_gram_diag, test_gram = mode_matrices(system, n)
             eigs = eigh(pairing.T @ (pairing / trial_gram_diag[:, None]), test_gram,
@@ -685,3 +689,105 @@ class TestStiffRegime:
         with pytest.warns(RuntimeWarning, match="at most 2.125"):
             scalar_system(16, lam=34.0)
 
+
+
+class SkewedPairing(pg.PerModeSystem):
+    """Another valid pairing, stated only by the members that the test
+    space fixes: a = 1 + 3h/4 and c = -1 + h/4 (a > |c| > 0 for h != 4,
+    h = lambda dt), unequal left and right load weights, and the pencil
+    (A, G) with h A = B^T B and h G = B^T B + T, T = tridiag(-1, 2, -1)
+    with 1 first, positive definite with ||T|| <= 4. Its eigenvalues lie
+    in [m / (m + 4), 1) with m = (a - |c|)^2."""
+
+    @property
+    def a(self):
+        return 1.0 + 0.75 * self.lambda_dt
+
+    @property
+    def c(self):
+        return -1.0 + 0.25 * self.lambda_dt
+
+    @property
+    def load_weights(self):
+        dt = self.grid.dt
+        return 0.3 * dt, 0.45 * dt, 0.1 * dt
+
+    def pencil_entries(self, mu):
+        a, c = self.a[:, None], self.c[:, None]
+        return (a * a * (1.0 - mu) - mu, (a * a + c * c) * (1.0 - mu) - 2.0 * mu,
+                a * c * (1.0 - mu) + mu)
+
+    @property
+    def pencil_floor(self):
+        m = (self.a - np.abs(self.c)) ** 2
+        return m / (m + 4.0)
+
+
+class TestPairingHome:
+    """The sweep, the mean solve and the inertia count know the pairing
+    only through PerModeSystem: on another pairing they match dense
+    solves built from that pairing's own numbers."""
+
+    STEPS = 6
+
+    def system(self):
+        # lambda dt = 0.15, 1.7 and 5.5: c < 0, c < 0 and c > 0
+        lam = np.array([0.15, 1.7, 5.5]) * self.STEPS
+        return SkewedPairing(grid=TimeGrid(steps=self.STEPS, horizon=1.0), eigenvalues=lam)
+
+    def dense_load(self, system, load):
+        """The (K, N, K, N) load of `load` under the system's weights."""
+        left, right, cross = system.load_weights
+        K, n = system.grid.steps, system.n_modes
+        dense = np.zeros((K, n, K, n))
+        for k in range(K):
+            dense[k, :, k, :] = left * load.spatial[k]
+            if k > 0:
+                dense[k, :, k, :] += right * load.spatial[k - 1]
+            if k + 1 < K:
+                dense[k, :, k + 1, :] = dense[k + 1, :, k, :] = cross * load.spatial[k]
+        dense[0, :, 0, :] += load.initial
+        return dense
+
+    def test_sweep_matches_dense_kronecker_solve(self):
+        system = self.system()
+        K, n = system.grid.steps, system.n_modes
+        load = symmetric_load(np.random.default_rng(41), K, n)
+        # P[(k, n), (l, n)] = B_n[k, l]; the field solves P^T U P = L
+        pairing = np.zeros((K, n, K, n))
+        for mode in range(n):
+            pairing[:, mode, :, mode] = dense_pairing(system, mode)
+        P = pairing.reshape(K * n, K * n)
+        field = np.linalg.solve(np.kron(P.T, P.T), self.dense_load(system, load).ravel())
+        field = field.reshape(K, n, K, n)
+        # each time row holds the swept diagonal and upper blocks, and the
+        # rest of the field through the system's ratio
+        swept = swept_field(system, load)
+        for k in range(K):
+            np.testing.assert_allclose(swept.row(k), field[k], rtol=0,
+                                       atol=1e-13 * np.max(np.abs(field)))
+
+    def test_mean_matches_dense_solve(self):
+        system = self.system()
+        x0 = np.array([1.0, -0.5, 0.25])
+        mean = solve_mean(system, x0)
+        for mode in range(system.n_modes):
+            rhs = np.zeros(system.grid.steps)
+            rhs[0] = x0[mode]
+            expected = np.linalg.solve(dense_pairing(system, mode).T, rhs)
+            np.testing.assert_allclose(mean[:, mode], expected, rtol=1e-14, atol=0.0)
+
+    def test_singular_range_matches_dense_pencil(self):
+        system = self.system()
+        K = system.grid.steps
+        zero, one = (system.pencil_entries(np.full((system.n_modes, 1), mu)) for mu in (0.0, 1.0))
+        smallest, largest = per_mode_singular_range(system)
+        for mode in range(system.n_modes):
+            # h A from the entries at mu = 0, h G from those at 0 less those at 1
+            tri = [np.diag(np.r_[first[mode], np.full(K - 1, diag[mode])])
+                   + np.diag(np.full(K - 1, off[mode]), 1) + np.diag(np.full(K - 1, off[mode]), -1)
+                   for first, diag, off in (zero, one)]
+            eigs = eigh(tri[0], tri[0] - tri[1], eigvals_only=True)
+            assert system.pencil_floor[mode] <= eigs[0] and eigs[-1] < 1.0
+            np.testing.assert_allclose([smallest[mode], largest[mode]],
+                                       np.sqrt([eigs[0], eigs[-1]]), rtol=1e-12, atol=0.0)
